@@ -182,8 +182,13 @@ fn sparse_decode(seed: u64) -> Bench {
 const FLEET_REQUESTS: usize = 50_000;
 const FLEET_REPLICAS: usize = 4;
 /// About half the fleet's peak: at 48 req/s and above the p99 TTFT varied
-/// by 20–40% between seeds; at 40 it stays within a few percent.
+/// by 20–40% between seeds.
 const FLEET_RPS: f64 = 40.0;
+/// Requests per burst. With bursts of 16, about one seed in ten had a
+/// cluster of bursts that set off a swap cascade and lifted the p99 TTFT
+/// 20–70% above the median; with bursts of 8 it stays within 2.5% of the
+/// median over a hundred seeds, and the pool still preempts and swaps.
+const FLEET_BURST: usize = 8;
 
 /// Four Hermes-base boxes behind KV-pressure routing with paged KV,
 /// swap-out, a prefix cache and a mid-run failure: step pricing is O(1), so
@@ -195,7 +200,7 @@ fn fleet_paged(seed: u64) -> Bench {
         FLEET_REQUESTS,
         &Arrivals::Bursty {
             rate: FLEET_RPS,
-            burst: 16,
+            burst: FLEET_BURST,
         },
         &Lengths {
             prompt: (prompt, prompt),
