@@ -268,6 +268,10 @@ pub struct BenchOutput {
 /// returning (wall seconds, simulated requests/s).
 pub fn measure(sim: &ServingSimulation, num_requests: usize) -> (f64, f64) {
     let config = SystemConfig::paper_default();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the throughput benchmark measures wall-clock time"
+    )]
     let start = Instant::now();
     let outcome = simulate(bench_system(), &config, sim).expect("benchmark scenario is valid");
     let seconds = start.elapsed().as_secs_f64();
@@ -278,6 +282,10 @@ pub fn measure(sim: &ServingSimulation, num_requests: usize) -> (f64, f64) {
 /// Time one full cluster simulation of `cluster` (an `num_requests`-long
 /// fleet-wide trace), returning (wall seconds, simulated requests/s).
 pub fn measure_cluster(cluster: &ClusterSimulation, num_requests: usize) -> (f64, f64) {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the throughput benchmark measures wall-clock time"
+    )]
     let start = Instant::now();
     let outcome = simulate_cluster(cluster).expect("benchmark scenario is valid");
     let seconds = start.elapsed().as_secs_f64();
@@ -289,6 +297,10 @@ pub fn measure_cluster(cluster: &ClusterSimulation, num_requests: usize) -> (f64
 #[cfg(feature = "reference")]
 pub fn measure_reference(sim: &ServingSimulation, num_requests: usize) -> (f64, f64) {
     let config = SystemConfig::paper_default();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the throughput benchmark measures wall-clock time"
+    )]
     let start = Instant::now();
     let outcome = hermes_serve::reference::simulate_reference(bench_system(), &config, sim)
         .expect("benchmark scenario is valid");

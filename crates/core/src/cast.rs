@@ -1,7 +1,7 @@
 //! Checked numeric conversions for KV/token accounting.
 //!
-//! Lint rule S1 bans raw `as` casts in the accounting modules (`kv.rs`,
-//! `prefix.rs`, `tallies.rs`, `report.rs`): a silent truncation there
+//! The accounting modules (`kv.rs`, `prefix.rs`, `tallies.rs`, `report.rs`)
+//! deny `clippy::as_conversions`: a silent truncation there
 //! corrupts block/token arithmetic that the bitwise-equivalence tests
 //! certify. Every conversion instead goes through these helpers, which make
 //! the domain assumptions explicit and auditable in one place:

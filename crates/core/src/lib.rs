@@ -61,6 +61,9 @@
 //! The one-shot [`try_run_system`] driver does exactly the loop above, so
 //! step-wise and one-shot execution agree by construction.
 
+// Library code routes failures through `HermesError`; tests may assert.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod baselines;
 pub mod cast;
 pub mod config;

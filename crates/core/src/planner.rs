@@ -53,7 +53,10 @@ pub struct NeuronPlan {
 impl NeuronPlan {
     /// Build a plan: select hot neurons by `policy` under `gpu_budget_bytes`,
     /// then place the cold remainder over `num_dimms` DIMMs.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "each input is an independent knob of one engine configuration"
+    )]
     pub fn build(
         cfg: &ModelConfig,
         profile: &SparsityProfile,
@@ -66,11 +69,11 @@ impl NeuronPlan {
         seed: u64,
     ) -> Self {
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x9e37_79b9);
-        // Scores used to rank neurons for the hot set.
+        // Scores used to rank neurons for the hot set. `array::map` runs its
+        // closure in order, so the RNG draws go to attention before MLP.
         let scores: Vec<[Vec<f64>; 2]> = (0..cfg.num_layers)
             .map(|layer| {
-                let mut per_block: Vec<Vec<f64>> = Vec::with_capacity(2);
-                for block in Block::ALL {
+                Block::ALL.map(|block| {
                     let pop = popularity.block(layer, block);
                     let mut s: Vec<f64> = (0..pop.len()).map(|i| pop.prob(i)).collect();
                     match policy {
@@ -90,13 +93,8 @@ impl NeuronPlan {
                             s.shuffle(&mut rng);
                         }
                     }
-                    per_block.push(s);
-                }
-                // hermes-lint: allow(D3, reason = "the loop above pushed exactly one entry per Block::ALL member")
-                let mlp = per_block.pop().expect("mlp");
-                // hermes-lint: allow(D3, reason = "the loop above pushed exactly one entry per Block::ALL member")
-                let attn = per_block.pop().expect("attention");
-                [attn, mlp]
+                    s
+                })
             })
             .collect();
 
@@ -154,10 +152,10 @@ impl NeuronPlan {
         let mut hot_mass = 0.0;
         let mut total_mass = 0.0;
         for (layer, layer_flags) in hot_flags.iter().enumerate() {
-            let mut full_blocks = Vec::with_capacity(2);
-            let mut hot_blocks = Vec::with_capacity(2);
-            let mut cold_blocks = Vec::with_capacity(2);
-            for (bi, block) in Block::ALL.into_iter().enumerate() {
+            // `from_fn` visits the blocks in `Block::ALL` order, so the mass
+            // sums add attention before MLP.
+            let [attention, mlp] = std::array::from_fn(|bi| {
+                let block = Block::ALL[bi];
                 let pop = popularity.block(layer, block);
                 let clusters = activity.clusters().block(layer, block);
                 let flags = &layer_flags[bi];
@@ -175,20 +173,11 @@ impl NeuronPlan {
                 let flops = cfg.neuron_flops(block) as f64;
                 hot_mass += hot_sums.total_popsum() * flops;
                 total_mass += full_sums.total_popsum() * flops;
-                full_blocks.push(full_sums);
-                hot_blocks.push(hot_sums);
-                cold_blocks.push(cold_sums);
-            }
-            let to_array = |mut v: Vec<ClusterPopSums>| -> [ClusterPopSums; 2] {
-                // hermes-lint: allow(D3, reason = "callers pass exactly one entry per Block::ALL member")
-                let mlp = v.pop().expect("mlp");
-                // hermes-lint: allow(D3, reason = "callers pass exactly one entry per Block::ALL member")
-                let attn = v.pop().expect("attention");
-                [attn, mlp]
-            };
-            full.push(to_array(full_blocks));
-            hot.push(to_array(hot_blocks));
-            cold.push(to_array(cold_blocks));
+                (full_sums, hot_sums, cold_sums)
+            });
+            full.push([attention.0, mlp.0]);
+            hot.push([attention.1, mlp.1]);
+            cold.push([attention.2, mlp.2]);
         }
         let cold_placement = ClusterColdPlacement::build(&cold, num_dimms, placement);
         let _ = profile;

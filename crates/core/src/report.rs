@@ -2,6 +2,8 @@
 //! paper's figures are built from, plus the aggregate [`ServingReport`] of
 //! an open-loop multi-request simulation.
 
+#![deny(clippy::as_conversions)]
+
 use serde::{Deserialize, Serialize};
 
 use crate::cast::{
@@ -73,6 +75,7 @@ impl LatencyBreakdown {
 /// TPOT (time-per-output-token) statistics summarise the distribution of the
 /// per-token decode latencies.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[must_use]
 pub struct TokenLatencyStats {
     /// Time to first token: the prompting phase plus the first decode step.
     pub ttft: f64,
@@ -101,7 +104,6 @@ impl TokenLatencyStats {
     /// in generation order) into summary statistics. Percentiles use the
     /// nearest-rank definition. With no decode tokens the TPOT statistics
     /// are zero and TTFT is the prefill cost alone.
-    #[must_use]
     pub fn from_decode_latencies(prefill_seconds: f64, latencies: &[f64]) -> Self {
         if latencies.is_empty() {
             return TokenLatencyStats {
@@ -127,7 +129,6 @@ impl TokenLatencyStats {
     /// [`DistributionStats::merged`], which is exact when every part holds a
     /// single sample. Zero-weight parts are ignored; all-zero for an empty
     /// or all-zero-weight input.
-    #[must_use]
     pub fn merged(parts: &[(TokenLatencyStats, usize)]) -> Self {
         let total: usize = parts.iter().map(|&(_, n)| n).sum();
         if total == 0 {
@@ -183,6 +184,7 @@ fn weighted_percentile<S>(parts: &[(S, usize)], p: f64, field: impl Fn(&S) -> f6
 /// Summary statistics of one per-request metric (seconds), nearest-rank
 /// percentiles like [`TokenLatencyStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[must_use]
 pub struct DistributionStats {
     /// Arithmetic mean.
     pub mean: f64,
@@ -199,7 +201,6 @@ pub struct DistributionStats {
 impl DistributionStats {
     /// Fold samples into summary statistics (nearest-rank percentiles).
     /// All-zero for an empty sample set.
-    #[must_use]
     pub fn from_samples(samples: &[f64]) -> Self {
         if samples.is_empty() {
             return DistributionStats::default();
@@ -225,7 +226,6 @@ impl DistributionStats {
     /// the pooled samples is not recoverable from summaries alone).
     /// Zero-weight parts are ignored; all-zero for an empty or
     /// all-zero-weight input.
-    #[must_use]
     pub fn merged(parts: &[(DistributionStats, usize)]) -> Self {
         let total: usize = parts.iter().map(|&(_, n)| n).sum();
         if total == 0 {
@@ -713,7 +713,7 @@ mod tests {
 
     #[test]
     fn token_latency_stats_percentiles_use_nearest_rank() {
-        let latencies: Vec<f64> = (1..=100).map(|i| i as f64).collect();
+        let latencies: Vec<f64> = (1..=100).map(f64::from).collect();
         let stats = TokenLatencyStats::from_decode_latencies(10.0, &latencies);
         assert!((stats.ttft - 11.0).abs() < 1e-12);
         assert!((stats.tpot_mean - 50.5).abs() < 1e-12);
@@ -724,7 +724,7 @@ mod tests {
 
     #[test]
     fn distribution_stats_match_nearest_rank() {
-        let samples: Vec<f64> = (1..=200).map(|i| i as f64 / 2.0).collect();
+        let samples: Vec<f64> = (1..=200).map(|i| f64::from(i) / 2.0).collect();
         let stats = DistributionStats::from_samples(&samples);
         assert!((stats.mean - 50.25).abs() < 1e-12);
         assert!((stats.p50 - 50.0).abs() < 1e-12);
@@ -805,7 +805,7 @@ mod tests {
     fn merged_distribution_stats_are_exact_for_singleton_parts() {
         // Every part holds one sample, so its summary collapses to that
         // sample and the merge must equal from_samples over the pool.
-        let samples: Vec<f64> = (1..=40).map(|i| i as f64).collect();
+        let samples: Vec<f64> = (1..=40).map(f64::from).collect();
         let parts: Vec<(DistributionStats, usize)> = samples
             .iter()
             .map(|&s| (DistributionStats::from_samples(&[s]), 1))

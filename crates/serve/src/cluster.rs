@@ -255,8 +255,9 @@ impl ClusterSimulator {
     ///
     /// # Errors
     ///
-    /// [`HermesError::InvalidConfig`] for an empty fleet or an event naming
-    /// a replica that does not exist, plus every validation error of
+    /// [`HermesError::InvalidConfig`] for an empty fleet, an event naming
+    /// a replica that does not exist or an event time that is NaN,
+    /// infinite or negative, plus every validation error of
     /// [`ReplicaSim::new`] (applied per replica, against the *global*
     /// request set — any replica can receive any request through failover).
     pub fn new(sim: &ClusterSimulation) -> Result<Self, HermesError> {
@@ -271,6 +272,11 @@ impl ClusterSimulator {
                     "event {i} ({event:?}) names replica {} but the fleet has {}",
                     event.replica(),
                     sim.replicas.len()
+                )));
+            }
+            if !(event.at().is_finite() && event.at() >= 0.0) {
+                return Err(HermesError::InvalidConfig(format!(
+                    "event {i} ({event:?}) must happen at a finite, non-negative time"
                 )));
             }
         }

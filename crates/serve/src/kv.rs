@@ -17,6 +17,8 @@
 //! ([`DEFAULT_BLOCK_TOKENS`](crate::DEFAULT_BLOCK_TOKENS)), the common
 //! vLLM-style choice.
 
+#![deny(clippy::as_conversions)]
+
 use hermes_core::cast::{u64_from_usize, usize_from_u64};
 
 /// A paged KV-cache allocator over a bounded (or unbounded) pool of

@@ -188,6 +188,9 @@
 //! # Ok::<(), hermes_core::HermesError>(())
 //! ```
 
+// Library code routes failures through `HermesError`; tests may assert.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod arrival;
 pub mod cluster;
 pub mod kv;

@@ -30,6 +30,8 @@
 //! number of blocks, and edge splits happen at block boundaries only, so a
 //! node's blocks are always fully covered by its edge.
 
+#![deny(clippy::as_conversions)]
+
 use std::collections::BTreeMap;
 
 use hermes_core::cast::u64_from_usize;
@@ -289,8 +291,12 @@ impl PrefixCache {
         let head_id = self.alloc_node(head);
         let parent = self.nodes[node].parent;
         let first = self.nodes[head_id].tokens[0];
-        // hermes-lint: allow(D3, reason = "split is only called on an existing child edge, so the parent's entry for `first` is a structural invariant")
-        *self.nodes[parent].children.get_mut(&first).unwrap() = head_id;
+        #[expect(
+            clippy::unwrap_used,
+            reason = "split is only called on an existing child edge, so the parent's entry for `first` is a structural invariant"
+        )]
+        let slot = self.nodes[parent].children.get_mut(&first).unwrap();
+        *slot = head_id;
         self.nodes[node].parent = head_id;
         self.nodes[node].tokens = tail_tokens;
         self.nodes[node].block_ids = tail_blocks;
@@ -305,7 +311,10 @@ impl PrefixCache {
     pub(crate) fn insert(&mut self, lease: PrefixLease, suffix: &[u64], block_ids: Vec<u64>) {
         debug_assert!(!suffix.is_empty());
         debug_assert!(suffix.len() == block_ids.len() * self.block_tokens);
-        // hermes-lint: allow(D3, reason = "lease liveness is a caller contract; inserting on a released lease is a scheduler bug worth a loud crash")
+        #[expect(
+            clippy::expect_used,
+            reason = "lease liveness is a caller contract; inserting on a released lease is a scheduler bug worth a loud crash"
+        )]
         let parent = self.leases[lease].expect("insert on a released lease");
         debug_assert!(
             !self.nodes[parent].children.contains_key(&suffix[0]),
@@ -333,7 +342,10 @@ impl PrefixCache {
 
     /// Unpin `lease`'s path. The nodes stay resident until evicted.
     pub(crate) fn release(&mut self, lease: PrefixLease) {
-        // hermes-lint: allow(D3, reason = "double release of a lease is a scheduler bug worth a loud crash")
+        #[expect(
+            clippy::expect_used,
+            reason = "double release of a lease is a scheduler bug worth a loud crash"
+        )]
         let mut node = self.leases[lease].take().expect("double release");
         self.free_leases.push(lease);
         loop {

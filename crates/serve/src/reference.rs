@@ -22,6 +22,11 @@
 //! its blocks are charged against the naive counters here, with placeholder
 //! block ids (the simulation depends only on counts, never on identities).
 
+#![expect(
+    clippy::expect_used,
+    reason = "the oracle mirrors the production loop's structural-invariant expects; it is a test baseline, not production code"
+)]
+
 use hermes_core::{
     BatchState, HermesError, LatencyBreakdown, PrefillChunk, SystemConfig, SystemKind,
 };

@@ -181,10 +181,13 @@ impl ReplicaSim {
             let capacity = sim.admission.kv_memory_bytes.map(|b| b / block_bytes);
             KvPool::new(bt, block_bytes, capacity, 0)
         });
+        #[expect(
+            clippy::expect_used,
+            reason = "validate_prefix_cache rejected any cache mode without paged accounting"
+        )]
         let cache = match sim.prefix_cache {
             PrefixCacheMode::Disabled => None,
             PrefixCacheMode::Lru => Some(PrefixCache::new(
-                // hermes-lint: allow(D3, reason = "validate_prefix_cache rejected any cache mode without paged accounting")
                 paged_block_tokens.expect("prefix cache validated to require paged accounting"),
             )),
         };
@@ -527,14 +530,23 @@ impl ReplicaSim {
                     // evicted before an admission is declared infeasible.
                     let request = &self.requests[idx];
                     let ctx1 = request.prompt_len + self.generated[idx] + 1;
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "cache mode is rejected at construction unless paged accounting is on"
+                    )]
                     let bt = self
                         .paged_block_tokens
-                        // hermes-lint: allow(D3, reason = "cache mode is rejected at construction unless paged accounting is on")
                         .expect("cache requires paged accounting");
                     let resumed = self.swapped[idx].is_some();
-                    // hermes-lint: allow(D3, reason = "cache mode implies the prefix cache was constructed")
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "cache mode implies the prefix cache was constructed"
+                    )]
                     let c = self.cache.as_ref().expect("cache mode");
-                    // hermes-lint: allow(D3, reason = "cache mode is rejected at construction unless a paged pool exists")
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "cache mode is rejected at construction unless a paged pool exists"
+                    )]
                     let p = self.pool.as_ref().expect("cache requires a paged pool");
                     let cap = p.capacity_blocks().unwrap_or(u64::MAX);
                     let (lookup_len, plan) = if resumed {
@@ -564,10 +576,13 @@ impl ReplicaSim {
                         self.ready.pop();
                         self.waiting_kv_bytes -= kv;
                         if !resumed {
+                            #[expect(
+                                clippy::expect_used,
+                                reason = "cache mode implies the prefix cache was constructed"
+                            )]
                             let (l, matched) = self
                                 .cache
                                 .as_mut()
-                                // hermes-lint: allow(D3, reason = "cache mode implies the prefix cache was constructed")
                                 .expect("cache mode")
                                 .acquire(&self.requests[idx].prefix[..lookup_len]);
                             debug_assert_eq!(matched, plan.matched, "plan and acquire must agree");
@@ -581,31 +596,47 @@ impl ReplicaSim {
                                 self.records[idx].reused_prefix_tokens = matched;
                             }
                         }
-                        // hermes-lint: allow(D3, reason = "cache mode is rejected at construction unless a paged pool exists")
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "cache mode is rejected at construction unless a paged pool exists"
+                        )]
                         let pool_mut = self.pool.as_mut().expect("cache requires a paged pool");
                         let shortfall = (pool_mut.used_blocks() + extra).saturating_sub(cap);
                         if shortfall > 0 {
+                            #[expect(
+                                clippy::expect_used,
+                                reason = "cache mode implies the prefix cache was constructed"
+                            )]
                             let freed = self
                                 .cache
                                 .as_mut()
-                                // hermes-lint: allow(D3, reason = "cache mode implies the prefix cache was constructed")
                                 .expect("cache mode")
                                 .evict_for(shortfall);
                             pool_mut.surrender_blocks(&freed);
                         }
                         if do_insert {
                             let ids = pool_mut.acquire_blocks(insert_blocks);
-                            // hermes-lint: allow(D3, reason = "cache mode implies the prefix cache was constructed")
+                            #[expect(
+                                clippy::expect_used,
+                                reason = "the lease was stored a few lines up on this same admission path"
+                            )]
+                            let lease = self.lease[idx].expect("lease acquired above");
+                            #[expect(
+                                clippy::expect_used,
+                                reason = "cache mode implies the prefix cache was constructed"
+                            )]
                             self.cache.as_mut().expect("cache mode").insert(
-                                // hermes-lint: allow(D3, reason = "the lease was stored a few lines up on this same admission path")
-                                self.lease[idx].expect("lease acquired above"),
+                                lease,
                                 &self.requests[idx].prefix[plan.matched..lookup_len],
                                 ids,
                             );
                         }
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "cache mode is rejected at construction unless a paged pool exists"
+                        )]
                         self.pool
                             .as_mut()
-                            // hermes-lint: allow(D3, reason = "cache mode is rejected at construction unless a paged pool exists")
                             .expect("cache requires a paged pool")
                             .allocate(idx, own);
                         self.covered[idx] = target_covered;
@@ -917,7 +948,10 @@ impl ReplicaSim {
         // work).
         if self.paged_block_tokens.is_some() {
             let growers: Vec<usize> = {
-                // hermes-lint: allow(D3, reason = "the pool exists exactly when paged_block_tokens is set, checked by the enclosing guard")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the pool exists exactly when paged_block_tokens is set, checked by the enclosing guard"
+                )]
                 let pool = self.pool.as_ref().expect("paged pool");
                 let active = &self.active;
                 let covered = &self.covered;
@@ -927,7 +961,10 @@ impl ReplicaSim {
                     .iter()
                     .map(|&(_, idx)| idx)
                     .filter(|&idx| {
-                        // hermes-lint: allow(D3, reason = "by_rank only indexes active slots, whose info is always populated")
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "by_rank only indexes active slots, whose info is always populated"
+                        )]
                         let info = active.info[idx].as_ref().expect("rank index is active");
                         let context = (info.shift + step as i64) as usize;
                         pool.held(idx) < pool.blocks_for_tokens(context + 1 - covered[idx])
@@ -939,16 +976,21 @@ impl ReplicaSim {
                 if !self.active.contains(grower) {
                     continue;
                 }
-                // hermes-lint: allow(D3, reason = "the pool exists exactly when paged_block_tokens is set, checked by the enclosing guard")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the pool exists exactly when paged_block_tokens is set, checked by the enclosing guard"
+                )]
                 if self.pool.as_ref().expect("paged pool").fits(1) {
-                    // hermes-lint: allow(D3, reason = "the pool exists exactly when paged_block_tokens is set, checked by the enclosing guard")
                     self.pool.as_mut().expect("paged pool").grow(grower);
                     continue;
                 }
                 // Unpinned cache blocks are reclaimed before any sequence
                 // is preempted for a grower's block.
                 if let Some(cache) = self.cache.as_mut() {
-                    // hermes-lint: allow(D3, reason = "the pool exists exactly when paged_block_tokens is set, checked by the enclosing guard")
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the pool exists exactly when paged_block_tokens is set, checked by the enclosing guard"
+                    )]
                     let p = self.pool.as_mut().expect("paged pool");
                     let cap = p.capacity_blocks().unwrap_or(u64::MAX);
                     let shortfall = (p.used_blocks() + 1).saturating_sub(cap);
@@ -963,7 +1005,10 @@ impl ReplicaSim {
                 match victim {
                     Some(victim) => {
                         self.evict_victim(victim);
-                        // hermes-lint: allow(D3, reason = "the pool exists exactly when paged_block_tokens is set, checked by the enclosing guard")
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "the pool exists exactly when paged_block_tokens is set, checked by the enclosing guard"
+                        )]
                         self.pool.as_mut().expect("paged pool").grow(grower);
                     }
                     None => self.evict_victim(grower),
@@ -976,7 +1021,10 @@ impl ReplicaSim {
             // Covered runs are stored once, in the cache's resident blocks,
             // so they are subtracted from the active contexts and counted
             // through the cache instead.
-            // hermes-lint: allow(D3, reason = "the pool exists exactly when paged_block_tokens is set, checked by the enclosing guard")
+            #[expect(
+                clippy::expect_used,
+                reason = "the pool exists exactly when paged_block_tokens is set, checked by the enclosing guard"
+            )]
             let pool_ref = self.pool.as_ref().expect("paged pool");
             self.kv_steps += 1;
             self.kv_block_steps += pool_ref.used_blocks();

@@ -137,7 +137,10 @@ impl ActiveSet {
     /// bookkeeping. Its finish-heap entry is left behind and invalidated by
     /// the epoch check in [`ActiveSet::drain_finished`].
     pub(super) fn remove(&mut self, idx: usize) -> ActiveInfo {
-        // hermes-lint: allow(D3, reason = "remove is only called on active slots; a stale index is a scheduler bug worth a loud crash")
+        #[expect(
+            clippy::expect_used,
+            reason = "remove is only called on active slots; a stale index is a scheduler bug worth a loud crash"
+        )]
         let info = self.info[idx].take().expect("request not active");
         match self.groups.get_mut(&info.shift) {
             Some(count) if *count > 1 => *count -= 1,

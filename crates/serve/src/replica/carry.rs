@@ -146,11 +146,14 @@ impl ReplicaSim {
             self.pool = Some(KvPool::new(bt, block_bytes, capacity, self.requests.len()));
         }
         if self.cache.is_some() {
-            self.cache = Some(PrefixCache::new(
-                self.paged_block_tokens
-                    // hermes-lint: allow(D3, reason = "validate_prefix_cache rejected any cache mode without paged accounting")
-                    .expect("prefix cache validated to require paged accounting"),
-            ));
+            #[expect(
+                clippy::expect_used,
+                reason = "validate_prefix_cache rejected any cache mode without paged accounting"
+            )]
+            let bt = self
+                .paged_block_tokens
+                .expect("prefix cache validated to require paged accounting");
+            self.cache = Some(PrefixCache::new(bt));
         }
         carried.sort_by_key(|c| c.record.id);
         carried

@@ -8,10 +8,13 @@
 //! drift in how metrics are derived from identical records.
 //!
 //! The module also owns the **ordered float folds** ([`ordered_sum`],
-//! [`ordered_mean`]) that lint rule S2 requires for float accumulation in
-//! report folding: float addition is non-associative, so every accumulation
-//! must commit to one explicit order (left-to-right over the given slice) to
-//! keep reports byte-identical across runs and refactors.
+//! [`ordered_mean`]) that float accumulation in `hermes-serve` and
+//! `hermes-bench` must go through (enforced by `tests/ordered_float_folds.rs`):
+//! float addition is non-associative, so every accumulation must commit to
+//! one explicit order (left-to-right over the given slice) to keep reports
+//! byte-identical across runs and refactors.
+
+#![deny(clippy::as_conversions)]
 
 use hermes_core::cast::{f64_from_u64, f64_from_usize, u64_from_usize};
 use hermes_core::{
@@ -77,7 +80,8 @@ pub(crate) fn empirical_rps(times: &[f64]) -> f64 {
 
 /// Sum float samples with an explicit left-to-right fold over the slice.
 ///
-/// This is the shared accumulation primitive lint rule S2 points at: float
+/// This is the shared accumulation primitive `tests/ordered_float_folds.rs`
+/// points at: float
 /// addition is non-associative, so report folding must commit to exactly one
 /// evaluation order. A slice's order is deterministic, and the sequential
 /// left fold here is the one order every caller gets — a refactor to a tree
@@ -107,7 +111,10 @@ pub fn ordered_mean(values: &[f64]) -> f64 {
 /// [`simulate`](crate::simulator::simulate) and the sort-based reference
 /// oracle, so the two paths cannot drift in how metrics are derived from
 /// identical records.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one parameter per raw tally, shared by the heap loop and the reference oracle"
+)]
 pub(crate) fn build_report(
     sim: &ServingSimulation,
     spec: &SessionSpec,

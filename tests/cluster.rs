@@ -173,21 +173,38 @@ fn cluster_validation_rejects_paged_without_preemption_upfront() {
     .unwrap_err();
     assert_eq!(format!("{err}"), format!("{single}"));
 
-    // An event naming a replica outside the fleet is also rejected upfront.
+    // An event naming a replica outside the fleet, or happening at a NaN,
+    // infinite or negative time, is also rejected upfront.
     let good = ServingSimulation::new(template(), ArrivalProcess::AllAtOnce, 4);
-    let cluster = ClusterSimulation::uniform(
-        good,
-        SystemKind::hermes_base(),
-        &SystemConfig::paper_default(),
-        2,
-        RoutingPolicy::RoundRobin,
-    )
-    .with_events(vec![ReplicaEvent::Drain {
-        replica: 5,
-        at: 1.0,
-    }]);
-    let err = simulate_cluster(&cluster).unwrap_err();
-    assert!(matches!(err, HermesError::InvalidConfig(_)));
+    for event in [
+        ReplicaEvent::Drain {
+            replica: 5,
+            at: 1.0,
+        },
+        ReplicaEvent::Fail {
+            replica: 0,
+            at: f64::NAN,
+        },
+        ReplicaEvent::Recover {
+            replica: 1,
+            at: f64::INFINITY,
+        },
+        ReplicaEvent::Drain {
+            replica: 0,
+            at: -1.0,
+        },
+    ] {
+        let cluster = ClusterSimulation::uniform(
+            good.clone(),
+            SystemKind::hermes_base(),
+            &SystemConfig::paper_default(),
+            2,
+            RoutingPolicy::RoundRobin,
+        )
+        .with_events(vec![event]);
+        let err = simulate_cluster(&cluster).unwrap_err();
+        assert!(matches!(err, HermesError::InvalidConfig(_)), "{event:?}");
+    }
 
     // A fixed-preemption paged fleet passes the same validation.
     let paged_ok = ServingSimulation::new(template(), ArrivalProcess::AllAtOnce, 4)
