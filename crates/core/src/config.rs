@@ -79,6 +79,10 @@ impl SystemConfig {
     /// field.
     pub fn validate(&self) -> Result<(), HermesError> {
         self.gpu.validate().map_err(HermesError::InvalidConfig)?;
+        self.pcie.validate().map_err(HermesError::InvalidConfig)?;
+        self.host_cpu
+            .validate()
+            .map_err(HermesError::InvalidConfig)?;
         self.dimm.validate().map_err(HermesError::InvalidConfig)?;
         if self.num_dimms == 0 {
             return Err(HermesError::InvalidConfig(

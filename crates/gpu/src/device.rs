@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-use hermes_model::GIB;
+use hermes_model::{positive_finite, GIB};
 
 /// A GPU device with the parameters the roofline cost model needs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -88,10 +88,8 @@ impl GpuDevice {
         if self.memory_bytes == 0 {
             return Err("memory_bytes must be positive".into());
         }
-        if self.memory_bandwidth <= 0.0 || self.tensor_flops <= 0.0 {
-            return Err("bandwidth and throughput must be positive".into());
-        }
-        Ok(())
+        positive_finite("gpu memory_bandwidth", self.memory_bandwidth)?;
+        positive_finite("gpu tensor_flops", self.tensor_flops)
     }
 }
 
@@ -144,6 +142,12 @@ mod tests {
         assert!(g.validate().is_err());
         let mut g = GpuDevice::rtx_4090();
         g.memory_bytes = 0;
+        assert!(g.validate().is_err());
+        let mut g = GpuDevice::rtx_4090();
+        g.memory_bandwidth = f64::NAN;
+        assert!(g.validate().is_err());
+        let mut g = GpuDevice::rtx_4090();
+        g.tensor_flops = f64::INFINITY;
         assert!(g.validate().is_err());
     }
 

@@ -2,6 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use hermes_model::{positive_finite, unit_fraction};
+
 /// Cost model of the host CPU computing cold-neuron GEMVs out of ordinary
 /// DIMM-based host memory.
 ///
@@ -43,6 +45,17 @@ impl HostCpu {
     pub fn effective_bandwidth(&self) -> f64 {
         self.memory_bandwidth * self.bandwidth_efficiency
     }
+
+    /// Validate physical plausibility.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message describing the first invalid field.
+    pub fn validate(&self) -> Result<(), String> {
+        positive_finite("host_cpu memory_bandwidth", self.memory_bandwidth)?;
+        positive_finite("host_cpu peak_flops", self.peak_flops)?;
+        unit_fraction("host_cpu bandwidth_efficiency", self.bandwidth_efficiency)
+    }
 }
 
 impl Default for HostCpu {
@@ -69,6 +82,20 @@ mod tests {
         let pcie = crate::PcieLink::gen4_x16();
         let ratio = cpu.memory_bandwidth / pcie.bandwidth;
         assert!((1.0..2.0).contains(&ratio), "ratio {ratio}");
+    }
+
+    #[test]
+    fn validation_catches_bad_cpus() {
+        HostCpu::i9_13900k().validate().unwrap();
+        let mut cpu = HostCpu::i9_13900k();
+        cpu.memory_bandwidth = f64::NAN;
+        assert!(cpu.validate().is_err());
+        let mut cpu = HostCpu::i9_13900k();
+        cpu.peak_flops = 0.0;
+        assert!(cpu.validate().is_err());
+        let mut cpu = HostCpu::i9_13900k();
+        cpu.bandwidth_efficiency = 0.0;
+        assert!(cpu.validate().is_err());
     }
 
     #[test]

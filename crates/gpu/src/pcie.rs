@@ -2,6 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use hermes_model::{positive_finite, unit_fraction};
+
 /// A PCIe link between host memory and GPU memory.
 ///
 /// PCIe 4.0 ×16 provides a nominal 64 GB/s (the figure the paper quotes);
@@ -40,6 +42,23 @@ impl PcieLink {
     /// Effective sustained bandwidth in bytes/s.
     pub fn effective_bandwidth(&self) -> f64 {
         self.bandwidth * self.efficiency
+    }
+
+    /// Validate physical plausibility.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message describing the first invalid field.
+    pub fn validate(&self) -> Result<(), String> {
+        positive_finite("pcie bandwidth", self.bandwidth)?;
+        unit_fraction("pcie efficiency", self.efficiency)?;
+        if !(self.latency.is_finite() && self.latency >= 0.0) {
+            return Err(format!(
+                "pcie latency must be finite and non-negative, got {}",
+                self.latency
+            ));
+        }
+        Ok(())
     }
 
     /// Time (seconds) to transfer `bytes` in one DMA burst.
@@ -103,6 +122,41 @@ mod tests {
         let chunked = link.chunked_transfer_time(1 << 30, 100);
         assert!(chunked > single);
         assert_eq!(link.chunked_transfer_time(0, 10), 0.0);
+    }
+
+    #[test]
+    fn validation_catches_bad_links() {
+        PcieLink::gen4_x16().validate().unwrap();
+        PcieLink::gen3_x16().validate().unwrap();
+        let bad_links = [
+            PcieLink {
+                bandwidth: 0.0,
+                ..PcieLink::gen4_x16()
+            },
+            PcieLink {
+                bandwidth: f64::NAN,
+                ..PcieLink::gen4_x16()
+            },
+            PcieLink {
+                efficiency: f64::NAN,
+                ..PcieLink::gen4_x16()
+            },
+            PcieLink {
+                efficiency: 1.5,
+                ..PcieLink::gen4_x16()
+            },
+            PcieLink {
+                latency: -1.0,
+                ..PcieLink::gen4_x16()
+            },
+            PcieLink {
+                latency: f64::INFINITY,
+                ..PcieLink::gen4_x16()
+            },
+        ];
+        for link in bad_links {
+            assert!(link.validate().is_err(), "{link:?}");
+        }
     }
 
     #[test]

@@ -35,3 +35,51 @@ pub const FP16_BYTES: u64 = 2;
 
 /// One GiB in bytes, used for capacity arithmetic in substrate crates.
 pub const GIB: u64 = 1024 * 1024 * 1024;
+
+/// Check a hardware rate knob — a bandwidth, throughput, clock or
+/// parallelism — for a finite, strictly positive value. The cost models
+/// divide by these knobs, so zero, negative, NaN or infinite values would
+/// reach the reports as infinities, NaNs or silently wrong numbers.
+///
+/// # Errors
+///
+/// A message naming `name` when `value` is not finite and positive.
+pub fn positive_finite(name: &str, value: f64) -> Result<(), String> {
+    if value.is_finite() && value > 0.0 {
+        Ok(())
+    } else {
+        Err(format!("{name} must be finite and positive, got {value}"))
+    }
+}
+
+/// Check an efficiency knob — the achieved fraction of a peak rate — for
+/// a value in (0, 1].
+///
+/// # Errors
+///
+/// A message naming `name` when `value` is NaN or outside (0, 1].
+pub fn unit_fraction(name: &str, value: f64) -> Result<(), String> {
+    if value > 0.0 && value <= 1.0 {
+        Ok(())
+    } else {
+        Err(format!("{name} must lie in (0, 1], got {value}"))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn knob_checks_reject_non_finite_and_out_of_range_values() {
+        assert!(positive_finite("bw", 1.0).is_ok());
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(positive_finite("bw", bad).is_err(), "{bad}");
+        }
+        assert!(unit_fraction("eff", 1.0).is_ok());
+        assert!(unit_fraction("eff", 0.5).is_ok());
+        for bad in [0.0, 1.5, -0.1, f64::NAN, f64::INFINITY] {
+            assert!(unit_fraction("eff", bad).is_err(), "{bad}");
+        }
+    }
+}

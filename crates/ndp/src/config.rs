@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use hermes_model::GIB;
+use hermes_model::{positive_finite, GIB};
 
 /// DDR4 timing parameters in memory-clock cycles (Table II, "DIMM Timing").
 ///
@@ -149,22 +149,16 @@ impl DimmConfig {
         if self.capacity_bytes == 0 {
             return Err("capacity_bytes must be positive".into());
         }
-        if self.memory_clock_hz <= 0.0 || self.ndp_clock_hz <= 0.0 {
-            return Err("clock frequencies must be positive".into());
-        }
+        positive_finite("dimm memory_clock_hz", self.memory_clock_hz)?;
+        positive_finite("dimm ndp_clock_hz", self.ndp_clock_hz)?;
         if self.gemv_multipliers == 0 {
             return Err("gemv_multipliers must be positive".into());
         }
         if self.ranks == 0 || self.bank_groups == 0 || self.banks_per_group == 0 {
             return Err("DRAM organisation fields must be positive".into());
         }
-        if self.ndp_access_parallelism <= 0.0 {
-            return Err("ndp_access_parallelism must be positive".into());
-        }
-        if self.link_bandwidth <= 0.0 {
-            return Err("link_bandwidth must be positive".into());
-        }
-        Ok(())
+        positive_finite("dimm ndp_access_parallelism", self.ndp_access_parallelism)?;
+        positive_finite("dimm link_bandwidth", self.link_bandwidth)
     }
 }
 
@@ -214,6 +208,9 @@ mod tests {
         assert!(cfg.validate().is_err());
         let mut cfg = DimmConfig::ddr4_3200();
         cfg.link_bandwidth = 0.0;
+        assert!(cfg.validate().is_err());
+        let mut cfg = DimmConfig::ddr4_3200();
+        cfg.ndp_clock_hz = f64::NAN;
         assert!(cfg.validate().is_err());
     }
 }

@@ -1,6 +1,6 @@
 //! Paged KV-cache pool: fixed-size-block page tables per sequence.
 //!
-//! Under [`KvAccounting::Paged`](crate::KvAccounting::Paged) the serving
+//! Under [`KvAccounting::Paged`] the serving
 //! simulator stops reserving each request's worst-case KV footprint at
 //! admission (the "static preallocation" anti-pattern) and instead tracks
 //! the blocks a sequence *actually holds*: `ceil(context / block_tokens)`
@@ -16,10 +16,20 @@
 //! simulator defaults to 16 tokens per block
 //! ([`DEFAULT_BLOCK_TOKENS`](crate::DEFAULT_BLOCK_TOKENS)), the common
 //! vLLM-style choice.
+//!
+//! The crate-private `KvBackend` is one replica's whole KV state: reserve
+//! accounting, or this pool shared with the radix prefix cache.
 
 #![deny(clippy::as_conversions)]
 
 use hermes_core::cast::{u64_from_usize, usize_from_u64};
+use hermes_core::HermesError;
+
+use crate::prefix::{PrefixCache, PrefixLease};
+use crate::request::ServingRequest;
+use crate::scheduler::{token_kv_bytes, AdmissionConfig, KvAccounting, PrefixCacheMode};
+use crate::simulator::{validate_paged_capacity, ServingSimulation};
+use crate::tallies::{KvTallies, PrefixTallies};
 
 /// A paged KV-cache allocator over a bounded (or unbounded) pool of
 /// fixed-size blocks, with one page table per request slot.
@@ -129,17 +139,9 @@ impl KvPool {
     /// The caller must have checked [`KvPool::fits`]; allocating past a
     /// bounded capacity is a scheduler bug.
     pub fn allocate(&mut self, idx: usize, blocks: u64) {
-        debug_assert!(self.fits(blocks), "allocation past pool capacity");
-        for _ in 0..blocks {
-            let block = self.free.pop().unwrap_or_else(|| {
-                let minted = self.next_block;
-                self.next_block += 1;
-                minted
-            });
-            self.tables[idx].push(block);
-        }
-        self.used_blocks += blocks;
-        self.peak_blocks = self.peak_blocks.max(self.used_blocks);
+        let mut table = std::mem::take(&mut self.tables[idx]);
+        self.take_blocks(blocks, &mut table);
+        self.tables[idx] = table;
     }
 
     /// Allocate one more block to slot `idx` (a decoded token crossed a
@@ -169,19 +171,25 @@ impl KvPool {
     /// block, but belong to the cache rather than to a sequence. The caller
     /// must have checked [`KvPool::fits`].
     pub fn acquire_blocks(&mut self, blocks: u64) -> Vec<u64> {
-        debug_assert!(self.fits(blocks), "allocation past pool capacity");
         let mut ids = Vec::with_capacity(usize_from_u64(blocks));
+        self.take_blocks(blocks, &mut ids);
+        ids
+    }
+
+    /// Move `blocks` blocks onto `into`, reusing freed blocks before
+    /// minting new ids.
+    fn take_blocks(&mut self, blocks: u64, into: &mut Vec<u64>) {
+        debug_assert!(self.fits(blocks), "allocation past pool capacity");
         for _ in 0..blocks {
             let block = self.free.pop().unwrap_or_else(|| {
                 let minted = self.next_block;
                 self.next_block += 1;
                 minted
             });
-            ids.push(block);
+            into.push(block);
         }
         self.used_blocks += blocks;
         self.peak_blocks = self.peak_blocks.max(self.used_blocks);
-        ids
     }
 
     /// Return blocks previously taken with [`KvPool::acquire_blocks`] to
@@ -192,6 +200,350 @@ impl KvPool {
         for &block in ids.iter().rev() {
             self.free.push(block);
         }
+    }
+}
+
+/// One replica's KV state, in the accounting mode its scenario chose. The
+/// serving loop never asks which mode is live: admission, growth, release,
+/// the pressure probe and the report sections all go through this type.
+pub(crate) enum KvBackend {
+    /// [`KvAccounting::Reserve`]: every admitted request holds its
+    /// worst-case `prompt_len + gen_len` bytes until it leaves.
+    Reserve {
+        /// Σ reservations of admitted (prefilling or decoding) requests.
+        held_bytes: u64,
+        /// KV bytes of one token, which size a swapped-out victim.
+        token_bytes: u64,
+    },
+    /// [`KvAccounting::Paged`]: a block pool, shared with the radix prefix
+    /// cache under [`PrefixCacheMode::Lru`].
+    Paged {
+        pool: KvPool,
+        cache: Option<Box<PrefixCache>>,
+    },
+}
+
+/// One waiter's admission, planned before anything is mutated. `need` is
+/// in the backend's unit: bytes under reserve, blocks under paged.
+pub(crate) struct AdmissionPlan {
+    /// The reservation, or own pages plus the blocks caching the prefix.
+    need: u64,
+    /// Own pages: the context plus one write slot, minus the covered run.
+    own_blocks: u64,
+    /// Unpinned cache blocks off the matched path, reclaimable first.
+    reclaimable: u64,
+    /// `(cacheable prefix length, resident part)` of the cache lookup;
+    /// `None` without one (no cache, or a resuming swap-out victim).
+    lookup: Option<(usize, usize)>,
+    /// Leading context run stored in cache blocks once admitted.
+    pub(crate) covered: usize,
+}
+
+/// Pool-usage samples, one per priced step under paged accounting; they
+/// outlive a cold reset of the backend.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct UsageSamples {
+    block_steps: u64,
+    used_token_steps: u64,
+    steps: u64,
+}
+
+impl KvBackend {
+    /// The empty backend `sim` asks for, with page tables for `slots`
+    /// requests: the replica's first, and its cold restart after a failure.
+    pub(crate) fn new(sim: &ServingSimulation, slots: usize) -> Self {
+        let token_bytes = token_kv_bytes(&sim.template);
+        let KvAccounting::Paged { block_tokens } = sim.admission.accounting else {
+            return KvBackend::Reserve {
+                held_bytes: 0,
+                token_bytes,
+            };
+        };
+        let block_bytes = u64_from_usize(block_tokens) * token_bytes;
+        let capacity = sim.admission.kv_memory_bytes.map(|b| b / block_bytes);
+        KvBackend::Paged {
+            pool: KvPool::new(block_tokens, block_bytes, capacity, slots),
+            cache: (sim.prefix_cache != PrefixCacheMode::Disabled)
+                .then(|| Box::new(PrefixCache::new(block_tokens))),
+        }
+    }
+
+    /// Grow the page tables to cover `slots` requests.
+    pub(crate) fn ensure_slots(&mut self, slots: usize) {
+        if let KvBackend::Paged { pool, .. } = self {
+            pool.ensure_slots(slots);
+        }
+    }
+
+    /// Reject any request that could never fit the paged pool at full
+    /// context.
+    pub(crate) fn validate_requests(
+        &self,
+        requests: &[ServingRequest],
+        sim: &ServingSimulation,
+    ) -> Result<(), HermesError> {
+        let KvBackend::Paged { pool, .. } = self else {
+            return Ok(());
+        };
+        validate_paged_capacity(pool.block_tokens(), pool.capacity_blocks(), requests, sim)
+    }
+
+    /// Bytes held by resident work: pool blocks (cached prefixes
+    /// included), or reservations.
+    pub(crate) fn held_bytes(&self) -> u64 {
+        match self {
+            KvBackend::Reserve { held_bytes, .. } => *held_bytes,
+            KvBackend::Paged { pool, .. } => pool.used_blocks() * pool.block_bytes(),
+        }
+    }
+
+    /// Cached tokens of `prefix`, without touching the cache's stats or
+    /// LRU state (0 without a cache).
+    pub(crate) fn prefix_match(&self, prefix: &[u64]) -> usize {
+        match self {
+            KvBackend::Paged {
+                cache: Some(cache), ..
+            } => cache.plan(&prefix[..cache.cacheable(prefix.len())]).matched,
+            _ => 0,
+        }
+    }
+
+    /// Plan admitting a request that has computed `context` tokens (prompt
+    /// plus generated so far), would reserve `reserved` bytes and declares
+    /// `prefix`. `resumed_covered` is the covered run of a swap-out victim
+    /// resuming with its lease, which needs pages only for its uncovered
+    /// remainder.
+    ///
+    /// Paged accounting charges the blocks for the current context plus
+    /// one write slot for the next decoded token, not the worst case. The
+    /// write slot guarantees an admitted sequence generates at least one
+    /// token before it can need to grow; without it, a sequence rejoining
+    /// with its context exactly at a block boundary would grow at its very
+    /// next boundary and could self-evict in a zero-progress admit/evict
+    /// livelock. A fresh admission (or an evict-and-refill re-admission,
+    /// whose claim was dropped) consults the cache: its matched run maps
+    /// the resident blocks copy-free, and when the unmatched cacheable
+    /// remainder is insertable the request also funds the blocks that will
+    /// cache it for later requests.
+    pub(crate) fn plan_admission(
+        &self,
+        prefix: &[u64],
+        context: usize,
+        reserved: u64,
+        resumed_covered: Option<usize>,
+    ) -> AdmissionPlan {
+        let mut plan = AdmissionPlan {
+            need: reserved,
+            own_blocks: 0,
+            reclaimable: 0,
+            lookup: None,
+            covered: resumed_covered.unwrap_or(0),
+        };
+        let KvBackend::Paged { pool, cache } = self else {
+            return plan;
+        };
+        let mut insert_blocks = 0;
+        if let Some(cache) = cache {
+            if resumed_covered.is_some() {
+                plan.reclaimable = cache.plan(&[]).freeable_blocks;
+            } else {
+                let len = cache.cacheable(prefix.len());
+                let found = cache.plan(&prefix[..len]);
+                plan.reclaimable = found.freeable_blocks;
+                plan.lookup = Some((len, found.matched));
+                plan.covered = found.matched;
+                if found.can_insert && found.matched < len {
+                    insert_blocks = u64_from_usize((len - found.matched) / pool.block_tokens());
+                    plan.covered = len;
+                }
+            }
+        }
+        plan.own_blocks = pool.blocks_for_tokens(context + 1 - plan.covered);
+        plan.need = plan.own_blocks + insert_blocks;
+        plan
+    }
+
+    /// Whether a planned admission fits with `seats` sequences seated once
+    /// preemption victims release `freed` units. Unpinned cache blocks
+    /// count as capacity: they are evicted before an admission is declared
+    /// infeasible.
+    pub(crate) fn fits(
+        &self,
+        admission: &AdmissionConfig,
+        seats: usize,
+        plan: &AdmissionPlan,
+        freed: u64,
+    ) -> bool {
+        match self {
+            KvBackend::Reserve { held_bytes, .. } => {
+                admission.admits(seats, held_bytes - freed, plan.need)
+            }
+            KvBackend::Paged { pool, .. } => {
+                let cap = pool.capacity_blocks().unwrap_or(u64::MAX);
+                admission.admits(seats, 0, 0)
+                    && pool.used_blocks() + plan.need
+                        <= cap.saturating_add(plan.reclaimable).saturating_add(freed)
+            }
+        }
+    }
+
+    /// The units preempting active request `idx` frees for
+    /// [`KvBackend::fits`]: its `reserved` bytes, or its own pages. Its
+    /// covered run is conservatively unreclaimable — another in-flight
+    /// lease may pin the same nodes.
+    pub(crate) fn frees(&self, idx: usize, reserved: u64) -> u64 {
+        match self {
+            KvBackend::Reserve { .. } => reserved,
+            KvBackend::Paged { pool, .. } => pool.held(idx),
+        }
+    }
+
+    /// Commit a planned admission of request `idx`: take its reservation,
+    /// or pin its cached prefix, reclaim cache blocks for any shortfall,
+    /// cache its unmatched prefix and allocate its own pages. Returns the
+    /// lease and matched run when the cache was consulted.
+    pub(crate) fn charge(
+        &mut self,
+        idx: usize,
+        plan: &AdmissionPlan,
+        prefix: &[u64],
+    ) -> Option<(PrefixLease, usize)> {
+        let (pool, cache) = match self {
+            KvBackend::Reserve { held_bytes, .. } => {
+                *held_bytes += plan.need;
+                return None;
+            }
+            KvBackend::Paged { pool, cache } => (pool, cache),
+        };
+        let Some(cache) = cache else {
+            pool.allocate(idx, plan.own_blocks);
+            return None;
+        };
+        let claim = plan.lookup.map(|(len, matched)| {
+            let (lease, found) = cache.acquire(&prefix[..len]);
+            debug_assert_eq!(found, matched, "plan and acquire must agree");
+            (lease, len, matched)
+        });
+        let cap = pool.capacity_blocks().unwrap_or(u64::MAX);
+        let shortfall = (pool.used_blocks() + plan.need).saturating_sub(cap);
+        if shortfall > 0 {
+            pool.surrender_blocks(&cache.evict_for(shortfall));
+        }
+        let insert_blocks = plan.need - plan.own_blocks;
+        if let Some((lease, len, matched)) = claim.filter(|_| insert_blocks > 0) {
+            let ids = pool.acquire_blocks(insert_blocks);
+            cache.insert(lease, &prefix[matched..len], ids);
+        }
+        pool.allocate(idx, plan.own_blocks);
+        claim.map(|(lease, _, matched)| (lease, matched))
+    }
+
+    /// The requests among `(request, tokens)` pairs whose own pages hold
+    /// fewer blocks than `tokens` need. Reservations never grow.
+    pub(crate) fn growers(&self, contexts: impl Iterator<Item = (usize, usize)>) -> Vec<usize> {
+        match self {
+            KvBackend::Reserve { .. } => Vec::new(),
+            KvBackend::Paged { pool, .. } => contexts
+                .filter(|&(idx, tokens)| pool.held(idx) < pool.blocks_for_tokens(tokens))
+                .map(|(idx, _)| idx)
+                .collect(),
+        }
+    }
+
+    /// Give request `idx` one more block, reclaiming unpinned cache blocks
+    /// when the pool is full. `false` when it stays full: the caller must
+    /// preempt.
+    pub(crate) fn try_grow(&mut self, idx: usize) -> bool {
+        let KvBackend::Paged { pool, cache } = self else {
+            return true;
+        };
+        if !pool.fits(1) {
+            let Some(cache) = cache else {
+                return false;
+            };
+            let cap = pool.capacity_blocks().unwrap_or(u64::MAX);
+            let shortfall = (pool.used_blocks() + 1).saturating_sub(cap);
+            pool.surrender_blocks(&cache.evict_for(shortfall));
+            if !pool.fits(1) {
+                return false;
+            }
+        }
+        pool.grow(idx);
+        true
+    }
+
+    /// Give request `idx` the block a preemption just freed.
+    pub(crate) fn grow(&mut self, idx: usize) {
+        if let KvBackend::Paged { pool, .. } = self {
+            pool.grow(idx);
+        }
+    }
+
+    /// The KV bytes request `idx` has written with `context` tokens
+    /// computed, which a swap-out moves: its pages, or the context's part
+    /// of its reservation.
+    pub(crate) fn written_bytes(&self, idx: usize, context: usize) -> u64 {
+        match self {
+            KvBackend::Reserve { token_bytes, .. } => u64_from_usize(context) * token_bytes,
+            KvBackend::Paged { pool, .. } => pool.held(idx) * pool.block_bytes(),
+        }
+    }
+
+    /// Release request `idx`'s own pages, or its `reserved` bytes.
+    pub(crate) fn release(&mut self, idx: usize, reserved: u64) {
+        match self {
+            KvBackend::Reserve { held_bytes, .. } => *held_bytes -= reserved,
+            KvBackend::Paged { pool, .. } => {
+                pool.release(idx);
+            }
+        }
+    }
+
+    /// Unpin a request's cached path, if it holds one. The prefix stays
+    /// resident for later arrivals, reclaimable only under pressure.
+    pub(crate) fn release_lease(&mut self, lease: Option<PrefixLease>) {
+        if let (KvBackend::Paged { cache: Some(c), .. }, Some(lease)) = (self, lease) {
+            c.release(lease);
+        }
+    }
+
+    /// Sample pool usage for the utilization and fragmentation stats: held
+    /// blocks against the context tokens stored in them — the sequences'
+    /// `stored_tokens` plus the cache's resident prefixes.
+    pub(crate) fn sample(&self, samples: &mut UsageSamples, stored_tokens: impl FnOnce() -> u64) {
+        if let KvBackend::Paged { pool, cache } = self {
+            samples.steps += 1;
+            samples.block_steps += pool.used_blocks();
+            samples.used_token_steps +=
+                stored_tokens() + cache.as_ref().map_or(0, |c| c.resident_tokens());
+        }
+    }
+
+    /// The report's pool and prefix-cache sections.
+    pub(crate) fn tallies(
+        &self,
+        samples: UsageSamples,
+        recomputed_prefill_tokens: usize,
+    ) -> (Option<KvTallies>, Option<PrefixTallies>) {
+        let KvBackend::Paged { pool, cache } = self else {
+            return (None, None);
+        };
+        let kv = KvTallies {
+            block_tokens: pool.block_tokens(),
+            block_bytes: pool.block_bytes(),
+            capacity_blocks: pool.capacity_blocks(),
+            peak_blocks: pool.peak_blocks(),
+            block_steps: samples.block_steps,
+            used_token_steps: samples.used_token_steps,
+            steps: samples.steps,
+        };
+        let prefix = cache.as_ref().map(|cache| PrefixTallies {
+            stats: cache.stats(),
+            resident_blocks: cache.resident_blocks(),
+            resident_tokens: cache.resident_tokens(),
+            recomputed_prefill_tokens,
+        });
+        (Some(kv), prefix)
     }
 }
 

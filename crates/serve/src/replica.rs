@@ -2,43 +2,47 @@
 //! machine.
 //!
 //! [`ReplicaSim`] owns everything one machine needs between token
-//! boundaries — the ready queue, the active decode set, the paged KV pool,
-//! the prefix cache and the running tallies — and exposes the loop of
+//! boundaries — the ready queue, the active decode set, the KV backend and
+//! the running tallies — and exposes the loop of
 //! [`simulate`](crate::simulator::simulate) as resumable steps:
 //! [`ReplicaSim::inject`] hands it a request, [`ReplicaSim::step_boundary`]
-//! runs exactly one token boundary (admission, growth/eviction, chunk
-//! scheduling, step pricing, completion harvesting), and
-//! [`ReplicaSim::advance_to`] drives boundaries until the virtual clock
-//! reaches a horizon. A single replica driven to completion reproduces the
-//! monolithic loop bitwise; N replicas advanced on one shared clock by the
-//! [`cluster`](crate::cluster) router are the multi-replica fleet.
+//! runs exactly one token boundary, and [`ReplicaSim::advance_to`] drives
+//! boundaries until the virtual clock reaches a horizon. A single replica
+//! driven to completion reproduces the monolithic loop bitwise; N replicas
+//! advanced on one shared clock by the [`cluster`](crate::cluster) router
+//! are the multi-replica fleet.
 //!
-//! The boundary body is a faithful transplant of the event-heap hot loop
-//! (PR 6), including the paged-KV admission/growth machinery (PR 7) and the
-//! prefix-cache paths (PR 8): every operation happens in the same order on
-//! the same state, so the PR 3/6 bitwise equivalence regressions hold
-//! through the refactor.
+//! A boundary runs these phases in order, one method each:
+//! 1. pull arrivals into the ready queue;
+//! 2. admit waiters, evicting lower-ranked work under preemption;
+//! 3. resume swapped-out victims by paging their KV back in;
+//! 4. start prefill for the other admissions;
+//! 5. schedule this boundary's prefill chunks (or jump an idle clock);
+//! 6. grow paged sequences by a block where their context needs one;
+//! 7. price one step and stamp first tokens;
+//! 8. harvest completions and seat prompts that finished prefilling.
+//!
+//! The KV state lives in one `KvBackend`: `Reserve` holds worst-case
+//! reservations; `Paged` holds a block pool, optionally shared with the
+//! radix prefix cache.
 
 use hermes_core::{
     HermesError, InferenceEngine, LatencyBreakdown, PlannedRun, PrefillChunk, SystemConfig,
     SystemKind,
 };
 
-use crate::kv::KvPool;
-use crate::prefix::{PrefixCache, PrefixLease};
+use crate::kv::{AdmissionPlan, KvBackend, UsageSamples};
+use crate::prefix::PrefixLease;
 use crate::queue::ReadyQueue;
 use crate::request::{RequestRecord, ServingRequest};
-use crate::scheduler::{
-    request_kv_bytes, token_kv_bytes, BatchingPolicy, KvAccounting, PreemptionPolicy,
-    PrefillPolicy, PrefixCacheMode,
-};
-use crate::simulator::{validate_paged_capacity, worst_case_bounds, ServingSimulation};
+use crate::scheduler::{request_kv_bytes, BatchingPolicy, PreemptionPolicy, PrefillPolicy};
+use crate::simulator::{worst_case_bounds, ServingSimulation};
 use crate::tallies::SwapTallies;
 
 mod active;
 mod carry;
 
-use active::{ActiveInfo, ActiveSet, PrefillingSequence};
+use active::{ActiveSet, PrefillingSequence};
 pub(crate) use carry::CarriedRequest;
 
 /// What one call to [`ReplicaSim::step_boundary`] did.
@@ -56,7 +60,7 @@ pub enum BoundaryOutcome {
 
 /// One simulated serving machine as a resumable state machine: the
 /// extracted per-boundary body of [`simulate`](crate::simulator::simulate),
-/// owning the ready queue, active set, KV pool, prefix cache and tallies.
+/// owning the ready queue, active set, KV backend and tallies.
 ///
 /// Requests enter through [`ReplicaSim::inject`] (in non-decreasing arrival
 /// order); the machine advances via [`ReplicaSim::step_boundary`] /
@@ -73,14 +77,8 @@ pub struct ReplicaSim {
     engine: Box<dyn InferenceEngine>,
     /// The template plan pricing every step.
     plan: PlannedRun,
-    /// Per-token KV bytes of the model.
-    token_bytes: u64,
-    /// Tokens per paged block (`None` under reserve accounting).
-    paged_block_tokens: Option<usize>,
-    /// The paged block pool (`None` under reserve accounting).
-    pool: Option<KvPool>,
-    /// The radix cache of resident prompt prefixes (`None` when disabled).
-    cache: Option<PrefixCache>,
+    /// Reservations, or the paged pool and its prefix cache.
+    kv: KvBackend,
 
     // ---- per-request state, appended by `inject` ----
     requests: Vec<ServingRequest>,
@@ -122,7 +120,6 @@ pub struct ReplicaSim {
     ready: ReadyQueue,
     active: ActiveSet,
     prefilling: Vec<PrefillingSequence>,
-    active_kv_bytes: u64,
     /// Joiners that have not yet generated their first token, to stamp
     /// `first_token` after the next priced step without walking the batch.
     pending_first_token: Vec<usize>,
@@ -137,9 +134,7 @@ pub struct ReplicaSim {
     generated_tokens: usize,
     completed: usize,
     swap: SwapTallies,
-    kv_block_steps: u64,
-    kv_used_token_steps: u64,
-    kv_steps: u64,
+    usage: UsageSamples,
     /// Running sum of the prefill targets of chunk-prefilling sequences.
     prefill_target_tokens: usize,
     /// Σ covered tokens over *active* (decoding) sequences.
@@ -171,34 +166,12 @@ impl ReplicaSim {
         sim.validate()?;
         let engine = kind.engine(config);
         let plan = engine.plan(&sim.template)?;
-        let token_bytes = token_kv_bytes(&sim.template);
-        let paged_block_tokens = match sim.admission.accounting {
-            KvAccounting::Paged { block_tokens } => Some(block_tokens),
-            KvAccounting::Reserve => None,
-        };
-        let pool = paged_block_tokens.map(|bt| {
-            let block_bytes = bt as u64 * token_bytes;
-            let capacity = sim.admission.kv_memory_bytes.map(|b| b / block_bytes);
-            KvPool::new(bt, block_bytes, capacity, 0)
-        });
-        #[expect(
-            clippy::expect_used,
-            reason = "validate_prefix_cache rejected any cache mode without paged accounting"
-        )]
-        let cache = match sim.prefix_cache {
-            PrefixCacheMode::Disabled => None,
-            PrefixCacheMode::Lru => Some(PrefixCache::new(
-                paged_block_tokens.expect("prefix cache validated to require paged accounting"),
-            )),
-        };
+        let kv = KvBackend::new(&sim, 0);
         Ok(ReplicaSim {
             sim,
             engine,
             plan,
-            token_bytes,
-            paged_block_tokens,
-            pool,
-            cache,
+            kv,
             requests: Vec::new(),
             times: Vec::new(),
             ranks: Vec::new(),
@@ -217,7 +190,6 @@ impl ReplicaSim {
             ready: ReadyQueue::new(),
             active: ActiveSet::new(0),
             prefilling: Vec::new(),
-            active_kv_bytes: 0,
             pending_first_token: Vec::new(),
             chunks: Vec::new(),
             breakdown: LatencyBreakdown::default(),
@@ -226,9 +198,7 @@ impl ReplicaSim {
             generated_tokens: 0,
             completed: 0,
             swap: SwapTallies::default(),
-            kv_block_steps: 0,
-            kv_used_token_steps: 0,
-            kv_steps: 0,
+            usage: UsageSamples::default(),
             prefill_target_tokens: 0,
             active_covered_tokens: 0,
             recomputed_prefill_tokens: 0,
@@ -251,15 +221,7 @@ impl ReplicaSim {
         for bound in worst_case_bounds(&self.sim.template, requests) {
             self.engine.plan(&bound)?;
         }
-        if let Some(pool) = &self.pool {
-            validate_paged_capacity(
-                pool.block_tokens(),
-                pool.capacity_blocks(),
-                requests,
-                &self.sim,
-            )?;
-        }
-        Ok(())
+        self.kv.validate_requests(requests, &self.sim)
     }
 
     /// Hand the replica a request with its (globally computed) scheduling
@@ -323,9 +285,7 @@ impl ReplicaSim {
         self.lease.push(None);
         self.extracted.push(false);
         self.active.ensure_slots(idx + 1);
-        if let Some(pool) = self.pool.as_mut() {
-            pool.ensure_slots(idx + 1);
-        }
+        self.kv.ensure_slots(idx + 1);
         self.waiting_kv_bytes += kv;
         self.requests.push(request);
     }
@@ -359,11 +319,7 @@ impl ReplicaSim {
         let Some(budget) = self.sim.admission.kv_memory_bytes else {
             return 0.0;
         };
-        let held = match &self.pool {
-            Some(pool) => pool.used_blocks() * pool.block_bytes(),
-            None => self.active_kv_bytes,
-        };
-        (held + self.waiting_kv_bytes) as f64 / budget as f64
+        (self.kv.held_bytes() + self.waiting_kv_bytes) as f64 / budget as f64
     }
 
     /// Prompt-prefix tokens of `prefix` already resident in this replica's
@@ -371,13 +327,7 @@ impl ReplicaSim {
     /// signal. Side-effect-free: probing does not touch the cache's stats
     /// or LRU state.
     pub fn prefix_match(&self, prefix: &[u64]) -> usize {
-        match &self.cache {
-            Some(cache) => {
-                let cacheable = cache.cacheable(prefix.len());
-                cache.plan(&prefix[..cacheable]).matched
-            }
-            None => 0,
-        }
+        self.kv.prefix_match(prefix)
     }
 
     /// The earliest virtual time at which this replica has work to do:
@@ -426,60 +376,33 @@ impl ReplicaSim {
         }
     }
 
-    /// Shared eviction bookkeeping of the admission scan and the paged
-    /// growth pass: release the victim's seat and KV, record its progress,
-    /// and — under SwapOut — page its held KV out to the swap tier, priced
-    /// through the engine's swap-cost hook.
-    fn evict_victim(&mut self, victim: usize) {
-        let info = self.active.remove(victim);
-        self.generated[victim] += (self.step - info.join_step) as usize;
-        self.records[victim].preemptions += 1;
-        self.active_covered_tokens -= self.covered[victim] as u64;
-        let held_bytes = match self.pool.as_mut() {
-            Some(pool) => pool.release(victim) * pool.block_bytes(),
-            None => {
-                self.active_kv_bytes -= info.kv_bytes;
-                (self.requests[victim].prompt_len + self.generated[victim]) as u64
-                    * self.token_bytes
-            }
-        };
-        if self.sim.preemption == PreemptionPolicy::SwapOut {
-            // Only the victim's own pages travel to the swap tier; its
-            // covered prefix stays resident in the cache, pinned by the
-            // lease it keeps until completion.
-            let cost = self.plan.cost.swap_cost(held_bytes);
-            self.clock += cost;
-            self.breakdown.communication += cost;
-            self.swap.seconds += cost;
-            self.swap.swap_outs += 1;
-            self.swap.swapped_out_bytes += held_bytes;
-            self.swapped[victim] = Some(held_bytes);
-        } else {
-            // Restart-with-recompute drops the victim's cache claim; its
-            // re-admission consults the cache afresh.
-            if let (Some(cache), Some(l)) = (self.cache.as_mut(), self.lease[victim].take()) {
-                cache.release(l);
-            }
-            self.covered[victim] = 0;
-            self.reused[victim] = 0;
-        }
-        self.ready.push(self.ranks[victim], victim);
-        self.waiting_kv_bytes += self.kv_bytes_per_request[victim];
-    }
-
-    /// Run exactly one token boundary: pull arrivals, admit (evicting under
-    /// preemption), resume swapped victims, prefill, grow paged sequences,
-    /// price one step and harvest completions. When the replica is idle the
-    /// clock instead jumps to the next pending arrival — but only within
-    /// `horizon`, so a fleet driver can line replicas up on a shared clock
-    /// without any replica overshooting a future injection.
+    /// Run exactly one token boundary: the phases listed in the module
+    /// docs, in order. When the replica is idle the clock instead jumps to
+    /// the next pending arrival — but only within `horizon`, so a fleet
+    /// driver can line replicas up on a shared clock without any replica
+    /// overshooting a future injection.
     ///
     /// # Errors
     ///
     /// Returns [`HermesError::InvalidConfig`] when the admission caps can
     /// never admit the queue head into an idle system.
     pub fn step_boundary(&mut self, horizon: f64) -> Result<BoundaryOutcome, HermesError> {
-        // 1. Pull every request that has arrived by now into the queue.
+        self.pull_arrivals();
+        let admitted = self.admit();
+        let admitted = self.resume_swapped(admitted);
+        self.start_prefill(admitted);
+        self.schedule_chunks();
+        if self.active.is_empty() && self.chunks.is_empty() {
+            return self.idle(horizon);
+        }
+        self.grow();
+        self.price_step();
+        self.harvest();
+        Ok(BoundaryOutcome::Worked)
+    }
+
+    /// Pull every request that has arrived by now into the ready queue.
+    fn pull_arrivals(&mut self) {
         while self.next_arrival < self.requests.len()
             && self.requests[self.next_arrival].arrival <= self.clock
         {
@@ -487,564 +410,307 @@ impl ReplicaSim {
                 .push(self.ranks[self.next_arrival], self.next_arrival);
             self.next_arrival += 1;
         }
+    }
 
-        // 2. Admit from the queue at this token boundary, in scheduling
-        // order (FCFS / priority / EDF — arrival order within a rank).
-        // Admission reserves the request's KV budget and batch slot; the
-        // `admitted` timestamp is stamped later, when its prefill work
-        // actually starts. When the best-ranked waiter does not fit and
-        // preemption is on, strictly lower-ranked active sequences are
-        // evicted (worst-ranked first) until it does.
+    /// Admit from the queue in scheduling order (FCFS / priority / EDF —
+    /// arrival order within a rank). Admission charges the request's KV and
+    /// takes its batch seat; the `admitted` timestamp is stamped later,
+    /// when its prefill work actually starts. The backend already holds
+    /// this boundary's earlier admissions, so the caps see the whole
+    /// provisional batch. When the best-ranked waiter does not fit and
+    /// preemption is on, strictly lower-ranked active sequences are evicted
+    /// (worst-ranked first) until it does.
+    fn admit(&mut self) -> Vec<usize> {
+        let mut admitted: Vec<usize> = Vec::new();
         let may_admit = match self.sim.policy {
             BatchingPolicy::Continuous => true,
             BatchingPolicy::Static => self.active.is_empty() && self.prefilling.is_empty(),
         };
-        let mut admitted: Vec<usize> = Vec::new();
-        if may_admit {
-            while let Some(idx) = self.ready.peek() {
-                // `active_kv_bytes` (reserve) / the pool's held blocks
-                // (paged) already include the requests admitted at this
-                // boundary, so the caps see the whole provisional batch.
-                // Paged accounting charges only the blocks for the
-                // request's *current* context (prompt plus generated so
-                // far) plus one write slot for the next decoded token, not
-                // its worst-case footprint. The write slot guarantees an
-                // admitted sequence generates at least one token before it
-                // can need to grow — without it, a sequence rejoining with
-                // its context exactly at a block boundary would be a grower
-                // at its very next boundary and could self-evict in a
-                // zero-progress admit/evict livelock.
-                let kv = self.kv_bytes_per_request[idx];
-                let seats = self.active.len() + self.prefilling.len() + admitted.len();
-                if self.sim.prefix_cache != PrefixCacheMode::Disabled {
-                    // Cache-aware paged admission. A fresh admission (or an
-                    // evict-and-refill re-admission, whose claim was
-                    // dropped) consults the cache: its matched run maps the
-                    // resident blocks copy-free, and — when the unmatched
-                    // cacheable remainder is insertable — the request also
-                    // funds the blocks that will cache it for later
-                    // requests. A resuming swap-out victim keeps the lease
-                    // it never released and only needs pages for its
-                    // uncovered remainder. Unpinned cache blocks off the
-                    // matched path count as reclaimable capacity: they are
-                    // evicted before an admission is declared infeasible.
-                    let request = &self.requests[idx];
-                    let ctx1 = request.prompt_len + self.generated[idx] + 1;
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "cache mode is rejected at construction unless paged accounting is on"
-                    )]
-                    let bt = self
-                        .paged_block_tokens
-                        .expect("cache requires paged accounting");
-                    let resumed = self.swapped[idx].is_some();
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "cache mode implies the prefix cache was constructed"
-                    )]
-                    let c = self.cache.as_ref().expect("cache mode");
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "cache mode is rejected at construction unless a paged pool exists"
-                    )]
-                    let p = self.pool.as_ref().expect("cache requires a paged pool");
-                    let cap = p.capacity_blocks().unwrap_or(u64::MAX);
-                    let (lookup_len, plan) = if resumed {
-                        (0, c.plan(&[]))
-                    } else {
-                        let cacheable = c.cacheable(request.prefix.len());
-                        (cacheable, c.plan(&request.prefix[..cacheable]))
-                    };
-                    let do_insert = !resumed && plan.can_insert && plan.matched < lookup_len;
-                    let target_covered = if resumed {
-                        self.covered[idx]
-                    } else if do_insert {
-                        lookup_len
-                    } else {
-                        plan.matched
-                    };
-                    let insert_blocks = if do_insert {
-                        ((lookup_len - plan.matched) / bt) as u64
-                    } else {
-                        0
-                    };
-                    let own = p.blocks_for_tokens(ctx1 - target_covered);
-                    let extra = own + insert_blocks;
-                    if self.sim.admission.admits(seats, 0, 0)
-                        && p.used_blocks() + extra <= cap.saturating_add(plan.freeable_blocks)
-                    {
-                        self.ready.pop();
-                        self.waiting_kv_bytes -= kv;
-                        if !resumed {
-                            #[expect(
-                                clippy::expect_used,
-                                reason = "cache mode implies the prefix cache was constructed"
-                            )]
-                            let (l, matched) = self
-                                .cache
-                                .as_mut()
-                                .expect("cache mode")
-                                .acquire(&self.requests[idx].prefix[..lookup_len]);
-                            debug_assert_eq!(matched, plan.matched, "plan and acquire must agree");
-                            self.lease[idx] = Some(l);
-                            // Only the *matched* run skips prefill; an
-                            // inserted run is cache-resident but this
-                            // request still computes it (into the cache's
-                            // blocks).
-                            self.reused[idx] = matched;
-                            if !self.ever_admitted[idx] {
-                                self.records[idx].reused_prefix_tokens = matched;
-                            }
-                        }
-                        #[expect(
-                            clippy::expect_used,
-                            reason = "cache mode is rejected at construction unless a paged pool exists"
-                        )]
-                        let pool_mut = self.pool.as_mut().expect("cache requires a paged pool");
-                        let shortfall = (pool_mut.used_blocks() + extra).saturating_sub(cap);
-                        if shortfall > 0 {
-                            #[expect(
-                                clippy::expect_used,
-                                reason = "cache mode implies the prefix cache was constructed"
-                            )]
-                            let freed = self
-                                .cache
-                                .as_mut()
-                                .expect("cache mode")
-                                .evict_for(shortfall);
-                            pool_mut.surrender_blocks(&freed);
-                        }
-                        if do_insert {
-                            let ids = pool_mut.acquire_blocks(insert_blocks);
-                            #[expect(
-                                clippy::expect_used,
-                                reason = "the lease was stored a few lines up on this same admission path"
-                            )]
-                            let lease = self.lease[idx].expect("lease acquired above");
-                            #[expect(
-                                clippy::expect_used,
-                                reason = "cache mode implies the prefix cache was constructed"
-                            )]
-                            self.cache.as_mut().expect("cache mode").insert(
-                                lease,
-                                &self.requests[idx].prefix[plan.matched..lookup_len],
-                                ids,
-                            );
-                        }
-                        #[expect(
-                            clippy::expect_used,
-                            reason = "cache mode is rejected at construction unless a paged pool exists"
-                        )]
-                        self.pool
-                            .as_mut()
-                            .expect("cache requires a paged pool")
-                            .allocate(idx, own);
-                        self.covered[idx] = target_covered;
-                        admitted.push(idx);
-                        continue;
-                    }
-                    if self.sim.preemption != PreemptionPolicy::None {
-                        // Victim coverage is conservatively treated as
-                        // unreclaimable — another in-flight lease may pin
-                        // the same nodes — so only the victims' own pages
-                        // and the already-unpinned cache blocks count.
-                        let mut victims: Vec<usize> = Vec::new();
-                        let mut freed = 0u64;
-                        let mut feasible = false;
-                        for victim in self.active.victims_outranking(self.ranks[idx]) {
-                            freed += p.held(victim);
-                            victims.push(victim);
-                            if self.sim.admission.admits(seats - victims.len(), 0, 0)
-                                && p.used_blocks() + extra
-                                    <= cap
-                                        .saturating_add(plan.freeable_blocks)
-                                        .saturating_add(freed)
-                            {
-                                feasible = true;
-                                break;
-                            }
-                        }
-                        if feasible {
-                            for victim in victims {
-                                self.evict_victim(victim);
-                            }
-                            // Retry: the released leases and pages are
-                            // re-planned from scratch.
-                            continue;
-                        }
-                    }
-                    break;
-                }
-                let need_blocks = self.pool.as_ref().map(|p| {
-                    p.blocks_for_tokens(self.requests[idx].prompt_len + self.generated[idx] + 1)
-                });
-                let fits = match (&self.pool, need_blocks) {
-                    (Some(pool), Some(need)) => {
-                        self.sim.admission.admits(seats, 0, 0) && pool.fits(need)
-                    }
-                    _ => self.sim.admission.admits(seats, self.active_kv_bytes, kv),
-                };
-                if fits {
-                    self.ready.pop();
-                    self.waiting_kv_bytes -= kv;
-                    match (self.pool.as_mut(), need_blocks) {
-                        (Some(pool), Some(need)) => pool.allocate(idx, need),
-                        _ => self.active_kv_bytes += kv,
-                    }
-                    admitted.push(idx);
-                    continue;
-                }
-                if self.sim.preemption != PreemptionPolicy::None {
-                    // Victim candidates: active sequences strictly outranked
-                    // by the blocked waiter, worst-ranked first (latest
-                    // arrival first within a rank), straight off the rank
-                    // index. Sequences still prefilling under chunked
-                    // prefill are not evicted. Take the smallest prefix
-                    // that makes room, if any.
-                    let mut victims: Vec<usize> = Vec::new();
-                    let mut feasible = false;
-                    match (&self.pool, need_blocks) {
-                        (Some(pool), Some(need)) => {
-                            let cap = pool.capacity_blocks().unwrap_or(u64::MAX);
-                            let mut freed = 0u64;
-                            for victim in self.active.victims_outranking(self.ranks[idx]) {
-                                freed += pool.held(victim);
-                                victims.push(victim);
-                                if self.sim.admission.admits(seats - victims.len(), 0, 0)
-                                    && pool.used_blocks() - freed + need <= cap
-                                {
-                                    feasible = true;
-                                    break;
-                                }
-                            }
-                        }
-                        _ => {
-                            let mut freed_kv = 0u64;
-                            for victim in self.active.victims_outranking(self.ranks[idx]) {
-                                freed_kv += self.kv_bytes_per_request[victim];
-                                victims.push(victim);
-                                if self.sim.admission.admits(
-                                    seats - victims.len(),
-                                    self.active_kv_bytes - freed_kv,
-                                    kv,
-                                ) {
-                                    feasible = true;
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    if feasible {
-                        for victim in victims {
-                            self.evict_victim(victim);
-                        }
-                        // Retry the blocked waiter with the freed capacity
-                        // (the victims it displaced cannot outrank it).
-                        continue;
-                    }
-                }
+        if !may_admit {
+            return admitted;
+        }
+        while let Some(idx) = self.ready.peek() {
+            let seats = self.active.len() + self.prefilling.len() + admitted.len();
+            let request = &self.requests[idx];
+            let plan = self.kv.plan_admission(
+                &request.prefix,
+                request.prompt_len + self.generated[idx],
+                self.kv_bytes_per_request[idx],
+                self.swapped[idx].map(|_| self.covered[idx]),
+            );
+            if self.kv.fits(&self.sim.admission, seats, &plan, 0) {
+                self.ready.pop();
+                self.waiting_kv_bytes -= self.kv_bytes_per_request[idx];
+                self.charge(idx, &plan);
+                admitted.push(idx);
+            } else if !self.preempt_for(idx, seats, &plan) {
                 break;
             }
         }
+        admitted
+    }
 
-        // 2.5 Swapped-out victims among this boundary's admissions resume
-        // by paging their KV back in — no recompute: they skip prefill and
-        // rejoin the decode batch right here, continuing where they
-        // stopped. The swap-in leg is priced like the swap-out was.
-        let mut resident: Vec<usize> = Vec::with_capacity(admitted.len());
-        for idx in admitted {
+    /// Commit waiter `idx`'s planned admission and record its cache claim.
+    fn charge(&mut self, idx: usize, plan: &AdmissionPlan) {
+        if let Some((lease, matched)) = self.kv.charge(idx, plan, &self.requests[idx].prefix) {
+            self.lease[idx] = Some(lease);
+            // Only the *matched* run skips prefill; an inserted run is
+            // cache-resident but this request still computes it (into the
+            // cache's blocks).
+            self.reused[idx] = matched;
+            if !self.ever_admitted[idx] {
+                self.records[idx].reused_prefix_tokens = matched;
+            }
+        }
+        self.covered[idx] = plan.covered;
+    }
+
+    /// Make room for blocked waiter `idx` under preemption: evict the
+    /// smallest worst-ranked-first prefix of the active sequences it
+    /// strictly outranks that lets its planned admission fit, if one
+    /// exists. Sequences still prefilling under chunked prefill are never
+    /// evicted. Returns whether it evicted (the waiter is then retried and
+    /// re-planned from scratch: the victims cannot outrank it).
+    fn preempt_for(&mut self, idx: usize, seats: usize, plan: &AdmissionPlan) -> bool {
+        if self.sim.preemption == PreemptionPolicy::None {
+            return false;
+        }
+        let (mut victims, mut freed) = (Vec::new(), 0);
+        let feasible = self
+            .active
+            .victims_outranking(self.ranks[idx])
+            .any(|victim| {
+                freed += self.kv.frees(victim, self.kv_bytes_per_request[victim]);
+                victims.push(victim);
+                self.kv
+                    .fits(&self.sim.admission, seats - victims.len(), plan, freed)
+            });
+        if feasible {
+            for victim in victims {
+                self.evict_victim(victim);
+            }
+        }
+        feasible
+    }
+
+    /// Shared eviction bookkeeping of admission and paged growth: release
+    /// the victim's seat and KV, record its progress, and — under SwapOut —
+    /// page its written KV out to the swap tier, priced through the
+    /// engine's swap-cost hook.
+    fn evict_victim(&mut self, victim: usize) {
+        self.records[victim].preemptions += 1;
+        let written_bytes = self.leave_batch(victim);
+        if self.sim.preemption == PreemptionPolicy::SwapOut {
+            // Only the victim's own pages travel to the swap tier; its
+            // covered prefix stays resident in the cache, pinned by the
+            // lease it keeps until completion.
+            self.pay_swap(written_bytes);
+            self.swap.swap_outs += 1;
+            self.swap.swapped_out_bytes += written_bytes;
+            self.swapped[victim] = Some(written_bytes);
+        } else {
+            // Restart-with-recompute drops the victim's cache claim; its
+            // re-admission consults the cache afresh.
+            self.release_claim(victim);
+        }
+        self.ready.push(self.ranks[victim], victim);
+        self.waiting_kv_bytes += self.kv_bytes_per_request[victim];
+    }
+
+    /// Swapped-out victims among this boundary's admissions resume by
+    /// paging their KV back in — no recompute: they skip prefill and rejoin
+    /// the decode batch right here, continuing where they stopped. The
+    /// swap-in leg is priced like the swap-out was. Returns the other
+    /// admissions.
+    fn resume_swapped(&mut self, mut admitted: Vec<usize>) -> Vec<usize> {
+        admitted.retain(|&idx| {
             let Some(bytes) = self.swapped[idx].take() else {
-                resident.push(idx);
-                continue;
+                return true;
             };
-            let cost = self.plan.cost.swap_cost(bytes);
-            self.clock += cost;
-            self.breakdown.communication += cost;
-            self.swap.seconds += cost;
+            self.pay_swap(bytes);
             self.swap.swap_ins += 1;
             self.swap.swapped_in_bytes += bytes;
-            let request = &self.requests[idx];
-            self.active_covered_tokens += self.covered[idx] as u64;
-            self.active.join(
-                idx,
-                request.prompt_len + self.generated[idx],
-                request.gen_len - self.generated[idx],
-                if self.pool.is_some() {
-                    0
-                } else {
-                    self.kv_bytes_per_request[idx]
-                },
-                self.ranks[idx],
-                self.step,
-            );
-        }
-        let admitted = resident;
+            self.join_batch(idx);
+            false
+        });
+        admitted
+    }
 
-        // 3. Hand the newly admitted requests to the prefill policy. A
-        // request resumed after a preemption re-prefills its prompt *plus*
-        // the tokens it already generated (restart with recompute), so its
-        // effective prefill length is `prompt_len + generated` — minus the
-        // reused run it maps from the prefix cache, whose KV already
-        // existed at admission and is never recomputed.
+    /// Charge one swap-tier transfer of `bytes` to the clock.
+    fn pay_swap(&mut self, bytes: u64) {
+        let cost = self.plan.cost.swap_cost(bytes);
+        self.clock += cost;
+        self.breakdown.communication += cost;
+        self.swap.seconds += cost;
+    }
+
+    /// Hand the newly admitted requests to the prefill policy. A request
+    /// resumed after a preemption re-prefills its prompt *plus* the tokens
+    /// it already generated (restart with recompute), so its effective
+    /// prefill length is `prompt_len + generated` — minus the reused run it
+    /// maps from the prefix cache, whose KV already existed at admission
+    /// and is never recomputed. A fully covered request prefills nothing
+    /// and joins the decode batch at once.
+    fn start_prefill(&mut self, admitted: Vec<usize>) {
+        let prefill_len =
+            |s: &Self, idx: usize| s.requests[idx].prompt_len + s.generated[idx] - s.reused[idx];
         match self.sim.prefill {
             PrefillPolicy::StallTheWorld => {
                 // Prefill whole prompts now, one pass per effective prefill
                 // length (requests sharing a length are prefilled together,
                 // so an all-at-once batch pays exactly the closed-loop
-                // prefill). A fully-covered request prefills nothing and
-                // charges nothing.
-                if !admitted.is_empty() {
-                    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-                    for &idx in &admitted {
-                        let p =
-                            self.requests[idx].prompt_len + self.generated[idx] - self.reused[idx];
-                        match groups.iter_mut().find(|(len, _)| *len == p) {
-                            Some((_, members)) => members.push(idx),
-                            None => groups.push((p, vec![idx])),
-                        }
+                // prefill).
+                let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
+                for &idx in &admitted {
+                    let p = prefill_len(self, idx);
+                    match groups.iter_mut().find(|(len, _)| *len == p) {
+                        Some((_, members)) => members.push(idx),
+                        None => groups.push((p, vec![idx])),
                     }
-                    for (prefill_len, members) in groups {
-                        // This group's prefill starts now, after every
-                        // earlier group's pass has elapsed.
-                        for &idx in &members {
-                            if !self.ever_admitted[idx] {
-                                self.records[idx].admitted = self.clock;
-                                self.ever_admitted[idx] = true;
-                            }
-                        }
-                        self.recomputed_prefill_tokens += prefill_len * members.len();
-                        if prefill_len > 0 {
-                            let cost = self.plan.cost.prefill_cost(prefill_len, members.len());
-                            self.breakdown.prefill += cost;
-                            self.clock += cost;
-                        }
+                }
+                for (len, members) in groups {
+                    // This group's prefill starts now, after every earlier
+                    // group's pass has elapsed.
+                    for &idx in &members {
+                        self.stamp_admitted(idx);
                     }
-                    for idx in admitted {
-                        let request = &self.requests[idx];
-                        self.active_covered_tokens += self.covered[idx] as u64;
-                        self.active.join(
-                            idx,
-                            request.prompt_len + self.generated[idx],
-                            request.gen_len - self.generated[idx],
-                            if self.pool.is_some() {
-                                0
-                            } else {
-                                self.kv_bytes_per_request[idx]
-                            },
-                            self.ranks[idx],
-                            self.step,
-                        );
-                        if self.generated[idx] == 0 {
-                            self.pending_first_token.push(idx);
-                        }
+                    self.recomputed_prefill_tokens += len * members.len();
+                    if len > 0 {
+                        let cost = self.plan.cost.prefill_cost(len, members.len());
+                        self.breakdown.prefill += cost;
+                        self.clock += cost;
                     }
+                }
+                for idx in admitted {
+                    self.join_batch(idx);
                 }
             }
             PrefillPolicy::Chunked { .. } => {
                 for idx in admitted {
-                    let target =
-                        self.requests[idx].prompt_len + self.generated[idx] - self.reused[idx];
+                    let target = prefill_len(self, idx);
                     self.recomputed_prefill_tokens += target;
                     if target == 0 {
-                        // Fully covered: nothing to prefill, join the decode
-                        // batch at this very boundary.
-                        if !self.ever_admitted[idx] {
-                            self.records[idx].admitted = self.clock;
-                            self.ever_admitted[idx] = true;
-                        }
-                        let request = &self.requests[idx];
-                        self.active_covered_tokens += self.covered[idx] as u64;
-                        self.active.join(
+                        self.stamp_admitted(idx);
+                        self.join_batch(idx);
+                    } else {
+                        self.prefill_target_tokens += target;
+                        self.prefilling.push(PrefillingSequence {
                             idx,
-                            request.prompt_len + self.generated[idx],
-                            request.gen_len - self.generated[idx],
-                            0,
-                            self.ranks[idx],
-                            self.step,
-                        );
-                        if self.generated[idx] == 0 {
-                            self.pending_first_token.push(idx);
-                        }
-                        continue;
+                            target,
+                            done: 0,
+                        });
                     }
-                    self.prefill_target_tokens += target;
-                    self.prefilling.push(PrefillingSequence {
-                        idx,
-                        target,
-                        done: 0,
-                        started: false,
-                    });
                 }
             }
         }
+    }
 
-        // 4. Schedule this boundary's prefill chunks (FCFS across the
-        // requests still prefilling, up to the policy's token budget).
-        // Always empty under stall-the-world, which never populates
-        // `prefilling`. The buffer is reused across boundaries; every
-        // scheduled chunk is non-empty, so `chunks.len()` is also the
-        // number of leading `prefilling` entries touched this boundary —
-        // the only ones step 7 has to rescan for completion.
+    /// Schedule this boundary's prefill chunks: FCFS across the requests
+    /// still prefilling, up to the policy's token budget. Always empty
+    /// under stall-the-world, which never populates `prefilling`. Every
+    /// scheduled chunk is non-empty, so `chunks.len()` is also the number
+    /// of leading `prefilling` entries touched this boundary — the only
+    /// ones [`ReplicaSim::harvest`] rescans for completion.
+    fn schedule_chunks(&mut self) {
         self.chunks.clear();
-        if let PrefillPolicy::Chunked {
+        let PrefillPolicy::Chunked {
             chunk_tokens,
             budget,
         } = self.sim.prefill
-        {
-            let mut budget_left = budget;
-            for seq in self.prefilling.iter_mut() {
-                if budget_left == 0 {
-                    break;
-                }
-                let take = chunk_tokens.min(seq.target - seq.done).min(budget_left);
-                if !seq.started {
-                    if !self.ever_admitted[seq.idx] {
-                        self.records[seq.idx].admitted = self.clock;
-                        self.ever_admitted[seq.idx] = true;
-                    }
-                    seq.started = true;
-                }
-                self.chunks.push(PrefillChunk {
-                    prompt_len: seq.target,
-                    tokens: take,
-                });
-                seq.done += take;
-                budget_left -= take;
+        else {
+            return;
+        };
+        let mut budget_left = budget;
+        for i in 0..self.prefilling.len() {
+            if budget_left == 0 {
+                break;
+            }
+            let PrefillingSequence { idx, target, done } = self.prefilling[i];
+            let take = chunk_tokens.min(target - done).min(budget_left);
+            self.stamp_admitted(idx);
+            self.chunks.push(PrefillChunk {
+                prompt_len: target,
+                tokens: take,
+            });
+            self.prefilling[i].done += take;
+            budget_left -= take;
+        }
+    }
+
+    /// Nothing running and no prefill scheduled (`prefilling` is then
+    /// necessarily empty — any prefilling sequence would have scheduled a
+    /// chunk): jump to the next arrival when it lies within `horizon`, or
+    /// report idleness.
+    fn idle(&mut self, horizon: f64) -> Result<BoundaryOutcome, HermesError> {
+        if let Some(head) = self.ready.peek() {
+            // The queue head could not be admitted into an idle system: the
+            // caps can never be satisfied.
+            return Err(HermesError::InvalidConfig(format!(
+                "admission caps can never admit request {} (max_batch {:?}, kv budget {:?})",
+                head, self.sim.admission.max_batch, self.sim.admission.kv_memory_bytes
+            )));
+        }
+        if self.next_arrival < self.requests.len() {
+            let arrival = self.requests[self.next_arrival].arrival;
+            if arrival <= horizon {
+                self.clock = self.clock.max(arrival);
+                return Ok(BoundaryOutcome::Jumped);
             }
         }
+        Ok(BoundaryOutcome::Idle)
+    }
 
-        // 5. Nothing running and no prefill scheduled: jump to the next
-        // arrival (when it lies within the horizon) or report idleness.
-        // (`prefilling` is necessarily empty here — any prefilling sequence
-        // would have scheduled a chunk.)
-        if self.active.is_empty() && self.chunks.is_empty() {
-            if let Some(head) = self.ready.peek() {
-                // The queue head could not be admitted into an idle system:
-                // the caps can never be satisfied.
-                return Err(HermesError::InvalidConfig(format!(
-                    "admission caps can never admit request {} (max_batch {:?}, kv budget {:?})",
-                    head, self.sim.admission.max_batch, self.sim.admission.kv_memory_bytes
-                )));
+    /// Paged growth: a sequence whose own pages no longer cover its
+    /// uncovered context plus the token this step decodes takes one more
+    /// block. Admission granted every sequence a write slot, so a grower
+    /// has always decoded at least one token since it was (re)admitted —
+    /// growth evictions therefore always follow real progress and cannot
+    /// livelock. Growers take their block in scheduling-rank order; when
+    /// the pool is full even after reclaiming unpinned cache blocks, each
+    /// evicts the worst strictly lower-ranked active victim — or itself,
+    /// when none exists (it cannot demand capacity from equal- or
+    /// better-ranked work). Then the pool's usage is sampled.
+    fn grow(&mut self) {
+        let covered = &self.covered;
+        let growers = self.kv.growers(
+            self.active
+                .contexts_by_rank(self.step)
+                .map(|(idx, context)| (idx, context + 1 - covered[idx])),
+        );
+        for grower in growers {
+            // An earlier grower may have evicted this one.
+            if !self.active.contains(grower) || self.kv.try_grow(grower) {
+                continue;
             }
-            if self.next_arrival < self.requests.len() {
-                let arrival = self.requests[self.next_arrival].arrival;
-                if arrival <= horizon {
-                    self.clock = self.clock.max(arrival);
-                    return Ok(BoundaryOutcome::Jumped);
+            let victim = self.active.victims_outranking(self.ranks[grower]).next();
+            match victim {
+                Some(victim) => {
+                    self.evict_victim(victim);
+                    self.kv.grow(grower);
                 }
+                None => self.evict_victim(grower),
             }
-            return Ok(BoundaryOutcome::Idle);
         }
+        // The sequences store their active contexts before this step's
+        // token, plus the full targets of chunk-prefilling sequences, whose
+        // blocks are held up front. Covered runs are stored once, in the
+        // cache's resident blocks, so they are subtracted from the active
+        // contexts and counted through the cache instead.
+        let (active, step) = (&self.active, self.step);
+        let (active_covered, prefill_targets) =
+            (self.active_covered_tokens, self.prefill_target_tokens);
+        self.kv.sample(&mut self.usage, || {
+            active.total_context(step) - active_covered + prefill_targets as u64
+        });
+    }
 
-        // 5.5 Paged growth: a sequence whose held blocks no longer cover
-        // its context plus the token this step decodes takes one more
-        // block. Admission granted every sequence a write slot, so a
-        // grower has always decoded at least one token since it was
-        // (re)admitted — growth evictions therefore always follow real
-        // progress and cannot livelock. Growers take their block in
-        // scheduling-rank order; when the pool is full, each evicts the
-        // worst strictly lower-ranked active victim — or itself, when none
-        // exists (it cannot demand capacity from equal- or better-ranked
-        // work).
-        if self.paged_block_tokens.is_some() {
-            let growers: Vec<usize> = {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "the pool exists exactly when paged_block_tokens is set, checked by the enclosing guard"
-                )]
-                let pool = self.pool.as_ref().expect("paged pool");
-                let active = &self.active;
-                let covered = &self.covered;
-                let step = self.step;
-                active
-                    .by_rank
-                    .iter()
-                    .map(|&(_, idx)| idx)
-                    .filter(|&idx| {
-                        #[expect(
-                            clippy::expect_used,
-                            reason = "by_rank only indexes active slots, whose info is always populated"
-                        )]
-                        let info = active.info[idx].as_ref().expect("rank index is active");
-                        let context = (info.shift + step as i64) as usize;
-                        pool.held(idx) < pool.blocks_for_tokens(context + 1 - covered[idx])
-                    })
-                    .collect()
-            };
-            for grower in growers {
-                // An earlier grower may have evicted this one.
-                if !self.active.contains(grower) {
-                    continue;
-                }
-                #[expect(
-                    clippy::expect_used,
-                    reason = "the pool exists exactly when paged_block_tokens is set, checked by the enclosing guard"
-                )]
-                if self.pool.as_ref().expect("paged pool").fits(1) {
-                    self.pool.as_mut().expect("paged pool").grow(grower);
-                    continue;
-                }
-                // Unpinned cache blocks are reclaimed before any sequence
-                // is preempted for a grower's block.
-                if let Some(cache) = self.cache.as_mut() {
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "the pool exists exactly when paged_block_tokens is set, checked by the enclosing guard"
-                    )]
-                    let p = self.pool.as_mut().expect("paged pool");
-                    let cap = p.capacity_blocks().unwrap_or(u64::MAX);
-                    let shortfall = (p.used_blocks() + 1).saturating_sub(cap);
-                    let freed = cache.evict_for(shortfall);
-                    p.surrender_blocks(&freed);
-                    if p.fits(1) {
-                        p.grow(grower);
-                        continue;
-                    }
-                }
-                let victim = self.active.victims_outranking(self.ranks[grower]).next();
-                match victim {
-                    Some(victim) => {
-                        self.evict_victim(victim);
-                        #[expect(
-                            clippy::expect_used,
-                            reason = "the pool exists exactly when paged_block_tokens is set, checked by the enclosing guard"
-                        )]
-                        self.pool.as_mut().expect("paged pool").grow(grower);
-                    }
-                    None => self.evict_victim(grower),
-                }
-            }
-            // Sample pool usage for the utilization/fragmentation stats:
-            // held blocks vs. the context tokens stored in them (active
-            // contexts before this step's token, plus the full targets of
-            // chunk-prefilling sequences, whose blocks are held up front).
-            // Covered runs are stored once, in the cache's resident blocks,
-            // so they are subtracted from the active contexts and counted
-            // through the cache instead.
-            #[expect(
-                clippy::expect_used,
-                reason = "the pool exists exactly when paged_block_tokens is set, checked by the enclosing guard"
-            )]
-            let pool_ref = self.pool.as_ref().expect("paged pool");
-            self.kv_steps += 1;
-            self.kv_block_steps += pool_ref.used_blocks();
-            let active_tokens: u64 = self
-                .active
-                .groups
-                .iter()
-                .map(|(&shift, &count)| (shift + self.step as i64) as u64 * count as u64)
-                .sum();
-            self.kv_used_token_steps += active_tokens - self.active_covered_tokens
-                + self.prefill_target_tokens as u64
-                + self.cache.as_ref().map_or(0, |c| c.resident_tokens());
-        }
-
-        // 6. One shared step over the current batch composition, with any
-        // scheduled prefill chunks piggybacked on it. The chunk-free path
-        // prices through `decode_cost` directly, so stall-the-world
-        // reproduces the closed-loop costs bitwise. The composition comes
-        // straight off the active set's group index — O(distinct context
-        // lengths), not O(batch).
+    /// One shared step over the current batch composition, with any
+    /// scheduled prefill chunks piggybacked on it. The chunk-free path
+    /// prices through `decode_cost` directly, so stall-the-world reproduces
+    /// the closed-loop costs bitwise. The composition comes straight off
+    /// the active set's group index — O(distinct context lengths), not
+    /// O(batch).
+    fn price_step(&mut self) {
         let batch = self.active.batch_state(self.step);
         let outcome = if self.chunks.is_empty() {
             self.plan.cost.decode_cost(&batch)
@@ -1068,33 +734,21 @@ impl ReplicaSim {
             }
         }
         self.pending_first_token.clear();
-        let mut finished: Vec<(usize, ActiveInfo)> = Vec::new();
-        self.active
-            .drain_finished(self.step, |idx, info| finished.push((idx, info)));
-        for (idx, info) in finished {
+    }
+
+    /// Retire the sequences that generated their last token this step, then
+    /// seat the prompts that completed prefill in the decode batch for the
+    /// next boundary. Only the sequences that received a chunk this
+    /// boundary — the first `chunks.len()` entries, since chunks are handed
+    /// out FCFS from the front — can have newly completed, so the scan
+    /// stops there instead of walking the whole set.
+    fn harvest(&mut self) {
+        while let Some(idx) = self.active.next_finished(self.step) {
             self.records[idx].completed = self.clock;
             self.completed += 1;
-            match self.pool.as_mut() {
-                Some(pool) => {
-                    pool.release(idx);
-                }
-                None => self.active_kv_bytes -= info.kv_bytes,
-            }
-            self.generated[idx] += (self.step - info.join_step) as usize;
-            // The covered run outlives the request: releasing the lease
-            // leaves the prefix resident for later arrivals, reclaimable
-            // only under pressure.
-            self.active_covered_tokens -= self.covered[idx] as u64;
-            if let (Some(cache), Some(l)) = (self.cache.as_mut(), self.lease[idx].take()) {
-                cache.release(l);
-            }
+            self.leave_batch(idx);
+            self.release_claim(idx);
         }
-
-        // 7. Prompts that completed this step join the decode batch at the
-        // next token boundary. Only the sequences that received a chunk
-        // this boundary — the first `chunks.len()` entries, since chunks
-        // are handed out FCFS from the front — can have newly completed,
-        // so the scan stops there instead of walking the whole set.
         let mut i = 0;
         let mut touched = self.chunks.len().min(self.prefilling.len());
         while i < touched {
@@ -1102,27 +756,212 @@ impl ReplicaSim {
                 touched -= 1;
                 let seq = self.prefilling.remove(i);
                 self.prefill_target_tokens -= seq.target;
-                let request = &self.requests[seq.idx];
-                self.active_covered_tokens += self.covered[seq.idx] as u64;
-                self.active.join(
-                    seq.idx,
-                    seq.target + self.reused[seq.idx],
-                    request.gen_len - self.generated[seq.idx],
-                    if self.pool.is_some() {
-                        0
-                    } else {
-                        self.kv_bytes_per_request[seq.idx]
-                    },
-                    self.ranks[seq.idx],
-                    self.step,
-                );
-                if self.generated[seq.idx] == 0 {
-                    self.pending_first_token.push(seq.idx);
-                }
+                self.join_batch(seq.idx);
             } else {
                 i += 1;
             }
         }
-        Ok(BoundaryOutcome::Worked)
+    }
+
+    /// Seat request `idx` in the decode batch with its whole computed
+    /// context (prompt plus generated tokens). It decodes from the next
+    /// priced step, which stamps its first token if it has none yet.
+    fn join_batch(&mut self, idx: usize) {
+        let request = &self.requests[idx];
+        self.active_covered_tokens += self.covered[idx] as u64;
+        self.active.join(
+            idx,
+            request.prompt_len + self.generated[idx],
+            request.gen_len - self.generated[idx],
+            self.ranks[idx],
+            self.step,
+        );
+        if self.generated[idx] == 0 {
+            self.pending_first_token.push(idx);
+        }
+    }
+
+    /// Take active request `idx` out of the decode batch: record its
+    /// progress and release its own KV. Returns the bytes it had written,
+    /// which a swap-out moves.
+    fn leave_batch(&mut self, idx: usize) -> u64 {
+        let info = self.active.remove(idx);
+        self.generated[idx] += (self.step - info.join_step) as usize;
+        self.active_covered_tokens -= self.covered[idx] as u64;
+        let context = self.requests[idx].prompt_len + self.generated[idx];
+        let written = self.kv.written_bytes(idx, context);
+        self.kv.release(idx, self.kv_bytes_per_request[idx]);
+        written
+    }
+
+    /// Drop request `idx`'s cache claim: unpin its lease and forget its
+    /// covered and reused runs.
+    fn release_claim(&mut self, idx: usize) {
+        self.kv.release_lease(self.lease[idx].take());
+        self.covered[idx] = 0;
+        self.reused[idx] = 0;
+    }
+
+    /// Stamp request `idx`'s first admission when its prefill work starts
+    /// (re-admissions after a preemption keep the original queueing delay).
+    fn stamp_admitted(&mut self, idx: usize) {
+        if !self.ever_admitted[idx] {
+            self.records[idx].admitted = self.clock;
+            self.ever_admitted[idx] = true;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use hermes_core::{
+        ArrivalProcess, LengthDistribution, PrioritySpec, PromptSpec, RequestClass, Workload,
+    };
+    use hermes_model::ModelId;
+
+    use super::*;
+    use crate::arrival::sample_arrival_times;
+    use crate::scheduler::{AdmissionConfig, PrefixCacheMode, SchedulingPolicy};
+    use crate::simulator::{request_ranks, LENGTH_SEED_SALT, PREFIX_SEED_SALT};
+
+    /// Bursty, priority-ranked traffic over a KV budget of two worst-case
+    /// requests, so admission and growth preempt; shared prompt prefixes
+    /// feed the cache when one is on.
+    fn tight_scenario(
+        backend: usize,
+        preemption: PreemptionPolicy,
+        arrival_seed: u64,
+    ) -> ServingSimulation {
+        let mut template = Workload::paper_default(ModelId::Opt13B);
+        template.prompt_len = 24;
+        template.gen_len = 6;
+        let mut admission = AdmissionConfig::unlimited()
+            .with_kv_memory_bytes(request_kv_bytes(&template, 40, 10) * 2);
+        if backend > 0 {
+            admission = admission.with_paged_kv(4);
+        }
+        let sim = ServingSimulation::new(
+            template,
+            ArrivalProcess::Bursty {
+                rate: 2.0,
+                burst: 3,
+            },
+            14,
+        )
+        .with_arrival_seed(arrival_seed)
+        .with_admission(admission)
+        .with_classes(PrioritySpec::Cycle {
+            classes: vec![
+                RequestClass::new(0).with_ttft_deadline(2.0),
+                RequestClass::new(2),
+            ],
+        })
+        .with_lengths(LengthDistribution::Uniform {
+            prompt_min: 8,
+            prompt_max: 40,
+            gen_min: 1,
+            gen_max: 10,
+        })
+        .with_prompts(PromptSpec::SharedGroups {
+            groups: 2,
+            prefix_len: 16,
+        })
+        .with_scheduling(SchedulingPolicy::Priority)
+        .with_preemption(preemption)
+        .with_prefill(PrefillPolicy::Chunked {
+            chunk_tokens: 6,
+            budget: 12,
+        });
+        if backend == 2 {
+            sim.with_prefix_cache(PrefixCacheMode::Lru)
+        } else {
+            sim
+        }
+    }
+
+    /// A Hermes-base replica with every request of `sim` injected, sampled
+    /// the way `simulate` samples them.
+    fn loaded_replica(sim: &ServingSimulation) -> ReplicaSim {
+        let times = sample_arrival_times(&sim.arrival, sim.num_requests, sim.arrival_seed).unwrap();
+        let requests = ServingRequest::sample(
+            &sim.template,
+            &times,
+            &sim.lengths,
+            &sim.classes,
+            &sim.prompts,
+            sim.arrival_seed ^ LENGTH_SEED_SALT,
+            sim.arrival_seed ^ PREFIX_SEED_SALT,
+        )
+        .unwrap();
+        let mut replica = ReplicaSim::new(
+            SystemKind::hermes_base(),
+            &SystemConfig::paper_default(),
+            sim.clone(),
+        )
+        .unwrap();
+        replica.validate_requests(&requests).unwrap();
+        let ranks = request_ranks(sim.scheduling, &requests);
+        for (request, rank) in requests.into_iter().zip(ranks) {
+            replica.inject(request, rank);
+        }
+        replica
+    }
+
+    /// The replica holds no KV for any request: only cache-resident blocks
+    /// stay in the pool, no lease pins a path, and nothing is queued or
+    /// covered.
+    fn assert_holds_no_request_kv(replica: &ReplicaSim, context: &str) {
+        match &replica.kv {
+            KvBackend::Reserve { held_bytes, .. } => assert_eq!(*held_bytes, 0, "{context}"),
+            KvBackend::Paged { pool, cache } => assert_eq!(
+                pool.used_blocks(),
+                cache.as_ref().map_or(0, |c| c.resident_blocks()),
+                "{context}: pool blocks beyond the cache's"
+            ),
+        }
+        assert!(
+            replica.lease.iter().all(Option::is_none),
+            "{context}: lease held"
+        );
+        assert_eq!(replica.waiting_kv_bytes, 0, "{context}");
+        assert_eq!(replica.active_covered_tokens, 0, "{context}");
+    }
+
+    /// A leaked release never changes a later admission of the same run,
+    /// so the differential oracle cannot see it: check the end state
+    /// directly, after a full run and after a mid-run failure.
+    #[test]
+    fn drained_replica_holds_no_kv() {
+        for backend in 0..3 {
+            for preemption in [PreemptionPolicy::EvictAndRefill, PreemptionPolicy::SwapOut] {
+                let mut preempted = 0;
+                for seed in 0..4 {
+                    let sim = tight_scenario(backend, preemption, seed);
+                    let context = format!("backend {backend}, {preemption:?}, seed {seed}");
+
+                    let mut replica = loaded_replica(&sim);
+                    replica.run_to_completion().unwrap();
+                    assert_eq!(replica.completed(), sim.num_requests, "{context}");
+                    assert_holds_no_request_kv(&replica, &context);
+                    preempted += replica.records.iter().map(|r| r.preemptions).sum::<usize>();
+                    assert!(replica.extract_all().is_empty(), "{context}");
+                    assert_holds_no_request_kv(&replica, &context);
+
+                    let mut replica = loaded_replica(&sim);
+                    replica.advance_to(2.0).unwrap();
+                    let carried = replica.extract_all();
+                    assert_eq!(
+                        carried.len() + replica.completed(),
+                        sim.num_requests,
+                        "{context}"
+                    );
+                    assert_holds_no_request_kv(&replica, &format!("{context}, after a failure"));
+                }
+                assert!(
+                    preempted > 0,
+                    "backend {backend}, {preemption:?}: never preempted"
+                );
+            }
+        }
     }
 }

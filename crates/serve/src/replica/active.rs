@@ -8,7 +8,7 @@
 //! every step the way the sort-based reference scheduler does.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::ops::Bound;
 
 use hermes_core::BatchState;
@@ -27,16 +27,14 @@ use crate::queue::Rank;
 pub(super) struct ActiveInfo {
     /// Join generation, for invalidating stale finish-heap entries after an
     /// eviction (a re-join pushes a fresh entry with a newer epoch).
-    pub(super) epoch: u64,
+    epoch: u64,
     /// Global step count when the sequence joined the decode batch.
     pub(super) join_step: u64,
     /// `context_at_join - join_step`: the sequence's context at global step
     /// `s` is `shift + s` for as long as it stays active.
-    pub(super) shift: i64,
-    /// KV bytes reserved by this sequence.
-    pub(super) kv_bytes: u64,
+    shift: i64,
     /// Scheduling rank, kept for O(log n) removal from the rank index.
-    pub(super) rank: Rank,
+    rank: Rank,
 }
 
 /// The decode batch as indexed incremental state: O(log n) join/remove and
@@ -48,19 +46,20 @@ pub(super) struct ActiveInfo {
 ///   composition for [`BatchState::from_groups`] falls out of an in-order
 ///   walk without touching individual sequences (all contexts advance
 ///   together with the step counter);
-/// - `by_rank` orders active sequences by scheduling rank for
-///   worst-ranked-first victim selection under preemption;
+/// - `by_rank` orders active sequences by scheduling rank, with their
+///   shifts, for worst-ranked-first victim selection under preemption and
+///   the rank-order growth walk;
 /// - `finish` is the event heap of completion steps, validated lazily
 ///   against each sequence's `epoch` so evictions need not search the heap.
 pub(super) struct ActiveSet {
     /// Per-request active-sequence state (`None` when not decoding).
-    pub(super) info: Vec<Option<ActiveInfo>>,
+    info: Vec<Option<ActiveInfo>>,
     /// Number of active sequences.
     count: usize,
     /// Sequences per context shift (see [`ActiveInfo::shift`]).
-    pub(super) groups: BTreeMap<i64, usize>,
-    /// Active sequences ordered by (rank, request index).
-    pub(super) by_rank: BTreeSet<(Rank, usize)>,
+    groups: BTreeMap<i64, usize>,
+    /// Active sequences ordered by (rank, request index), to their shifts.
+    by_rank: BTreeMap<(Rank, usize), i64>,
     /// Completion events: (finish step, request index, join epoch).
     finish: BinaryHeap<Reverse<(u64, usize, u64)>>,
     /// Next join epoch.
@@ -73,7 +72,7 @@ impl ActiveSet {
             info: (0..num_requests).map(|_| None).collect(),
             count: 0,
             groups: BTreeMap::new(),
-            by_rank: BTreeSet::new(),
+            by_rank: BTreeMap::new(),
             finish: BinaryHeap::new(),
             next_epoch: 0,
         }
@@ -107,7 +106,6 @@ impl ActiveSet {
         idx: usize,
         context: usize,
         remaining: usize,
-        kv_bytes: u64,
         rank: f64,
         step: u64,
     ) {
@@ -121,13 +119,12 @@ impl ActiveSet {
         let epoch = self.next_epoch;
         self.next_epoch += 1;
         *self.groups.entry(shift).or_insert(0) += 1;
-        self.by_rank.insert((Rank(rank), idx));
+        self.by_rank.insert((Rank(rank), idx), shift);
         self.finish.push(Reverse((finish_step, idx, epoch)));
         self.info[idx] = Some(ActiveInfo {
             epoch,
             join_step: step,
             shift,
-            kv_bytes,
             rank: Rank(rank),
         });
         self.count += 1;
@@ -135,7 +132,7 @@ impl ActiveSet {
 
     /// Remove an active sequence (eviction or completion), returning its
     /// bookkeeping. Its finish-heap entry is left behind and invalidated by
-    /// the epoch check in [`ActiveSet::drain_finished`].
+    /// the epoch check in [`ActiveSet::next_finished`].
     pub(super) fn remove(&mut self, idx: usize) -> ActiveInfo {
         #[expect(
             clippy::expect_used,
@@ -164,6 +161,23 @@ impl ActiveSet {
         )
     }
 
+    /// Σ context tokens over the batch at global step `step`, in
+    /// O(distinct context lengths).
+    pub(super) fn total_context(&self, step: u64) -> u64 {
+        self.groups
+            .iter()
+            .map(|(&shift, &count)| (shift + step as i64) as u64 * count as u64)
+            .sum()
+    }
+
+    /// Every active sequence with its context at global step `step`, in
+    /// scheduling-rank order (best first).
+    pub(super) fn contexts_by_rank(&self, step: u64) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.by_rank
+            .iter()
+            .map(move |(&(_, idx), &shift)| (idx, (shift + step as i64) as usize))
+    }
+
     /// Active sequences strictly outranked by `rank`, worst-ranked first
     /// (latest arrival first within a rank) — the victim candidate order of
     /// `PreemptionPolicy::EvictAndRefill`.
@@ -171,33 +185,30 @@ impl ActiveSet {
         self.by_rank
             .range((Bound::Excluded((Rank(rank), usize::MAX)), Bound::Unbounded))
             .rev()
-            .map(|&(_, idx)| idx)
+            .map(|(&(_, idx), _)| idx)
     }
 
-    /// Pop every sequence whose last token was generated by global step
-    /// `step`, invoking `on_finish` with its bookkeeping. Stale entries of
-    /// evicted epochs are discarded.
-    pub(super) fn drain_finished(
-        &mut self,
-        step: u64,
-        mut on_finish: impl FnMut(usize, ActiveInfo),
-    ) {
+    /// The next sequence whose last token was generated by global step
+    /// `step`, discarding stale entries of evicted epochs on the way. The
+    /// sequence stays active until the caller removes it.
+    pub(super) fn next_finished(&mut self, step: u64) -> Option<usize> {
         while let Some(&Reverse((finish_step, idx, epoch))) = self.finish.peek() {
             if finish_step > step {
-                break;
+                return None;
             }
             self.finish.pop();
             if self.info[idx].as_ref().is_some_and(|i| i.epoch == epoch) {
-                let info = self.remove(idx);
-                on_finish(idx, info);
+                return Some(idx);
             }
         }
+        None
     }
 }
 
 /// A sequence admitted under chunked prefill whose prompt is still being
 /// processed. It holds its KV reservation but does not join the decode batch
 /// until the prompt completes.
+#[derive(Clone, Copy)]
 pub(super) struct PrefillingSequence {
     /// Index into the request/record vectors.
     pub(super) idx: usize,
@@ -207,7 +218,4 @@ pub(super) struct PrefillingSequence {
     pub(super) target: usize,
     /// Prefill tokens processed so far.
     pub(super) done: usize,
-    /// Whether the first chunk has been scheduled (admission is stamped when
-    /// it is).
-    pub(super) started: bool,
 }

@@ -8,11 +8,10 @@
 
 use hermes_core::ServingReport;
 
-use crate::kv::KvPool;
-use crate::prefix::PrefixCache;
+use crate::kv::KvBackend;
 use crate::request::{RequestRecord, ServingRequest};
 use crate::simulator::ServingOutcome;
-use crate::tallies::{build_report, KvTallies, PrefixTallies};
+use crate::tallies::build_report;
 
 use super::ReplicaSim;
 
@@ -101,12 +100,7 @@ impl ReplicaSim {
         // (or their reservation, under reserve accounting).
         while let Some(seq) = self.prefilling.pop() {
             self.prefill_target_tokens -= seq.target;
-            match self.pool.as_mut() {
-                Some(pool) => {
-                    pool.release(seq.idx);
-                }
-                None => self.active_kv_bytes -= self.kv_bytes_per_request[seq.idx],
-            }
+            self.kv.release(seq.idx, self.kv_bytes_per_request[seq.idx]);
             self.records[seq.idx].preemptions += 1;
             self.release_claim(seq.idx);
             self.extracted[seq.idx] = true;
@@ -119,16 +113,8 @@ impl ReplicaSim {
             .filter(|&idx| self.active.contains(idx))
             .collect();
         for idx in decoding {
-            let info = self.active.remove(idx);
-            self.generated[idx] += (self.step - info.join_step) as usize;
+            self.leave_batch(idx);
             self.records[idx].preemptions += 1;
-            self.active_covered_tokens -= self.covered[idx] as u64;
-            match self.pool.as_mut() {
-                Some(pool) => {
-                    pool.release(idx);
-                }
-                None => self.active_kv_bytes -= info.kv_bytes,
-            }
             self.release_claim(idx);
             self.extracted[idx] = true;
             self.extracted_count += 1;
@@ -137,35 +123,11 @@ impl ReplicaSim {
         self.pending_first_token.clear();
         self.chunks.clear();
         debug_assert_eq!(self.active_covered_tokens, 0);
-        debug_assert_eq!(self.active_kv_bytes, 0);
         // The machine's memory restarts cold: fresh pool (the block
         // high-water mark restarts with it), fresh cache.
-        if let Some(bt) = self.paged_block_tokens {
-            let block_bytes = bt as u64 * self.token_bytes;
-            let capacity = self.sim.admission.kv_memory_bytes.map(|b| b / block_bytes);
-            self.pool = Some(KvPool::new(bt, block_bytes, capacity, self.requests.len()));
-        }
-        if self.cache.is_some() {
-            #[expect(
-                clippy::expect_used,
-                reason = "validate_prefix_cache rejected any cache mode without paged accounting"
-            )]
-            let bt = self
-                .paged_block_tokens
-                .expect("prefix cache validated to require paged accounting");
-            self.cache = Some(PrefixCache::new(bt));
-        }
+        self.kv = KvBackend::new(&self.sim, self.requests.len());
         carried.sort_by_key(|c| c.record.id);
         carried
-    }
-
-    /// Drop request `idx`'s cache claim (lease, covered/reused runs).
-    fn release_claim(&mut self, idx: usize) {
-        if let (Some(cache), Some(l)) = (self.cache.as_mut(), self.lease[idx].take()) {
-            cache.release(l);
-        }
-        self.covered[idx] = 0;
-        self.reused[idx] = 0;
     }
 
     /// Package request `idx` for re-dispatch. The caller marks it
@@ -194,30 +156,11 @@ impl ReplicaSim {
         let records: &[RequestRecord] = if self.extracted_count == 0 {
             &self.records
         } else {
-            filtered = self
-                .records
-                .iter()
-                .zip(&self.extracted)
-                .filter(|&(_, &gone)| !gone)
-                .map(|(r, _)| r.clone())
-                .collect();
+            filtered = self.surviving_records();
             &filtered
         };
-        let kv_tallies = self.pool.as_ref().map(|pool| KvTallies {
-            block_tokens: pool.block_tokens(),
-            block_bytes: pool.block_bytes(),
-            capacity_blocks: pool.capacity_blocks(),
-            peak_blocks: pool.peak_blocks(),
-            block_steps: self.kv_block_steps,
-            used_token_steps: self.kv_used_token_steps,
-            steps: self.kv_steps,
-        });
-        let prefix_tallies = self.cache.as_ref().map(|cache| PrefixTallies {
-            stats: cache.stats(),
-            resident_blocks: cache.resident_blocks(),
-            resident_tokens: cache.resident_tokens(),
-            recomputed_prefill_tokens: self.recomputed_prefill_tokens,
-        });
+        let (kv_tallies, prefix_tallies) =
+            self.kv.tallies(self.usage, self.recomputed_prefill_tokens);
         build_report(
             &self.sim,
             &self.plan.spec,

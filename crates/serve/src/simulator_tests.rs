@@ -961,3 +961,67 @@ fn request_larger_than_the_paged_pool_is_rejected() {
         other => panic!("expected InvalidConfig, got {other:?}"),
     }
 }
+
+/// Every hardware rate, efficiency and latency knob fails closed: each of
+/// these probes used to return `Ok`, with infinite, NaN, negative or
+/// silently wrong reports.
+#[test]
+fn invalid_hardware_knobs_are_rejected() {
+    type Probe = (&'static str, SystemKind, fn(&mut SystemConfig));
+    let probes: [Probe; 9] = [
+        ("pcie.bandwidth = 0", SystemKind::hermes_base(), |c| {
+            c.pcie.bandwidth = 0.0;
+        }),
+        ("pcie.bandwidth = NaN", SystemKind::hermes_base(), |c| {
+            c.pcie.bandwidth = f64::NAN;
+        }),
+        ("pcie.efficiency = NaN", SystemKind::hermes_base(), |c| {
+            c.pcie.efficiency = f64::NAN;
+        }),
+        ("dimm.ndp_clock_hz = NaN", SystemKind::hermes_base(), |c| {
+            c.dimm.ndp_clock_hz = f64::NAN;
+        }),
+        ("pcie.latency = -1", SystemKind::hermes_base(), |c| {
+            c.pcie.latency = -1.0;
+        }),
+        (
+            "gpu.memory_bandwidth = NaN",
+            SystemKind::hermes_base(),
+            |c| {
+                c.gpu.memory_bandwidth = f64::NAN;
+            },
+        ),
+        ("gpu.tensor_flops = inf", SystemKind::hermes_base(), |c| {
+            c.gpu.tensor_flops = f64::INFINITY;
+        }),
+        (
+            "dimm.link_bandwidth = NaN",
+            SystemKind::hermes_base(),
+            |c| {
+                c.dimm.link_bandwidth = f64::NAN;
+            },
+        ),
+        (
+            "host_cpu.memory_bandwidth = NaN",
+            SystemKind::hermes_host(),
+            |c| {
+                c.host_cpu.memory_bandwidth = f64::NAN;
+            },
+        ),
+    ];
+    let mut template = Workload::paper_default(ModelId::Opt13B);
+    template.prompt_len = 24;
+    template.gen_len = 6;
+    let sim = ServingSimulation::new(template, ArrivalProcess::Poisson { rate: 2.0 }, 50);
+    for (probe, kind, corrupt) in probes {
+        let mut config = config();
+        corrupt(&mut config);
+        assert!(
+            matches!(
+                simulate(kind, &config, &sim),
+                Err(HermesError::InvalidConfig(_))
+            ),
+            "{probe} must be rejected"
+        );
+    }
+}

@@ -5,10 +5,13 @@
 
 use proptest::prelude::*;
 
-use hermes::core::{ArrivalProcess, LengthDistribution, SystemConfig, SystemKind, Workload};
+use hermes::core::{
+    ArrivalProcess, LengthDistribution, PromptSpec, SystemConfig, SystemKind, Workload,
+};
 use hermes::model::ModelId;
 use hermes::serve::{
-    simulate, simulate_cluster, BatchingPolicy, ClusterSimulation, PrefillPolicy, ReplicaEvent,
+    request_kv_bytes, simulate, simulate_cluster, AdmissionConfig, BatchingPolicy,
+    ClusterSimulation, PreemptionPolicy, PrefillPolicy, PrefixCacheMode, ReplicaEvent,
     RoutingPolicy, ServingSimulation,
 };
 
@@ -33,6 +36,30 @@ fn routing_of(selector: usize) -> RoutingPolicy {
         1 => RoutingPolicy::LeastOutstanding,
         2 => RoutingPolicy::KvPressure,
         _ => RoutingPolicy::PrefixAffinity,
+    }
+}
+
+/// The replicas' KV accounting: reserve (selector 0), or a paged pool
+/// bounded to two worst-case requests, whose growth preempts by
+/// evict-and-refill (1) or by swap-out with a prefix cache over shared
+/// prompt prefixes (2).
+fn with_kv_mode(sim: ServingSimulation, selector: usize) -> ServingSimulation {
+    if selector == 0 {
+        return sim;
+    }
+    let bounded_paged = AdmissionConfig::unlimited()
+        .with_kv_memory_bytes(request_kv_bytes(&template(), 40, 10) * 2)
+        .with_paged_kv(4);
+    let sim = sim.with_admission(bounded_paged);
+    if selector == 1 {
+        sim.with_preemption(PreemptionPolicy::EvictAndRefill)
+    } else {
+        sim.with_preemption(PreemptionPolicy::SwapOut)
+            .with_prompts(PromptSpec::SharedGroups {
+                groups: 2,
+                prefix_len: 16,
+            })
+            .with_prefix_cache(PrefixCacheMode::Lru)
     }
 }
 
@@ -121,7 +148,8 @@ proptest! {
     /// recover: every offered request completes exactly once somewhere,
     /// the summed per-replica token counts equal the summed per-record
     /// generation lengths (restart-with-recompute re-prices prefill, never
-    /// decode), and every record keeps its original arrival stamp.
+    /// decode), and every record keeps its original arrival stamp — under
+    /// reserve, bounded paged and cached paged KV alike.
     #[test]
     fn fleet_conserves_tokens_across_drain_and_fail(
         arrival_sel in 0usize..3,
@@ -136,6 +164,7 @@ proptest! {
         event_sel in 0usize..3,
         event_at in 0.0f64..4.0,
         heterogeneous in 0usize..2,
+        kv_mode in 0usize..3,
     ) {
         let mut sim = ServingSimulation::new(
             template(),
@@ -152,6 +181,7 @@ proptest! {
                 gen_max: 10,
             });
         }
+        sim = with_kv_mode(sim, kv_mode);
         // Replica 0 drains or fails mid-run and later recovers; the other
         // replicas absorb the handed-back work.
         let events = match event_sel {

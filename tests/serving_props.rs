@@ -103,12 +103,13 @@ proptest! {
         }
     }
 
-    /// Preemption invariants: under `EvictAndRefill` with priority or EDF
-    /// scheduling and a tight KV cap, every offered request still completes
-    /// (preempted ones included), token conservation holds exactly (restart
-    /// with recompute re-prices prefill, never decode), each record's
-    /// lifecycle stays ordered, and within a priority tier first admissions
-    /// preserve FCFS (arrival) order.
+    /// Preemption invariants: under `EvictAndRefill` or `SwapOut` with
+    /// priority or EDF scheduling and a tight KV cap, every offered request
+    /// still completes (preempted ones included), token conservation holds
+    /// exactly (restart with recompute re-prices prefill, never decode;
+    /// a swap-in resumes decode where it stopped), each record's lifecycle
+    /// stays ordered, and within a priority tier first admissions preserve
+    /// FCFS (arrival) order.
     #[test]
     fn preemption_invariants_hold_under_evict_and_refill(
         arrival_sel in 0usize..3,
@@ -121,8 +122,14 @@ proptest! {
         seats in 1u64..4,
         edf in 0usize..2,
         heterogeneous in 0usize..2,
+        swap_out in 0usize..2,
     ) {
         let scheduling = if edf == 1 { SchedulingPolicy::Edf } else { SchedulingPolicy::Priority };
+        let preemption = if swap_out == 1 {
+            PreemptionPolicy::SwapOut
+        } else {
+            PreemptionPolicy::EvictAndRefill
+        };
         // Interactive tier-0 requests with a TTFT deadline interleaved with
         // best-effort tier-2 bulk (deadlines grow with arrival order, so
         // EDF's per-tier order is FCFS too).
@@ -144,7 +151,7 @@ proptest! {
         .with_admission(AdmissionConfig::unlimited().with_kv_memory_bytes(worst_kv * seats))
         .with_classes(classes)
         .with_scheduling(scheduling)
-        .with_preemption(PreemptionPolicy::EvictAndRefill)
+        .with_preemption(preemption)
         .with_prefill(prefill_of(prefill_sel, chunk_tokens, budget));
         if heterogeneous == 1 {
             sim = sim.with_lengths(LengthDistribution::Uniform {

@@ -211,6 +211,33 @@ fn priority_swap_out_paged_chunked_poisson() {
 }
 
 #[test]
+fn swapped_victim_resuming_before_its_first_token_gets_it_stamped() {
+    // One-token blocks under bursty overload: chunked-prefill finishers and
+    // fresh joiners are swapped out before their first priced step, then
+    // resume with nothing generated. Their first decoded token must still
+    // be stamped, as the oracle stamps it.
+    let sim = ServingSimulation::new(
+        template(),
+        ArrivalProcess::Bursty {
+            rate: 2.0,
+            burst: 3,
+        },
+        14,
+    )
+    .with_arrival_seed(0)
+    .with_admission(tight_kv(3).with_paged_kv(1))
+    .with_classes(mixed_classes())
+    .with_lengths(uniform_lengths())
+    .with_scheduling(SchedulingPolicy::Priority)
+    .with_preemption(PreemptionPolicy::SwapOut)
+    .with_prefill(PrefillPolicy::Chunked {
+        chunk_tokens: 6,
+        budget: 12,
+    });
+    assert_equivalent(&sim);
+}
+
+#[test]
 fn edf_paged_eviction_chunked_bursty() {
     let sim = ServingSimulation::new(
         template(),
