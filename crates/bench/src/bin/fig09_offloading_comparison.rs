@@ -11,7 +11,7 @@
 use serde::{Deserialize, Serialize};
 
 use hermes_bench::{geomean_speedup, run_lineup};
-use hermes_core::{SystemConfig, SystemKind, Workload};
+use hermes_core::{HermesError, SystemConfig, SystemKind, Workload};
 use hermes_model::ModelId;
 
 /// One (system, model) cell of the figure.
@@ -52,7 +52,7 @@ struct FigureOutput {
     speedups: Vec<FigureSpeedup>,
 }
 
-fn main() {
+fn main() -> Result<(), HermesError> {
     let json = std::env::args().any(|a| a == "--json");
     let config = SystemConfig::paper_default();
     let systems = [
@@ -66,7 +66,7 @@ fn main() {
     let mut per_system: Vec<Vec<hermes_bench::Cell>> = vec![Vec::new(); systems.len()];
     for model in models {
         let workload = Workload::paper_default(model);
-        let cells = run_lineup(&systems, &workload, &config);
+        let cells = run_lineup(&systems, &workload, &config)?;
         for (i, c) in cells.into_iter().enumerate() {
             per_system[i].push(c);
         }
@@ -107,7 +107,7 @@ fn main() {
             "{}",
             serde_json::to_string_pretty(&output).expect("serializable figure")
         );
-        return;
+        return Ok(());
     }
 
     println!("# Fig. 9 — offloading-based systems, batch 1 (tokens/s)");
@@ -123,4 +123,5 @@ fn main() {
             speedup.baseline, speedup.geomean
         );
     }
+    Ok(())
 }

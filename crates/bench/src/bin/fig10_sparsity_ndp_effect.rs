@@ -10,7 +10,7 @@
 use serde::{Deserialize, Serialize};
 
 use hermes_bench::{geomean_speedup, run_lineup};
-use hermes_core::{SystemConfig, SystemKind, Workload};
+use hermes_core::{HermesError, SystemConfig, SystemKind, Workload};
 use hermes_model::ModelId;
 
 /// One system's row across every model.
@@ -37,7 +37,7 @@ struct FigureOutput {
     base_over_accelerate: Option<f64>,
 }
 
-fn main() {
+fn main() -> Result<(), HermesError> {
     let json = std::env::args().any(|a| a == "--json");
     let config = SystemConfig::paper_default();
     let systems = [
@@ -53,7 +53,7 @@ fn main() {
     let mut per_system: Vec<Vec<hermes_bench::Cell>> = vec![Vec::new(); systems.len()];
     for model in models {
         let workload = Workload::paper_default(model);
-        for (i, c) in run_lineup(&systems, &workload, &config)
+        for (i, c) in run_lineup(&systems, &workload, &config)?
             .into_iter()
             .enumerate()
         {
@@ -83,7 +83,7 @@ fn main() {
             "{}",
             serde_json::to_string_pretty(&output).expect("serializable figure")
         );
-        return;
+        return Ok(());
     }
 
     println!("# Fig. 10 — activation sparsity & NDP design, batch 1 (tokens/s)");
@@ -102,4 +102,5 @@ fn main() {
     if let Some(s) = base {
         println!("Hermes-base speedup over Accelerate: {s:.2}x");
     }
+    Ok(())
 }

@@ -11,7 +11,7 @@
 use serde::{Deserialize, Serialize};
 
 use hermes_bench::run_lineup;
-use hermes_core::{SystemConfig, SystemKind, Workload};
+use hermes_core::{HermesError, SystemConfig, SystemKind, Workload};
 use hermes_model::ModelId;
 
 /// One (system, batch) cell of the figure.
@@ -50,7 +50,7 @@ struct FigureOutput {
     tables: Vec<FigureTable>,
 }
 
-fn main() {
+fn main() -> Result<(), HermesError> {
     let json = std::env::args().any(|a| a == "--json");
     let config = SystemConfig::paper_default();
     let systems = SystemKind::figure9_lineup();
@@ -64,7 +64,7 @@ fn main() {
         let mut per_system: Vec<Vec<hermes_bench::Cell>> = vec![Vec::new(); systems.len()];
         for &batch in &batches {
             let workload = Workload::paper_default(model).with_batch(batch);
-            for (i, cell) in run_lineup(&systems, &workload, &config)
+            for (i, cell) in run_lineup(&systems, &workload, &config)?
                 .into_iter()
                 .enumerate()
             {
@@ -104,7 +104,7 @@ fn main() {
             "{}",
             serde_json::to_string_pretty(&output).expect("serializable figure")
         );
-        return;
+        return Ok(());
     }
 
     for (model, per_system) in models.iter().zip(&measured) {
@@ -119,4 +119,5 @@ fn main() {
             println!("| {} | {} |", kind.name(), row.join(" | "));
         }
     }
+    Ok(())
 }

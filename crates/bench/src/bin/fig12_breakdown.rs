@@ -9,7 +9,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use hermes_core::{try_run_system, SystemConfig, SystemKind, Workload};
+use hermes_bench::run_or_np;
+use hermes_core::{HermesError, SystemConfig, SystemKind, Workload};
 use hermes_model::ModelId;
 
 /// One config's per-token breakdown (ms amortised per generated token), or
@@ -41,8 +42,13 @@ struct FigureOutput {
     sections: Vec<FigureSection>,
 }
 
-fn measure(label: &str, workload: &Workload, kind: SystemKind, config: &SystemConfig) -> FigureRow {
-    let components = try_run_system(kind, workload, config).ok().map(|report| {
+fn measure(
+    label: &str,
+    workload: &Workload,
+    kind: SystemKind,
+    config: &SystemConfig,
+) -> Result<FigureRow, HermesError> {
+    let components = run_or_np(kind, workload, config)?.map(|report| {
         let per_token = 1e3 / workload.gen_len as f64;
         let b = &report.breakdown;
         [
@@ -55,13 +61,13 @@ fn measure(label: &str, workload: &Workload, kind: SystemKind, config: &SystemCo
             b.others * per_token,
         ]
     });
-    FigureRow {
+    Ok(FigureRow {
         config: label.to_string(),
         components,
-    }
+    })
 }
 
-fn main() {
+fn main() -> Result<(), HermesError> {
     let json = std::env::args().any(|a| a == "--json");
     let config = SystemConfig::paper_default();
     let batches = [1usize, 4, 16];
@@ -77,13 +83,13 @@ fn main() {
                 &w,
                 SystemKind::DejaVu,
                 &config,
-            ));
+            )?);
             rows.push(measure(
                 &format!("Hermes {model} b{batch}"),
                 &w,
                 SystemKind::hermes(),
                 &config,
-            ));
+            )?);
         }
     }
     sections.push(FigureSection {
@@ -99,13 +105,13 @@ fn main() {
                 &w,
                 SystemKind::hermes_base(),
                 &config,
-            ));
+            )?);
             rows.push(measure(
                 &format!("Hermes {model} b{batch}"),
                 &w,
                 SystemKind::hermes(),
                 &config,
-            ));
+            )?);
         }
     }
     sections.push(FigureSection {
@@ -131,7 +137,7 @@ fn main() {
             "{}",
             serde_json::to_string_pretty(&output).expect("serializable figure")
         );
-        return;
+        return Ok(());
     }
 
     for section in &sections {
@@ -153,4 +159,5 @@ fn main() {
         }
         println!();
     }
+    Ok(())
 }

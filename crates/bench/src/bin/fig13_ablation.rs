@@ -10,7 +10,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use hermes_core::{HermesOptions, HermesSystem, SystemConfig, Workload};
+use hermes_bench::run_or_np;
+use hermes_core::{HermesError, HermesOptions, SystemConfig, SystemKind, Workload};
 use hermes_model::ModelId;
 
 /// One variant's speedups over Hermes-random across the batch sizes.
@@ -40,19 +41,23 @@ struct FigureOutput {
     tables: Vec<FigureTable>,
 }
 
-fn fc_latency(model: ModelId, batch: usize, options: HermesOptions, config: &SystemConfig) -> f64 {
+/// Sparse-FC latency of one variant, `NaN` for an N.P. cell.
+fn fc_latency(
+    model: ModelId,
+    batch: usize,
+    options: HermesOptions,
+    config: &SystemConfig,
+) -> Result<f64, HermesError> {
     let workload = Workload::paper_default(model).with_batch(batch);
-    HermesSystem::new(workload, config.clone(), options)
-        .run()
-        .map(|r| r.breakdown.fc)
-        .unwrap_or(f64::NAN)
+    let report = run_or_np(SystemKind::Hermes(options), &workload, config)?;
+    Ok(report.map_or(f64::NAN, |r| r.breakdown.fc))
 }
 
 /// A named scheduling-ablation variant (constructor kept as a fn pointer so
 /// the table below stays data).
 type Variant = (&'static str, fn() -> HermesOptions);
 
-fn main() {
+fn main() -> Result<(), HermesError> {
     let json = std::env::args().any(|a| a == "--json");
     let config = SystemConfig::paper_default();
     let variants: [Variant; 6] = [
@@ -74,7 +79,7 @@ fn main() {
         for (row, (name, make)) in variants.iter().enumerate() {
             let mut speedups = Vec::new();
             for (bi, &batch) in batches.iter().enumerate() {
-                let fc = fc_latency(model, batch, make(), &config);
+                let fc = fc_latency(model, batch, make(), &config)?;
                 if row == 0 {
                     baseline[bi] = fc;
                 }
@@ -100,7 +105,7 @@ fn main() {
             "{}",
             serde_json::to_string_pretty(&output).expect("serializable figure")
         );
-        return;
+        return Ok(());
     }
 
     println!("# Fig. 13 — scheduling ablation (speedup over Hermes-random, FC latency)");
@@ -116,4 +121,5 @@ fn main() {
             println!("| {} | {} |", row.variant, cells.join(" | "));
         }
     }
+    Ok(())
 }

@@ -10,7 +10,7 @@
 use serde::{Deserialize, Serialize};
 
 use hermes_bench::run_cell;
-use hermes_core::{SystemConfig, SystemKind, Workload};
+use hermes_core::{HermesError, SystemConfig, SystemKind, Workload};
 use hermes_model::ModelId;
 
 /// One (model, DIMM count) cell of the figure.
@@ -40,7 +40,7 @@ struct FigureOutput {
     rows: Vec<FigureRow>,
 }
 
-fn main() {
+fn main() -> Result<(), HermesError> {
     let json = std::env::args().any(|a| a == "--json");
     let dimm_counts = [1usize, 2, 4, 8, 16];
     let models = [
@@ -59,9 +59,9 @@ fn main() {
                     let config = SystemConfig::paper_default().with_num_dimms(d);
                     run_cell(SystemKind::hermes(), &workload, &config)
                 })
-                .collect()
+                .collect::<Result<_, _>>()
         })
-        .collect();
+        .collect::<Result<_, _>>()?;
 
     if json {
         let output = FigureOutput {
@@ -86,7 +86,7 @@ fn main() {
             "{}",
             serde_json::to_string_pretty(&output).expect("serializable figure")
         );
-        return;
+        return Ok(());
     }
 
     println!("# Fig. 14 — throughput vs number of NDP-DIMMs (tokens/s, batch 1)");
@@ -99,4 +99,5 @@ fn main() {
         let row: Vec<String> = cells.iter().map(|c| c.formatted()).collect();
         println!("| {model} | {} |", row.join(" | "));
     }
+    Ok(())
 }

@@ -2,11 +2,11 @@
 //! (Tesla T4, RTX 3090, RTX 4090) across batch sizes.
 
 use hermes_bench::run_cell;
-use hermes_core::{SystemConfig, SystemKind, Workload};
+use hermes_core::{HermesError, SystemConfig, SystemKind, Workload};
 use hermes_gpu::GpuDevice;
 use hermes_model::ModelId;
 
-fn main() {
+fn main() -> Result<(), HermesError> {
     let batches = [1usize, 4, 16];
     println!("# Fig. 15 — GPU sensitivity (tokens/s)");
     println!("| model / batch | Tesla T4 | RTX 3090 | RTX 4090 |");
@@ -18,10 +18,11 @@ fn main() {
                 .into_iter()
                 .map(|gpu| {
                     let config = SystemConfig::paper_default().with_gpu(gpu);
-                    run_cell(SystemKind::hermes(), &workload, &config).formatted()
+                    run_cell(SystemKind::hermes(), &workload, &config).map(|c| c.formatted())
                 })
-                .collect();
+                .collect::<Result<_, _>>()?;
             println!("| {model} b{batch} | {} |", cells.join(" | "));
         }
     }
+    Ok(())
 }

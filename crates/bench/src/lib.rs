@@ -6,15 +6,17 @@
 //! latency breakdowns). Absolute numbers come from the analytic substrate
 //! models of this repository rather than the authors' testbed; the *shape*
 //! of each result (who wins, by roughly what factor, where crossovers fall)
-//! is the reproduction target. See `EXPERIMENTS.md` at the repository root
-//! for the paper-vs-measured comparison.
+//! is the reproduction target. See "Figure binaries" in the repository's
+//! README for the list of binaries and what each one regenerates.
 
 pub mod cluster_sweep;
 pub mod serving_sweep;
 pub mod sweep;
 pub mod throughput;
 
-use hermes_core::{try_run_system, InferenceReport, SystemConfig, SystemKind, Workload};
+use hermes_core::{
+    try_run_system, HermesError, InferenceReport, SystemConfig, SystemKind, Workload,
+};
 use hermes_model::ModelId;
 
 /// Result of one (system, workload) cell of a figure.
@@ -43,29 +45,61 @@ impl Cell {
     }
 }
 
-/// Run one system on one workload, mapping unsupported combinations to an
-/// "N.P." cell exactly like the paper's figures do.
-pub fn run_cell(kind: SystemKind, workload: &Workload, config: &SystemConfig) -> Cell {
+/// Run one system on one workload, with the paper's "N.P." as `Ok(None)`.
+///
+/// N.P. means the system cannot run the model at all: it does not support
+/// the model family ([`HermesError::ModelNotSupported`]) or the model does
+/// not fit ([`HermesError::InsufficientMemory`]).
+///
+/// # Errors
+///
+/// Every other [`HermesError`], so that an invalid input fails the figure
+/// instead of showing up as a blank cell.
+pub fn run_or_np(
+    kind: SystemKind,
+    workload: &Workload,
+    config: &SystemConfig,
+) -> Result<Option<InferenceReport>, HermesError> {
     match try_run_system(kind, workload, config) {
-        Ok(report) => Cell {
-            system: kind.name(),
-            model: workload.model,
-            batch: workload.batch,
-            tokens_per_second: Some(report.tokens_per_second()),
-            report: Some(report),
-        },
-        Err(_) => Cell {
-            system: kind.name(),
-            model: workload.model,
-            batch: workload.batch,
-            tokens_per_second: None,
-            report: None,
-        },
+        Ok(report) => Ok(Some(report)),
+        Err(HermesError::ModelNotSupported { .. } | HermesError::InsufficientMemory { .. }) => {
+            Ok(None)
+        }
+        Err(e) => Err(e),
     }
 }
 
+/// Run one system on one workload as a figure cell ("N.P." as in
+/// [`run_or_np`]).
+///
+/// # Errors
+///
+/// Every [`HermesError`] that is not an N.P.
+pub fn run_cell(
+    kind: SystemKind,
+    workload: &Workload,
+    config: &SystemConfig,
+) -> Result<Cell, HermesError> {
+    let report = run_or_np(kind, workload, config)?;
+    Ok(Cell {
+        system: kind.name(),
+        model: workload.model,
+        batch: workload.batch,
+        tokens_per_second: report.as_ref().map(InferenceReport::tokens_per_second),
+        report,
+    })
+}
+
 /// Run a lineup of systems on the same workload.
-pub fn run_lineup(systems: &[SystemKind], workload: &Workload, config: &SystemConfig) -> Vec<Cell> {
+///
+/// # Errors
+///
+/// The first [`HermesError`] that is not an N.P.
+pub fn run_lineup(
+    systems: &[SystemKind],
+    workload: &Workload,
+    config: &SystemConfig,
+) -> Result<Vec<Cell>, HermesError> {
     systems
         .iter()
         .map(|&kind| run_cell(kind, workload, config))
@@ -116,9 +150,34 @@ mod tests {
         let mut w = Workload::paper_default(ModelId::Llama2_13B);
         w.gen_len = 4;
         w.prompt_len = 8;
-        let cell = run_cell(SystemKind::FlexGen, &w, &config);
+        let cell = run_cell(SystemKind::FlexGen, &w, &config).unwrap();
         assert_eq!(cell.formatted(), "N.P.");
         assert!(cell.report.is_none());
+    }
+
+    #[test]
+    fn invalid_configs_are_errors_not_np() {
+        let mut w = Workload::paper_default(ModelId::Opt13B);
+        w.gen_len = 4;
+        w.prompt_len = 8;
+        let mut bad = SystemConfig::paper_default();
+        bad.num_dimms = 0;
+        assert!(matches!(
+            run_cell(SystemKind::hermes(), &w, &bad),
+            Err(HermesError::InvalidConfig(_))
+        ));
+        let mut bad = SystemConfig::paper_default();
+        bad.offload_bandwidth_derate = 0.0;
+        assert!(matches!(
+            run_lineup(&[SystemKind::hermes(), SystemKind::Accelerate], &w, &bad),
+            Err(HermesError::InvalidConfig(_))
+        ));
+        // A model that does not fit on the DIMMs is an N.P. cell, not an
+        // error.
+        w.model = ModelId::Llama2_70B;
+        let small = SystemConfig::paper_default().with_num_dimms(2);
+        let cell = run_cell(SystemKind::hermes(), &w, &small).unwrap();
+        assert_eq!(cell.formatted(), "N.P.");
     }
 
     #[test]
@@ -127,7 +186,8 @@ mod tests {
         let mut w = Workload::paper_default(ModelId::Opt13B);
         w.gen_len = 4;
         w.prompt_len = 8;
-        let cells = run_lineup(&[SystemKind::Accelerate, SystemKind::hermes()], &w, &config);
+        let cells =
+            run_lineup(&[SystemKind::Accelerate, SystemKind::hermes()], &w, &config).unwrap();
         assert_eq!(cells.len(), 2);
         let speedup = geomean_speedup(&cells[1..], &cells[..1]).unwrap();
         assert!(speedup > 1.0);

@@ -4,10 +4,8 @@
 //! Each baseline is modelled as a step-wise engine like the Hermes family:
 //! a `*_plan` planner precomputes the run and hands pricing over to a
 //! [`StepCostModel`] that prices one decode step for the *current* batch
-//! composition, and an [`InferenceEngine`] wrapper ([`AccelerateEngine`],
-//! [`FlexGenEngine`], [`DejaVuEngine`], [`TensorRtLlmEngine`]) validates
-//! inputs and opens sessions over the plan. The classic `run_*` helpers
-//! remain as thin one-shot drivers over those plans.
+//! composition. [`Engine::plan`](crate::Engine::plan) validates the inputs,
+//! calls the planner and opens sessions over the plan.
 
 use hermes_gpu::{GpuDevice, KernelCostModel};
 use hermes_model::{Block, LayerShape, ModelConfig};
@@ -16,17 +14,13 @@ use hermes_sparsity::{
     ClusterPopSums, NeuronPopularity, SparsityProfile, StatisticalActivityModel,
 };
 
-use crate::engine::{
-    drive, BatchState, InferenceEngine, PlannedRun, SessionSpec, SimSession, StepCostModel,
-    StepOutcome,
-};
-use crate::error::HermesError;
-use crate::report::{InferenceReport, LatencyBreakdown};
+use crate::engine::{BatchState, Planned, StepCostModel, StepOutcome};
+use crate::report::LatencyBreakdown;
 use crate::{SystemConfig, Workload};
 
-/// Default GPU-to-GPU interconnect bandwidth of the TensorRT-LLM reference
-/// platform (NVLink-class, bytes/s).
-pub const TENSORRT_INTERCONNECT_BANDWIDTH: f64 = 300.0e9;
+/// GPU-to-GPU interconnect bandwidth of the TensorRT-LLM reference platform
+/// (NVLink-class, bytes/s).
+const TENSORRT_INTERCONNECT_BANDWIDTH: f64 = 300.0e9;
 
 /// Cost model of a HuggingFace Accelerate run: weights that do not fit on
 /// the GPU are streamed from host memory layer by layer, synchronously, for
@@ -84,7 +78,7 @@ impl StepCostModel for AccelerateCostModel {
 }
 
 /// Plan a HuggingFace Accelerate run.
-pub(crate) fn accelerate_plan(workload: &Workload, config: &SystemConfig) -> PlannedRun {
+pub(crate) fn accelerate_plan(workload: &Workload, config: &SystemConfig) -> Planned {
     let cfg = workload.model_config();
     let shape = cfg.layer_shape();
     let kernel = KernelCostModel::new(config.gpu.clone());
@@ -105,28 +99,7 @@ pub(crate) fn accelerate_plan(workload: &Workload, config: &SystemConfig) -> Pla
         bandwidth,
         pcie_latency: config.pcie.latency,
     };
-    let spec = SessionSpec {
-        system: "Huggingface Accelerate".to_string(),
-        workload: workload.clone(),
-        prefill_seconds: cost.prefill_cost(workload.prompt_len, workload.batch),
-        gpu_weight_bytes: resident,
-        hot_neuron_bytes: 0,
-        hot_coverage: 0.0,
-    };
-    PlannedRun {
-        spec,
-        cost: Box::new(cost),
-    }
-}
-
-/// HuggingFace Accelerate, one-shot: drive the planned run to completion.
-///
-/// Low-level and unchecked: the workload/config are simulated as given,
-/// without validation. Use [`AccelerateEngine`] (or
-/// [`try_run_system`](crate::try_run_system)) for the validating entry
-/// point that reports invalid inputs as [`HermesError`].
-pub fn run_accelerate(workload: &Workload, config: &SystemConfig) -> InferenceReport {
-    drive(SimSession::from_plan(accelerate_plan(workload, config)))
+    Planned::dense(cost, resident)
 }
 
 /// Cost model of a FlexGen run: zig-zag block scheduling that overlaps
@@ -187,7 +160,7 @@ impl StepCostModel for FlexGenCostModel {
 }
 
 /// Plan a FlexGen run.
-pub(crate) fn flexgen_plan(workload: &Workload, config: &SystemConfig) -> PlannedRun {
+pub(crate) fn flexgen_plan(workload: &Workload, config: &SystemConfig) -> Planned {
     let cfg = workload.model_config();
     let shape = cfg.layer_shape();
     let kernel = KernelCostModel::new(config.gpu.clone());
@@ -204,29 +177,7 @@ pub(crate) fn flexgen_plan(workload: &Workload, config: &SystemConfig) -> Planne
         streamed,
         bandwidth,
     };
-    let spec = SessionSpec {
-        system: "FlexGen".to_string(),
-        workload: workload.clone(),
-        prefill_seconds: cost.prefill_cost(workload.prompt_len, workload.batch),
-        gpu_weight_bytes: resident,
-        hot_neuron_bytes: 0,
-        hot_coverage: 0.0,
-    };
-    PlannedRun {
-        spec,
-        cost: Box::new(cost),
-    }
-}
-
-/// FlexGen, one-shot: drive the planned run to completion.
-///
-/// Low-level and unchecked: no validation and no OPT-family guard — the
-/// caller is responsible for only passing OPT workloads. Use
-/// [`FlexGenEngine`] (or [`try_run_system`](crate::try_run_system)) for the
-/// validating entry point that reports unsupported models as
-/// [`HermesError::ModelNotSupported`].
-pub fn run_flexgen(workload: &Workload, config: &SystemConfig) -> InferenceReport {
-    drive(SimSession::from_plan(flexgen_plan(workload, config)))
+    Planned::dense(cost, resident)
 }
 
 /// Cost model of a Deja Vu run (adapted to offloading): activation sparsity
@@ -314,7 +265,7 @@ impl StepCostModel for DejaVuCostModel {
 }
 
 /// Plan a Deja Vu run.
-pub(crate) fn dejavu_plan(workload: &Workload, config: &SystemConfig) -> PlannedRun {
+pub(crate) fn dejavu_plan(workload: &Workload, config: &SystemConfig) -> Planned {
     let cfg = workload.model_config();
     let shape = cfg.layer_shape();
     let kernel = KernelCostModel::new(config.gpu.clone());
@@ -367,29 +318,7 @@ pub(crate) fn dejavu_plan(workload: &Workload, config: &SystemConfig) -> Planned
         predictor_flops_per_token,
         prefill_streamed,
     };
-    let spec = SessionSpec {
-        system: "Deja Vu".to_string(),
-        workload: workload.clone(),
-        prefill_seconds: cost.prefill_cost(workload.prompt_len, workload.batch),
-        gpu_weight_bytes,
-        hot_neuron_bytes: 0,
-        hot_coverage: 0.0,
-    };
-    PlannedRun {
-        spec,
-        cost: Box::new(cost),
-    }
-}
-
-/// Deja Vu, one-shot: drive the planned run to completion.
-///
-/// Low-level and unchecked: no validation and no OPT-family guard — the
-/// caller is responsible for only passing OPT workloads. Use
-/// [`DejaVuEngine`] (or [`try_run_system`](crate::try_run_system)) for the
-/// validating entry point that reports unsupported models as
-/// [`HermesError::ModelNotSupported`].
-pub fn run_dejavu(workload: &Workload, config: &SystemConfig) -> InferenceReport {
-    drive(SimSession::from_plan(dejavu_plan(workload, config)))
+    Planned::dense(cost, gpu_weight_bytes)
 }
 
 /// Cost model of a TensorRT-LLM run on `num_gpus` A100-40GB GPUs with
@@ -399,13 +328,12 @@ struct TensorRtCostModel {
     shape: LayerShape,
     kernel: KernelCostModel,
     num_gpus: usize,
-    interconnect_bandwidth: f64,
     effective_gpus: f64,
 }
 
 impl StepCostModel for TensorRtCostModel {
     fn swap_cost(&self, bytes: u64) -> f64 {
-        bytes as f64 / self.interconnect_bandwidth
+        bytes as f64 / TENSORRT_INTERCONNECT_BANDWIDTH
     }
 
     fn prefill_cost(&self, prompt_len: usize, batch: usize) -> f64 {
@@ -443,7 +371,7 @@ impl StepCostModel for TensorRtCostModel {
         let allreduce_bytes = (self.cfg.hidden_size * b) as u64 * self.cfg.dtype_bytes;
         let allreduce = 2.0
             * self.cfg.num_layers as f64
-            * (10e-6 + allreduce_bytes as f64 / self.interconnect_bandwidth)
+            * (10e-6 + allreduce_bytes as f64 / TENSORRT_INTERCONNECT_BANDWIDTH)
             * (self.num_gpus as f64 - 1.0).max(0.0)
             / self.num_gpus as f64;
         latency.communication += allreduce;
@@ -454,13 +382,9 @@ impl StepCostModel for TensorRtCostModel {
 /// Plan a TensorRT-LLM run on `num_gpus` A100-40GB GPUs with tensor
 /// parallelism — the high-performance (and high-cost) reference of Fig. 17.
 ///
-/// `num_gpus` must be at least 1; [`TensorRtLlmEngine`] validates this
-/// before reaching here.
-pub(crate) fn tensorrt_plan(
-    workload: &Workload,
-    num_gpus: usize,
-    interconnect_bandwidth: f64,
-) -> PlannedRun {
+/// `num_gpus` must be at least 1; [`Engine::plan`](crate::Engine::plan)
+/// checks this before reaching here.
+pub(crate) fn tensorrt_plan(workload: &Workload, num_gpus: usize) -> Planned {
     let cfg = workload.model_config();
     let shape = cfg.layer_shape();
     let gpu = GpuDevice::a100_40gb();
@@ -476,201 +400,15 @@ pub(crate) fn tensorrt_plan(
         shape,
         kernel,
         num_gpus,
-        interconnect_bandwidth,
         effective_gpus,
     };
-    let spec = SessionSpec {
-        system: format!("TensorRT-LLM ({num_gpus}x A100)"),
-        workload: workload.clone(),
-        prefill_seconds: cost.prefill_cost(workload.prompt_len, workload.batch),
-        gpu_weight_bytes,
-        hot_neuron_bytes: 0,
-        hot_coverage: 0.0,
-    };
-    PlannedRun {
-        spec,
-        cost: Box::new(cost),
-    }
-}
-
-/// TensorRT-LLM, one-shot: drive the planned run to completion.
-///
-/// # Panics
-///
-/// Panics if `num_gpus` is 0; use [`TensorRtLlmEngine`] for a validating,
-/// non-panicking entry point.
-pub fn run_tensorrt_llm(
-    workload: &Workload,
-    num_gpus: usize,
-    interconnect_bandwidth: f64,
-) -> InferenceReport {
-    assert!(num_gpus > 0, "need at least one GPU");
-    drive(SimSession::from_plan(tensorrt_plan(
-        workload,
-        num_gpus,
-        interconnect_bandwidth,
-    )))
-}
-
-/// HuggingFace Accelerate as an [`InferenceEngine`].
-#[derive(Debug, Clone)]
-pub struct AccelerateEngine {
-    config: SystemConfig,
-}
-
-impl AccelerateEngine {
-    /// Create an engine for a hardware configuration.
-    pub fn new(config: SystemConfig) -> Self {
-        AccelerateEngine { config }
-    }
-}
-
-impl InferenceEngine for AccelerateEngine {
-    fn name(&self) -> String {
-        "Huggingface Accelerate".to_string()
-    }
-
-    fn plan(&self, workload: &Workload) -> Result<PlannedRun, HermesError> {
-        workload.validate()?;
-        self.config.validate()?;
-        Ok(accelerate_plan(workload, &self.config))
-    }
-}
-
-/// FlexGen as an [`InferenceEngine`] (OPT models only).
-#[derive(Debug, Clone)]
-pub struct FlexGenEngine {
-    config: SystemConfig,
-}
-
-impl FlexGenEngine {
-    /// Create an engine for a hardware configuration.
-    pub fn new(config: SystemConfig) -> Self {
-        FlexGenEngine { config }
-    }
-}
-
-impl InferenceEngine for FlexGenEngine {
-    fn name(&self) -> String {
-        "FlexGen".to_string()
-    }
-
-    fn plan(&self, workload: &Workload) -> Result<PlannedRun, HermesError> {
-        workload.validate()?;
-        self.config.validate()?;
-        if !workload.model.is_opt_family() {
-            return Err(HermesError::ModelNotSupported {
-                system: self.name(),
-            });
-        }
-        Ok(flexgen_plan(workload, &self.config))
-    }
-}
-
-/// Deja Vu as an [`InferenceEngine`] (OPT models only).
-#[derive(Debug, Clone)]
-pub struct DejaVuEngine {
-    config: SystemConfig,
-}
-
-impl DejaVuEngine {
-    /// Create an engine for a hardware configuration.
-    pub fn new(config: SystemConfig) -> Self {
-        DejaVuEngine { config }
-    }
-}
-
-impl InferenceEngine for DejaVuEngine {
-    fn name(&self) -> String {
-        "Deja Vu".to_string()
-    }
-
-    fn plan(&self, workload: &Workload) -> Result<PlannedRun, HermesError> {
-        workload.validate()?;
-        self.config.validate()?;
-        if !workload.model.is_opt_family() {
-            return Err(HermesError::ModelNotSupported {
-                system: self.name(),
-            });
-        }
-        Ok(dejavu_plan(workload, &self.config))
-    }
-}
-
-/// The TensorRT-LLM multi-A100 reference as an [`InferenceEngine`].
-///
-/// Runs on its own A100 platform, so the simulation takes no
-/// [`SystemConfig`]; when built via
-/// [`SystemKind::engine`](crate::SystemKind::engine) the host configuration
-/// is still carried for input validation, so the step-wise path rejects
-/// exactly the inputs the one-shot [`try_run_system`](crate::try_run_system)
-/// driver rejects.
-#[derive(Debug, Clone)]
-pub struct TensorRtLlmEngine {
-    num_gpus: usize,
-    interconnect_bandwidth: f64,
-    host_config: Option<SystemConfig>,
-}
-
-impl TensorRtLlmEngine {
-    /// Create an engine for `num_gpus` A100-40GB GPUs with the default
-    /// NVLink-class interconnect ([`TENSORRT_INTERCONNECT_BANDWIDTH`]).
-    pub fn new(num_gpus: usize) -> Self {
-        TensorRtLlmEngine {
-            num_gpus,
-            interconnect_bandwidth: TENSORRT_INTERCONNECT_BANDWIDTH,
-            host_config: None,
-        }
-    }
-
-    /// Same engine with a different GPU-to-GPU interconnect bandwidth
-    /// (bytes/s).
-    pub fn with_interconnect_bandwidth(mut self, bandwidth: f64) -> Self {
-        self.interconnect_bandwidth = bandwidth;
-        self
-    }
-
-    /// Same engine, additionally validating `config` on every
-    /// [`InferenceEngine::plan`] even though the A100 platform does not use
-    /// it (keeps session-path validation consistent with the one-shot
-    /// driver).
-    pub fn with_host_config(mut self, config: SystemConfig) -> Self {
-        self.host_config = Some(config);
-        self
-    }
-}
-
-impl InferenceEngine for TensorRtLlmEngine {
-    fn name(&self) -> String {
-        format!("TensorRT-LLM ({}x A100)", self.num_gpus)
-    }
-
-    fn plan(&self, workload: &Workload) -> Result<PlannedRun, HermesError> {
-        workload.validate()?;
-        if let Some(config) = &self.host_config {
-            config.validate()?;
-        }
-        if self.num_gpus == 0 {
-            return Err(HermesError::InvalidConfig(
-                "num_gpus must be at least 1".to_string(),
-            ));
-        }
-        if !self.interconnect_bandwidth.is_finite() || self.interconnect_bandwidth <= 0.0 {
-            return Err(HermesError::InvalidConfig(
-                "interconnect_bandwidth must be positive".to_string(),
-            ));
-        }
-        Ok(tensorrt_plan(
-            workload,
-            self.num_gpus,
-            self.interconnect_bandwidth,
-        ))
-    }
+    Planned::dense(cost, gpu_weight_bytes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{try_run_system, HermesError, SystemKind};
     use hermes_model::ModelId;
 
     fn quick_workload(model: ModelId, batch: usize) -> Workload {
@@ -684,7 +422,10 @@ mod tests {
     fn offloading_baselines_are_pcie_bound() {
         let config = SystemConfig::paper_default();
         let w = quick_workload(ModelId::Opt30B, 1);
-        for report in [run_accelerate(&w, &config), run_dejavu(&w, &config)] {
+        for report in [
+            try_run_system(SystemKind::Accelerate, &w, &config).unwrap(),
+            try_run_system(SystemKind::DejaVu, &w, &config).unwrap(),
+        ] {
             let comm = report.breakdown.communication;
             let decode = report.breakdown.decode_total();
             assert!(
@@ -700,9 +441,14 @@ mod tests {
     fn dejavu_beats_flexgen_beats_accelerate() {
         let config = SystemConfig::paper_default();
         let w = quick_workload(ModelId::Opt30B, 1);
-        let acc = run_accelerate(&w, &config).tokens_per_second();
-        let flex = run_flexgen(&w, &config).tokens_per_second();
-        let dv = run_dejavu(&w, &config).tokens_per_second();
+        let tps = |kind| {
+            try_run_system(kind, &w, &config)
+                .unwrap()
+                .tokens_per_second()
+        };
+        let acc = tps(SystemKind::Accelerate);
+        let flex = tps(SystemKind::FlexGen);
+        let dv = tps(SystemKind::DejaVu);
         assert!(flex > acc, "flexgen {flex:.3} vs accelerate {acc:.3}");
         assert!(dv > flex, "dejavu {dv:.3} vs flexgen {flex:.3}");
     }
@@ -710,26 +456,43 @@ mod tests {
     #[test]
     fn flexgen_scales_with_batch() {
         let config = SystemConfig::paper_default();
-        let b1 = run_flexgen(&quick_workload(ModelId::Opt30B, 1), &config).tokens_per_second();
-        let b16 = run_flexgen(&quick_workload(ModelId::Opt30B, 16), &config).tokens_per_second();
+        let tps = |batch| {
+            try_run_system(
+                SystemKind::FlexGen,
+                &quick_workload(ModelId::Opt30B, batch),
+                &config,
+            )
+            .unwrap()
+            .tokens_per_second()
+        };
+        let b1 = tps(1);
+        let b16 = tps(16);
         assert!(b16 > 5.0 * b1, "b16 {b16:.2} vs b1 {b1:.2}");
     }
 
     #[test]
     fn tensorrt_on_five_a100s_is_fast() {
+        let config = SystemConfig::paper_default();
         let w = quick_workload(ModelId::Llama2_70B, 1);
-        let report = run_tensorrt_llm(&w, 5, 300.0e9);
+        let trt =
+            |num_gpus| try_run_system(SystemKind::TensorRtLlm { num_gpus }, &w, &config).unwrap();
+        let report = trt(5);
         let tps = report.tokens_per_second();
         assert!(tps > 5.0, "TensorRT-LLM throughput {tps:.2}");
         // More GPUs help.
-        let single = run_tensorrt_llm(&w, 2, 300.0e9).tokens_per_second();
+        let single = trt(2).tokens_per_second();
         assert!(tps > single);
     }
 
     #[test]
     fn dejavu_predictor_overhead_is_visible() {
         let config = SystemConfig::paper_default();
-        let report = run_dejavu(&quick_workload(ModelId::Opt13B, 1), &config);
+        let report = try_run_system(
+            SystemKind::DejaVu,
+            &quick_workload(ModelId::Opt13B, 1),
+            &config,
+        )
+        .unwrap();
         assert!(report.breakdown.predictor > 0.0);
         let frac = report.breakdown.predictor
             / (report.breakdown.decode_total() - report.breakdown.communication);
@@ -744,34 +507,26 @@ mod tests {
         let config = SystemConfig::paper_default();
         let llama = quick_workload(ModelId::Llama2_13B, 1);
         assert!(matches!(
-            FlexGenEngine::new(config.clone()).start(&llama),
+            SystemKind::FlexGen.engine(&config).start(&llama),
             Err(HermesError::ModelNotSupported { .. })
         ));
         assert!(matches!(
-            DejaVuEngine::new(config.clone()).start(&llama),
+            SystemKind::DejaVu.engine(&config).start(&llama),
             Err(HermesError::ModelNotSupported { .. })
         ));
-        assert!(AccelerateEngine::new(config.clone()).start(&llama).is_ok());
+        assert!(SystemKind::Accelerate.engine(&config).start(&llama).is_ok());
         assert!(matches!(
-            TensorRtLlmEngine::new(0).start(&llama),
+            SystemKind::TensorRtLlm { num_gpus: 0 }
+                .engine(&config)
+                .start(&llama),
             Err(HermesError::InvalidConfig(_))
         ));
         let mut invalid = llama.clone();
         invalid.batch = 0;
         assert!(matches!(
-            AccelerateEngine::new(config).start(&invalid),
+            SystemKind::Accelerate.engine(&config).start(&invalid),
             Err(HermesError::InvalidWorkload(_))
         ));
-    }
-
-    #[test]
-    fn tensorrt_engine_matches_one_shot_runner() {
-        let w = quick_workload(ModelId::Llama2_70B, 1);
-        let engine = TensorRtLlmEngine::new(5);
-        assert_eq!(engine.name(), "TensorRT-LLM (5x A100)");
-        let mut session = engine.start(&w).unwrap();
-        let report = crate::engine::run_session(session.as_mut()).unwrap();
-        assert_eq!(report, run_tensorrt_llm(&w, 5, 300.0e9));
     }
 
     #[test]
@@ -784,7 +539,7 @@ mod tests {
         let small = plan.cost.decode_cost(&BatchState::uniform(1, 64));
         let large = plan.cost.decode_cost(&BatchState::uniform(16, 64));
         assert!(large.latency.total() >= small.latency.total());
-        let mut plan = tensorrt_plan(&w, 5, 300.0e9);
+        let mut plan = tensorrt_plan(&w, 5);
         let short = plan.cost.decode_cost(&BatchState::uniform(4, 64));
         let long = plan.cost.decode_cost(&BatchState::uniform(4, 4096));
         assert!(long.latency.attention > short.latency.attention);

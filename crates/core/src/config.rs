@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use hermes_gpu::{GpuDevice, HostCpu, PcieLink};
+use hermes_model::unit_fraction;
 use hermes_ndp::DimmConfig;
 
 use crate::error::HermesError;
@@ -89,12 +90,9 @@ impl SystemConfig {
                 "num_dimms must be at least 1".into(),
             ));
         }
-        if !(0.0..=1.0).contains(&self.offload_bandwidth_derate) {
-            return Err(HermesError::InvalidConfig(
-                "offload_bandwidth_derate must be within [0, 1]".into(),
-            ));
-        }
-        Ok(())
+        // The offloading baselines divide by the derated bandwidth.
+        unit_fraction("offload_bandwidth_derate", self.offload_bandwidth_derate)
+            .map_err(HermesError::InvalidConfig)
     }
 }
 

@@ -6,9 +6,9 @@
 //! happen *between* decode steps — so the public API exposes that structure
 //! directly instead of hiding it behind a closed-loop batch simulation:
 //!
-//! * [`InferenceEngine`] — a system (Hermes family or baseline) bound to a
-//!   hardware configuration; [`InferenceEngine::plan`] validates a workload
-//!   and produces a [`PlannedRun`], and [`InferenceEngine::start`] wraps the
+//! * [`Engine`] — a system (Hermes family or baseline) bound to a hardware
+//!   configuration by [`SystemKind::engine`]; [`Engine::plan`] validates a
+//!   workload and produces a [`PlannedRun`], and [`Engine::start`] wraps the
 //!   plan in a [`Session`].
 //! * [`StepCostModel`] — the planned run's pricing function: one decode step
 //!   is priced as a function of the *current* batch composition
@@ -32,9 +32,11 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::baselines::{accelerate_plan, dejavu_plan, flexgen_plan, tensorrt_plan};
 use crate::error::HermesError;
+use crate::hermes::hermes_plan;
 use crate::report::{InferenceReport, LatencyBreakdown, TokenLatencyStats};
-use crate::workload::Workload;
+use crate::{SystemConfig, SystemKind, Workload};
 
 /// Which phase of a run a [`TokenEvent`] belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -84,52 +86,6 @@ impl TokenEvent {
     }
 }
 
-/// Explicit per-request state of an inference run, produced by
-/// [`InferenceEngine::start`].
-///
-/// The protocol is `prefill()` once, then `step()` until it returns
-/// `Ok(None)`; [`Session::report`] can be called at any point to fold what
-/// has been executed so far into an [`InferenceReport`].
-pub trait Session {
-    /// Run the prompting phase and return its event.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HermesError::SessionState`] if the session was already
-    /// prefilled.
-    fn prefill(&mut self) -> Result<TokenEvent, HermesError>;
-
-    /// Generate the next token, or `Ok(None)` once the workload's `gen_len`
-    /// tokens have all been produced.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HermesError::SessionState`] if [`Session::prefill`] has not
-    /// run yet.
-    fn step(&mut self) -> Result<Option<TokenEvent>, HermesError>;
-
-    /// Where the session stands in its prefill → decode → done lifecycle.
-    ///
-    /// Drivers branch on this instead of probing `prefill()` and swallowing
-    /// its [`HermesError::SessionState`], so genuine protocol errors are
-    /// never masked.
-    fn phase(&self) -> SessionPhase;
-
-    /// Number of decode tokens generated so far.
-    fn generated(&self) -> usize;
-
-    /// Whether every token of the workload has been generated.
-    fn is_done(&self) -> bool;
-
-    /// Fold everything executed so far into an [`InferenceReport`].
-    ///
-    /// Calling this mid-run yields a partial report (the metrics of the
-    /// tokens generated so far); after the session is driven to completion
-    /// it matches the one-shot report of
-    /// [`try_run_system`](crate::try_run_system) exactly.
-    fn report(&self) -> InferenceReport;
-}
-
 /// Drive a session to completion and return the folded report.
 ///
 /// Works on a fresh session (runs prefill itself) and on a partially driven
@@ -140,7 +96,7 @@ pub trait Session {
 ///
 /// Propagates any [`HermesError`] raised by the session protocol (none for
 /// a freshly started session).
-pub fn run_session(session: &mut dyn Session) -> Result<InferenceReport, HermesError> {
+pub fn run_session(session: &mut Session) -> Result<InferenceReport, HermesError> {
     if session.phase() == SessionPhase::Created {
         session.prefill()?;
     }
@@ -290,7 +246,7 @@ pub struct PrefillChunk {
 /// Prices the work of a planned run as a function of the current batch
 /// composition.
 ///
-/// A cost model is produced by [`InferenceEngine::plan`] and owns all the
+/// A cost model is produced by [`Engine::plan`] and owns all the
 /// per-run simulation state (activation traces, hot/cold plan, window
 /// remapping counters, …): each [`StepCostModel::decode_cost`] call advances
 /// that state by one token and prices the step for whatever batch
@@ -389,7 +345,7 @@ pub struct SessionSpec {
 }
 
 /// A validated, planned run: the static metadata plus the dynamic-batch
-/// cost model that prices it, produced by [`InferenceEngine::plan`].
+/// cost model that prices it, produced by [`Engine::plan`].
 pub struct PlannedRun {
     /// Static metadata of the planned run.
     pub spec: SessionSpec,
@@ -397,48 +353,115 @@ pub struct PlannedRun {
     pub cost: Box<dyn StepCostModel>,
 }
 
+/// A planner's share of a [`PlannedRun`]: the cost model and what the run
+/// keeps on the GPU. [`Engine::plan`] adds the name, the workload and the
+/// prefill price.
+pub(crate) struct Planned {
+    pub(crate) cost: Box<dyn StepCostModel>,
+    pub(crate) gpu_weight_bytes: u64,
+    pub(crate) hot_neuron_bytes: u64,
+    pub(crate) hot_coverage: f64,
+}
+
+impl Planned {
+    /// A plan with `gpu_weight_bytes` of weights on the GPU and no hot
+    /// neuron set.
+    pub(crate) fn dense(cost: impl StepCostModel + 'static, gpu_weight_bytes: u64) -> Self {
+        Planned {
+            cost: Box::new(cost),
+            gpu_weight_bytes,
+            hot_neuron_bytes: 0,
+            hot_coverage: 0.0,
+        }
+    }
+}
+
 /// An inference system bound to a hardware configuration, able to plan runs
-/// and open step-wise [`Session`]s for workloads.
-///
-/// Implemented by the Hermes family ([`HermesEngine`](crate::HermesEngine))
-/// and every baseline ([`AccelerateEngine`](crate::AccelerateEngine),
-/// [`FlexGenEngine`](crate::FlexGenEngine),
-/// [`DejaVuEngine`](crate::DejaVuEngine),
-/// [`TensorRtLlmEngine`](crate::TensorRtLlmEngine));
-/// [`SystemKind::engine`](crate::SystemKind::engine) dispatches to the right
-/// implementation.
-pub trait InferenceEngine {
-    /// Display name of the system (as used in the paper's figures).
-    fn name(&self) -> String;
+/// and open step-wise [`Session`]s for workloads. Built by
+/// [`SystemKind::engine`].
+#[derive(Debug, Clone)]
+pub struct Engine {
+    kind: SystemKind,
+    config: SystemConfig,
+}
+
+impl Engine {
+    pub(crate) fn new(kind: SystemKind, config: SystemConfig) -> Self {
+        Engine { kind, config }
+    }
 
     /// Validate `workload` against this engine's configuration and plan a
     /// run for it: the static metadata plus the [`StepCostModel`] that
     /// prices decode steps for any batch composition.
     ///
+    /// Validation runs once, in this order: the workload, the configuration
+    /// (for TensorRT-LLM too, which simulates its own A100 platform), then
+    /// the system's own guard.
+    ///
     /// # Errors
     ///
     /// Returns [`HermesError::InvalidWorkload`] /
-    /// [`HermesError::InvalidConfig`] for invalid inputs,
-    /// [`HermesError::ModelNotSupported`] when the system cannot run the
-    /// model family, and [`HermesError::InsufficientMemory`] when the model
-    /// does not fit in the configuration's memory.
-    fn plan(&self, workload: &Workload) -> Result<PlannedRun, HermesError>;
+    /// [`HermesError::InvalidConfig`] for invalid inputs (including
+    /// TensorRT-LLM on zero GPUs), [`HermesError::ModelNotSupported`] for
+    /// FlexGen and Deja Vu on non-OPT models, and
+    /// [`HermesError::InsufficientMemory`] when a Hermes-family model does
+    /// not fit in the combined DIMM capacity.
+    pub fn plan(&self, workload: &Workload) -> Result<PlannedRun, HermesError> {
+        workload.validate()?;
+        let config = &self.config;
+        config.validate()?;
+        let planned = match self.kind {
+            SystemKind::Accelerate => accelerate_plan(workload, config),
+            SystemKind::FlexGen | SystemKind::DejaVu if !workload.model.is_opt_family() => {
+                return Err(HermesError::ModelNotSupported {
+                    system: self.kind.name(),
+                });
+            }
+            SystemKind::FlexGen => flexgen_plan(workload, config),
+            SystemKind::DejaVu => dejavu_plan(workload, config),
+            SystemKind::Hermes(options) => hermes_plan(workload, config, options)?,
+            SystemKind::TensorRtLlm { num_gpus: 0 } => {
+                return Err(HermesError::InvalidConfig(
+                    "num_gpus must be at least 1".to_string(),
+                ));
+            }
+            SystemKind::TensorRtLlm { num_gpus } => tensorrt_plan(workload, num_gpus),
+        };
+        let spec = SessionSpec {
+            system: self.kind.name(),
+            workload: workload.clone(),
+            prefill_seconds: planned
+                .cost
+                .prefill_cost(workload.prompt_len, workload.batch),
+            gpu_weight_bytes: planned.gpu_weight_bytes,
+            hot_neuron_bytes: planned.hot_neuron_bytes,
+            hot_coverage: planned.hot_coverage,
+        };
+        Ok(PlannedRun {
+            spec,
+            cost: planned.cost,
+        })
+    }
 
     /// Validate `workload` and open a closed-loop session for it: the plan's
     /// cost model driven at the workload's fixed batch size.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`InferenceEngine::plan`].
-    fn start(&self, workload: &Workload) -> Result<Box<dyn Session>, HermesError> {
-        Ok(Box::new(SimSession::from_plan(self.plan(workload)?)))
+    /// Same conditions as [`Engine::plan`].
+    pub fn start(&self, workload: &Workload) -> Result<Session, HermesError> {
+        Ok(Session::from_plan(self.plan(workload)?))
     }
 }
 
-/// The shared [`Session`] implementation used by every simulated engine:
-/// a [`PlannedRun`] driven at the planned workload's fixed batch size, with
-/// every sequence at the same context length.
-pub(crate) struct SimSession {
+/// Explicit per-request state of an inference run, opened by
+/// [`Engine::start`]: a [`PlannedRun`] driven at the planned workload's
+/// fixed batch size, with every sequence at the same context length.
+///
+/// The protocol is [`Session::prefill`] once, then [`Session::step`] until it
+/// returns `Ok(None)`; [`Session::report`] can be called at any point to
+/// fold what has been executed so far into an [`InferenceReport`].
+pub struct Session {
     spec: SessionSpec,
     cost: Box<dyn StepCostModel>,
     prefilled: bool,
@@ -449,10 +472,10 @@ pub(crate) struct SimSession {
     imbalance_samples: usize,
 }
 
-impl SimSession {
+impl Session {
     /// Create a fixed-batch session from a planned run.
     pub(crate) fn from_plan(plan: PlannedRun) -> Self {
-        SimSession {
+        Session {
             spec: plan.spec,
             cost: plan.cost,
             prefilled: false,
@@ -482,10 +505,14 @@ impl SimSession {
             dimm_imbalance: self.running_imbalance(),
         }
     }
-}
 
-impl Session for SimSession {
-    fn prefill(&mut self) -> Result<TokenEvent, HermesError> {
+    /// Run the prompting phase and return its event.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HermesError::SessionState`] if the session was already
+    /// prefilled.
+    pub fn prefill(&mut self) -> Result<TokenEvent, HermesError> {
         if self.prefilled {
             return Err(HermesError::SessionState(
                 "prefill() may only run once per session".to_string(),
@@ -500,7 +527,14 @@ impl Session for SimSession {
         Ok(self.event(Phase::Prefill, 0, latency))
     }
 
-    fn step(&mut self) -> Result<Option<TokenEvent>, HermesError> {
+    /// Generate the next token, or `Ok(None)` once the workload's `gen_len`
+    /// tokens have all been produced.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HermesError::SessionState`] if [`Session::prefill`] has not
+    /// run yet.
+    pub fn step(&mut self) -> Result<Option<TokenEvent>, HermesError> {
         if !self.prefilled {
             return Err(HermesError::SessionState(
                 "step() requires prefill() to run first".to_string(),
@@ -523,7 +557,12 @@ impl Session for SimSession {
         Ok(Some(self.event(Phase::Decode, index, outcome.latency)))
     }
 
-    fn phase(&self) -> SessionPhase {
+    /// Where the session stands in its prefill → decode → done lifecycle.
+    ///
+    /// Drivers branch on this instead of probing `prefill()` and swallowing
+    /// its [`HermesError::SessionState`], so genuine protocol errors are
+    /// never masked.
+    pub fn phase(&self) -> SessionPhase {
         if !self.prefilled {
             SessionPhase::Created
         } else if self.t >= self.spec.workload.gen_len {
@@ -533,15 +572,23 @@ impl Session for SimSession {
         }
     }
 
-    fn generated(&self) -> usize {
+    /// Number of decode tokens generated so far.
+    pub fn generated(&self) -> usize {
         self.t
     }
 
-    fn is_done(&self) -> bool {
+    /// Whether every token of the workload has been generated.
+    pub fn is_done(&self) -> bool {
         self.t >= self.spec.workload.gen_len
     }
 
-    fn report(&self) -> InferenceReport {
+    /// Fold everything executed so far into an [`InferenceReport`].
+    ///
+    /// Calling this mid-run yields a partial report (the metrics of the
+    /// tokens generated so far); after the session is driven to completion
+    /// it matches the one-shot report of
+    /// [`try_run_system`](crate::try_run_system) exactly.
+    pub fn report(&self) -> InferenceReport {
         InferenceReport {
             system: self.spec.system.clone(),
             workload: self.spec.workload.clone(),
@@ -554,16 +601,6 @@ impl Session for SimSession {
                 &self.token_latencies,
             ),
         }
-    }
-}
-
-/// Drive an internally constructed session to completion; infallible because
-/// the protocol is upheld by construction.
-pub(crate) fn drive(mut session: SimSession) -> InferenceReport {
-    match run_session(&mut session) {
-        Ok(report) => report,
-        // Unreachable: a fresh SimSession never reports protocol errors.
-        Err(_) => session.report(),
     }
 }
 
@@ -598,8 +635,8 @@ mod tests {
         }
     }
 
-    fn constant_session(gen_len: usize, per_token: f64) -> SimSession {
-        SimSession::from_plan(PlannedRun {
+    fn constant_session(gen_len: usize, per_token: f64) -> Session {
+        Session::from_plan(PlannedRun {
             spec: spec(gen_len),
             cost: Box::new(FnCost(move |_| {
                 StepOutcome::balanced(LatencyBreakdown {
@@ -660,7 +697,7 @@ mod tests {
 
     #[test]
     fn steps_see_the_workload_batch_and_growing_context() {
-        let mut s = SimSession::from_plan(PlannedRun {
+        let mut s = Session::from_plan(PlannedRun {
             spec: {
                 let mut sp = spec(3);
                 sp.workload.batch = 4;
@@ -687,7 +724,7 @@ mod tests {
     #[test]
     fn imbalance_samples_average_across_steps() {
         let mut weights = vec![2.0, 4.0].into_iter();
-        let mut s = SimSession::from_plan(PlannedRun {
+        let mut s = Session::from_plan(PlannedRun {
             spec: spec(2),
             cost: Box::new(FnCost(move |_| StepOutcome {
                 latency: LatencyBreakdown::default(),

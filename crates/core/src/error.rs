@@ -1,8 +1,9 @@
 //! The unified error type of the `hermes-core` crate.
 //!
 //! Every fallible public entry point of this crate — workload/config
-//! validation, [`InferenceEngine::start`](crate::InferenceEngine::start),
-//! [`HermesSystem::run`](crate::HermesSystem::run) and
+//! validation, [`Engine::plan`](crate::Engine::plan),
+//! [`Engine::start`](crate::Engine::start), the
+//! [`Session`](crate::Session) protocol and
 //! [`try_run_system`](crate::try_run_system) — reports failures through
 //! [`HermesError`], so callers match on one enum instead of juggling
 //! stringly-typed validation errors and a separate "unsupported" type.

@@ -11,14 +11,11 @@ use hermes_predictor::{HermesPredictor, PredictorConfig};
 use hermes_scheduler::ColdPlacementPolicy;
 use hermes_sparsity::{NeuronPopularity, SparsityProfile, StatisticalActivityModel};
 
-use crate::engine::{
-    run_session, BatchState, InferenceEngine, PlannedRun, Session, SessionSpec, SimSession,
-    StepCostModel, StepOutcome,
-};
+use crate::engine::{BatchState, Planned, StepCostModel, StepOutcome};
 use crate::error::HermesError;
 pub use crate::planner::MappingPolicy;
 use crate::planner::NeuronPlan;
-use crate::report::{InferenceReport, LatencyBreakdown};
+use crate::report::LatencyBreakdown;
 use crate::{SystemConfig, Workload};
 
 /// Which online hot/cold adjustment (Section IV-C) is active.
@@ -500,225 +497,146 @@ impl StepCostModel for BaseCostModel {
     }
 }
 
-/// The Hermes-family inference engine.
-#[derive(Debug, Clone)]
-pub struct HermesSystem {
-    workload: Workload,
-    config: SystemConfig,
+/// GPU bytes available for hot-neuron weights after the dense weights
+/// (projections, embeddings) that must stay resident.
+fn gpu_hot_budget(config: &SystemConfig, cfg: &ModelConfig) -> u64 {
+    let dense = cfg.memory_footprint().dense_resident_bytes();
+    config.gpu.usable_weight_bytes().saturating_sub(dense)
+}
+
+/// Plan a Hermes-family run: check that the model fits on the DIMMs, then
+/// plan the sparse engine or Hermes-base.
+///
+/// # Errors
+///
+/// [`HermesError::InsufficientMemory`] when the model does not fit in the
+/// combined DIMM capacity of the configuration.
+pub(crate) fn hermes_plan(
+    workload: &Workload,
+    config: &SystemConfig,
     options: HermesOptions,
-}
-
-impl HermesSystem {
-    /// Create an engine for a workload on a hardware configuration.
-    pub fn new(workload: Workload, config: SystemConfig, options: HermesOptions) -> Self {
-        HermesSystem {
-            workload,
-            config,
-            options,
-        }
+) -> Result<Planned, HermesError> {
+    let cfg = workload.model_config();
+    // Every weight parameter is stored on the DIMMs (Section IV-C2); the
+    // GPU only holds *copies* of hot neurons plus the dense weights, so
+    // the DIMM pool alone must be able to hold the model (plus the KV
+    // cache, which also lives on the DIMMs).
+    let kv_bytes = cfg
+        .memory_footprint()
+        .kv_cache_bytes(workload.prompt_len + workload.gen_len, workload.batch);
+    let total_bytes = cfg.total_param_bytes() + kv_bytes;
+    let available = config.dimm_capacity_total();
+    if total_bytes > available {
+        return Err(HermesError::InsufficientMemory {
+            required: total_bytes,
+            available,
+        });
     }
-
-    /// GPU bytes available for hot-neuron weights after the dense weights
-    /// (projections, embeddings) that must stay resident.
-    fn gpu_hot_budget(&self, cfg: &ModelConfig) -> u64 {
-        let dense = cfg.memory_footprint().dense_resident_bytes();
-        self.config.gpu.usable_weight_bytes().saturating_sub(dense)
-    }
-
-    /// Validate the inputs and open a step-wise [`Session`] for this
-    /// workload: `prefill()` runs the prompting phase, each `step()`
-    /// generates one token. This is the `start` path of [`HermesEngine`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HermesError::InvalidWorkload`] /
-    /// [`HermesError::InvalidConfig`] for invalid inputs and
-    /// [`HermesError::InsufficientMemory`] when the model does not fit in
-    /// the combined DIMM capacity of the configuration.
-    pub fn session(&self) -> Result<Box<dyn Session>, HermesError> {
-        Ok(Box::new(SimSession::from_plan(self.plan()?)))
-    }
-
-    /// Validate the inputs and plan the run: static metadata plus the
-    /// dynamic-batch [`StepCostModel`] that prices it.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`HermesSystem::session`].
-    pub fn plan(&self) -> Result<PlannedRun, HermesError> {
-        self.workload.validate()?;
-        self.config.validate()?;
-        let cfg = self.workload.model_config();
-        // Every weight parameter is stored on the DIMMs (Section IV-C2); the
-        // GPU only holds *copies* of hot neurons plus the dense weights, so
-        // the DIMM pool alone must be able to hold the model (plus the KV
-        // cache, which also lives on the DIMMs).
-        let kv_bytes = cfg.memory_footprint().kv_cache_bytes(
-            self.workload.prompt_len + self.workload.gen_len,
-            self.workload.batch,
-        );
-        let total_bytes = cfg.total_param_bytes() + kv_bytes;
-        let available = self.config.dimm_capacity_total();
-        if total_bytes > available {
-            return Err(HermesError::InsufficientMemory {
-                required: total_bytes,
-                available,
-            });
-        }
-        if self.options.use_sparsity {
-            Ok(self.sparse_plan(&cfg))
-        } else {
-            Ok(self.base_plan(&cfg))
-        }
-    }
-
-    /// Simulate the run end to end: a thin driver that opens a session and
-    /// folds its per-token events into the report.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`HermesSystem::session`].
-    pub fn run(&self) -> Result<InferenceReport, HermesError> {
-        let mut session = SimSession::from_plan(self.plan()?);
-        run_session(&mut session)
-    }
-
-    /// Plan the full sparsity-aware Hermes / Hermes-host engine.
-    fn sparse_plan(&self, cfg: &ModelConfig) -> PlannedRun {
-        let cfg = cfg.clone();
-        let profile = SparsityProfile::for_model_on(&cfg, self.workload.dataset);
-        let popularity = NeuronPopularity::generate(&cfg, &profile, self.workload.seed);
-        let activity = StatisticalActivityModel::new(&cfg, &profile, self.workload.seed);
-        let shape = cfg.layer_shape();
-        let kernel = KernelCostModel::new(self.config.gpu.clone());
-        let dimm = NdpDimm::new(self.config.dimm.clone());
-        let num_dimms = self.config.num_dimms;
-
-        // With online adjustment the partition converges to the oracle hot
-        // set (tracked at `tracking_quality`); without it the static mapping
-        // of `options.mapping` is used as-is.
-        let effective_mapping = if self.options.adjustment == OnlineAdjustment::None {
-            self.options.mapping
-        } else {
-            MappingPolicy::Oracle
-        };
-        let plan = NeuronPlan::build(
-            &cfg,
-            &profile,
-            &popularity,
-            &activity,
-            self.gpu_hot_budget(&cfg),
-            effective_mapping,
-            num_dimms,
-            ColdPlacementPolicy::Contiguous,
-            self.workload.seed,
-        );
-        let quality = self.options.adjustment.tracking_quality();
-
-        // Lightweight predictor bookkeeping (storage + per-token overhead).
-        let predictor = HermesPredictor::new(&cfg, PredictorConfig::default());
-        let predictor_time_per_token = predictor.lookups_per_token() as f64 * 1e-9;
-
-        let hot_bytes = plan.hot_bytes;
-        let hot_coverage = plan.hot_coverage;
-        let cost = SparseCostModel {
-            shape,
-            kernel,
-            dimm,
-            num_dimms,
-            options: self.options,
-            quality,
-            predictor_time_per_token,
-            plan,
-            activity,
-            host_cpu: self.config.host_cpu.clone(),
-            pcie: self.config.pcie.clone(),
-            hot_bytes,
-            steps: 0,
-            window: 5,
-            window_multipliers: Vec::new(),
-            pending_remap_bytes: 0,
-            cfg: cfg.clone(),
-        };
-        let spec = SessionSpec {
-            system: self.options.name().to_string(),
-            workload: self.workload.clone(),
-            prefill_seconds: cost.prefill_cost(self.workload.prompt_len, self.workload.batch),
-            gpu_weight_bytes: cfg.memory_footprint().dense_resident_bytes() + hot_bytes,
-            hot_neuron_bytes: hot_bytes,
-            hot_coverage,
-        };
-        PlannedRun {
-            spec,
-            cost: Box::new(cost),
-        }
-    }
-
-    /// Plan Hermes-base: the NDP-DIMM extension without activation sparsity.
-    fn base_plan(&self, cfg: &ModelConfig) -> PlannedRun {
-        let cfg = cfg.clone();
-        let shape = cfg.layer_shape();
-        let kernel = KernelCostModel::new(self.config.gpu.clone());
-        let dimm = NdpDimm::new(self.config.dimm.clone());
-        let num_dimms = self.config.num_dimms;
-
-        // Whole layers resident on the GPU, the rest computed by the DIMMs.
-        let layer_bytes = shape.total_bytes();
-        let budget = self.gpu_hot_budget(&cfg) + cfg.memory_footprint().projection_bytes;
-        let resident_layers = ((budget / layer_bytes.max(1)) as usize).min(cfg.num_layers);
-
-        let cost = BaseCostModel {
-            cfg,
-            shape,
-            kernel,
-            dimm,
-            num_dimms,
-            resident_layers,
-            pcie: self.config.pcie.clone(),
-        };
-        let spec = SessionSpec {
-            system: self.options.name().to_string(),
-            workload: self.workload.clone(),
-            prefill_seconds: cost.prefill_cost(self.workload.prompt_len, self.workload.batch),
-            gpu_weight_bytes: resident_layers as u64 * layer_bytes,
-            hot_neuron_bytes: 0,
-            hot_coverage: 0.0,
-        };
-        PlannedRun {
-            spec,
-            cost: Box::new(cost),
-        }
+    if options.use_sparsity {
+        Ok(sparse_plan(workload, config, options, cfg))
+    } else {
+        Ok(base_plan(config, cfg))
     }
 }
 
-/// The Hermes family as an [`InferenceEngine`]: a hardware configuration
-/// plus [`HermesOptions`], opening one [`Session`] per workload.
-#[derive(Debug, Clone)]
-pub struct HermesEngine {
-    config: SystemConfig,
+/// Plan the full sparsity-aware Hermes / Hermes-host engine.
+fn sparse_plan(
+    workload: &Workload,
+    config: &SystemConfig,
     options: HermesOptions,
-}
+    cfg: ModelConfig,
+) -> Planned {
+    let profile = SparsityProfile::for_model_on(&cfg, workload.dataset);
+    let popularity = NeuronPopularity::generate(&cfg, &profile, workload.seed);
+    let activity = StatisticalActivityModel::new(&cfg, &profile, workload.seed);
+    let shape = cfg.layer_shape();
+    let kernel = KernelCostModel::new(config.gpu.clone());
+    let dimm = NdpDimm::new(config.dimm.clone());
+    let num_dimms = config.num_dimms;
 
-impl HermesEngine {
-    /// Create an engine for a hardware configuration and option set.
-    pub fn new(config: SystemConfig, options: HermesOptions) -> Self {
-        HermesEngine { config, options }
+    // With online adjustment the partition converges to the oracle hot
+    // set (tracked at `tracking_quality`); without it the static mapping
+    // of `options.mapping` is used as-is.
+    let effective_mapping = if options.adjustment == OnlineAdjustment::None {
+        options.mapping
+    } else {
+        MappingPolicy::Oracle
+    };
+    let plan = NeuronPlan::build(
+        &cfg,
+        &profile,
+        &popularity,
+        &activity,
+        gpu_hot_budget(config, &cfg),
+        effective_mapping,
+        num_dimms,
+        ColdPlacementPolicy::Contiguous,
+        workload.seed,
+    );
+    let quality = options.adjustment.tracking_quality();
+
+    // Lightweight predictor bookkeeping (storage + per-token overhead).
+    let predictor = HermesPredictor::new(&cfg, PredictorConfig::default());
+    let predictor_time_per_token = predictor.lookups_per_token() as f64 * 1e-9;
+
+    let hot_bytes = plan.hot_bytes;
+    let hot_coverage = plan.hot_coverage;
+    let gpu_weight_bytes = cfg.memory_footprint().dense_resident_bytes() + hot_bytes;
+    let cost = SparseCostModel {
+        shape,
+        kernel,
+        dimm,
+        num_dimms,
+        options,
+        quality,
+        predictor_time_per_token,
+        plan,
+        activity,
+        host_cpu: config.host_cpu.clone(),
+        pcie: config.pcie.clone(),
+        hot_bytes,
+        steps: 0,
+        window: 5,
+        window_multipliers: Vec::new(),
+        pending_remap_bytes: 0,
+        cfg,
+    };
+    Planned {
+        cost: Box::new(cost),
+        gpu_weight_bytes,
+        hot_neuron_bytes: hot_bytes,
+        hot_coverage,
     }
 }
 
-impl InferenceEngine for HermesEngine {
-    fn name(&self) -> String {
-        self.options.name().to_string()
-    }
+/// Plan Hermes-base: the NDP-DIMM extension without activation sparsity.
+fn base_plan(config: &SystemConfig, cfg: ModelConfig) -> Planned {
+    let shape = cfg.layer_shape();
+    let kernel = KernelCostModel::new(config.gpu.clone());
+    let dimm = NdpDimm::new(config.dimm.clone());
+    let num_dimms = config.num_dimms;
 
-    fn plan(&self, workload: &Workload) -> Result<PlannedRun, HermesError> {
-        HermesSystem::new(workload.clone(), self.config.clone(), self.options).plan()
-    }
+    // Whole layers resident on the GPU, the rest computed by the DIMMs.
+    let layer_bytes = shape.total_bytes();
+    let budget = gpu_hot_budget(config, &cfg) + cfg.memory_footprint().projection_bytes;
+    let resident_layers = ((budget / layer_bytes.max(1)) as usize).min(cfg.num_layers);
+
+    let cost = BaseCostModel {
+        cfg,
+        shape,
+        kernel,
+        dimm,
+        num_dimms,
+        resident_layers,
+        pcie: config.pcie.clone(),
+    };
+    Planned::dense(cost, resident_layers as u64 * layer_bytes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{try_run_system, InferenceReport, SystemKind};
     use hermes_model::ModelId;
 
     fn quick_workload(model: ModelId) -> Workload {
@@ -729,12 +647,11 @@ mod tests {
     }
 
     fn run(model: ModelId, options: HermesOptions) -> InferenceReport {
-        HermesSystem::new(
-            quick_workload(model),
-            SystemConfig::paper_default(),
-            options,
+        try_run_system(
+            SystemKind::Hermes(options),
+            &quick_workload(model),
+            &SystemConfig::paper_default(),
         )
-        .run()
         .expect("supported configuration")
     }
 
@@ -766,9 +683,12 @@ mod tests {
         small_gpu.memory_bytes = 8 * hermes_model::GIB;
         let config = SystemConfig::paper_default().with_gpu(small_gpu);
         let run_on = |options: HermesOptions| {
-            HermesSystem::new(quick_workload(ModelId::Opt13B), config.clone(), options)
-                .run()
-                .unwrap()
+            try_run_system(
+                SystemKind::Hermes(options),
+                &quick_workload(ModelId::Opt13B),
+                &config,
+            )
+            .unwrap()
         };
         let random = run_on(HermesOptions::random_mapping());
         let partition = run_on(HermesOptions::partition_only());
@@ -819,9 +739,7 @@ mod tests {
         let b1 = run(ModelId::Opt13B, HermesOptions::full());
         let mut w = quick_workload(ModelId::Opt13B);
         w.batch = 8;
-        let b8 = HermesSystem::new(w, SystemConfig::paper_default(), HermesOptions::full())
-            .run()
-            .unwrap();
+        let b8 = try_run_system(SystemKind::hermes(), &w, &SystemConfig::paper_default()).unwrap();
         assert!(b8.tokens_per_second() > b1.tokens_per_second());
     }
 
@@ -829,25 +747,11 @@ mod tests {
     fn insufficient_memory_is_reported() {
         let workload = quick_workload(ModelId::Llama2_70B);
         let config = SystemConfig::paper_default().with_num_dimms(2);
-        let result = HermesSystem::new(workload, config, HermesOptions::full()).run();
+        let result = try_run_system(SystemKind::hermes(), &workload, &config);
         assert!(matches!(
             result,
             Err(HermesError::InsufficientMemory { .. })
         ));
-    }
-
-    #[test]
-    fn engine_start_matches_system_run() {
-        let workload = quick_workload(ModelId::Opt13B);
-        let config = SystemConfig::paper_default();
-        let engine = HermesEngine::new(config.clone(), HermesOptions::full());
-        assert_eq!(engine.name(), "Hermes");
-        let mut session = engine.start(&workload).unwrap();
-        let report = run_session(session.as_mut()).unwrap();
-        let oneshot = HermesSystem::new(workload, config, HermesOptions::full())
-            .run()
-            .unwrap();
-        assert_eq!(report, oneshot);
     }
 
     #[test]
@@ -871,11 +775,7 @@ mod tests {
         // exactly (one group), and a longer-context group must cost more.
         let w = quick_workload(ModelId::Opt13B);
         let config = SystemConfig::paper_default();
-        let mk = || {
-            HermesSystem::new(w.clone(), config.clone(), HermesOptions::full())
-                .plan()
-                .unwrap()
-        };
+        let mk = || SystemKind::hermes().engine(&config).plan(&w).unwrap();
         let mut uniform = mk();
         let mut mixed = mk();
         let u = uniform.cost.decode_cost(&BatchState::uniform(4, 64));

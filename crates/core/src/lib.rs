@@ -4,11 +4,11 @@
 //! This crate ties every substrate together into end-to-end inference
 //! engines that reproduce the paper's evaluation:
 //!
-//! * [`HermesSystem`] / [`HermesEngine`] — the full NDP-DIMM augmented GPU
-//!   system of the paper (Fig. 5/6): hot neurons on the GPU, cold neurons
-//!   computed in place on the DIMMs, attention on the DIMMs, projection on
-//!   the GPU with hot/cold adjustment and window-based remapping hidden
-//!   underneath it.
+//! * Hermes ([`SystemKind::hermes`], [`HermesOptions::full`]) — the full
+//!   NDP-DIMM augmented GPU system of the paper (Fig. 5/6): hot neurons on
+//!   the GPU, cold neurons computed in place on the DIMMs, attention on the
+//!   DIMMs, projection on the GPU with hot/cold adjustment and
+//!   window-based remapping hidden underneath it.
 //! * Baselines — HuggingFace Accelerate, FlexGen, Deja Vu, Hermes-host
 //!   (cold neurons on the host CPU), Hermes-base (NDP-DIMMs without
 //!   activation sparsity) and the TensorRT-LLM 5×A100 reference.
@@ -20,9 +20,9 @@
 //! *between* decode steps. The API exposes that structure directly:
 //!
 //! * [`SystemKind::engine`] binds a system to a [`SystemConfig`], returning
-//!   a `Box<dyn `[`InferenceEngine`]`>`.
-//! * [`InferenceEngine::start`] validates a [`Workload`] and opens a
-//!   [`Session`]; every failure is a [`HermesError`].
+//!   an [`Engine`].
+//! * [`Engine::start`] validates a [`Workload`] and opens a [`Session`];
+//!   every failure is a [`HermesError`].
 //! * [`Session::prefill`] runs the prompting phase and each
 //!   [`Session::step`] generates one token, emitting a [`TokenEvent`] with
 //!   that token's latency breakdown and the current hot-set / DIMM-balance
@@ -75,14 +75,13 @@ pub mod report;
 pub mod systems;
 pub mod workload;
 
-pub use baselines::{AccelerateEngine, DejaVuEngine, FlexGenEngine, TensorRtLlmEngine};
 pub use config::SystemConfig;
 pub use engine::{
-    run_session, BatchState, InferenceEngine, Phase, PlannedRun, PrefillChunk, Session,
-    SessionPhase, SessionSpec, StepCostModel, StepOutcome, TokenEvent,
+    run_session, BatchState, Engine, Phase, PlannedRun, PrefillChunk, Session, SessionPhase,
+    SessionSpec, StepCostModel, StepOutcome, TokenEvent,
 };
 pub use error::HermesError;
-pub use hermes::{HermesEngine, HermesOptions, HermesSystem, MappingPolicy, OnlineAdjustment};
+pub use hermes::{HermesOptions, MappingPolicy, OnlineAdjustment};
 pub use planner::NeuronPlan;
 pub use report::{
     ClassReport, ClusterReport, DistributionStats, InferenceReport, KvPoolReport, LatencyBreakdown,

@@ -1,16 +1,15 @@
-//! Dispatch over every inference system evaluated in the paper.
+//! Every inference system evaluated in the paper.
 //!
 //! [`SystemKind`] names a system; [`SystemKind::engine`] binds it to a
-//! hardware configuration as a `Box<dyn InferenceEngine>`, from which
-//! step-wise [`Session`](crate::Session)s are opened. [`try_run_system`] is
-//! the one-shot convenience driver over that machinery.
+//! hardware configuration as an [`Engine`], which plans runs and opens
+//! step-wise [`Session`](crate::Session)s. [`try_run_system`] is the
+//! one-shot convenience driver over that machinery.
 
 use serde::{Deserialize, Serialize};
 
-use crate::baselines::{AccelerateEngine, DejaVuEngine, FlexGenEngine, TensorRtLlmEngine};
-use crate::engine::{run_session, InferenceEngine};
+use crate::engine::{run_session, Engine};
 use crate::error::HermesError;
-use crate::hermes::{HermesEngine, HermesOptions};
+use crate::hermes::HermesOptions;
 use crate::report::InferenceReport;
 use crate::{SystemConfig, Workload};
 
@@ -73,26 +72,18 @@ impl SystemKind {
     }
 
     /// Bind this system to a hardware configuration, returning the engine
-    /// that opens step-wise sessions for it.
+    /// that plans runs and opens step-wise sessions for it.
     ///
-    /// The TensorRT-LLM reference runs on its own multi-A100 platform and
-    /// ignores `config`.
-    pub fn engine(&self, config: &SystemConfig) -> Box<dyn InferenceEngine> {
-        match *self {
-            SystemKind::Accelerate => Box::new(AccelerateEngine::new(config.clone())),
-            SystemKind::FlexGen => Box::new(FlexGenEngine::new(config.clone())),
-            SystemKind::DejaVu => Box::new(DejaVuEngine::new(config.clone())),
-            SystemKind::Hermes(options) => Box::new(HermesEngine::new(config.clone(), options)),
-            SystemKind::TensorRtLlm { num_gpus } => {
-                Box::new(TensorRtLlmEngine::new(num_gpus).with_host_config(config.clone()))
-            }
-        }
+    /// The TensorRT-LLM reference runs on its own multi-A100 platform: it
+    /// does not simulate `config`, but still validates it.
+    pub fn engine(&self, config: &SystemConfig) -> Engine {
+        Engine::new(*self, config.clone())
     }
 }
 
 /// Simulate a system on a workload in one shot: open a session via
-/// [`SystemKind::engine`], drive it to completion and fold its per-token
-/// events into the report.
+/// [`Engine::start`], drive it to completion and fold its per-token events
+/// into the report.
 ///
 /// # Errors
 ///
@@ -106,10 +97,10 @@ pub fn try_run_system(
     workload: &Workload,
     config: &SystemConfig,
 ) -> Result<InferenceReport, HermesError> {
-    // Validation happens in `InferenceEngine::start`, the single entry point
-    // shared with callers who drive sessions themselves.
+    // Validation happens in `Engine::plan`, the single entry point shared
+    // with callers who drive sessions themselves.
     let mut session = kind.engine(config).start(workload)?;
-    run_session(session.as_mut())
+    run_session(&mut session)
 }
 
 #[cfg(test)]
@@ -181,8 +172,10 @@ mod tests {
         let config = SystemConfig::paper_default();
         let mut kinds = SystemKind::figure9_lineup();
         kinds.push(SystemKind::TensorRtLlm { num_gpus: 5 });
+        let w = quick(ModelId::Opt13B);
         for kind in kinds {
-            assert_eq!(kind.engine(&config).name(), kind.name());
+            let plan = kind.engine(&config).plan(&w).unwrap();
+            assert_eq!(plan.spec.system, kind.name());
         }
     }
 

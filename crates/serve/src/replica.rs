@@ -27,8 +27,7 @@
 //! radix prefix cache.
 
 use hermes_core::{
-    HermesError, InferenceEngine, LatencyBreakdown, PlannedRun, PrefillChunk, SystemConfig,
-    SystemKind,
+    Engine, HermesError, LatencyBreakdown, PlannedRun, PrefillChunk, SystemConfig, SystemKind,
 };
 
 use crate::kv::{AdmissionPlan, KvBackend, UsageSamples};
@@ -74,7 +73,7 @@ pub struct ReplicaSim {
     sim: ServingSimulation,
     /// The planned engine, kept for worst-case re-validation of injected
     /// requests.
-    engine: Box<dyn InferenceEngine>,
+    engine: Engine,
     /// The template plan pricing every step.
     plan: PlannedRun,
     /// Reservations, or the paged pool and its prefix cache.

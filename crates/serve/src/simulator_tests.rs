@@ -968,7 +968,7 @@ fn request_larger_than_the_paged_pool_is_rejected() {
 #[test]
 fn invalid_hardware_knobs_are_rejected() {
     type Probe = (&'static str, SystemKind, fn(&mut SystemConfig));
-    let probes: [Probe; 9] = [
+    let probes: [Probe; 10] = [
         ("pcie.bandwidth = 0", SystemKind::hermes_base(), |c| {
             c.pcie.bandwidth = 0.0;
         }),
@@ -1006,6 +1006,13 @@ fn invalid_hardware_knobs_are_rejected() {
             SystemKind::hermes_host(),
             |c| {
                 c.host_cpu.memory_bandwidth = f64::NAN;
+            },
+        ),
+        (
+            "offload_bandwidth_derate = 0",
+            SystemKind::Accelerate,
+            |c| {
+                c.offload_bandwidth_derate = 0.0;
             },
         ),
     ];

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example ablation_study`
 
-use hermes_core::{HermesOptions, HermesSystem, SystemConfig, Workload};
+use hermes_core::{try_run_system, HermesOptions, SystemConfig, SystemKind, Workload};
 use hermes_model::ModelId;
 
 fn main() {
@@ -21,9 +21,8 @@ fn main() {
     println!("LLaMA2-70B, batch 1 — sparse-FC latency per token and speedup over Hermes-random\n");
     let mut baseline = None;
     for (name, options) in variants {
-        let report = HermesSystem::new(workload.clone(), config.clone(), options)
-            .run()
-            .expect("supported");
+        let report =
+            try_run_system(SystemKind::Hermes(options), &workload, &config).expect("supported");
         let fc_ms = report.breakdown.fc * 1e3 / workload.gen_len as f64;
         let base = *baseline.get_or_insert(fc_ms);
         println!(

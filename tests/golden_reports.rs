@@ -1,0 +1,91 @@
+//! Golden report bytes: the closed-loop report of every engine and one
+//! full-Hermes serving run, compared byte for byte with committed JSON.
+//!
+//! The other suites compare two paths through the same engine, or allow a
+//! relative tolerance, so a change that moves every engine's numbers at
+//! once passes them. This suite pins the numbers themselves. The vendored
+//! JSON writer prints floats with `{:?}`, which round-trips, so equal bytes
+//! mean bit-identical reports.
+//!
+//! On a mismatch the test prints the fresh JSON. If the change in numbers
+//! is intended, review it and replace the file under `tests/golden/` with
+//! that output.
+
+use hermes::core::{
+    try_run_system, ArrivalProcess, HermesOptions, InferenceReport, SystemConfig, SystemKind,
+    Workload,
+};
+use hermes::model::ModelId;
+use hermes::serve::{simulate, LengthDistribution, PrefillPolicy, ServingSimulation};
+
+/// Compare `fresh` with the committed file `tests/golden/<name>`.
+fn assert_golden(name: &str, fresh: &str) {
+    let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+    let committed = std::fs::read_to_string(&path).unwrap_or_default();
+    let fresh = format!("{fresh}\n");
+    assert!(
+        committed == fresh,
+        "{path} does not match the fresh report; fresh JSON:\n{fresh}"
+    );
+}
+
+/// The six systems of Fig. 9, the TensorRT-LLM reference and the five
+/// scheduling ablations of Fig. 13.
+fn every_engine() -> Vec<SystemKind> {
+    let mut kinds = SystemKind::figure9_lineup();
+    kinds.push(SystemKind::TensorRtLlm { num_gpus: 5 });
+    kinds.extend(
+        [
+            HermesOptions::random_mapping(),
+            HermesOptions::partition_only(),
+            HermesOptions::token_adjustment(),
+            HermesOptions::layer_adjustment(),
+            HermesOptions::adjustment_only(),
+        ]
+        .map(SystemKind::Hermes),
+    );
+    kinds
+}
+
+#[test]
+fn closed_loop_reports_match_golden() {
+    let config = SystemConfig::paper_default();
+    // Eight generated tokens carry full Hermes past its five-step remapping
+    // window.
+    let mut w = Workload::paper_default(ModelId::Opt13B).with_batch(2);
+    w.prompt_len = 32;
+    w.gen_len = 8;
+    let reports: Vec<InferenceReport> = every_engine()
+        .into_iter()
+        .map(|kind| try_run_system(kind, &w, &config).unwrap())
+        .collect();
+    assert_eq!(reports.len(), 12);
+    let fresh = serde_json::to_string_pretty(&reports).unwrap();
+    assert_golden("closed_loop_opt13b.json", &fresh);
+}
+
+#[test]
+fn chunked_serving_run_matches_golden() {
+    // Mixed lengths make the sparse cost model price batches whose
+    // sequences differ in context length, and chunked prefill prices steps
+    // through `chunked_step_cost`; the closed loop reaches neither.
+    let config = SystemConfig::paper_default();
+    let sim = ServingSimulation::new(
+        Workload::paper_default(ModelId::Opt13B),
+        ArrivalProcess::Poisson { rate: 20.0 },
+        10,
+    )
+    .with_lengths(LengthDistribution::Uniform {
+        prompt_min: 16,
+        prompt_max: 64,
+        gen_min: 1,
+        gen_max: 12,
+    })
+    .with_prefill(PrefillPolicy::Chunked {
+        chunk_tokens: 16,
+        budget: 32,
+    });
+    let outcome = simulate(SystemKind::hermes(), &config, &sim).unwrap();
+    let fresh = serde_json::to_string_pretty(&outcome).unwrap();
+    assert_golden("serving_hermes_chunked.json", &fresh);
+}

@@ -2,7 +2,7 @@
 //! adjustment, window-based remapping, and their end-to-end effect
 //! (the behaviour behind Fig. 13).
 
-use hermes_core::{HermesOptions, HermesSystem, SystemConfig, Workload};
+use hermes_core::{try_run_system, HermesOptions, SystemConfig, SystemKind, Workload};
 use hermes_model::{Block, ModelConfig, ModelId};
 use hermes_predictor::{HermesPredictor, PredictorConfig};
 use hermes_scheduler::{
@@ -120,8 +120,7 @@ fn full_system_ablation_ordering() {
     workload.gen_len = 10;
     workload.prompt_len = 32;
     let fc = |options: HermesOptions| {
-        HermesSystem::new(workload.clone(), config.clone(), options)
-            .run()
+        try_run_system(SystemKind::Hermes(options), &workload, &config)
             .unwrap()
             .breakdown
             .fc

@@ -158,7 +158,7 @@ fn session_protocol_is_enforced() {
     ));
     // run_session resumes a partially driven session and completes it.
     session.step().unwrap();
-    let report = run_session(session.as_mut()).unwrap();
+    let report = run_session(&mut session).unwrap();
     let oneshot = try_run_system(SystemKind::hermes(), &w, &config).unwrap();
     assert_close(
         report.breakdown.total(),
