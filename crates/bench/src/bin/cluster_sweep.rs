@@ -3,8 +3,7 @@
 //! fleet holding the target p95 TTFT.
 //!
 //! Run with: `cargo run --release -p hermes-bench --bin cluster_sweep`
-//! (`--json` for the machine-readable output, `--threads N` to run grid
-//! points concurrently — the output is byte-identical at any thread count).
+//! (`--json` for the machine-readable output).
 
 use hermes_bench::cluster_sweep::{run_sweep, ClusterSweepOutput, TARGET_TTFT_P95};
 
@@ -74,16 +73,8 @@ fn print_tables(output: &ClusterSweepOutput) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let json = args.iter().any(|a| a == "--json");
-    let threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--threads takes a positive integer"))
-        .unwrap_or(1);
-
-    let output = run_sweep(threads);
+    let json = std::env::args().any(|a| a == "--json");
+    let output = run_sweep();
     if json {
         println!(
             "{}",

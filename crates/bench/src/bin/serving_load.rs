@@ -19,21 +19,11 @@
 //!
 //! Run with: `cargo run --release -p hermes-bench --bin serving_load`
 //!
-//! Flags:
-//! - `--json` emits the whole sweep as machine-readable JSON (one object
-//!   with a `results` array of `{section, system, arrival, offered_rps,
-//!   report}` entries) instead of the tables.
-//! - `--threads N` runs the grid on N worker threads (default 1). The
-//!   emitted rows are byte-identical at every thread count.
-//! - `--bench-json [PATH]` skips the sweep and instead measures simulator
-//!   throughput (simulated requests per wall-clock second on 10k- and
-//!   100k-request Poisson traces, plus 10k chunked-prefill, preemption and
-//!   paged-swap-out variants), writing `BENCH_serving_sim.json` (or PATH).
-//!   Built with `--features reference`, it also times the retained
-//!   sort-based scheduler and records the speedup.
+//! `--json` emits the whole sweep as machine-readable JSON (one object with
+//! a `results` array of `{section, system, arrival, offered_rps, report}`
+//! entries) instead of the tables.
 
 use hermes_bench::serving_sweep::{run_sweep, SweepEntry, SweepOutput};
-use hermes_bench::throughput;
 use hermes_core::ServingReport;
 
 fn row(report: &ServingReport) -> String {
@@ -172,46 +162,8 @@ fn print_tables(output: &SweepOutput) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let json = args.iter().any(|a| a == "--json");
-    let threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--threads takes a positive integer"))
-        .unwrap_or(1);
-
-    if let Some(i) = args.iter().position(|a| a == "--bench-json") {
-        let path = args
-            .get(i + 1)
-            .filter(|a| !a.starts_with("--"))
-            .map(String::as_str)
-            .unwrap_or("BENCH_serving_sim.json");
-        let output = throughput::run_bench();
-        let serialized = serde_json::to_string_pretty(&output).expect("serializable bench output");
-        // Round-trip through the parser so a malformed emission can never
-        // be committed silently.
-        let parsed: throughput::BenchOutput =
-            serde_json::from_str(&serialized).expect("emitted bench JSON parses back");
-        assert_eq!(parsed, output);
-        std::fs::write(path, format!("{serialized}\n")).expect("writable bench output path");
-        for entry in &output.entries {
-            match entry.speedup_vs_reference {
-                Some(speedup) => eprintln!(
-                    "{}: {:.0} simulated requests/s ({:.2} s) — {speedup:.1}x vs reference",
-                    entry.trace, entry.requests_per_second, entry.seconds
-                ),
-                None => eprintln!(
-                    "{}: {:.0} simulated requests/s ({:.2} s)",
-                    entry.trace, entry.requests_per_second, entry.seconds
-                ),
-            }
-        }
-        eprintln!("wrote {path}");
-        return;
-    }
-
-    let result = run_sweep(threads);
+    let json = std::env::args().any(|a| a == "--json");
+    let result = run_sweep();
     for note in &result.skipped {
         eprintln!("{note}");
     }

@@ -1,6 +1,5 @@
 //! The `cluster_sweep` grid as a library: fleet scenario construction,
-//! (optionally parallel) execution and the JSON output schema, shared by
-//! the CLI binary and the determinism regression test.
+//! execution and the JSON output schema of the CLI binary.
 //!
 //! Two sections: `routing-policy` holds the fleet fixed and compares every
 //! [`RoutingPolicy`] head to head; `fleet-sizing` grows a KV-pressure-routed
@@ -15,8 +14,6 @@ use hermes_serve::{
     request_kv_bytes, simulate_cluster, AdmissionConfig, ClusterSimulation, PreemptionPolicy,
     PrefixCacheMode, RoutingPolicy, ServingSimulation, DEFAULT_BLOCK_TOKENS,
 };
-
-use crate::sweep::parallel_map;
 
 /// Requests offered per fleet scenario.
 pub const NUM_REQUESTS: usize = 240;
@@ -175,12 +172,12 @@ fn run_point(section: &'static str, n: usize, routing: RoutingPolicy) -> Cluster
     }
 }
 
-/// Run the whole grid on `threads` workers. Grid points are independent
-/// simulations, so the output is byte-identical at any thread count.
-pub fn run_sweep(threads: usize) -> ClusterSweepOutput {
-    let results = parallel_map(threads, grid(), |(section, n, routing)| {
-        run_point(section, n, routing)
-    });
+/// Run the whole grid in order.
+pub fn run_sweep() -> ClusterSweepOutput {
+    let results: Vec<ClusterSweepEntry> = grid()
+        .into_iter()
+        .map(|(section, n, routing)| run_point(section, n, routing))
+        .collect();
     let cheapest_fleet = results
         .iter()
         .filter(|e| e.section == "fleet-sizing" && e.meets_target)

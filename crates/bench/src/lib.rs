@@ -1,5 +1,6 @@
-//! Shared helpers for the figure-regeneration binaries and Criterion
-//! benches that reproduce every table and figure of the Hermes paper.
+//! Shared helpers for the figure-regeneration binaries that reproduce every
+//! table and figure of the Hermes paper, plus the serving and fleet sweep
+//! grids.
 //!
 //! Each binary under `src/bin/` regenerates one experiment and prints the
 //! same rows/series the paper reports (tokens/s, normalized speedups,
@@ -7,12 +8,11 @@
 //! models of this repository rather than the authors' testbed; the *shape*
 //! of each result (who wins, by roughly what factor, where crossovers fall)
 //! is the reproduction target. See "Figure binaries" in the repository's
-//! README for the list of binaries and what each one regenerates.
+//! README for the list of binaries and what each one regenerates. The
+//! simulator's own wall-clock speed is measured by `perfbench/`, not here.
 
 pub mod cluster_sweep;
 pub mod serving_sweep;
-pub mod sweep;
-pub mod throughput;
 
 use hermes_core::{
     try_run_system, HermesError, InferenceReport, SystemConfig, SystemKind, Workload,

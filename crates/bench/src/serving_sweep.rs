@@ -1,7 +1,5 @@
 //! The `serving_load` sweep grid as a library: scenario construction,
-//! (optionally parallel) execution and the JSON output schema, shared by
-//! the CLI binary, the criterion benches and the determinism regression
-//! test.
+//! execution and the JSON output schema of the CLI binary.
 
 use serde::{Deserialize, Serialize};
 
@@ -13,8 +11,6 @@ use hermes_serve::{
     request_kv_bytes, simulate, AdmissionConfig, BatchingPolicy, PreemptionPolicy, PrefillPolicy,
     PrefixCacheMode, PromptSpec, SchedulingPolicy, ServingSimulation, DEFAULT_BLOCK_TOKENS,
 };
-
-use crate::sweep::parallel_map;
 
 /// Requests offered per scenario in the load sweep.
 pub const NUM_REQUESTS: usize = 24;
@@ -249,27 +245,19 @@ pub struct SweepResult {
     pub skipped: Vec<String>,
 }
 
-/// Run the whole grid on `threads` worker threads. Scenario seeds and the
-/// emitted row order are fixed by [`scenarios`], so the output is
-/// byte-identical for every thread count — the `sweep_determinism`
-/// regression test pins `run_sweep(1)` against a multi-threaded run.
+/// Run the whole grid in order. Scenario seeds and the emitted row order
+/// are fixed by [`scenarios`], so equal builds emit byte-identical output.
 ///
 /// # Panics
 ///
 /// Panics when a required scenario (any section but the load sweep) fails
 /// to simulate: those configurations are fixed and must stay valid.
-pub fn run_sweep(threads: usize) -> SweepResult {
+pub fn run_sweep() -> SweepResult {
     let config = SystemConfig::paper_default();
-    let grid = scenarios();
-    let outcomes = parallel_map(threads, grid, |scenario| {
-        let result = simulate(scenario.kind, &config, &scenario.sim);
-        (scenario, result)
-    });
-
     let mut results: Vec<SweepEntry> = Vec::new();
     let mut skipped: Vec<String> = Vec::new();
-    for (scenario, result) in outcomes {
-        match result {
+    for scenario in scenarios() {
+        match simulate(scenario.kind, &config, &scenario.sim) {
             Ok(outcome) => results.push(SweepEntry {
                 section: scenario.section.to_string(),
                 system: scenario.kind.name(),

@@ -149,6 +149,18 @@ mod tests {
     }
 
     #[test]
+    fn aggregate_bandwidth_sits_between_pcie_and_gpu_memory() {
+        // The paper's eight DIMMs sustain several times the PCIe 4.0 x16
+        // link internally (so computing cold neurons in place beats
+        // shipping them) but well below the RTX 4090's 936 GB/s (so the
+        // DIMMs remain the computation-limited side the hot/cold partition
+        // must respect).
+        let agg = 8.0 * dimm().dram().internal_bandwidth();
+        assert!(agg > 2.0 * 64.0e9, "aggregate {agg:.3e}");
+        assert!(agg < 0.936e12, "aggregate {agg:.3e}");
+    }
+
+    #[test]
     fn capacity_matches_config() {
         assert_eq!(dimm().capacity_bytes(), 32 * hermes_model::GIB);
     }

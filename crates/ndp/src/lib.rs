@@ -10,8 +10,11 @@
 //! * the GEMV unit (256 FP16 multipliers @ 1 GHz) and the activation unit
 //!   ([`gemv`], [`activation`]),
 //! * the DIMM-link inter-DIMM interconnect (25 GB/s per link) ([`link`]),
-//! * a single NDP-DIMM ([`dimm`]) and a pool of DIMMs whose per-layer
-//!   latency is the maximum over modules, Eq. 2 of the paper ([`pool`]).
+//! * a single NDP-DIMM ([`dimm`]).
+//!
+//! A layer's NDP latency is the maximum over the DIMMs (Eq. 2 of the
+//! paper); the engines in `hermes-core` take that maximum over per-DIMM
+//! [`NdpDimm`] times themselves.
 //!
 //! # Example
 //!
@@ -31,7 +34,6 @@ pub mod dimm;
 pub mod dram;
 pub mod gemv;
 pub mod link;
-pub mod pool;
 
 pub use activation::ActivationUnit;
 pub use config::{DimmConfig, DramTiming};
@@ -39,4 +41,3 @@ pub use dimm::NdpDimm;
 pub use dram::DramBandwidthModel;
 pub use gemv::GemvUnit;
 pub use link::{DimmLink, HostMediatedPath};
-pub use pool::DimmPool;

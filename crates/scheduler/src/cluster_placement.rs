@@ -4,10 +4,10 @@
 //! [`crate::assignment`] would make every simulated token scan millions of
 //! entries without changing the statistics the cost models consume. This
 //! module keeps the same scheduling decisions — which DIMM computes how much
-//! of each co-activation cluster — at cluster granularity: a
-//! `[dimm][cluster]` matrix of popularity mass and neuron counts per
-//! (layer, block). Algorithm 1 (window-based rebalancing) operates on that
-//! matrix directly.
+//! of each co-activation cluster — at cluster granularity: one
+//! [`ClusterPopSums`] of popularity mass and neuron counts per DIMM and
+//! (layer, block). Algorithm 1 (window-based rebalancing) operates on those
+//! sums directly.
 
 use serde::{Deserialize, Serialize};
 
@@ -30,10 +30,8 @@ pub enum ColdPlacementPolicy {
 /// Cold placement of one (layer, block) at cluster granularity.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BlockColdPlacement {
-    /// Popularity mass of cold neurons per `[dimm][cluster]`.
-    popsum: Vec<Vec<f64>>,
-    /// Cold-neuron count per `[dimm][cluster]`.
-    count: Vec<Vec<f64>>,
+    /// The cold neurons each DIMM holds, per cluster.
+    dimms: Vec<ClusterPopSums>,
 }
 
 impl BlockColdPlacement {
@@ -42,8 +40,11 @@ impl BlockColdPlacement {
     pub fn new(cold: &ClusterPopSums, num_dimms: usize, policy: ColdPlacementPolicy) -> Self {
         assert!(num_dimms > 0, "need at least one DIMM");
         let clusters = cold.popsum.len();
-        let mut popsum = vec![vec![0.0; clusters]; num_dimms];
-        let mut count = vec![vec![0.0; clusters]; num_dimms];
+        let empty = ClusterPopSums {
+            popsum: vec![0.0; clusters],
+            count: vec![0.0; clusters],
+        };
+        let mut dimms = vec![empty; num_dimms];
         match policy {
             ColdPlacementPolicy::Contiguous => {
                 // Greedy: assign each cluster (largest first) to the DIMM
@@ -55,70 +56,48 @@ impl BlockColdPlacement {
                     let target = (0..num_dimms)
                         .min_by(|&a, &b| dimm_load[a].partial_cmp(&dimm_load[b]).unwrap())
                         .expect("num_dimms > 0");
-                    popsum[target][c] = cold.popsum[c];
-                    count[target][c] = cold.count[c];
+                    dimms[target].popsum[c] = cold.popsum[c];
+                    dimms[target].count[c] = cold.count[c];
                     dimm_load[target] += cold.popsum[c];
                 }
             }
             ColdPlacementPolicy::Scattered => {
                 for c in 0..clusters {
-                    for d in 0..num_dimms {
-                        popsum[d][c] = cold.popsum[c] / num_dimms as f64;
-                        count[d][c] = cold.count[c] / num_dimms as f64;
+                    for dimm in &mut dimms {
+                        dimm.popsum[c] = cold.popsum[c] / num_dimms as f64;
+                        dimm.count[c] = cold.count[c] / num_dimms as f64;
                     }
                 }
             }
         }
-        BlockColdPlacement { popsum, count }
+        BlockColdPlacement { dimms }
     }
 
     /// Number of DIMMs.
     pub fn num_dimms(&self) -> usize {
-        self.popsum.len()
+        self.dimms.len()
     }
 
     /// Number of clusters.
     pub fn num_clusters(&self) -> usize {
-        self.popsum.first().map_or(0, Vec::len)
+        self.dimms.first().map_or(0, |d| d.popsum.len())
     }
 
     /// Expected number of activated cold neurons per DIMM for one sequence,
     /// given the current token's cluster activity.
     pub fn dimm_loads(&self, activity: &BlockActivity) -> Vec<f64> {
-        self.popsum
+        self.dimms
             .iter()
-            .zip(&self.count)
-            .map(|(ps, cs)| {
-                ps.iter()
-                    .zip(cs)
-                    .enumerate()
-                    .map(|(c, (&p, &n))| (p * activity.multiplier(c)).min(n))
-                    .sum()
-            })
+            .map(|d| activity.expected_active(d))
             .collect()
     }
 
     /// Expected number of cold neurons per DIMM activated by *any* of
     /// `batch` sequences (weight reads are shared across the batch).
     pub fn dimm_union_loads(&self, activity: &BlockActivity, batch: usize) -> Vec<f64> {
-        assert!(batch >= 1);
-        self.popsum
+        self.dimms
             .iter()
-            .zip(&self.count)
-            .map(|(ps, cs)| {
-                ps.iter()
-                    .zip(cs)
-                    .enumerate()
-                    .map(|(c, (&p, &n))| {
-                        if n == 0.0 {
-                            0.0
-                        } else {
-                            let avg = (p * activity.multiplier(c) / n).min(1.0);
-                            n * (1.0 - (1.0 - avg).powi(batch as i32))
-                        }
-                    })
-                    .sum()
-            })
+            .map(|d| activity.expected_union(d, batch))
             .collect()
     }
 
@@ -142,10 +121,11 @@ impl BlockColdPlacement {
         );
         let num_dimms = self.num_dimms();
         let loads: Vec<f64> = self
-            .popsum
+            .dimms
             .iter()
-            .map(|ps| {
-                ps.iter()
+            .map(|d| {
+                d.popsum
+                    .iter()
                     .zip(window_multipliers)
                     .map(|(&p, &m)| p * m)
                     .sum()
@@ -162,12 +142,13 @@ impl BlockColdPlacement {
                 continue;
             }
             // Hottest clusters of the heavy DIMM first.
+            let heavy_pop = &self.dimms[heavy].popsum;
             let mut clusters: Vec<usize> = (0..self.num_clusters())
-                .filter(|&c| self.popsum[heavy][c] > 0.0)
+                .filter(|&c| heavy_pop[c] > 0.0)
                 .collect();
             clusters.sort_by(|&a, &b| {
-                (self.popsum[heavy][b] * window_multipliers[b])
-                    .partial_cmp(&(self.popsum[heavy][a] * window_multipliers[a]))
+                (heavy_pop[b] * window_multipliers[b])
+                    .partial_cmp(&(heavy_pop[a] * window_multipliers[a]))
                     .unwrap()
             });
             for c in clusters {
@@ -176,16 +157,16 @@ impl BlockColdPlacement {
                     break;
                 }
                 let m = window_multipliers[c].max(1e-9);
-                let cluster_load = self.popsum[heavy][c] * m;
+                let cluster_load = self.dimms[heavy].popsum[c] * m;
                 // Move at most half the gap, bounded by what the cluster has.
                 let move_load = (gap / 2.0).min(cluster_load);
                 let frac = move_load / cluster_load.max(1e-12);
-                let move_pop = self.popsum[heavy][c] * frac;
-                let move_count = self.count[heavy][c] * frac;
-                self.popsum[heavy][c] -= move_pop;
-                self.count[heavy][c] -= move_count;
-                self.popsum[light][c] += move_pop;
-                self.count[light][c] += move_count;
+                let move_pop = self.dimms[heavy].popsum[c] * frac;
+                let move_count = self.dimms[heavy].count[c] * frac;
+                self.dimms[heavy].popsum[c] -= move_pop;
+                self.dimms[heavy].count[c] -= move_count;
+                self.dimms[light].popsum[c] += move_pop;
+                self.dimms[light].count[c] += move_count;
                 loads[heavy] -= move_load;
                 loads[light] += move_load;
                 moved_neurons += move_count;

@@ -18,11 +18,12 @@
 //!    five-token window and migrates the hottest cold neurons over
 //!    DIMM-links.
 //!
-//! Two granularities are provided: exact per-neuron structures (used by the
-//! tests, the predictor-driven ablations and small models) and
-//! cluster-granularity structures (used by the end-to-end engines for
-//! billion-parameter models, where per-neuron bookkeeping per token would
-//! dominate simulation time without changing the statistics).
+//! Two granularities are provided: exact per-neuron structures (exercised
+//! by the unit tests and `tests/scheduling.rs` on small models) and
+//! cluster-granularity structures (used by the end-to-end Hermes engines,
+//! the Fig. 13 ablations included, for billion-parameter models, where
+//! per-neuron bookkeeping per token would dominate simulation time without
+//! changing the statistics).
 
 pub mod adjust;
 pub mod assignment;

@@ -20,10 +20,9 @@
 
 use hermes_core::{ClusterReport, HermesError, ReplicaReport, SystemConfig, SystemKind};
 
-use crate::arrival::sample_arrival_times;
 use crate::replica::{CarriedRequest, ReplicaSim};
 use crate::request::{RequestRecord, ServingRequest};
-use crate::simulator::{request_ranks, ServingSimulation, LENGTH_SEED_SALT, PREFIX_SEED_SALT};
+use crate::simulator::{request_ranks, ServingSimulation};
 
 /// How the cluster picks a replica for each arriving (or re-dispatched)
 /// request. All policies consider only *routable* replicas — drained and
@@ -281,20 +280,7 @@ impl ClusterSimulator {
             }
         }
         let scenario = &sim.scenario;
-        let times = sample_arrival_times(
-            &scenario.arrival,
-            scenario.num_requests,
-            scenario.arrival_seed,
-        )?;
-        let requests = ServingRequest::sample(
-            &scenario.template,
-            &times,
-            &scenario.lengths,
-            &scenario.classes,
-            &scenario.prompts,
-            scenario.arrival_seed ^ LENGTH_SEED_SALT,
-            scenario.arrival_seed ^ PREFIX_SEED_SALT,
-        )?;
+        let requests = scenario.sample_requests()?;
         // Ranks are fleet-wide: computed once over the whole sampled set,
         // so a request keeps its rank (e.g. its prefix-affinity group
         // leader) wherever it is dispatched or re-dispatched.

@@ -128,15 +128,13 @@
 //! completion events incrementally, exploiting that every active sequence
 //! grows by exactly one token per step. A token boundary therefore costs
 //! O(admissions · log queue + distinct context lengths) instead of the
-//! full ready-queue re-sort plus active-set re-scan of a naive loop:
-//! million-request traces simulate in seconds (roughly 0.9M simulated
-//! requests per wall-clock second on a backlogged 100k-request Poisson
-//! trace; see the repo-root `BENCH_serving_sim.json` trajectory and the
-//! `serving_sim` criterion bench in `hermes-bench`). The pre-rewrite
-//! sort-based loop is retained verbatim behind the `reference` cargo
-//! feature (`reference::simulate_reference`) as a differential-testing
-//! oracle: the `simulator_equivalence` suite holds the two to
-//! bitwise-identical outcomes across every policy combination.
+//! full ready-queue re-sort plus active-set re-scan of a naive loop. The
+//! repository benchmark (`perfbench/` at the repo root) measures how fast
+//! it runs. The pre-rewrite sort-based loop is retained behind the
+//! `reference` cargo feature (`reference::simulate_reference`) as a
+//! differential-testing oracle, extended since with the paged-KV, swap-out
+//! and prefix-cache behaviour: the `simulator_equivalence` suite holds the
+//! two to bitwise-identical outcomes across every policy combination.
 //!
 //! # Cluster serving
 //!

@@ -1,5 +1,6 @@
 //! The retained sort-based reference scheduler: the pre-heap simulator loop,
-//! kept verbatim as a differential-testing oracle.
+//! kept as a differential-testing oracle and extended since with paged KV,
+//! swap-out and the prefix cache.
 //!
 //! [`simulate_reference`] re-sorts the whole ready queue at every token
 //! boundary, rebuilds the [`BatchState`] from a linear scan of the active
@@ -31,16 +32,14 @@ use hermes_core::{
     BatchState, HermesError, LatencyBreakdown, PrefillChunk, SystemConfig, SystemKind,
 };
 
-use crate::arrival::sample_arrival_times;
 use crate::prefix::{PrefixCache, PrefixLease};
-use crate::request::{RequestRecord, ServingRequest};
+use crate::request::RequestRecord;
 use crate::scheduler::{
     request_kv_bytes, token_kv_bytes, BatchingPolicy, KvAccounting, PreemptionPolicy,
     PrefillPolicy, PrefixCacheMode,
 };
 use crate::simulator::{
     request_ranks, validate_paged_capacity, worst_case_bounds, ServingOutcome, ServingSimulation,
-    LENGTH_SEED_SALT, PREFIX_SEED_SALT,
 };
 use crate::tallies::{build_report, KvTallies, PrefixTallies, SwapTallies};
 
@@ -86,16 +85,8 @@ pub fn simulate_reference(
     sim: &ServingSimulation,
 ) -> Result<ServingOutcome, HermesError> {
     sim.validate()?;
-    let times = sample_arrival_times(&sim.arrival, sim.num_requests, sim.arrival_seed)?;
-    let requests = ServingRequest::sample(
-        &sim.template,
-        &times,
-        &sim.lengths,
-        &sim.classes,
-        &sim.prompts,
-        sim.arrival_seed ^ LENGTH_SEED_SALT,
-        sim.arrival_seed ^ PREFIX_SEED_SALT,
-    )?;
+    let requests = sim.sample_requests()?;
+    let times: Vec<f64> = requests.iter().map(|r| r.arrival).collect();
     let engine = kind.engine(config);
     let mut plan = engine.plan(&sim.template)?;
     for bound in worst_case_bounds(&sim.template, &requests) {

@@ -819,9 +819,8 @@ mod tests {
     use hermes_model::ModelId;
 
     use super::*;
-    use crate::arrival::sample_arrival_times;
     use crate::scheduler::{AdmissionConfig, PrefixCacheMode, SchedulingPolicy};
-    use crate::simulator::{request_ranks, LENGTH_SEED_SALT, PREFIX_SEED_SALT};
+    use crate::simulator::request_ranks;
 
     /// Bursty, priority-ranked traffic over a KV budget of two worst-case
     /// requests, so admission and growth preempt; shared prompt prefixes
@@ -881,17 +880,7 @@ mod tests {
     /// A Hermes-base replica with every request of `sim` injected, sampled
     /// the way `simulate` samples them.
     fn loaded_replica(sim: &ServingSimulation) -> ReplicaSim {
-        let times = sample_arrival_times(&sim.arrival, sim.num_requests, sim.arrival_seed).unwrap();
-        let requests = ServingRequest::sample(
-            &sim.template,
-            &times,
-            &sim.lengths,
-            &sim.classes,
-            &sim.prompts,
-            sim.arrival_seed ^ LENGTH_SEED_SALT,
-            sim.arrival_seed ^ PREFIX_SEED_SALT,
-        )
-        .unwrap();
+        let requests = sim.sample_requests().unwrap();
         let mut replica = ReplicaSim::new(
             SystemKind::hermes_base(),
             &SystemConfig::paper_default(),

@@ -23,15 +23,6 @@ use crate::scheduler::{
     PrefixCacheMode, SchedulingPolicy,
 };
 
-/// Salt mixed into the arrival seed to derive the length-sampling stream, so
-/// one scenario seed governs both samplers without the draws being
-/// correlated.
-pub(crate) const LENGTH_SEED_SALT: u64 = 0x4c45_4e47_5448_2153; // "LENGTH!S"
-
-/// Salt mixed into the arrival seed to derive the shared-prefix sampling
-/// stream, independent of both the arrival and the length draws.
-pub(crate) const PREFIX_SEED_SALT: u64 = 0x5052_4546_4958_2153; // "PREFIX!S"
-
 /// One open-loop serving scenario: which requests arrive when, how long they
 /// are, and how the scheduler batches and prefills them.
 ///
@@ -173,6 +164,32 @@ impl ServingSimulation {
         self.prefill.validate()?;
         validate_paged_preemption(self)?;
         validate_prefix_cache(self)
+    }
+
+    /// Sample the scenario's requests: arrival times, then per-request
+    /// lengths, classes and shared prefixes. Every entry point samples
+    /// through here, so one scenario yields the same requests whether it
+    /// runs alone, in a fleet or through the reference oracle.
+    ///
+    /// # Errors
+    ///
+    /// The validation errors of the arrival, length, class and prompt specs.
+    pub(crate) fn sample_requests(&self) -> Result<Vec<ServingRequest>, HermesError> {
+        // Salts mixed into the arrival seed to derive the length and
+        // shared-prefix streams, so one scenario seed governs all three
+        // samplers without their draws being correlated.
+        const LENGTH_SEED_SALT: u64 = 0x4c45_4e47_5448_2153; // "LENGTH!S"
+        const PREFIX_SEED_SALT: u64 = 0x5052_4546_4958_2153; // "PREFIX!S"
+        let times = sample_arrival_times(&self.arrival, self.num_requests, self.arrival_seed)?;
+        ServingRequest::sample(
+            &self.template,
+            &times,
+            &self.lengths,
+            &self.classes,
+            &self.prompts,
+            self.arrival_seed ^ LENGTH_SEED_SALT,
+            self.arrival_seed ^ PREFIX_SEED_SALT,
+        )
     }
 }
 
@@ -337,16 +354,7 @@ pub fn simulate(
     sim: &ServingSimulation,
 ) -> Result<ServingOutcome, HermesError> {
     sim.validate()?;
-    let times = sample_arrival_times(&sim.arrival, sim.num_requests, sim.arrival_seed)?;
-    let requests = ServingRequest::sample(
-        &sim.template,
-        &times,
-        &sim.lengths,
-        &sim.classes,
-        &sim.prompts,
-        sim.arrival_seed ^ LENGTH_SEED_SALT,
-        sim.arrival_seed ^ PREFIX_SEED_SALT,
-    )?;
+    let requests = sim.sample_requests()?;
     let mut replica = ReplicaSim::new(kind, config, sim.clone())?;
     replica.validate_requests(&requests)?;
     // Ranks are immutable per request (see `crate::queue`), so they are
