@@ -1,5 +1,5 @@
-//! Golden report bytes: the closed-loop report of every engine and one
-//! full-Hermes serving run, compared byte for byte with committed JSON.
+//! Golden report bytes: the closed-loop report of every engine and two
+//! full-Hermes serving runs, compared byte for byte with committed JSON.
 //!
 //! The other suites compare two paths through the same engine, or allow a
 //! relative tolerance, so a change that moves every engine's numbers at
@@ -16,7 +16,9 @@ use hermes::core::{
     Workload,
 };
 use hermes::model::ModelId;
-use hermes::serve::{simulate, LengthDistribution, PrefillPolicy, ServingSimulation};
+use hermes::serve::{
+    simulate, AdmissionConfig, LengthDistribution, PrefillPolicy, ServingSimulation,
+};
 
 /// Compare `fresh` with the committed file `tests/golden/<name>`.
 fn assert_golden(name: &str, fresh: &str) {
@@ -88,4 +90,35 @@ fn chunked_serving_run_matches_golden() {
     let outcome = simulate(SystemKind::hermes(), &config, &sim).unwrap();
     let fresh = serde_json::to_string_pretty(&outcome).unwrap();
     assert_golden("serving_hermes_chunked.json", &fresh);
+}
+
+#[test]
+fn long_horizon_serving_run_matches_golden() {
+    // Eight bursts of eight requests fill a batch cap of eight and drain it
+    // back to one, over 1,140 priced decode steps: 228 remapping windows age
+    // the cold placement until most clusters are split across DIMMs, which
+    // the short runs above never reach.
+    let config = SystemConfig::paper_default();
+    let sim = ServingSimulation::new(
+        Workload::paper_default(ModelId::Opt13B),
+        ArrivalProcess::Bursty {
+            rate: 0.8,
+            burst: 8,
+        },
+        64,
+    )
+    .with_lengths(LengthDistribution::Uniform {
+        prompt_min: 8,
+        prompt_max: 32,
+        gen_min: 1,
+        gen_max: 200,
+    })
+    .with_prefill(PrefillPolicy::Chunked {
+        chunk_tokens: 16,
+        budget: 32,
+    })
+    .with_admission(AdmissionConfig::unlimited().with_max_batch(8));
+    let outcome = simulate(SystemKind::hermes(), &config, &sim).unwrap();
+    let fresh = serde_json::to_string_pretty(&outcome).unwrap();
+    assert_golden("serving_hermes_long.json", &fresh);
 }
