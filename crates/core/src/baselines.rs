@@ -217,7 +217,7 @@ impl StepCostModel for DejaVuCostModel {
             return StepOutcome::balanced(LatencyBreakdown::default());
         }
         let b = batch.size();
-        let token = self.activity.next_token();
+        let token = self.activity.advance();
         let mut latency = LatencyBreakdown {
             predictor: self.kernel.kernel_time(
                 self.predictor_bytes,
@@ -243,8 +243,7 @@ impl StepCostModel for DejaVuCostModel {
                 let ba = token.block(layer, block);
                 let neuron_bytes = self.cfg.neuron_weight_bytes(block);
                 let neuron_flops = self.cfg.neuron_flops(block);
-                let union = ba.expected_union(&full_layer[bi], b);
-                let active = ba.expected_active(&full_layer[bi]);
+                let (active, union) = ba.expected_active_union(&full_layer[bi], b);
                 // The share of activated neurons not already cached on the
                 // GPU must be fetched over PCIe before the layer can run.
                 let fetched_bytes = union * (1.0 - self.resident_fraction) * neuron_bytes as f64;

@@ -211,8 +211,14 @@ struct SparseCostModel {
     /// Decode steps already priced (drives the remapping window).
     steps: usize,
     window: usize,
+    /// Per (layer, block), each cluster's multipliers summed over the
+    /// current window, divided in place into the window average at its end.
     window_multipliers: Vec<[Vec<f64>; 2]>,
     pending_remap_bytes: u64,
+    /// Per-DIMM cold loads of the block being priced: one sequence, and
+    /// the union over the batch.
+    per_seq: Vec<f64>,
+    per_union: Vec<f64>,
 }
 
 impl SparseCostModel {
@@ -274,9 +280,9 @@ impl StepCostModel for SparseCostModel {
                 }
             })
             .sum();
-        let token = self.activity.next_token();
-        let cfg = &self.cfg;
         let sync = self.sync_time(b);
+        let token = self.activity.advance();
+        let cfg = &self.cfg;
         let mut latency = LatencyBreakdown {
             predictor: self.predictor_time_per_token,
             ..Default::default()
@@ -301,20 +307,22 @@ impl StepCostModel for SparseCostModel {
                 let neuron_bytes = cfg.neuron_weight_bytes(block);
                 let neuron_flops = cfg.neuron_flops(block);
 
-                let hot = &self.plan.hot[layer][bi];
-                let hot_active = ba.expected_active(hot) * self.quality;
-                let hot_union = ba.expected_union(hot, b) * self.quality;
+                let (active, union) = ba.expected_active_union(&self.plan.hot[layer][bi], b);
+                let hot_active = active * self.quality;
+                let hot_union = union * self.quality;
                 // Mispredicted hot activations fall back to the cold side.
-                let spill_active = ba.expected_active(hot) * (1.0 - self.quality);
-                let spill_union = ba.expected_union(hot, b) * (1.0 - self.quality);
+                let spill_active = active * (1.0 - self.quality);
+                let spill_union = union * (1.0 - self.quality);
 
                 let gpu_bytes = (hot_union * neuron_bytes as f64) as u64;
                 let gpu_flops = (hot_active * b as f64 * neuron_flops as f64) as u64;
                 let t_gpu = self.kernel.kernel_time(gpu_bytes, gpu_flops) + 2.0 * sync;
 
-                let placement = self.plan.cold_placement.block(layer, block);
-                let per_seq = placement.dimm_loads(ba);
-                let per_union = placement.dimm_union_loads(ba, b);
+                self.plan
+                    .cold_placement
+                    .block(layer, block)
+                    .dimm_loads_into(ba, b, &mut self.per_seq, &mut self.per_union);
+                let (per_seq, per_union) = (&self.per_seq, &self.per_union);
                 let t_cold = match self.options.cold_executor {
                     ColdExecutor::NdpDimm => {
                         let mut worst: f64 = 0.0;
@@ -367,16 +375,6 @@ impl StepCostModel for SparseCostModel {
 
         // ---- Window-based remapping (Algorithm 1). ----
         if self.options.window_remapping {
-            if self.window_multipliers.is_empty() {
-                self.window_multipliers = (0..cfg.num_layers)
-                    .map(|l| {
-                        [
-                            vec![0.0; token.block(l, Block::Attention).num_clusters()],
-                            vec![0.0; token.block(l, Block::Mlp).num_clusters()],
-                        ]
-                    })
-                    .collect();
-            }
             for (l, layer_mults) in self.window_multipliers.iter_mut().enumerate() {
                 for (bi, block) in Block::ALL.into_iter().enumerate() {
                     let ba = token.block(l, block);
@@ -389,13 +387,11 @@ impl StepCostModel for SparseCostModel {
                 let mut moved_bytes = 0.0;
                 for (l, layer_mults) in self.window_multipliers.iter_mut().enumerate() {
                     for (bi, block) in Block::ALL.into_iter().enumerate() {
-                        let avg: Vec<f64> = layer_mults[bi]
-                            .iter()
-                            .map(|m| m / self.window as f64)
-                            .collect();
-                        moved_bytes += self.plan.cold_placement.block_mut(l, block).rebalance(&avg)
+                        let avg = &mut layer_mults[bi];
+                        avg.iter_mut().for_each(|m| *m /= self.window as f64);
+                        moved_bytes += self.plan.cold_placement.block_mut(l, block).rebalance(avg)
                             * cfg.neuron_weight_bytes(block) as f64;
-                        layer_mults[bi].iter_mut().for_each(|m| *m = 0.0);
+                        avg.fill(0.0);
                     }
                 }
                 // The greedy remapper only migrates as much as the
@@ -579,6 +575,11 @@ fn sparse_plan(
     let predictor = HermesPredictor::new(&cfg, PredictorConfig::default());
     let predictor_time_per_token = predictor.lookups_per_token() as f64 * 1e-9;
 
+    let window_multipliers = (0..cfg.num_layers)
+        .map(|l| {
+            Block::ALL.map(|block| vec![0.0; activity.clusters().block(l, block).num_clusters()])
+        })
+        .collect();
     let hot_bytes = plan.hot_bytes;
     let hot_coverage = plan.hot_coverage;
     let gpu_weight_bytes = cfg.memory_footprint().dense_resident_bytes() + hot_bytes;
@@ -597,8 +598,10 @@ fn sparse_plan(
         hot_bytes,
         steps: 0,
         window: 5,
-        window_multipliers: Vec::new(),
+        window_multipliers,
         pending_remap_bytes: 0,
+        per_seq: vec![0.0; num_dimms],
+        per_union: vec![0.0; num_dimms],
         cfg,
     };
     Planned {
@@ -636,7 +639,7 @@ fn base_plan(config: &SystemConfig, cfg: ModelConfig) -> Planned {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{try_run_system, InferenceReport, SystemKind};
+    use crate::{try_run_system, InferenceReport, PrefillChunk, SystemKind};
     use hermes_model::ModelId;
 
     fn quick_workload(model: ModelId) -> Workload {
@@ -786,5 +789,39 @@ mod tests {
         // the mixed batch carries longer contexts → more attention time.
         assert!(m.latency.attention > u.latency.attention);
         assert_eq!(u.latency.fc, m.latency.fc);
+    }
+
+    #[test]
+    fn an_empty_batch_does_not_advance_decode_state() {
+        // `chunked_step_cost` relies on this: a pure-prefill step prices no
+        // decode work, so it must leave the activity stream and the
+        // remapping window where they were.
+        let w = quick_workload(ModelId::Opt13B);
+        let config = SystemConfig::paper_default();
+        let empty = BatchState::new(vec![]);
+        let chunks = [PrefillChunk {
+            prompt_len: 32,
+            tokens: 16,
+        }];
+        for kind in [SystemKind::hermes(), SystemKind::DejaVu] {
+            let mk = || kind.engine(&config).plan(&w).unwrap();
+            let mut fresh = mk();
+            let mut primed = mk();
+            let idle = primed.cost.decode_cost(&empty);
+            assert_eq!(idle, StepOutcome::balanced(LatencyBreakdown::default()));
+            primed.cost.chunked_step_cost(&chunks, &empty);
+            // Seven steps cross the five-step remapping window; `{:?}`
+            // prints every float so that it reads back to the same bits.
+            for step in 0..7 {
+                let batch = BatchState::new(vec![40 + step, 64, 64, 200]);
+                let want = fresh.cost.decode_cost(&batch);
+                let got = primed.cost.decode_cost(&batch);
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{want:?}"),
+                    "{kind:?} step {step}"
+                );
+            }
+        }
     }
 }

@@ -28,10 +28,33 @@ pub enum ColdPlacementPolicy {
 }
 
 /// Cold placement of one (layer, block) at cluster granularity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BlockColdPlacement {
     /// The cold neurons each DIMM holds, per cluster.
     dimms: Vec<ClusterPopSums>,
+    /// Per DIMM, the clusters it holds any neurons or mass of, ascending.
+    /// Every other cluster adds exactly `+0.0` to the DIMM's load sums, so
+    /// the folds walk only these. `new` and `rebalance`, the only mutators,
+    /// rebuild them.
+    held: Vec<Vec<usize>>,
+    /// Buffers `rebalance` reuses from call to call.
+    scratch: RebalanceScratch,
+}
+
+#[derive(Debug, Clone, Default)]
+struct RebalanceScratch {
+    /// Window load of each DIMM.
+    loads: Vec<f64>,
+    /// DIMMs from the most to the least loaded.
+    order: Vec<usize>,
+    /// The heavy DIMM's clusters not yet moved, with their window load.
+    candidates: Vec<(f64, usize)>,
+}
+
+/// Rebuild `held` as the clusters `sums` holds any neurons or mass of.
+fn index_held(held: &mut Vec<usize>, sums: &ClusterPopSums) {
+    held.clear();
+    held.extend((0..sums.popsum.len()).filter(|&c| sums.popsum[c] != 0.0 || sums.count[c] != 0.0));
 }
 
 impl BlockColdPlacement {
@@ -70,7 +93,19 @@ impl BlockColdPlacement {
                 }
             }
         }
-        BlockColdPlacement { dimms }
+        let held = dimms
+            .iter()
+            .map(|sums| {
+                let mut held = Vec::new();
+                index_held(&mut held, sums);
+                held
+            })
+            .collect();
+        BlockColdPlacement {
+            dimms,
+            held,
+            scratch: RebalanceScratch::default(),
+        }
     }
 
     /// Number of DIMMs.
@@ -83,22 +118,49 @@ impl BlockColdPlacement {
         self.dimms.first().map_or(0, |d| d.popsum.len())
     }
 
+    /// Expected number of activated cold neurons per DIMM, for one sequence
+    /// into `seq` and for the union over `batch` sequences into `union`
+    /// (one slot per DIMM), in one pass over the clusters each DIMM holds.
+    ///
+    /// Each slot is one sum over the DIMM's clusters in ascending order, so
+    /// it has the bits of [`BlockActivity::expected_active`] and
+    /// [`BlockActivity::expected_union`] over all of the DIMM's clusters.
+    pub fn dimm_loads_into(
+        &self,
+        activity: &BlockActivity,
+        batch: usize,
+        seq: &mut [f64],
+        union: &mut [f64],
+    ) {
+        assert_eq!(seq.len(), self.num_dimms(), "one load slot per DIMM");
+        assert_eq!(union.len(), self.num_dimms(), "one load slot per DIMM");
+        seq.fill(0.0);
+        union.fill(0.0);
+        let terms = self
+            .held
+            .iter()
+            .zip(&self.dimms)
+            .enumerate()
+            .flat_map(|(d, (held, sums))| held.iter().map(move |&c| (d, sums, c)));
+        activity.fold_into(terms, batch, seq, union);
+    }
+
     /// Expected number of activated cold neurons per DIMM for one sequence,
     /// given the current token's cluster activity.
     pub fn dimm_loads(&self, activity: &BlockActivity) -> Vec<f64> {
-        self.dimms
-            .iter()
-            .map(|d| activity.expected_active(d))
-            .collect()
+        let mut seq = vec![0.0; self.num_dimms()];
+        let mut union = vec![0.0; self.num_dimms()];
+        self.dimm_loads_into(activity, 1, &mut seq, &mut union);
+        seq
     }
 
     /// Expected number of cold neurons per DIMM activated by *any* of
     /// `batch` sequences (weight reads are shared across the batch).
     pub fn dimm_union_loads(&self, activity: &BlockActivity, batch: usize) -> Vec<f64> {
-        self.dimms
-            .iter()
-            .map(|d| activity.expected_union(d, batch))
-            .collect()
+        let mut seq = vec![0.0; self.num_dimms()];
+        let mut union = vec![0.0; self.num_dimms()];
+        self.dimm_loads_into(activity, batch, &mut seq, &mut union);
+        union
     }
 
     /// Total expected cold activations across all DIMMs for one sequence.
@@ -120,42 +182,50 @@ impl BlockColdPlacement {
             "multiplier vector must cover every cluster"
         );
         let num_dimms = self.num_dimms();
-        let loads: Vec<f64> = self
-            .dimms
-            .iter()
-            .map(|d| {
-                d.popsum
-                    .iter()
-                    .zip(window_multipliers)
-                    .map(|(&p, &m)| p * m)
-                    .sum()
-            })
-            .collect();
-        let mut order: Vec<usize> = (0..num_dimms).collect();
+        let RebalanceScratch {
+            loads,
+            order,
+            candidates,
+        } = &mut self.scratch;
+        loads.clear();
+        loads.extend(self.held.iter().zip(&self.dimms).map(|(held, d)| {
+            held.iter()
+                .fold(0.0, |load, &c| load + d.popsum[c] * window_multipliers[c])
+        }));
+        order.clear();
+        order.extend(0..num_dimms);
         order.sort_by(|&a, &b| loads[b].partial_cmp(&loads[a]).unwrap());
         let mut moved_neurons = 0.0;
-        let mut loads = loads;
         for pair in 0..num_dimms / 2 {
             let heavy = order[pair];
             let light = order[num_dimms - 1 - pair];
             if heavy == light || loads[heavy] <= loads[light] {
                 continue;
             }
-            // Hottest clusters of the heavy DIMM first.
+            // Hottest clusters of the heavy DIMM first (ties to the lower
+            // cluster), picked one at a time: the gap usually closes after
+            // one or two.
             let heavy_pop = &self.dimms[heavy].popsum;
-            let mut clusters: Vec<usize> = (0..self.num_clusters())
-                .filter(|&c| heavy_pop[c] > 0.0)
-                .collect();
-            clusters.sort_by(|&a, &b| {
-                (heavy_pop[b] * window_multipliers[b])
-                    .partial_cmp(&(heavy_pop[a] * window_multipliers[a]))
-                    .unwrap()
-            });
-            for c in clusters {
+            candidates.clear();
+            candidates.extend(
+                self.held[heavy]
+                    .iter()
+                    .filter(|&&c| heavy_pop[c] > 0.0)
+                    .map(|&c| (heavy_pop[c] * window_multipliers[c], c)),
+            );
+            loop {
                 let gap = loads[heavy] - loads[light];
                 if gap <= 1e-9 {
                     break;
                 }
+                let Some((pick, _)) = candidates
+                    .iter()
+                    .enumerate()
+                    .max_by(|(_, a), (_, b)| a.0.partial_cmp(&b.0).unwrap().then(b.1.cmp(&a.1)))
+                else {
+                    break;
+                };
+                let (_, c) = candidates.swap_remove(pick);
                 let m = window_multipliers[c].max(1e-9);
                 let cluster_load = self.dimms[heavy].popsum[c] * m;
                 // Move at most half the gap, bounded by what the cluster has.
@@ -171,6 +241,8 @@ impl BlockColdPlacement {
                 loads[light] += move_load;
                 moved_neurons += move_count;
             }
+            index_held(&mut self.held[heavy], &self.dimms[heavy]);
+            index_held(&mut self.held[light], &self.dimms[light]);
         }
         moved_neurons
     }
@@ -189,7 +261,7 @@ impl BlockColdPlacement {
 }
 
 /// Cold placement of every (layer, block) of a model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterColdPlacement {
     layers: Vec<[BlockColdPlacement; 2]>,
 }
@@ -241,8 +313,11 @@ mod tests {
     use super::*;
     use hermes_model::{ModelConfig, ModelId};
     use hermes_sparsity::{
-        ClusterPopSums, NeuronPopularity, SparsityProfile, StatisticalActivityModel,
+        ClusterPopSums, NeuronPopularity, SparsityProfile, StatisticalActivityModel, TokenActivity,
     };
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn tiny_model() -> ModelConfig {
         let mut cfg = ModelConfig::from_id(ModelId::Opt13B);
@@ -377,5 +452,238 @@ mod tests {
             count: vec![2.0],
         };
         let _ = BlockColdPlacement::new(&cold, 0, ColdPlacementPolicy::Contiguous);
+    }
+
+    /// `expected_active` of one DIMM as it was before the held index: one
+    /// iterator fold over every cluster. The bitwise reference.
+    fn reference_active(multipliers: &[f64], sums: &ClusterPopSums) -> f64 {
+        multipliers
+            .iter()
+            .zip(&sums.popsum)
+            .zip(&sums.count)
+            .map(|((&m, &p), &n)| (p * m).min(n))
+            .sum()
+    }
+
+    /// `expected_union` of one DIMM as it was before the held index.
+    fn reference_union(multipliers: &[f64], sums: &ClusterPopSums, batch: usize) -> f64 {
+        multipliers
+            .iter()
+            .zip(&sums.popsum)
+            .zip(&sums.count)
+            .map(|((&m, &p), &n)| {
+                if n == 0.0 {
+                    0.0
+                } else {
+                    let avg_p = (p * m / n).min(1.0);
+                    n * (1.0 - (1.0 - avg_p).powi(batch as i32))
+                }
+            })
+            .sum()
+    }
+
+    /// `rebalance` as it was before the held index and lazy selection: a
+    /// stable sort of the heavy DIMM's clusters. The bitwise reference.
+    fn reference_rebalance(dimms: &mut [ClusterPopSums], window_multipliers: &[f64]) -> f64 {
+        let num_dimms = dimms.len();
+        let loads: Vec<f64> = dimms
+            .iter()
+            .map(|d| {
+                d.popsum
+                    .iter()
+                    .zip(window_multipliers)
+                    .map(|(&p, &m)| p * m)
+                    .sum()
+            })
+            .collect();
+        let mut order: Vec<usize> = (0..num_dimms).collect();
+        order.sort_by(|&a, &b| loads[b].partial_cmp(&loads[a]).unwrap());
+        let mut moved_neurons = 0.0;
+        let mut loads = loads;
+        for pair in 0..num_dimms / 2 {
+            let heavy = order[pair];
+            let light = order[num_dimms - 1 - pair];
+            if heavy == light || loads[heavy] <= loads[light] {
+                continue;
+            }
+            let heavy_pop = &dimms[heavy].popsum;
+            let mut clusters: Vec<usize> = (0..heavy_pop.len())
+                .filter(|&c| heavy_pop[c] > 0.0)
+                .collect();
+            clusters.sort_by(|&a, &b| {
+                (heavy_pop[b] * window_multipliers[b])
+                    .partial_cmp(&(heavy_pop[a] * window_multipliers[a]))
+                    .unwrap()
+            });
+            for c in clusters {
+                let gap = loads[heavy] - loads[light];
+                if gap <= 1e-9 {
+                    break;
+                }
+                let m = window_multipliers[c].max(1e-9);
+                let cluster_load = dimms[heavy].popsum[c] * m;
+                let move_load = (gap / 2.0).min(cluster_load);
+                let frac = move_load / cluster_load.max(1e-12);
+                let move_pop = dimms[heavy].popsum[c] * frac;
+                let move_count = dimms[heavy].count[c] * frac;
+                dimms[heavy].popsum[c] -= move_pop;
+                dimms[heavy].count[c] -= move_count;
+                dimms[light].popsum[c] += move_pop;
+                dimms[light].count[c] += move_count;
+                loads[heavy] -= move_load;
+                loads[light] += move_load;
+                moved_neurons += move_count;
+            }
+        }
+        moved_neurons
+    }
+
+    /// The activity of a one-layer model with about `clusters` MLP
+    /// clusters, a random volatility and a random number of tokens in.
+    fn random_token(rng: &mut SmallRng, clusters: usize) -> TokenActivity {
+        let mut cfg = tiny_model();
+        cfg.num_layers = 1;
+        let mut profile = SparsityProfile::for_model(&cfg);
+        profile.cluster_count = clusters;
+        profile.cluster_volatility = rng.gen_range(0.1..2.0);
+        let mut model = StatisticalActivityModel::new(&cfg, &profile, rng.gen_range(0..u64::MAX));
+        for _ in 0..rng.gen_range(0..8) {
+            model.advance();
+        }
+        model.next_token()
+    }
+
+    /// Cold sums where about a third of the clusters hold no neurons (half
+    /// of those still carry stray mass). With `ties`, masses, counts and
+    /// window multipliers come from a few small values, so clusters often
+    /// tie on their window load.
+    fn random_sums(rng: &mut SmallRng, clusters: usize, ties: bool) -> ClusterPopSums {
+        let mut sums = ClusterPopSums {
+            popsum: Vec::with_capacity(clusters),
+            count: Vec::with_capacity(clusters),
+        };
+        for _ in 0..clusters {
+            let (p, n) = match rng.gen_range(0..6) {
+                0 => (0.0, 0.0),
+                1 => (rng.gen_range(0.0..50.0), 0.0),
+                _ if ties => (rng.gen_range(1..4) as f64, rng.gen_range(1..5) as f64),
+                _ => {
+                    let n = rng.gen_range(1..400) as f64 * rng.gen_range(0.01..1.0);
+                    (n * rng.gen_range(0.0..1.5), n)
+                }
+            };
+            sums.popsum.push(p);
+            sums.count.push(n);
+        }
+        sums
+    }
+
+    /// A window average of cluster multipliers.
+    fn random_window(rng: &mut SmallRng, clusters: usize, ties: bool) -> Vec<f64> {
+        (0..clusters)
+            .map(|_| {
+                if ties {
+                    [0.5, 1.0][rng.gen_range(0..2)]
+                } else {
+                    rng.gen_range(-2.0..2.0f64).exp()
+                }
+            })
+            .collect()
+    }
+
+    /// A placement of random cold sums over `dimms` DIMMs (many left empty
+    /// when there are fewer clusters), aged by `windows` rebalances.
+    fn aged_placement(
+        rng: &mut SmallRng,
+        clusters: usize,
+        dimms: usize,
+        windows: usize,
+        ties: bool,
+    ) -> BlockColdPlacement {
+        let cold = random_sums(rng, clusters, ties);
+        let policy = if rng.gen_range(0..5) == 0 {
+            ColdPlacementPolicy::Scattered
+        } else {
+            ColdPlacementPolicy::Contiguous
+        };
+        let mut placement = BlockColdPlacement::new(&cold, dimms, policy);
+        for _ in 0..windows {
+            placement.rebalance(&random_window(rng, clusters, ties));
+        }
+        placement
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn fused_dimm_loads_match_iterator_folds_on_aged_placements(
+            seed in 0u64..u64::MAX,
+            clusters in 1usize..100,
+            dimms in 1usize..12,
+            batch in 1usize..1025,
+            windows in 0usize..24,
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let token = random_token(&mut rng, clusters);
+            let ba = token.block(0, Block::Mlp);
+            let n = ba.num_clusters();
+            let multipliers: Vec<f64> = (0..n).map(|c| ba.multiplier(c)).collect();
+            let ties = rng.gen_bool(0.5);
+            let placement = aged_placement(&mut rng, n, dimms, windows, ties);
+            let mut seq = vec![f64::NAN; dimms];
+            let mut union = vec![f64::NAN; dimms];
+            placement.dimm_loads_into(ba, batch, &mut seq, &mut union);
+            for (d, sums) in placement.dimms.iter().enumerate() {
+                prop_assert_eq!(seq[d].to_bits(), reference_active(&multipliers, sums).to_bits());
+                prop_assert_eq!(
+                    union[d].to_bits(),
+                    reference_union(&multipliers, sums, batch).to_bits()
+                );
+            }
+            // A clone carries its held index along and prices the same.
+            let clone = placement.clone();
+            let mut clone_seq = vec![f64::NAN; dimms];
+            let mut clone_union = vec![f64::NAN; dimms];
+            clone.dimm_loads_into(ba, batch, &mut clone_seq, &mut clone_union);
+            prop_assert_eq!(
+                clone_seq.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                seq.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+            );
+            prop_assert_eq!(
+                clone_union.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                union.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+            );
+        }
+
+        #[test]
+        fn lazy_rebalance_matches_sort_based_rebalance(
+            seed in 0u64..u64::MAX,
+            clusters in 1usize..100,
+            dimms in 1usize..12,
+            windows in 1usize..24,
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let ties = rng.gen_bool(0.5);
+            let mut placement = aged_placement(&mut rng, clusters, dimms, 0, ties);
+            let mut reference = placement.dimms.clone();
+            for _ in 0..windows {
+                let window = random_window(&mut rng, clusters, ties);
+                let moved = placement.rebalance(&window);
+                let expected = reference_rebalance(&mut reference, &window);
+                prop_assert_eq!(moved.to_bits(), expected.to_bits());
+                for (got, want) in placement.dimms.iter().zip(&reference) {
+                    for c in 0..clusters {
+                        prop_assert_eq!(got.popsum[c].to_bits(), want.popsum[c].to_bits());
+                        prop_assert_eq!(got.count[c].to_bits(), want.count[c].to_bits());
+                    }
+                }
+                for (held, sums) in placement.held.iter().zip(&placement.dimms) {
+                    let mut fresh = Vec::new();
+                    index_held(&mut fresh, sums);
+                    prop_assert_eq!(held, &fresh);
+                }
+            }
+        }
     }
 }

@@ -406,7 +406,8 @@ impl ClusterSimulator {
     ///
     /// Propagates per-replica simulation errors (unsatisfiable admission
     /// caps) and routing dead-ends (no routable replica left for an
-    /// arrival).
+    /// arrival), and returns [`HermesError::InvalidConfig`] unless every
+    /// sampled request completed exactly once.
     pub fn run(mut self) -> Result<ClusterOutcome, HermesError> {
         // Merge events and arrivals into one time-ordered pass; at equal
         // times events apply first (a request arriving the instant a
@@ -477,8 +478,28 @@ impl ClusterSimulator {
             .flat_map(|r| r.surviving_records())
             .collect();
         records.sort_by_key(|r| r.id);
+        check_each_request_once(&records, self.requests.len())?;
         Ok(ClusterOutcome { report, records })
     }
+}
+
+/// Check that `records`, sorted by id, are one record for each of the
+/// `requests` sampled requests: exactly the ids `0..requests`.
+fn check_each_request_once(records: &[RequestRecord], requests: usize) -> Result<(), HermesError> {
+    let problem = match records
+        .iter()
+        .enumerate()
+        .find(|&(i, r)| r.id != i || i >= requests)
+    {
+        Some((i, r)) if r.id < i => format!("request {} completed more than once", r.id),
+        Some((i, _)) if i < requests => format!("request {i} never completed"),
+        Some((_, r)) => format!("request {} was never sampled", r.id),
+        None if records.len() < requests => format!("request {} never completed", records.len()),
+        None => return Ok(()),
+    };
+    Err(HermesError::InvalidConfig(format!(
+        "{problem}: each of the {requests} sampled requests must complete exactly once"
+    )))
 }
 
 /// Simulate a multi-replica cluster scenario end to end: sample the
@@ -496,4 +517,46 @@ impl ClusterSimulator {
 /// return.
 pub fn simulate_cluster(sim: &ClusterSimulation) -> Result<ClusterOutcome, HermesError> {
     ClusterSimulator::new(sim)?.run()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hermes_core::RequestClass;
+
+    fn records(ids: &[usize]) -> Vec<RequestRecord> {
+        ids.iter()
+            .map(|&id| RequestRecord {
+                id,
+                arrival: 0.0,
+                admitted: 0.0,
+                first_token: 0.0,
+                completed: 0.0,
+                prompt_len: 1,
+                gen_len: 1,
+                class: RequestClass::default(),
+                preemptions: 0,
+                reused_prefix_tokens: 0,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn each_request_must_complete_exactly_once() {
+        assert_eq!(check_each_request_once(&records(&[0, 1, 2]), 3), Ok(()));
+        assert_eq!(check_each_request_once(&records(&[]), 0), Ok(()));
+        for (ids, problem) in [
+            (&[0, 2][..], "request 1 never completed"),
+            (&[0, 1], "request 2 never completed"),
+            (&[0, 1, 1, 2], "request 1 completed more than once"),
+            (&[0, 0, 2], "request 0 completed more than once"),
+            (&[0, 1, 2, 3], "request 3 was never sampled"),
+        ] {
+            let err = check_each_request_once(&records(ids), 3).unwrap_err();
+            assert!(
+                matches!(&err, HermesError::InvalidConfig(msg) if msg.starts_with(problem)),
+                "{ids:?}: {err}"
+            );
+        }
+    }
 }

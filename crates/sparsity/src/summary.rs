@@ -62,6 +62,11 @@ impl ClusterPopSums {
     }
 }
 
+/// Clusters priced per pass of [`BlockActivity::fold_into`]: one pass covers
+/// a whole block at the paper's 64 clusters, and the buffers stay on the
+/// stack.
+const LANES: usize = 64;
+
 /// Activity multipliers of one (layer, block) for the current token.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BlockActivity {
@@ -71,32 +76,76 @@ pub struct BlockActivity {
 impl BlockActivity {
     /// Expected number of activated subset neurons for a single sequence.
     pub fn expected_active(&self, sums: &ClusterPopSums) -> f64 {
-        self.multipliers
-            .iter()
-            .zip(&sums.popsum)
-            .zip(&sums.count)
-            .map(|((&m, &p), &n)| (p * m).min(n))
-            .sum()
+        self.expected_active_union(sums, 1).0
     }
 
     /// Expected number of subset neurons activated by *any* of `batch`
     /// independent sequences (the union that determines weight-loading and
     /// DRAM-read volume for batched inference).
     pub fn expected_union(&self, sums: &ClusterPopSums, batch: usize) -> f64 {
+        self.expected_active_union(sums, batch).1
+    }
+
+    /// [`expected_active`](Self::expected_active) and
+    /// [`expected_union`](Self::expected_union) of `batch` sequences in one
+    /// pass over the clusters.
+    pub fn expected_active_union(&self, sums: &ClusterPopSums, batch: usize) -> (f64, f64) {
+        let clusters = self
+            .multipliers
+            .len()
+            .min(sums.popsum.len())
+            .min(sums.count.len());
+        let mut active = [0.0];
+        let mut union = [0.0];
+        self.fold_into(
+            (0..clusters).map(|c| (0, sums, c)),
+            batch,
+            &mut active,
+            &mut union,
+        );
+        (active[0], union[0])
+    }
+
+    /// Add the expected-active and expected-union terms of every
+    /// `(slot, sums, cluster)` of `terms` to `active[slot]` and
+    /// `union[slot]`, in iteration order.
+    ///
+    /// Per cluster, with popularity mass `p`, neuron count `n` and
+    /// multiplier `m`, the single-sequence term is `min(p·m, n)` and the
+    /// union term is `n·(1 − (1 − min(p·m/n, 1))^batch)`. A cluster with
+    /// `n = 0` adds exactly `+0.0` to both: `p·m/0` is ∞ or NaN, the `min`
+    /// makes it 1, so the power is 0 and the term is `0·1`. A caller may
+    /// therefore skip such clusters without changing a sum's bits.
+    pub fn fold_into<'a, I>(&self, terms: I, batch: usize, active: &mut [f64], union: &mut [f64])
+    where
+        I: IntoIterator<Item = (usize, &'a ClusterPopSums, usize)>,
+    {
         assert!(batch >= 1, "batch must be at least 1");
-        self.multipliers
-            .iter()
-            .zip(&sums.popsum)
-            .zip(&sums.count)
-            .map(|((&m, &p), &n)| {
-                if n == 0.0 {
-                    0.0
-                } else {
-                    let avg_p = (p * m / n).min(1.0);
-                    n * (1.0 - (1.0 - avg_p).powi(batch as i32))
-                }
-            })
-            .sum()
+        let exp = u32::try_from(batch).expect("a batch size fits in a powi exponent");
+        let mut terms = terms.into_iter();
+        let mut slot = [0; LANES];
+        let mut count = [0.0; LANES];
+        let mut base = [0.0; LANES];
+        let mut power = [0.0; LANES];
+        loop {
+            let mut len = 0;
+            for (s, sums, c) in terms.by_ref().take(LANES) {
+                let pm = sums.popsum[c] * self.multipliers[c];
+                let n = sums.count[c];
+                active[s] += pm.min(n);
+                slot[len] = s;
+                count[len] = n;
+                base[len] = 1.0 - (pm / n).min(1.0);
+                len += 1;
+            }
+            powi_lanes(&mut base[..len], &mut power[..len], exp);
+            for i in 0..len {
+                union[slot[i]] += count[i] * (1.0 - power[i]);
+            }
+            if len < LANES {
+                return;
+            }
+        }
     }
 
     /// Number of clusters.
@@ -107,6 +156,33 @@ impl BlockActivity {
     /// Activity multiplier of one cluster.
     pub fn multiplier(&self, cluster: usize) -> f64 {
         self.multipliers[cluster]
+    }
+}
+
+/// Set `power[i]` to `base[i].powi(exp)` for every lane, squaring `base` in
+/// place.
+///
+/// This is the square-and-multiply of `f64::powi` (compiler-builtins'
+/// `__powidf2`): the product starts at 1 and takes the base once for every
+/// set bit of `exp`, lowest bit first, with the base squared between bits.
+/// Each lane sees the same multiplications in the same order, so it gets
+/// the same bits as `powi`; running the lanes side by side lets independent
+/// clusters pipeline instead of each waiting on its own call.
+fn powi_lanes(base: &mut [f64], power: &mut [f64], mut exp: u32) {
+    power.fill(1.0);
+    loop {
+        if exp & 1 == 1 {
+            for (p, &b) in power.iter_mut().zip(base.iter()) {
+                *p *= b;
+            }
+        }
+        exp >>= 1;
+        if exp == 0 {
+            return;
+        }
+        for b in base.iter_mut() {
+            *b *= *b;
+        }
     }
 }
 
@@ -138,20 +214,34 @@ pub struct StatisticalActivityModel {
     clusters: ModelClusterProcess,
     rng: SmallRng,
     tokens_generated: usize,
+    /// Activity of the latest token, refreshed in place by
+    /// [`advance`](Self::advance).
+    token: TokenActivity,
 }
 
 impl StatisticalActivityModel {
     /// Build the model for a configuration and profile.
     pub fn new(cfg: &ModelConfig, profile: &SparsityProfile, seed: u64) -> Self {
+        let clusters = ModelClusterProcess::new(
+            cfg.num_layers,
+            cfg.neurons_per_layer(Block::Attention),
+            cfg.neurons_per_layer(Block::Mlp),
+            profile,
+        );
+        let token = TokenActivity {
+            layers: (0..clusters.num_layers())
+                .map(|l| {
+                    Block::ALL.map(|block| BlockActivity {
+                        multipliers: vec![0.0; clusters.block(l, block).num_clusters()],
+                    })
+                })
+                .collect(),
+        };
         StatisticalActivityModel {
-            clusters: ModelClusterProcess::new(
-                cfg.num_layers,
-                cfg.neurons_per_layer(Block::Attention),
-                cfg.neurons_per_layer(Block::Mlp),
-                profile,
-            ),
+            clusters,
             rng: SmallRng::seed_from_u64(seed ^ 0xac71_71fb_0001),
             tokens_generated: 0,
+            token,
         }
     }
 
@@ -165,27 +255,25 @@ impl StatisticalActivityModel {
         self.tokens_generated
     }
 
-    /// Advance by one token and return the per-block activity multipliers.
-    pub fn next_token(&mut self) -> TokenActivity {
+    /// Advance by one token and return its per-block activity multipliers,
+    /// refreshed in place.
+    pub fn advance(&mut self) -> &TokenActivity {
         self.clusters.step(&mut self.rng);
         self.tokens_generated += 1;
-        let layers = (0..self.clusters.num_layers())
-            .map(|l| {
-                [
-                    BlockActivity {
-                        multipliers: (0..self.clusters.block(l, Block::Attention).num_clusters())
-                            .map(|c| self.clusters.block(l, Block::Attention).multiplier(c))
-                            .collect(),
-                    },
-                    BlockActivity {
-                        multipliers: (0..self.clusters.block(l, Block::Mlp).num_clusters())
-                            .map(|c| self.clusters.block(l, Block::Mlp).multiplier(c))
-                            .collect(),
-                    },
-                ]
-            })
-            .collect();
-        TokenActivity { layers }
+        for (l, layer) in self.token.layers.iter_mut().enumerate() {
+            for (activity, block) in layer.iter_mut().zip(Block::ALL) {
+                let process = self.clusters.block(l, block);
+                for (c, m) in activity.multipliers.iter_mut().enumerate() {
+                    *m = process.multiplier(c);
+                }
+            }
+        }
+        &self.token
+    }
+
+    /// Advance by one token and return a copy of its activity.
+    pub fn next_token(&mut self) -> TokenActivity {
+        self.advance().clone()
     }
 
     /// Reset the cluster state (context switch).
@@ -201,6 +289,8 @@ mod tests {
     use crate::stats::NeuronFrequencies;
     use crate::trace::TraceGenerator;
     use hermes_model::{ModelConfig, ModelId};
+    use proptest::prelude::*;
+    use rand::Rng;
 
     fn tiny_model() -> ModelConfig {
         let mut cfg = ModelConfig::from_id(ModelId::Opt13B);
@@ -300,5 +390,122 @@ mod tests {
         assert_eq!(a.next_token(), b.next_token());
         assert_eq!(a.tokens_generated(), 1);
         a.reset_context();
+    }
+
+    /// `expected_active` as one iterator fold over every cluster, as it was
+    /// before the fused fold: the bitwise reference.
+    fn reference_active(multipliers: &[f64], sums: &ClusterPopSums) -> f64 {
+        multipliers
+            .iter()
+            .zip(&sums.popsum)
+            .zip(&sums.count)
+            .map(|((&m, &p), &n)| (p * m).min(n))
+            .sum()
+    }
+
+    /// `expected_union` as it was before the fused fold.
+    fn reference_union(multipliers: &[f64], sums: &ClusterPopSums, batch: usize) -> f64 {
+        multipliers
+            .iter()
+            .zip(&sums.popsum)
+            .zip(&sums.count)
+            .map(|((&m, &p), &n)| {
+                if n == 0.0 {
+                    0.0
+                } else {
+                    let avg_p = (p * m / n).min(1.0);
+                    n * (1.0 - (1.0 - avg_p).powi(batch as i32))
+                }
+            })
+            .sum()
+    }
+
+    /// Cluster sums where about a third of the clusters hold no neurons
+    /// (half of those still carry stray mass) and some carry more mass than
+    /// neurons, so `p·m/n` is clamped.
+    fn random_sums(rng: &mut SmallRng, clusters: usize) -> ClusterPopSums {
+        let mut sums = ClusterPopSums {
+            popsum: Vec::with_capacity(clusters),
+            count: Vec::with_capacity(clusters),
+        };
+        for _ in 0..clusters {
+            let (p, n) = match rng.gen_range(0..6) {
+                0 => (0.0, 0.0),
+                1 => (rng.gen_range(0.0..50.0), 0.0),
+                _ => {
+                    let n = rng.gen_range(1..400) as f64 * rng.gen_range(0.01..1.0);
+                    (n * rng.gen_range(0.0..1.5), n)
+                }
+            };
+            sums.popsum.push(p);
+            sums.count.push(n);
+        }
+        sums
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn fused_fold_matches_iterator_folds(
+            seed in 0u64..u64::MAX,
+            clusters in 1usize..160,
+            batch in 1usize..1025,
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let activity = BlockActivity {
+                multipliers: (0..clusters).map(|_| rng.gen_range(-3.0..3.0f64).exp()).collect(),
+            };
+            let sums = random_sums(&mut rng, clusters);
+            let (active, union) = activity.expected_active_union(&sums, batch);
+            let m = &activity.multipliers;
+            prop_assert_eq!(active.to_bits(), reference_active(m, &sums).to_bits());
+            prop_assert_eq!(union.to_bits(), reference_union(m, &sums, batch).to_bits());
+            prop_assert_eq!(activity.expected_active(&sums).to_bits(), active.to_bits());
+            prop_assert_eq!(activity.expected_union(&sums, batch).to_bits(), union.to_bits());
+        }
+
+        #[test]
+        fn square_and_multiply_matches_powi(seed in 0u64..u64::MAX) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut bases = vec![0.0, 1.0, f64::MIN_POSITIVE, 1.0 - f64::EPSILON, 0.5];
+            bases.extend((0..59).map(|_| rng.gen_range(0.0..1.0)));
+            let mut base = vec![0.0; bases.len()];
+            let mut power = vec![0.0; bases.len()];
+            for exp in 1..=1024u32 {
+                base.copy_from_slice(&bases);
+                powi_lanes(&mut base, &mut power, exp);
+                for (&b, &p) in bases.iter().zip(&power) {
+                    prop_assert_eq!(p.to_bits(), b.powi(exp as i32).to_bits(), "{}^{}", b, exp);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn advance_refreshes_every_multiplier_in_place() {
+        let cfg = tiny_model();
+        let profile = SparsityProfile::for_model(&cfg);
+        let mut model = StatisticalActivityModel::new(&cfg, &profile, 12);
+        let mut copies = StatisticalActivityModel::new(&cfg, &profile, 12);
+        for _ in 0..4 {
+            let copy = copies.next_token();
+            let token = model.advance().clone();
+            assert_eq!(token, copy);
+            for l in 0..cfg.num_layers {
+                for block in Block::ALL {
+                    let process = model.clusters().block(l, block);
+                    let activity = token.block(l, block);
+                    assert_eq!(activity.num_clusters(), process.num_clusters());
+                    for c in 0..process.num_clusters() {
+                        assert_eq!(
+                            activity.multiplier(c).to_bits(),
+                            process.multiplier(c).to_bits()
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(model.tokens_generated(), 4);
     }
 }
