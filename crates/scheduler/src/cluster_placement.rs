@@ -93,14 +93,10 @@ impl BlockColdPlacement {
                 }
             }
         }
-        let held = dimms
-            .iter()
-            .map(|sums| {
-                let mut held = Vec::new();
-                index_held(&mut held, sums);
-                held
-            })
-            .collect();
+        let mut held = vec![Vec::new(); num_dimms];
+        for (held, sums) in held.iter_mut().zip(&dimms) {
+            index_held(held, sums);
+        }
         BlockColdPlacement {
             dimms,
             held,
@@ -145,22 +141,24 @@ impl BlockColdPlacement {
         activity.fold_into(terms, batch, seq, union);
     }
 
+    /// [`dimm_loads_into`](Self::dimm_loads_into) into fresh vectors.
+    fn loads(&self, activity: &BlockActivity, batch: usize) -> (Vec<f64>, Vec<f64>) {
+        let mut seq = vec![0.0; self.num_dimms()];
+        let mut union = vec![0.0; self.num_dimms()];
+        self.dimm_loads_into(activity, batch, &mut seq, &mut union);
+        (seq, union)
+    }
+
     /// Expected number of activated cold neurons per DIMM for one sequence,
     /// given the current token's cluster activity.
     pub fn dimm_loads(&self, activity: &BlockActivity) -> Vec<f64> {
-        let mut seq = vec![0.0; self.num_dimms()];
-        let mut union = vec![0.0; self.num_dimms()];
-        self.dimm_loads_into(activity, 1, &mut seq, &mut union);
-        seq
+        self.loads(activity, 1).0
     }
 
     /// Expected number of cold neurons per DIMM activated by *any* of
     /// `batch` sequences (weight reads are shared across the batch).
     pub fn dimm_union_loads(&self, activity: &BlockActivity, batch: usize) -> Vec<f64> {
-        let mut seq = vec![0.0; self.num_dimms()];
-        let mut union = vec![0.0; self.num_dimms()];
-        self.dimm_loads_into(activity, batch, &mut seq, &mut union);
-        union
+        self.loads(activity, batch).1
     }
 
     /// Total expected cold activations across all DIMMs for one sequence.
