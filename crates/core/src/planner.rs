@@ -24,7 +24,10 @@ pub enum MappingPolicy {
     /// profiled rank no longer matches reality (the paper observes that
     /// ~52% of initially-hot neurons change activity during inference).
     OfflineProfile {
-        /// Fraction of neurons whose profiled score is stale.
+        /// Fraction of neurons whose profiled score is stale, in [0, 1].
+        /// [`Engine::plan`](crate::Engine::plan) rejects any other value,
+        /// NaN and infinities included, with
+        /// [`HermesError::InvalidConfig`](crate::HermesError::InvalidConfig).
         drift: f64,
     },
     /// Random hot set (the Hermes-random ablation of Fig. 13).

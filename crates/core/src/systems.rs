@@ -106,6 +106,7 @@ pub fn try_run_system(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MappingPolicy;
     use hermes_model::ModelId;
 
     fn quick(model: ModelId) -> Workload {
@@ -227,5 +228,29 @@ mod tests {
             try_run_system(SystemKind::TensorRtLlm { num_gpus: 5 }, &w, &bad_config),
             Err(HermesError::InvalidConfig(_))
         ));
+        // A mapping drift must lie in [0, 1]: unchecked, +inf saturates the
+        // planner's swap count and never finishes, and NaN plans silently.
+        let with_drift = |drift| {
+            SystemKind::Hermes(HermesOptions {
+                mapping: MappingPolicy::OfflineProfile { drift },
+                ..HermesOptions::partition_only()
+            })
+        };
+        for drift in [f64::NAN, -0.1, 1.5, f64::INFINITY] {
+            let kind = with_drift(drift);
+            assert!(
+                matches!(
+                    kind.engine(&config).plan(&w),
+                    Err(HermesError::InvalidConfig(_))
+                ) && matches!(
+                    try_run_system(kind, &w, &config),
+                    Err(HermesError::InvalidConfig(_))
+                ),
+                "drift {drift}"
+            );
+        }
+        for drift in [0.0, 1.0] {
+            assert!(try_run_system(with_drift(drift), &w, &config).is_ok());
+        }
     }
 }

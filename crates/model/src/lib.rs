@@ -2,7 +2,7 @@
 //!
 //! This crate contains pure data: the transformer architectures evaluated by
 //! the Hermes paper (OPT-13B/30B/66B, LLaMA2-7B/13B/70B, Falcon-40B), their
-//! per-layer weight shapes, the *neuron* abstraction (a row/column of a
+//! per-layer weight shapes and neuron counts (a neuron is a row/column of a
 //! weight matrix, following the paper's definition), and byte / FLOP
 //! accounting used by every substrate cost model.
 //!
@@ -23,12 +23,10 @@ pub mod config;
 pub mod flops;
 pub mod layer;
 pub mod memory;
-pub mod neuron;
 
 pub use config::{ActivationKind, ModelConfig, ModelId};
 pub use layer::{Block, LayerShape};
 pub use memory::{MemoryFootprint, KV_BYTES_PER_ELEMENT};
-pub use neuron::{NeuronId, NeuronRef};
 
 /// Bytes per FP16 weight element used throughout the simulator.
 pub const FP16_BYTES: u64 = 2;

@@ -212,17 +212,14 @@ impl HermesPredictor {
         self.states.storage_bytes() + self.correlation.storage_bytes()
     }
 
-    /// Per-token prediction cost in table lookups (each neuron consults its
-    /// state and two correlation entries); used by the engine cost model to
-    /// account for the <0.1% runtime overhead the paper reports.
-    pub fn lookups_per_token(&self) -> u64 {
-        let mut neurons = 0u64;
-        for layer in 0..self.states.num_layers() {
-            for block in Block::ALL {
-                neurons += self.states.block(layer, block).len() as u64;
-            }
-        }
-        neurons * 3
+    /// Per-token prediction cost in table lookups for a model (each neuron
+    /// consults its state and two correlation entries); used by the engine
+    /// cost model to account for the <0.1% runtime overhead the paper
+    /// reports. A function of the model alone, so pricing it builds no
+    /// tables.
+    pub fn lookups_per_token(cfg: &ModelConfig) -> u64 {
+        let per_layer = cfg.neurons_per_layer(Block::Attention) + cfg.neurons_per_layer(Block::Mlp);
+        (cfg.num_layers * per_layer * 3) as u64
     }
 }
 
@@ -345,6 +342,11 @@ mod tests {
         let mb = p.storage_bytes() as f64 / (1024.0 * 1024.0);
         // Orders of magnitude below the ~2 GB MLP predictors need.
         assert!(mb < 4.0, "predictor storage {mb:.2} MB");
-        assert!(p.lookups_per_token() > 0);
+        // Every neuron of every layer consults its state and two
+        // correlation entries.
+        assert_eq!(
+            HermesPredictor::lookups_per_token(&cfg),
+            3 * 32 * (4096 + 11008)
+        );
     }
 }

@@ -1,13 +1,12 @@
 //! Cluster-granularity cold-neuron placement for the end-to-end engines.
 //!
-//! For billion-parameter models the per-neuron structures of
-//! [`crate::assignment`] would make every simulated token scan millions of
-//! entries without changing the statistics the cost models consume. This
-//! module keeps the same scheduling decisions — which DIMM computes how much
-//! of each co-activation cluster — at cluster granularity: one
-//! [`ClusterPopSums`] of popularity mass and neuron counts per DIMM and
-//! (layer, block). Algorithm 1 (window-based rebalancing) operates on those
-//! sums directly.
+//! Per-neuron placement would make every simulated token of a
+//! billion-parameter model scan millions of entries without changing the
+//! statistics the cost models consume. This module keeps the scheduling
+//! decision — which DIMM computes how much of each co-activation cluster —
+//! at cluster granularity: one [`ClusterPopSums`] of popularity mass and
+//! neuron counts per DIMM and (layer, block). Algorithm 1 (window-based
+//! rebalancing) operates on those sums directly.
 
 use serde::{Deserialize, Serialize};
 

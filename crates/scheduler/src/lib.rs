@@ -1,38 +1,23 @@
-//! Neuron scheduling for Hermes: offline partition, online hot/cold
-//! adjustment, and window-based load balancing across NDP-DIMMs.
+//! Cold-neuron placement for Hermes: how the cold neurons are spread over
+//! the NDP-DIMMs and rebalanced between them as the input changes.
 //!
-//! The scheduler answers three questions the paper poses (Sections IV-B to
-//! IV-D):
+//! The paper makes three scheduling decisions (Sections IV-B to IV-D). The
+//! simulator models each at co-activation-cluster granularity, which keeps
+//! the statistics the cost models consume without per-neuron bookkeeping on
+//! every token of a billion-parameter model:
 //!
-//! 1. **Where does each neuron start?** The offline partitioner places the
-//!    most frequently activated neurons in GPU memory (subject to its
-//!    capacity) and spreads the cold majority across the DIMMs — the greedy
-//!    equivalent of the paper's ILP formulation (Eq. 1–7), with an exact
-//!    solver for small instances used to validate the heuristic.
-//! 2. **How does the partition track the input?** The online adjuster
-//!    promotes neurons whose predictor state crosses `Th` to GPU memory and
-//!    evicts the lowest-state residents, hiding the copies under the dense
-//!    projection computation.
-//! 3. **How do the DIMMs stay balanced?** The window-based remapper
-//!    (Algorithm 1) pairs the most- and least-loaded DIMMs every
-//!    five-token window and migrates the hottest cold neurons over
-//!    DIMM-links.
-//!
-//! Two granularities are provided: exact per-neuron structures (exercised
-//! by the unit tests and `tests/scheduling.rs` on small models) and
-//! cluster-granularity structures (used by the end-to-end Hermes engines,
-//! the Fig. 13 ablations included, for billion-parameter models, where
-//! per-neuron bookkeeping per token would dominate simulation time without
-//! changing the statistics).
+//! 1. **Offline partition** (the greedy form of the ILP in Eq. 1–7):
+//!    `hermes_core::NeuronPlan::build` puts the neurons of highest
+//!    activation density in GPU memory and lays the cold rest out over the
+//!    DIMMs with [`ClusterColdPlacement::build`].
+//! 2. **Online adjustment**: the predictor-guided hot set captures
+//!    `hermes_core::OnlineAdjustment::tracking_quality` of the oracle's
+//!    activation mass.
+//! 3. **Window-based remapping** (Algorithm 1):
+//!    [`cluster_placement::BlockColdPlacement::rebalance`] pairs the most-
+//!    and least-loaded DIMMs every window and moves the hottest clusters'
+//!    mass from the former to the latter.
 
-pub mod adjust;
-pub mod assignment;
 pub mod cluster_placement;
-pub mod partition;
-pub mod remap;
 
-pub use adjust::{AdjustmentPlan, OnlineAdjuster};
-pub use assignment::{NeuronAssignment, Placement};
 pub use cluster_placement::{ClusterColdPlacement, ColdPlacementPolicy};
-pub use partition::{OfflinePartitioner, PartitionGoal, PartitionInput};
-pub use remap::{RemapPlan, WindowRemapper};

@@ -1,6 +1,6 @@
 //! Statistics over activation traces: the measurements behind Fig. 4, the
-//! 20/80 hot/cold observation, and the per-neuron frequencies consumed by
-//! the offline partitioner.
+//! 20/80 hot/cold observation, and the per-neuron frequencies that seed the
+//! predictor's state table.
 
 use serde::{Deserialize, Serialize};
 

@@ -5,13 +5,14 @@
 //! the workspace-level integration tests (`tests/`) and runnable examples
 //! (`examples/`). The subsystems:
 //!
-//! * [`model`] — model configs, layer shapes, neuron ids, memory footprints.
+//! * [`model`] — model configs, layer shapes, neuron counts, memory
+//!   footprints.
 //! * [`sparsity`] — activation-sparsity modelling: popularity, traces,
 //!   clusters, hot/cold statistics.
 //! * [`predictor`] — the correlation-aware activation predictor and the MLP
 //!   baseline.
-//! * [`scheduler`] — offline partitioning, cluster placement, window
-//!   remapping and online hot/cold adjustment.
+//! * [`scheduler`] — cluster-granularity cold-neuron placement over the
+//!   DIMMs and window-based remapping (Algorithm 1).
 //! * [`ndp`] — the NDP-DIMM hardware model (DRAM timing, GEMV/activation
 //!   units, links, pools).
 //! * [`gpu`] — consumer GPU, host CPU and PCIe cost models.
