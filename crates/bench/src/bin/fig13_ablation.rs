@@ -11,7 +11,7 @@
 use serde::{Deserialize, Serialize};
 
 use hermes_bench::run_or_np;
-use hermes_core::{HermesError, HermesOptions, SystemConfig, SystemKind, Workload};
+use hermes_core::{HermesError, HermesVariant, SystemConfig, SystemKind, Workload};
 use hermes_model::ModelId;
 
 /// One variant's speedups over Hermes-random across the batch sizes.
@@ -45,28 +45,24 @@ struct FigureOutput {
 fn fc_latency(
     model: ModelId,
     batch: usize,
-    options: HermesOptions,
+    variant: HermesVariant,
     config: &SystemConfig,
 ) -> Result<f64, HermesError> {
     let workload = Workload::paper_default(model).with_batch(batch);
-    let report = run_or_np(SystemKind::Hermes(options), &workload, config)?;
+    let report = run_or_np(SystemKind::Hermes(variant), &workload, config)?;
     Ok(report.map_or(f64::NAN, |r| r.breakdown.fc))
 }
-
-/// A named scheduling-ablation variant (constructor kept as a fn pointer so
-/// the table below stays data).
-type Variant = (&'static str, fn() -> HermesOptions);
 
 fn main() -> Result<(), HermesError> {
     let json = std::env::args().any(|a| a == "--json");
     let config = SystemConfig::paper_default();
-    let variants: [Variant; 6] = [
-        ("Hermes-random", HermesOptions::random_mapping),
-        ("Hermes-partition", HermesOptions::partition_only),
-        ("Hermes-token-adjustment", HermesOptions::token_adjustment),
-        ("Hermes-layer-adjustment", HermesOptions::layer_adjustment),
-        ("Hermes-adjustment", HermesOptions::adjustment_only),
-        ("Hermes", HermesOptions::full),
+    let variants = [
+        ("Hermes-random", HermesVariant::Random),
+        ("Hermes-partition", HermesVariant::Partition),
+        ("Hermes-token-adjustment", HermesVariant::TokenAdjustment),
+        ("Hermes-layer-adjustment", HermesVariant::LayerAdjustment),
+        ("Hermes-adjustment", HermesVariant::Adjustment),
+        ("Hermes", HermesVariant::Full),
     ];
     let batches = [1usize, 4, 16];
 
@@ -76,10 +72,10 @@ fn main() -> Result<(), HermesError> {
     for model in [ModelId::Llama2_13B, ModelId::Llama2_70B] {
         let mut baseline = vec![0.0f64; batches.len()];
         let mut rows = Vec::new();
-        for (row, (name, make)) in variants.iter().enumerate() {
+        for (row, &(name, variant)) in variants.iter().enumerate() {
             let mut speedups = Vec::new();
             for (bi, &batch) in batches.iter().enumerate() {
-                let fc = fc_latency(model, batch, make(), &config)?;
+                let fc = fc_latency(model, batch, variant, &config)?;
                 if row == 0 {
                     baseline[bi] = fc;
                 }

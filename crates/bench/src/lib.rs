@@ -106,20 +106,6 @@ pub fn run_lineup(
         .collect()
 }
 
-/// Print a Markdown-style table of cells grouped by system (rows) and a
-/// caller-provided column label per cell.
-pub fn print_table(title: &str, columns: &[String], rows: &[(String, Vec<String>)]) {
-    println!("\n## {title}\n");
-    println!("| system | {} |", columns.join(" | "));
-    println!(
-        "|---|{}|",
-        columns.iter().map(|_| "---").collect::<Vec<_>>().join("|")
-    );
-    for (name, cells) in rows {
-        println!("| {name} | {} |", cells.join(" | "));
-    }
-}
-
 /// Geometric-mean speedup of `a` over `b` across paired cells, skipping
 /// unsupported entries.
 pub fn geomean_speedup(a: &[Cell], b: &[Cell]) -> Option<f64> {

@@ -34,7 +34,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::baselines::{accelerate_plan, dejavu_plan, flexgen_plan, tensorrt_plan};
 use crate::error::HermesError;
-use crate::hermes::{hermes_plan, HermesOptions, MappingPolicy};
+use crate::hermes::hermes_plan;
 use crate::report::{InferenceReport, LatencyBreakdown, TokenLatencyStats};
 use crate::{SystemConfig, SystemKind, Workload};
 
@@ -402,9 +402,7 @@ impl Engine {
     ///
     /// Returns [`HermesError::InvalidWorkload`] /
     /// [`HermesError::InvalidConfig`] for invalid inputs (including
-    /// TensorRT-LLM on zero GPUs and a Hermes
-    /// [`MappingPolicy::OfflineProfile`] drift outside [0, 1]),
-    /// [`HermesError::ModelNotSupported`] for
+    /// TensorRT-LLM on zero GPUs), [`HermesError::ModelNotSupported`] for
     /// FlexGen and Deja Vu on non-OPT models, and
     /// [`HermesError::InsufficientMemory`] when a Hermes-family model does
     /// not fit in the combined DIMM capacity.
@@ -421,15 +419,7 @@ impl Engine {
             }
             SystemKind::FlexGen => flexgen_plan(workload, config),
             SystemKind::DejaVu => dejavu_plan(workload, config),
-            SystemKind::Hermes(HermesOptions {
-                mapping: MappingPolicy::OfflineProfile { drift },
-                ..
-            }) if !(0.0..=1.0).contains(&drift) => {
-                return Err(HermesError::InvalidConfig(format!(
-                    "mapping drift must lie in [0, 1], got {drift}"
-                )));
-            }
-            SystemKind::Hermes(options) => hermes_plan(workload, config, options)?,
+            SystemKind::Hermes(variant) => hermes_plan(workload, config, variant)?,
             SystemKind::TensorRtLlm { num_gpus: 0 } => {
                 return Err(HermesError::InvalidConfig(
                     "num_gpus must be at least 1".to_string(),

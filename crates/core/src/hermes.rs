@@ -18,20 +18,44 @@ use crate::planner::NeuronPlan;
 use crate::report::LatencyBreakdown;
 use crate::{SystemConfig, Workload};
 
-/// Which online hot/cold adjustment (Section IV-C) is active.
+/// A Hermes-family system: full Hermes, the Hermes-host and Hermes-base
+/// comparison points of Figs. 9–11, or one of the five scheduling ablations
+/// of Fig. 13.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum OnlineAdjustment {
-    /// No online adjustment: the offline mapping is kept for the whole run.
-    None,
-    /// Adjustment guided by the token-wise (state table) predictor only.
-    TokenOnly,
-    /// Adjustment guided by the layer-wise (correlation table) predictor only.
-    LayerOnly,
-    /// The full combined predictor (paper default).
+pub enum HermesVariant {
+    /// Full Hermes: adjusted hot set, cold neurons on the DIMMs, remapping.
     Full,
+    /// Hermes-host: cold neurons and the KV cache on the host CPU, no remapping.
+    Host,
+    /// Hermes-base: the NDP-DIMMs without activation sparsity.
+    Base,
+    /// Ablation: a random hot set, no online scheduling.
+    Random,
+    /// Ablation: the offline-profiled hot set, no online scheduling.
+    Partition,
+    /// Ablation: adjustment by the token-wise (state table) predictor only.
+    TokenAdjustment,
+    /// Ablation: adjustment by the layer-wise (correlation table) predictor.
+    LayerAdjustment,
+    /// Ablation: adjustment by the combined predictor, no remapping.
+    Adjustment,
 }
 
-impl OnlineAdjustment {
+impl HermesVariant {
+    /// Display name matching the paper's figures.
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::Full => "Hermes",
+            Self::Host => "Hermes-host",
+            Self::Base => "Hermes-base",
+            Self::Random => "Hermes-random",
+            Self::Partition => "Hermes-partition",
+            Self::TokenAdjustment => "Hermes-token-adjustment",
+            Self::LayerAdjustment => "Hermes-layer-adjustment",
+            Self::Adjustment => "Hermes-adjustment",
+        }
+    }
+
     /// Effective quality of the hot-set tracking: the fraction of the oracle
     /// hot activation mass the adjusted partition actually captures. The
     /// paper reports 98% accuracy for the combined predictor and shows that
@@ -41,130 +65,28 @@ impl OnlineAdjustment {
             // With no online adjustment the static mapping is executed
             // exactly as planned — there is no predictor in the loop, so no
             // activation mass is lost to tracking error.
-            OnlineAdjustment::None => 1.0,
-            OnlineAdjustment::TokenOnly => 0.90,
-            OnlineAdjustment::LayerOnly => 0.91,
-            OnlineAdjustment::Full => 0.98,
-        }
-    }
-}
-
-/// Which device computes the cold neurons.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ColdExecutor {
-    /// NDP cores inside the DIMMs (Hermes).
-    NdpDimm,
-    /// The host CPU (the Hermes-host / PowerInfer-style configuration).
-    HostCpu,
-}
-
-/// Configuration of a Hermes-family engine run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct HermesOptions {
-    /// Whether activation sparsity is exploited at all (`false` = Hermes-base).
-    pub use_sparsity: bool,
-    /// Initial hot/cold mapping policy (used when no online adjustment runs;
-    /// with adjustment enabled the partition converges towards the oracle).
-    pub mapping: MappingPolicy,
-    /// Online hot/cold adjustment mode.
-    pub adjustment: OnlineAdjustment,
-    /// Whether the window-based cold-neuron remapping (Algorithm 1) runs.
-    pub window_remapping: bool,
-    /// Where cold neurons are computed.
-    pub cold_executor: ColdExecutor,
-}
-
-impl HermesOptions {
-    /// The full Hermes system.
-    pub fn full() -> Self {
-        HermesOptions {
-            use_sparsity: true,
-            mapping: MappingPolicy::OfflineProfile { drift: 0.5 },
-            adjustment: OnlineAdjustment::Full,
-            window_remapping: true,
-            cold_executor: ColdExecutor::NdpDimm,
+            Self::Base | Self::Random | Self::Partition => 1.0,
+            Self::TokenAdjustment => 0.90,
+            Self::LayerAdjustment => 0.91,
+            Self::Full | Self::Host | Self::Adjustment => 0.98,
         }
     }
 
-    /// Hermes-host: hot/cold split, but cold neurons on the host CPU.
-    pub fn host() -> Self {
-        HermesOptions {
-            cold_executor: ColdExecutor::HostCpu,
-            window_remapping: false,
-            ..Self::full()
-        }
+    /// Whether the predictor-guided online hot/cold adjustment (Section
+    /// IV-C) runs, refreshing a share of the hot set every token.
+    fn adjusts(self) -> bool {
+        !matches!(self, Self::Base | Self::Random | Self::Partition)
     }
 
-    /// Hermes-base: NDP-DIMM extension without activation sparsity.
-    pub fn base() -> Self {
-        HermesOptions {
-            use_sparsity: false,
-            adjustment: OnlineAdjustment::None,
-            window_remapping: false,
-            ..Self::full()
-        }
-    }
-
-    /// Hermes-random ablation: random offline mapping, no online scheduling.
-    pub fn random_mapping() -> Self {
-        HermesOptions {
-            mapping: MappingPolicy::Random,
-            adjustment: OnlineAdjustment::None,
-            window_remapping: false,
-            ..Self::full()
-        }
-    }
-
-    /// Hermes-partition ablation: optimal offline mapping only.
-    pub fn partition_only() -> Self {
-        HermesOptions {
-            adjustment: OnlineAdjustment::None,
-            window_remapping: false,
-            ..Self::full()
-        }
-    }
-
-    /// Hermes-token-adjustment ablation.
-    pub fn token_adjustment() -> Self {
-        HermesOptions {
-            adjustment: OnlineAdjustment::TokenOnly,
-            window_remapping: false,
-            ..Self::full()
-        }
-    }
-
-    /// Hermes-layer-adjustment ablation.
-    pub fn layer_adjustment() -> Self {
-        HermesOptions {
-            adjustment: OnlineAdjustment::LayerOnly,
-            window_remapping: false,
-            ..Self::full()
-        }
-    }
-
-    /// Hermes-adjustment ablation: full online adjustment, no remapping.
-    pub fn adjustment_only() -> Self {
-        HermesOptions {
-            window_remapping: false,
-            ..Self::full()
-        }
-    }
-
-    /// Display name matching the paper's figures.
-    pub fn name(&self) -> &'static str {
-        if !self.use_sparsity {
-            return "Hermes-base";
-        }
-        if self.cold_executor == ColdExecutor::HostCpu {
-            return "Hermes-host";
-        }
-        match (self.mapping, self.adjustment, self.window_remapping) {
-            (MappingPolicy::Random, OnlineAdjustment::None, _) => "Hermes-random",
-            (_, OnlineAdjustment::None, _) => "Hermes-partition",
-            (_, OnlineAdjustment::TokenOnly, false) => "Hermes-token-adjustment",
-            (_, OnlineAdjustment::LayerOnly, false) => "Hermes-layer-adjustment",
-            (_, OnlineAdjustment::Full, false) => "Hermes-adjustment",
-            (_, _, true) => "Hermes",
+    /// The hot set the planner builds. With online adjustment the partition
+    /// converges to the oracle hot set (tracked at
+    /// [`HermesVariant::tracking_quality`]); without it the static mapping
+    /// is used as-is.
+    fn mapping(self) -> MappingPolicy {
+        match self {
+            Self::Random => MappingPolicy::Random,
+            Self::Partition => MappingPolicy::OfflineProfile,
+            _ => MappingPolicy::Oracle,
         }
     }
 }
@@ -200,8 +122,7 @@ struct SparseCostModel {
     kernel: KernelCostModel,
     dimm: NdpDimm,
     num_dimms: usize,
-    options: HermesOptions,
-    quality: f64,
+    variant: HermesVariant,
     predictor_time_per_token: f64,
     plan: NeuronPlan,
     activity: StatisticalActivityModel,
@@ -252,6 +173,7 @@ impl StepCostModel for SparseCostModel {
             return StepOutcome::balanced(LatencyBreakdown::default());
         }
         let b = batch.size();
+        let quality = self.variant.tracking_quality();
         // The attention pass is layer-invariant (all layers share one
         // shape), so its kernels are priced once and charged per layer.
         let attn_step: f64 = batch
@@ -260,23 +182,20 @@ impl StepCostModel for SparseCostModel {
             .map(|&(kv_len, count)| {
                 let kv_bytes = self.shape.attention_kv_bytes(kv_len);
                 let attn_flops = self.shape.attention_flops(kv_len);
-                match self.options.cold_executor {
-                    ColdExecutor::NdpDimm => {
-                        // KV cache sharded across the DIMMs.
-                        self.dimm.attention_time(
-                            kv_bytes / self.num_dimms as u64,
-                            attn_flops / self.num_dimms as u64,
-                            count,
-                        )
-                    }
+                if self.variant == HermesVariant::Host {
                     // In the PowerInfer-style host configuration the KV
                     // cache lives in host DRAM (the GPU memory is reserved
                     // for hot neurons), so attention streams it through the
                     // host CPU.
-                    ColdExecutor::HostCpu => {
-                        self.host_cpu
-                            .gemv_time(kv_bytes * count as u64, attn_flops, count)
-                    }
+                    self.host_cpu
+                        .gemv_time(kv_bytes * count as u64, attn_flops, count)
+                } else {
+                    // KV cache sharded across the DIMMs.
+                    self.dimm.attention_time(
+                        kv_bytes / self.num_dimms as u64,
+                        attn_flops / self.num_dimms as u64,
+                        count,
+                    )
                 }
             })
             .sum();
@@ -292,10 +211,7 @@ impl StepCostModel for SparseCostModel {
         // Hot/cold adjustment churn: a small share of the hot set is
         // refreshed each token; the copies ride PCIe under the
         // projection computation.
-        let churn_fraction = match self.options.adjustment {
-            OnlineAdjustment::None => 0.0,
-            _ => 0.01,
-        };
+        let churn_fraction = if self.variant.adjusts() { 0.01 } else { 0.0 };
         let mut promoted_bytes_token =
             (self.hot_bytes as f64 * churn_fraction) as u64 / cfg.num_layers.max(1) as u64;
 
@@ -308,11 +224,11 @@ impl StepCostModel for SparseCostModel {
                 let neuron_flops = cfg.neuron_flops(block);
 
                 let (active, union) = ba.expected_active_union(&self.plan.hot[layer][bi], b);
-                let hot_active = active * self.quality;
-                let hot_union = union * self.quality;
+                let hot_active = active * quality;
+                let hot_union = union * quality;
                 // Mispredicted hot activations fall back to the cold side.
-                let spill_active = active * (1.0 - self.quality);
-                let spill_union = union * (1.0 - self.quality);
+                let spill_active = active * (1.0 - quality);
+                let spill_union = union * (1.0 - quality);
 
                 let gpu_bytes = (hot_union * neuron_bytes as f64) as u64;
                 let gpu_flops = (hot_active * b as f64 * neuron_flops as f64) as u64;
@@ -323,31 +239,28 @@ impl StepCostModel for SparseCostModel {
                     .block(layer, block)
                     .dimm_loads_into(ba, b, &mut self.per_seq, &mut self.per_union);
                 let (per_seq, per_union) = (&self.per_seq, &self.per_union);
-                let t_cold = match self.options.cold_executor {
-                    ColdExecutor::NdpDimm => {
-                        let mut worst: f64 = 0.0;
-                        for d in 0..self.num_dimms {
-                            let load_union = per_union[d] + spill_union / self.num_dimms as f64;
-                            let load_seq = per_seq[d] + spill_active / self.num_dimms as f64;
-                            let bytes = (load_union * neuron_bytes as f64) as u64;
-                            let flops = (load_seq * neuron_flops as f64) as u64;
-                            worst = worst.max(self.dimm.gemv_time(bytes, flops, b));
-                        }
-                        let loads_total: f64 = per_seq.iter().sum();
-                        if loads_total > 0.0 {
-                            let max = per_seq.iter().copied().fold(0.0, f64::max);
-                            imbalance_sum += max / (loads_total / self.num_dimms as f64);
-                            imbalance_samples += 1;
-                        }
-                        worst
+                let t_cold = if self.variant == HermesVariant::Host {
+                    let union_total: f64 = per_union.iter().sum::<f64>() + spill_union;
+                    let seq_total: f64 = per_seq.iter().sum::<f64>() + spill_active;
+                    let bytes = (union_total * neuron_bytes as f64) as u64;
+                    let flops = (seq_total * neuron_flops as f64) as u64;
+                    self.host_cpu.gemv_time(bytes, flops, b)
+                } else {
+                    let mut worst: f64 = 0.0;
+                    for d in 0..self.num_dimms {
+                        let load_union = per_union[d] + spill_union / self.num_dimms as f64;
+                        let load_seq = per_seq[d] + spill_active / self.num_dimms as f64;
+                        let bytes = (load_union * neuron_bytes as f64) as u64;
+                        let flops = (load_seq * neuron_flops as f64) as u64;
+                        worst = worst.max(self.dimm.gemv_time(bytes, flops, b));
                     }
-                    ColdExecutor::HostCpu => {
-                        let union_total: f64 = per_union.iter().sum::<f64>() + spill_union;
-                        let seq_total: f64 = per_seq.iter().sum::<f64>() + spill_active;
-                        let bytes = (union_total * neuron_bytes as f64) as u64;
-                        let flops = (seq_total * neuron_flops as f64) as u64;
-                        self.host_cpu.gemv_time(bytes, flops, b)
+                    let loads_total: f64 = per_seq.iter().sum();
+                    if loads_total > 0.0 {
+                        let max = per_seq.iter().copied().fold(0.0, f64::max);
+                        imbalance_sum += max / (loads_total / self.num_dimms as f64);
+                        imbalance_samples += 1;
                     }
+                    worst
                 };
                 fc_time += t_gpu.max(t_cold);
             }
@@ -373,8 +286,8 @@ impl StepCostModel for SparseCostModel {
         }
         self.pending_remap_bytes = 0;
 
-        // ---- Window-based remapping (Algorithm 1). ----
-        if self.options.window_remapping {
+        // ---- Window-based remapping (Algorithm 1), full Hermes only. ----
+        if self.variant == HermesVariant::Full {
             for (l, layer_mults) in self.window_multipliers.iter_mut().enumerate() {
                 for (bi, block) in Block::ALL.into_iter().enumerate() {
                     let ba = token.block(l, block);
@@ -510,7 +423,7 @@ fn gpu_hot_budget(config: &SystemConfig, cfg: &ModelConfig) -> u64 {
 pub(crate) fn hermes_plan(
     workload: &Workload,
     config: &SystemConfig,
-    options: HermesOptions,
+    variant: HermesVariant,
 ) -> Result<Planned, HermesError> {
     let cfg = workload.model_config();
     // Every weight parameter is stored on the DIMMs (Section IV-C2); the
@@ -528,10 +441,10 @@ pub(crate) fn hermes_plan(
             available,
         });
     }
-    if options.use_sparsity {
-        Ok(sparse_plan(workload, config, options, cfg))
-    } else {
+    if variant == HermesVariant::Base {
         Ok(base_plan(config, cfg))
+    } else {
+        Ok(sparse_plan(workload, config, variant, cfg))
     }
 }
 
@@ -539,7 +452,7 @@ pub(crate) fn hermes_plan(
 fn sparse_plan(
     workload: &Workload,
     config: &SystemConfig,
-    options: HermesOptions,
+    variant: HermesVariant,
     cfg: ModelConfig,
 ) -> Planned {
     let profile = SparsityProfile::for_model_on(&cfg, workload.dataset);
@@ -550,27 +463,17 @@ fn sparse_plan(
     let dimm = NdpDimm::new(config.dimm.clone());
     let num_dimms = config.num_dimms;
 
-    // With online adjustment the partition converges to the oracle hot
-    // set (tracked at `tracking_quality`); without it the static mapping
-    // of `options.mapping` is used as-is.
-    let effective_mapping = if options.adjustment == OnlineAdjustment::None {
-        options.mapping
-    } else {
-        MappingPolicy::Oracle
-    };
     let plan = NeuronPlan::build(
         &cfg,
         &profile,
         &popularity,
         &activity,
         gpu_hot_budget(config, &cfg),
-        effective_mapping,
+        variant.mapping(),
         num_dimms,
         ColdPlacementPolicy::Contiguous,
         workload.seed,
     );
-    let quality = options.adjustment.tracking_quality();
-
     // Per-token predictor overhead: one table lookup takes about 1 ns.
     let predictor_time_per_token = HermesPredictor::lookups_per_token(&cfg) as f64 * 1e-9;
 
@@ -587,8 +490,7 @@ fn sparse_plan(
         kernel,
         dimm,
         num_dimms,
-        options,
-        quality,
+        variant,
         predictor_time_per_token,
         plan,
         activity,
@@ -648,9 +550,9 @@ mod tests {
         w
     }
 
-    fn run(model: ModelId, options: HermesOptions) -> InferenceReport {
+    fn run(model: ModelId, variant: HermesVariant) -> InferenceReport {
         try_run_system(
-            SystemKind::Hermes(options),
+            SystemKind::Hermes(variant),
             &quick_workload(model),
             &SystemConfig::paper_default(),
         )
@@ -659,9 +561,9 @@ mod tests {
 
     #[test]
     fn hermes_beats_hermes_host_and_base() {
-        let hermes = run(ModelId::Opt13B, HermesOptions::full());
-        let host = run(ModelId::Opt13B, HermesOptions::host());
-        let base = run(ModelId::Opt13B, HermesOptions::base());
+        let hermes = run(ModelId::Opt13B, HermesVariant::Full);
+        let host = run(ModelId::Opt13B, HermesVariant::Host);
+        let base = run(ModelId::Opt13B, HermesVariant::Base);
         assert!(
             hermes.tokens_per_second() > host.tokens_per_second(),
             "hermes {:.2} vs host {:.2}",
@@ -684,18 +586,18 @@ mod tests {
         let mut small_gpu = hermes_gpu::GpuDevice::tesla_t4();
         small_gpu.memory_bytes = 8 * hermes_model::GIB;
         let config = SystemConfig::paper_default().with_gpu(small_gpu);
-        let run_on = |options: HermesOptions| {
+        let run_on = |variant| {
             try_run_system(
-                SystemKind::Hermes(options),
+                SystemKind::Hermes(variant),
                 &quick_workload(ModelId::Opt13B),
                 &config,
             )
             .unwrap()
         };
-        let random = run_on(HermesOptions::random_mapping());
-        let partition = run_on(HermesOptions::partition_only());
-        let adjustment = run_on(HermesOptions::adjustment_only());
-        let full = run_on(HermesOptions::full());
+        let random = run_on(HermesVariant::Random);
+        let partition = run_on(HermesVariant::Partition);
+        let adjustment = run_on(HermesVariant::Adjustment);
+        let full = run_on(HermesVariant::Full);
         // Fig. 13 compares the latency of the sparse FC blocks; the ordering
         // random ≥ partition ≥ adjustment ≳ full must hold (lower is better).
         assert!(
@@ -723,25 +625,27 @@ mod tests {
 
     #[test]
     fn names_match_figures() {
-        assert_eq!(HermesOptions::full().name(), "Hermes");
-        assert_eq!(HermesOptions::host().name(), "Hermes-host");
-        assert_eq!(HermesOptions::base().name(), "Hermes-base");
-        assert_eq!(HermesOptions::random_mapping().name(), "Hermes-random");
-        assert_eq!(HermesOptions::partition_only().name(), "Hermes-partition");
-        assert_eq!(
-            HermesOptions::token_adjustment().name(),
-            "Hermes-token-adjustment"
-        );
-        assert_eq!(
-            HermesOptions::layer_adjustment().name(),
-            "Hermes-layer-adjustment"
-        );
-        assert_eq!(HermesOptions::adjustment_only().name(), "Hermes-adjustment");
+        let named = [
+            (HermesVariant::Full, "Hermes"),
+            (HermesVariant::Host, "Hermes-host"),
+            (HermesVariant::Base, "Hermes-base"),
+            (HermesVariant::Random, "Hermes-random"),
+            (HermesVariant::Partition, "Hermes-partition"),
+            (HermesVariant::TokenAdjustment, "Hermes-token-adjustment"),
+            (HermesVariant::LayerAdjustment, "Hermes-layer-adjustment"),
+            (HermesVariant::Adjustment, "Hermes-adjustment"),
+        ];
+        for (variant, name) in named {
+            assert_eq!(variant.name(), name);
+            assert_eq!(SystemKind::Hermes(variant).name(), name);
+        }
+        let distinct: std::collections::BTreeSet<&str> = named.iter().map(|&(_, n)| n).collect();
+        assert_eq!(distinct.len(), named.len());
     }
 
     #[test]
     fn larger_batches_increase_throughput() {
-        let b1 = run(ModelId::Opt13B, HermesOptions::full());
+        let b1 = run(ModelId::Opt13B, HermesVariant::Full);
         let mut w = quick_workload(ModelId::Opt13B);
         w.batch = 8;
         let b8 = try_run_system(SystemKind::hermes(), &w, &SystemConfig::paper_default()).unwrap();
@@ -761,7 +665,7 @@ mod tests {
 
     #[test]
     fn hermes_report_has_hot_neurons_and_balanced_dimms() {
-        let report = run(ModelId::Opt13B, HermesOptions::full());
+        let report = run(ModelId::Opt13B, HermesVariant::Full);
         assert!(report.hot_neuron_bytes > 0);
         assert!(report.gpu_weight_bytes <= SystemConfig::paper_default().gpu.memory_bytes);
         assert!(report.dimm_imbalance >= 1.0);

@@ -4,11 +4,14 @@
 //! This crate ties every substrate together into end-to-end inference
 //! engines that reproduce the paper's evaluation:
 //!
-//! * Hermes ([`SystemKind::hermes`], [`HermesOptions::full`]) — the full
+//! * Hermes ([`SystemKind::hermes`], [`HermesVariant::Full`]) — the full
 //!   NDP-DIMM augmented GPU system of the paper (Fig. 5/6): hot neurons on
 //!   the GPU, cold neurons computed in place on the DIMMs, attention on the
 //!   DIMMs, projection on the GPU with hot/cold adjustment and
-//!   window-based remapping hidden underneath it.
+//!   window-based remapping hidden underneath it. The adjusted hot set
+//!   captures [`HermesVariant::tracking_quality`] of the oracle's
+//!   activation mass; the other [`HermesVariant`]s are Hermes-host,
+//!   Hermes-base and the five scheduling ablations of Fig. 13.
 //! * Baselines — HuggingFace Accelerate, FlexGen, Deja Vu, Hermes-host
 //!   (cold neurons on the host CPU), Hermes-base (NDP-DIMMs without
 //!   activation sparsity) and the TensorRT-LLM 5×A100 reference.
@@ -81,7 +84,7 @@ pub use engine::{
     SessionSpec, StepCostModel, StepOutcome, TokenEvent,
 };
 pub use error::HermesError;
-pub use hermes::{HermesOptions, MappingPolicy, OnlineAdjustment};
+pub use hermes::{HermesVariant, MappingPolicy};
 pub use planner::NeuronPlan;
 pub use report::{
     ClassReport, ClusterReport, DistributionStats, InferenceReport, KvPoolReport, LatencyBreakdown,

@@ -5,7 +5,6 @@
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use hermes_model::{Block, ModelConfig};
 use hermes_scheduler::{ClusterColdPlacement, ColdPlacementPolicy};
@@ -13,23 +12,21 @@ use hermes_sparsity::{
     ClusterPopSums, NeuronPopularity, SparsityProfile, StatisticalActivityModel,
 };
 
+/// Fraction of neurons whose offline-profiled score is stale by inference
+/// time: the paper observes that ~52% of initially-hot neurons change
+/// activity during inference.
+const PROFILE_DRIFT: f64 = 0.5;
+
 /// How the hot (GPU-resident) set is chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MappingPolicy {
     /// Hot set chosen by the true runtime activation frequencies — what the
     /// online-adjusted system converges to (the oracle of Section III-B).
     Oracle,
     /// Hot set chosen from offline-profiled frequencies that have drifted
-    /// from the runtime behaviour: `drift` is the fraction of neurons whose
-    /// profiled rank no longer matches reality (the paper observes that
-    /// ~52% of initially-hot neurons change activity during inference).
-    OfflineProfile {
-        /// Fraction of neurons whose profiled score is stale, in [0, 1].
-        /// [`Engine::plan`](crate::Engine::plan) rejects any other value,
-        /// NaN and infinities included, with
-        /// [`HermesError::InvalidConfig`](crate::HermesError::InvalidConfig).
-        drift: f64,
-    },
+    /// from the runtime behaviour: half of the neurons have a stale
+    /// profiled rank.
+    OfflineProfile,
     /// Random hot set (the Hermes-random ablation of Fig. 13).
     Random,
 }
@@ -81,11 +78,12 @@ impl NeuronPlan {
                     let mut s: Vec<f64> = (0..pop.len()).map(|i| pop.prob(i)).collect();
                     match policy {
                         MappingPolicy::Oracle => {}
-                        MappingPolicy::OfflineProfile { drift } => {
-                            // A `drift` fraction of neurons have stale
-                            // profiled scores: swap them with random peers.
+                        MappingPolicy::OfflineProfile => {
+                            // A `PROFILE_DRIFT` fraction of neurons have
+                            // stale profiled scores: swap them with random
+                            // peers.
                             let n = s.len();
-                            let stale = ((n as f64) * drift) as usize;
+                            let stale = ((n as f64) * PROFILE_DRIFT) as usize;
                             for _ in 0..stale / 2 {
                                 let a = rng.gen_range(0..n);
                                 let b = rng.gen_range(0..n);
@@ -257,7 +255,7 @@ mod tests {
     #[test]
     fn drifted_profile_sits_between_oracle_and_random() {
         let (_, oracle) = build_plan(MappingPolicy::Oracle, 0.2);
-        let (_, drifted) = build_plan(MappingPolicy::OfflineProfile { drift: 0.5 }, 0.2);
+        let (_, drifted) = build_plan(MappingPolicy::OfflineProfile, 0.2);
         let (_, random) = build_plan(MappingPolicy::Random, 0.2);
         assert!(oracle.hot_coverage >= drifted.hot_coverage - 1e-9);
         assert!(drifted.hot_coverage >= random.hot_coverage - 0.05);

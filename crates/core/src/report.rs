@@ -120,35 +120,6 @@ impl TokenLatencyStats {
             tpot_p99: percentile(&sorted, 99.0),
         }
     }
-
-    /// Merge per-part summaries into one fleet-wide summary without access
-    /// to the underlying samples, weighting each part by its sample count.
-    ///
-    /// Means merge exactly (weighted average); percentiles use the
-    /// weighted-nearest-rank approximation of
-    /// [`DistributionStats::merged`], which is exact when every part holds a
-    /// single sample. Zero-weight parts are ignored; all-zero for an empty
-    /// or all-zero-weight input.
-    pub fn merged(parts: &[(TokenLatencyStats, usize)]) -> Self {
-        let total: usize = parts.iter().map(|&(_, n)| n).sum();
-        if total == 0 {
-            return TokenLatencyStats::default();
-        }
-        let weighted_mean = |value: fn(&TokenLatencyStats) -> f64| -> f64 {
-            parts
-                .iter()
-                .map(|(s, n)| value(s) * f64_from_usize(*n))
-                .sum::<f64>()
-                / f64_from_usize(total)
-        };
-        TokenLatencyStats {
-            ttft: weighted_mean(|s| s.ttft),
-            tpot_mean: weighted_mean(|s| s.tpot_mean),
-            tpot_p50: weighted_percentile(parts, 50.0, |s| s.tpot_p50),
-            tpot_p95: weighted_percentile(parts, 95.0, |s| s.tpot_p95),
-            tpot_p99: weighted_percentile(parts, 99.0, |s| s.tpot_p99),
-        }
-    }
 }
 
 /// Weighted nearest-rank selection over one summary field of several parts:
@@ -156,9 +127,8 @@ impl TokenLatencyStats {
 /// percentile being merged, and the nearest-rank percentile `p` is taken
 /// over that weighted multiset (sort parts by the field, accumulate weight,
 /// stop at rank `ceil(p/100 · total)`). This is the percentile-merging
-/// primitive of [`DistributionStats::merged`] /
-/// [`TokenLatencyStats::merged`] — exact for single-sample parts, a
-/// documented approximation otherwise.
+/// primitive of [`DistributionStats::merged`] — exact for single-sample
+/// parts, a documented approximation otherwise.
 fn weighted_percentile<S>(parts: &[(S, usize)], p: f64, field: impl Fn(&S) -> f64) -> f64 {
     let total: usize = parts.iter().map(|&(_, n)| n).sum();
     if total == 0 {
@@ -220,9 +190,9 @@ impl DistributionStats {
     ///
     /// The mean merges exactly (weighted average) and the max is the max of
     /// the parts. Each percentile is the weighted nearest-rank selection
-    /// over the parts' own values of that percentile (see
-    /// [`TokenLatencyStats::merged`]) — exact when every part summarises a
-    /// single sample, an approximation otherwise (the true percentile of
+    /// over the parts' own values of that percentile, every sample of a
+    /// part standing at the part's value — exact when every part summarises
+    /// a single sample, an approximation otherwise (the true percentile of
     /// the pooled samples is not recoverable from summaries alone).
     /// Zero-weight parts are ignored; all-zero for an empty or
     /// all-zero-weight input.
@@ -901,18 +871,6 @@ mod tests {
             acc += s.mean * f64_from_usize(*n);
         }
         assert_eq!(merged.mean.to_bits(), (acc / 5.0).to_bits());
-    }
-
-    #[test]
-    fn merged_token_latency_stats_weight_means_and_percentiles() {
-        let a = TokenLatencyStats::from_decode_latencies(1.0, &[0.5]);
-        let b = TokenLatencyStats::from_decode_latencies(3.0, &[1.5]);
-        let merged = TokenLatencyStats::merged(&[(a, 1), (b, 3)]);
-        assert!((merged.ttft - (1.5 + 3.0 * 4.5) / 4.0).abs() < 1e-12);
-        assert!((merged.tpot_mean - (0.5 + 3.0 * 1.5) / 4.0).abs() < 1e-12);
-        assert_eq!(merged.tpot_p50, 1.5);
-        assert_eq!(merged.tpot_p99, 1.5);
-        assert_eq!(TokenLatencyStats::merged(&[]), TokenLatencyStats::default());
     }
 
     fn replica_report(label: &str, completed: usize, tokens: usize, ttft: f64) -> ReplicaReport {

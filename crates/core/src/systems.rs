@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::engine::{run_session, Engine};
 use crate::error::HermesError;
-use crate::hermes::HermesOptions;
+use crate::hermes::HermesVariant;
 use crate::report::InferenceReport;
 use crate::{SystemConfig, Workload};
 
@@ -22,9 +22,9 @@ pub enum SystemKind {
     FlexGen,
     /// Deja Vu sparsity-aware offloading (OPT models only).
     DejaVu,
-    /// A Hermes-family system (full Hermes, Hermes-host, Hermes-base or one
-    /// of the scheduling ablations, selected by the options).
-    Hermes(HermesOptions),
+    /// A Hermes-family system: full Hermes, Hermes-host, Hermes-base or one
+    /// of the scheduling ablations.
+    Hermes(HermesVariant),
     /// TensorRT-LLM running on `num_gpus` A100-40GB GPUs.
     TensorRtLlm {
         /// Number of A100 GPUs.
@@ -35,17 +35,17 @@ pub enum SystemKind {
 impl SystemKind {
     /// The full Hermes system.
     pub fn hermes() -> Self {
-        SystemKind::Hermes(HermesOptions::full())
+        SystemKind::Hermes(HermesVariant::Full)
     }
 
     /// Hermes-host (cold neurons on the host CPU).
     pub fn hermes_host() -> Self {
-        SystemKind::Hermes(HermesOptions::host())
+        SystemKind::Hermes(HermesVariant::Host)
     }
 
     /// Hermes-base (no activation sparsity).
     pub fn hermes_base() -> Self {
-        SystemKind::Hermes(HermesOptions::base())
+        SystemKind::Hermes(HermesVariant::Base)
     }
 
     /// The five systems compared in Fig. 9 and Fig. 11, in plot order.
@@ -66,7 +66,7 @@ impl SystemKind {
             SystemKind::Accelerate => "Huggingface Accelerate".to_string(),
             SystemKind::FlexGen => "FlexGen".to_string(),
             SystemKind::DejaVu => "Deja Vu".to_string(),
-            SystemKind::Hermes(options) => options.name().to_string(),
+            SystemKind::Hermes(variant) => variant.name().to_string(),
             SystemKind::TensorRtLlm { num_gpus } => format!("TensorRT-LLM ({num_gpus}x A100)"),
         }
     }
@@ -106,7 +106,6 @@ pub fn try_run_system(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MappingPolicy;
     use hermes_model::ModelId;
 
     fn quick(model: ModelId) -> Workload {
@@ -228,29 +227,50 @@ mod tests {
             try_run_system(SystemKind::TensorRtLlm { num_gpus: 5 }, &w, &bad_config),
             Err(HermesError::InvalidConfig(_))
         ));
-        // A mapping drift must lie in [0, 1]: unchecked, +inf saturates the
-        // planner's swap count and never finishes, and NaN plans silently.
-        let with_drift = |drift| {
-            SystemKind::Hermes(HermesOptions {
-                mapping: MappingPolicy::OfflineProfile { drift },
-                ..HermesOptions::partition_only()
-            })
-        };
-        for drift in [f64::NAN, -0.1, 1.5, f64::INFINITY] {
-            let kind = with_drift(drift);
-            assert!(
-                matches!(
-                    kind.engine(&config).plan(&w),
-                    Err(HermesError::InvalidConfig(_))
-                ) && matches!(
-                    try_run_system(kind, &w, &config),
-                    Err(HermesError::InvalidConfig(_))
-                ),
-                "drift {drift}"
-            );
+    }
+
+    #[test]
+    fn overflowing_workloads_fail_closed() {
+        // Unchecked, these byte and FLOP counts overflow u64: a debug build
+        // panics and a release build prices wrapped numbers.
+        let config = SystemConfig::paper_default();
+        let mut kinds = SystemKind::figure9_lineup();
+        kinds.push(SystemKind::TensorRtLlm { num_gpus: 5 });
+        // (prompt_len, gen_len, batch): past the context bound, then within
+        // it but overflowing the prefill FLOPs or the KV bytes of the batch.
+        let probes = [
+            (1 << 23, 1, 1),
+            (1 << 22, 1, 1 << 10),
+            (1 << 62, 1, 4),
+            (usize::MAX, 1, 1),
+            (1 << 20, 1, 1 << 10),
+            (1, 1, 1 << 40),
+            (1, crate::workload::MAX_CONTEXT_TOKENS - 1, 1 << 26),
+        ];
+        for (prompt_len, gen_len, batch) in probes {
+            let mut w = quick(ModelId::Opt13B).with_batch(batch);
+            w.prompt_len = prompt_len;
+            w.gen_len = gen_len;
+            for &kind in &kinds {
+                assert!(
+                    matches!(
+                        kind.engine(&config).plan(&w),
+                        Err(HermesError::InvalidWorkload(_))
+                    ) && matches!(
+                        try_run_system(kind, &w, &config),
+                        Err(HermesError::InvalidWorkload(_))
+                    ),
+                    "{} on prompt {prompt_len}, gen {gen_len}, batch {batch}",
+                    kind.name()
+                );
+            }
         }
-        for drift in [0.0, 1.0] {
-            assert!(try_run_system(with_drift(drift), &w, &config).is_ok());
-        }
+        // A million-token prompt is in range and plans; its prefill price
+        // (1,884.71 s) is pinned bit for bit.
+        let mut w = quick(ModelId::Opt13B);
+        w.prompt_len = 1_000_000;
+        w.gen_len = 1;
+        let plan = SystemKind::Accelerate.engine(&config).plan(&w).unwrap();
+        assert_eq!(plan.spec.prefill_seconds.to_bits(), 0x409d_72d7_14c7_74fb);
     }
 }

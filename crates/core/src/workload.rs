@@ -4,10 +4,28 @@
 
 use serde::{Deserialize, Serialize};
 
+use hermes_model::flops::model_flops_per_token;
 use hermes_model::{ModelConfig, ModelId};
 use hermes_sparsity::Dataset;
 
+use crate::cast::u64_from_usize;
 use crate::error::HermesError;
+
+/// Longest context, prompt plus generated tokens, of one sequence: 2 Mi
+/// tokens. For every [`ModelId`] the per-token helpers at this length, and
+/// the prefill FLOPs of one such sequence, fit in `u64`; products with a
+/// batch size are checked by [`Workload::validate`].
+pub const MAX_CONTEXT_TOKENS: usize = 1 << 21;
+
+/// Check that `prompt_len + gen_len` is at most [`MAX_CONTEXT_TOKENS`].
+fn check_context(what: &str, prompt_len: usize, gen_len: usize) -> Result<(), HermesError> {
+    match prompt_len.checked_add(gen_len) {
+        Some(context) if context <= MAX_CONTEXT_TOKENS => Ok(()),
+        _ => Err(HermesError::InvalidWorkload(format!(
+            "{what}prompt_len + gen_len must be at most {MAX_CONTEXT_TOKENS} tokens"
+        ))),
+    }
+}
 
 /// One end-to-end inference workload (Section V-A3/A4: sequence lengths
 /// fixed at 128/128, batch sizes 1–16, ChatGPT-prompts / Alpaca datasets).
@@ -63,7 +81,10 @@ impl Workload {
         self.batch * self.gen_len
     }
 
-    /// Validate the workload.
+    /// Validate the workload: every length at least 1, the context within
+    /// [`MAX_CONTEXT_TOKENS`], and the planners' products with the batch
+    /// size (the KV cache plus the weights, and the prefill FLOPs) within
+    /// `u64`.
     ///
     /// # Errors
     ///
@@ -85,6 +106,26 @@ impl Workload {
                 "prompt_len must be at least 1".into(),
             ));
         }
+        check_context("", self.prompt_len, self.gen_len)?;
+        let cfg = self.model_config();
+        let batch = u64_from_usize(self.batch);
+        let context = u64_from_usize(self.prompt_len + self.gen_len);
+        let kv_and_weights = cfg
+            .memory_footprint()
+            .kv_bytes_per_token
+            .checked_mul(context)
+            .and_then(|bytes| bytes.checked_mul(batch))
+            .and_then(|bytes| bytes.checked_add(cfg.total_param_bytes()));
+        let prefill_flops = model_flops_per_token(&cfg, self.prompt_len / 2)
+            .checked_mul(u64_from_usize(self.prompt_len))
+            .and_then(|flops| flops.checked_mul(batch));
+        if kv_and_weights.is_none() || prefill_flops.is_none() {
+            return Err(HermesError::InvalidWorkload(format!(
+                "a batch of {} {}-token sequences overflows 64-bit byte or FLOP counts",
+                self.batch,
+                self.prompt_len + self.gen_len
+            )));
+        }
         Ok(())
     }
 }
@@ -103,7 +144,8 @@ impl RequestLength {
     ///
     /// # Errors
     ///
-    /// Returns [`HermesError::InvalidWorkload`] when either length is zero.
+    /// Returns [`HermesError::InvalidWorkload`] when either length is zero
+    /// or their sum exceeds [`MAX_CONTEXT_TOKENS`].
     pub fn validate(&self) -> Result<(), HermesError> {
         if self.prompt_len == 0 {
             return Err(HermesError::InvalidWorkload(
@@ -115,7 +157,7 @@ impl RequestLength {
                 "request gen_len must be at least 1".into(),
             ));
         }
-        Ok(())
+        check_context("request ", self.prompt_len, self.gen_len)
     }
 }
 
@@ -298,7 +340,7 @@ impl LengthDistribution {
                         "uniform length ranges must satisfy min <= max".into(),
                     ));
                 }
-                Ok(())
+                check_context("uniform maximum ", *prompt_max, *gen_max)
             }
             LengthDistribution::Trace { lengths } => {
                 for length in lengths {
@@ -571,6 +613,18 @@ mod tests {
                     gen_len: 0,
                 }],
             },
+            LengthDistribution::Uniform {
+                prompt_min: 1,
+                prompt_max: usize::MAX,
+                gen_min: 1,
+                gen_max: 1,
+            },
+            LengthDistribution::Trace {
+                lengths: vec![RequestLength {
+                    prompt_len: MAX_CONTEXT_TOKENS,
+                    gen_len: 1,
+                }],
+            },
         ] {
             assert!(
                 matches!(bad.validate(), Err(HermesError::InvalidWorkload(_))),
@@ -667,5 +721,24 @@ mod tests {
         let mut w = Workload::paper_default(ModelId::Opt13B);
         w.prompt_len = 0;
         assert!(matches!(w.validate(), Err(HermesError::InvalidWorkload(_))));
+        let mut w = Workload::paper_default(ModelId::Opt13B);
+        w.gen_len = usize::MAX;
+        assert!(matches!(w.validate(), Err(HermesError::InvalidWorkload(_))));
+    }
+
+    #[test]
+    fn one_sequence_at_the_context_bound_fits_every_model() {
+        // The bound alone keeps one sequence's arithmetic in range, so any
+        // single request that passes `RequestLength::validate` can be
+        // priced; one more token is rejected.
+        for id in ModelId::ALL {
+            let mut w = Workload::paper_default(id);
+            w.prompt_len = MAX_CONTEXT_TOKENS - 1;
+            w.gen_len = 1;
+            w.validate().unwrap();
+            assert!(model_flops_per_token(&w.model_config(), MAX_CONTEXT_TOKENS) > 0);
+            w.gen_len = 2;
+            assert!(matches!(w.validate(), Err(HermesError::InvalidWorkload(_))));
+        }
     }
 }

@@ -80,14 +80,6 @@ pub enum ActivationKind {
     GeluRelufied,
 }
 
-impl ActivationKind {
-    /// True when the model exposes activation sparsity usable by Hermes.
-    /// After ReLU-fication every evaluated model does.
-    pub fn is_sparse(self) -> bool {
-        true
-    }
-}
-
 /// Architecture hyper-parameters of a transformer LLM.
 ///
 /// All sizes follow the public model cards; derived quantities (neuron
@@ -199,12 +191,6 @@ impl ModelConfig {
     /// (a neuron is a row/column of a weight matrix, per the paper).
     pub fn neurons_per_layer(&self, block: Block) -> usize {
         self.layer_shape().neurons(block)
-    }
-
-    /// Total number of sparsity-eligible neurons across the whole model.
-    pub fn total_neurons(&self) -> usize {
-        self.num_layers
-            * (self.neurons_per_layer(Block::Attention) + self.neurons_per_layer(Block::Mlp))
     }
 
     /// Bytes of weights attributed to a single neuron in the given block.

@@ -6,7 +6,7 @@ use crate::activation::ActivationUnit;
 use crate::config::DimmConfig;
 use crate::dram::DramBandwidthModel;
 use crate::gemv::GemvUnit;
-use crate::link::{DimmLink, HostMediatedPath};
+use crate::link::DimmLink;
 
 /// One NDP-DIMM module.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -62,12 +62,6 @@ impl NdpDimm {
     /// The DIMM-link attached to this DIMM.
     pub fn link(&self) -> &DimmLink {
         &self.link
-    }
-
-    /// The host-mediated migration path (used only for the ablation that
-    /// shows why DIMM-link matters).
-    pub fn host_path(&self) -> HostMediatedPath {
-        HostMediatedPath::new(&self.config)
     }
 
     /// Time (seconds) to perform a GEMV over `weight_bytes` of cold-neuron

@@ -11,9 +11,10 @@
 //!    activation density in GPU memory and lays the cold rest out over the
 //!    DIMMs with [`ClusterColdPlacement::build`].
 //! 2. **Online adjustment**: the predictor-guided hot set captures
-//!    `hermes_core::OnlineAdjustment::tracking_quality` of the oracle's
+//!    `hermes_core::HermesVariant::tracking_quality` of the oracle's
 //!    activation mass.
-//! 3. **Window-based remapping** (Algorithm 1):
+//! 3. **Window-based remapping** (Algorithm 1), which only full Hermes
+//!    (`hermes_core::HermesVariant::Full`) runs:
 //!    [`cluster_placement::BlockColdPlacement::rebalance`] pairs the most-
 //!    and least-loaded DIMMs every window and moves the hottest clusters'
 //!    mass from the former to the latter.

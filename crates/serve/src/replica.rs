@@ -329,19 +329,6 @@ impl ReplicaSim {
         self.kv.prefix_match(prefix)
     }
 
-    /// The earliest virtual time at which this replica has work to do:
-    /// its current clock while anything is queued, prefilling or decoding;
-    /// the next pending arrival when idle; `None` when fully drained.
-    pub fn next_event_time(&self) -> Option<f64> {
-        if !self.active.is_empty() || !self.prefilling.is_empty() || !self.ready.is_empty() {
-            Some(self.clock)
-        } else if self.next_arrival < self.requests.len() {
-            Some(self.clock.max(self.requests[self.next_arrival].arrival))
-        } else {
-            None
-        }
-    }
-
     /// Drive token boundaries until the clock reaches `horizon` or the
     /// replica goes idle (no active work and no pending arrival within the
     /// horizon).

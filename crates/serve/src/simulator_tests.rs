@@ -364,18 +364,32 @@ fn oversized_sampled_lengths_fail_memory_validation() {
     // The template fits, but the sampled request's KV footprint cannot:
     // the simulator must propagate the engine's memory check instead of
     // silently producing a report.
-    let sim = ServingSimulation::new(template(), ArrivalProcess::AllAtOnce, 1).with_lengths(
-        LengthDistribution::Trace {
-            lengths: vec![RequestLength {
-                prompt_len: 500_000_000,
-                gen_len: 8,
-            }],
-        },
-    );
+    let sim = |prompt_len| {
+        ServingSimulation::new(template(), ArrivalProcess::AllAtOnce, 1).with_lengths(
+            LengthDistribution::Trace {
+                lengths: vec![RequestLength {
+                    prompt_len,
+                    gen_len: 8,
+                }],
+            },
+        )
+    };
     assert!(matches!(
-        simulate(SystemKind::hermes_base(), &config(), &sim),
+        simulate(SystemKind::hermes_base(), &config(), &sim(1_000_000)),
         Err(HermesError::InsufficientMemory { .. })
     ));
+    // Past the context bound the length itself is invalid, before any
+    // engine plans it. Unchecked, re-planning Accelerate for a 2^23-token
+    // prompt overflows its 64-bit prefill FLOP count.
+    for (kind, prompt_len) in [
+        (SystemKind::hermes_base(), 500_000_000),
+        (SystemKind::Accelerate, 1 << 23),
+    ] {
+        assert!(matches!(
+            simulate(kind, &config(), &sim(prompt_len)),
+            Err(HermesError::InvalidWorkload(_))
+        ));
+    }
 }
 
 /// KV budget that fits one template request but not two.

@@ -95,14 +95,9 @@ pub struct SparsityProfile {
     /// Lag-1 temporal persistence of each neuron's activation state; drives
     /// the adjacent-token similarity of Fig. 4a.
     pub token_persistence: f64,
-    /// Number of tokens beyond which similarity stops decreasing (Fig. 4a
-    /// flattens around 25 tokens).
-    pub similarity_window: usize,
     /// Probability that a neuron's state is copied from its parents in the
     /// previous layer instead of its own temporal draw (layer-wise coupling).
     pub layer_coupling: f64,
-    /// Number of parent neurons per neuron in the correlation structure.
-    pub parents_per_neuron: usize,
     /// Number of co-activation clusters per (layer, block). Neurons within a
     /// cluster share a token-dependent activity multiplier, which is what
     /// produces the 1.2–2.5× load imbalance across NDP-DIMMs that the
@@ -110,9 +105,6 @@ pub struct SparsityProfile {
     pub cluster_count: usize,
     /// Log-scale volatility of the cluster activity multipliers.
     pub cluster_volatility: f64,
-    /// Accuracy loss (fraction) introduced by ReLU-fication, reported by the
-    /// paper as < 1%; carried for documentation/reporting only.
-    pub relufication_accuracy_loss: f64,
 }
 
 impl SparsityProfile {
@@ -135,12 +127,9 @@ impl SparsityProfile {
             hot_fraction: 0.2,
             hot_mass: 0.8,
             token_persistence: persistence,
-            similarity_window: 25,
             layer_coupling: 0.30,
-            parents_per_neuron: 2,
             cluster_count: 64,
             cluster_volatility: 0.55,
-            relufication_accuracy_loss: 0.01,
         }
     }
 
@@ -192,9 +181,6 @@ impl SparsityProfile {
                 "hot neurons ({}) cannot carry less mass than their population share ({})",
                 self.hot_mass, self.hot_fraction
             ));
-        }
-        if self.parents_per_neuron == 0 {
-            return Err("parents_per_neuron must be at least 1".to_string());
         }
         if self.cluster_count == 0 {
             return Err("cluster_count must be at least 1".to_string());
@@ -260,9 +246,6 @@ mod tests {
         let mut p = SparsityProfile::for_model(&cfg);
         p.hot_fraction = 0.9;
         p.hot_mass = 0.5;
-        assert!(p.validate().is_err());
-        let mut p = SparsityProfile::for_model(&cfg);
-        p.parents_per_neuron = 0;
         assert!(p.validate().is_err());
     }
 

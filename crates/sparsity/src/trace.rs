@@ -32,14 +32,6 @@ impl TokenActivations {
         self.layers.len()
     }
 
-    /// Total number of activated neurons across the whole token.
-    pub fn total_active(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| l[0].count_ones() + l[1].count_ones())
-            .sum()
-    }
-
     /// Number of activated neurons in one (layer, block).
     pub fn active_count(&self, layer: usize, block: Block) -> usize {
         self.block(layer, block).count_ones()

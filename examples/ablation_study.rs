@@ -4,25 +4,25 @@
 //!
 //! Run with: `cargo run --release --example ablation_study`
 
-use hermes_core::{try_run_system, HermesOptions, SystemConfig, SystemKind, Workload};
+use hermes_core::{try_run_system, HermesVariant, SystemConfig, SystemKind, Workload};
 use hermes_model::ModelId;
 
 fn main() {
     let config = SystemConfig::paper_default();
     let workload = Workload::paper_default(ModelId::Llama2_70B);
-    let variants: [(&str, HermesOptions); 6] = [
-        ("Hermes-random", HermesOptions::random_mapping()),
-        ("Hermes-partition", HermesOptions::partition_only()),
-        ("Hermes-token-adjustment", HermesOptions::token_adjustment()),
-        ("Hermes-layer-adjustment", HermesOptions::layer_adjustment()),
-        ("Hermes-adjustment", HermesOptions::adjustment_only()),
-        ("Hermes (full)", HermesOptions::full()),
+    let variants = [
+        ("Hermes-random", HermesVariant::Random),
+        ("Hermes-partition", HermesVariant::Partition),
+        ("Hermes-token-adjustment", HermesVariant::TokenAdjustment),
+        ("Hermes-layer-adjustment", HermesVariant::LayerAdjustment),
+        ("Hermes-adjustment", HermesVariant::Adjustment),
+        ("Hermes (full)", HermesVariant::Full),
     ];
     println!("LLaMA2-70B, batch 1 — sparse-FC latency per token and speedup over Hermes-random\n");
     let mut baseline = None;
-    for (name, options) in variants {
+    for (name, variant) in variants {
         let report =
-            try_run_system(SystemKind::Hermes(options), &workload, &config).expect("supported");
+            try_run_system(SystemKind::Hermes(variant), &workload, &config).expect("supported");
         let fc_ms = report.breakdown.fc * 1e3 / workload.gen_len as f64;
         let base = *baseline.get_or_insert(fc_ms);
         println!(

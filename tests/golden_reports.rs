@@ -12,7 +12,7 @@
 //! that output.
 
 use hermes::core::{
-    try_run_system, ArrivalProcess, HermesOptions, InferenceReport, SystemConfig, SystemKind,
+    try_run_system, ArrivalProcess, HermesVariant, InferenceReport, SystemConfig, SystemKind,
     Workload,
 };
 use hermes::model::ModelId;
@@ -38,11 +38,11 @@ fn every_engine() -> Vec<SystemKind> {
     kinds.push(SystemKind::TensorRtLlm { num_gpus: 5 });
     kinds.extend(
         [
-            HermesOptions::random_mapping(),
-            HermesOptions::partition_only(),
-            HermesOptions::token_adjustment(),
-            HermesOptions::layer_adjustment(),
-            HermesOptions::adjustment_only(),
+            HermesVariant::Random,
+            HermesVariant::Partition,
+            HermesVariant::TokenAdjustment,
+            HermesVariant::LayerAdjustment,
+            HermesVariant::Adjustment,
         ]
         .map(SystemKind::Hermes),
     );

@@ -2,7 +2,7 @@
 //! partition, online adjustment and window-based remapping stacked on a
 //! full Hermes run (the behaviour behind Fig. 13).
 
-use hermes_core::{try_run_system, HermesOptions, SystemConfig, SystemKind, Workload};
+use hermes_core::{try_run_system, HermesVariant, SystemConfig, SystemKind, Workload};
 use hermes_model::ModelId;
 
 #[test]
@@ -15,16 +15,16 @@ fn full_system_ablation_ordering() {
     let mut workload = Workload::paper_default(ModelId::Opt13B);
     workload.gen_len = 10;
     workload.prompt_len = 32;
-    let fc = |options: HermesOptions| {
-        try_run_system(SystemKind::Hermes(options), &workload, &config)
+    let fc = |variant| {
+        try_run_system(SystemKind::Hermes(variant), &workload, &config)
             .unwrap()
             .breakdown
             .fc
     };
-    let random = fc(HermesOptions::random_mapping());
-    let partition = fc(HermesOptions::partition_only());
-    let adjustment = fc(HermesOptions::adjustment_only());
-    let full = fc(HermesOptions::full());
+    let random = fc(HermesVariant::Random);
+    let partition = fc(HermesVariant::Partition);
+    let adjustment = fc(HermesVariant::Adjustment);
+    let full = fc(HermesVariant::Full);
     assert!(partition <= random);
     assert!(adjustment <= partition);
     assert!(full <= adjustment * 1.02);

@@ -4,8 +4,8 @@
 //! against either implementation.
 
 use hermes::core::{
-    try_run_system, ArrivalProcess, HermesError, Phase, SystemConfig, SystemKind, TokenEvent,
-    Workload,
+    try_run_system, ArrivalProcess, HermesError, HermesVariant, Phase, SystemConfig, SystemKind,
+    TokenEvent, Workload,
 };
 use hermes::model::ModelId;
 use hermes::serve::{simulate, ServingSimulation};
@@ -131,6 +131,26 @@ fn system_kinds_round_trip() {
     ] {
         assert_eq!(roundtrip(&kind), kind);
     }
+    // A Hermes-family system is one of eight named variants, written as a
+    // bare string inside the `Hermes` tag.
+    for variant in [
+        HermesVariant::Full,
+        HermesVariant::Host,
+        HermesVariant::Base,
+        HermesVariant::Random,
+        HermesVariant::Partition,
+        HermesVariant::TokenAdjustment,
+        HermesVariant::LayerAdjustment,
+        HermesVariant::Adjustment,
+    ] {
+        assert_eq!(roundtrip(&variant), variant);
+        let kind = SystemKind::Hermes(variant);
+        assert_eq!(roundtrip(&kind), kind);
+    }
+    assert_eq!(
+        serde_json::to_string(&SystemKind::hermes()).unwrap(),
+        "{\"Hermes\":\"Full\"}"
+    );
 }
 
 #[test]
@@ -138,4 +158,14 @@ fn shape_mismatches_fail_cleanly() {
     assert!(serde_json::from_str::<Workload>("{\"model\":\"Opt13B\"}").is_err());
     assert!(serde_json::from_str::<ArrivalProcess>("\"NoSuchVariant\"").is_err());
     assert!(serde_json::from_str::<TokenEvent>("[1,2,3]").is_err());
+    // A struct of knobs in place of a variant name, and an unknown variant
+    // name, are both rejected.
+    let knobs = concat!(
+        "{\"Hermes\":{\"use_sparsity\":true,",
+        "\"mapping\":{\"OfflineProfile\":{\"drift\":0.5}},",
+        "\"adjustment\":\"Full\",\"window_remapping\":true,",
+        "\"cold_executor\":\"NdpDimm\"}}"
+    );
+    assert!(serde_json::from_str::<SystemKind>(knobs).is_err());
+    assert!(serde_json::from_str::<SystemKind>("{\"Hermes\":\"NoSuch\"}").is_err());
 }
