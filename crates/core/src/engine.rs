@@ -7,7 +7,8 @@
 //! directly instead of hiding it behind a closed-loop batch simulation:
 //!
 //! * [`Engine`] — a system (Hermes family or baseline) bound to a hardware
-//!   configuration by [`SystemKind::engine`]; [`Engine::plan`] validates a
+//!   configuration by [`SystemKind::engine`]; [`Engine::validate`] runs
+//!   every check of a plan and builds nothing, [`Engine::plan`] validates a
 //!   workload and produces a [`PlannedRun`], and [`Engine::start`] wraps the
 //!   plan in a [`Session`].
 //! * [`StepCostModel`] — the planned run's pricing function: one decode step
@@ -34,7 +35,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::baselines::{accelerate_plan, dejavu_plan, flexgen_plan, tensorrt_plan};
 use crate::error::HermesError;
-use crate::hermes::hermes_plan;
+use crate::hermes::{check_dimm_capacity, hermes_plan};
 use crate::report::{InferenceReport, LatencyBreakdown, TokenLatencyStats};
 use crate::{SystemConfig, SystemKind, Workload};
 
@@ -390,13 +391,10 @@ impl Engine {
         Engine { kind, config }
     }
 
-    /// Validate `workload` against this engine's configuration and plan a
-    /// run for it: the static metadata plus the [`StepCostModel`] that
-    /// prices decode steps for any batch composition.
-    ///
-    /// Validation runs once, in this order: the workload, the configuration
-    /// (for TensorRT-LLM too, which simulates its own A100 platform), then
-    /// the system's own guard.
+    /// Check that [`Engine::plan`] would succeed on `workload`, building
+    /// nothing: the workload, the configuration (for TensorRT-LLM too,
+    /// which simulates its own A100 platform), then the system's own guard,
+    /// in that order.
     ///
     /// # Errors
     ///
@@ -406,25 +404,41 @@ impl Engine {
     /// FlexGen and Deja Vu on non-OPT models, and
     /// [`HermesError::InsufficientMemory`] when a Hermes-family model does
     /// not fit in the combined DIMM capacity.
-    pub fn plan(&self, workload: &Workload) -> Result<PlannedRun, HermesError> {
+    pub fn validate(&self, workload: &Workload) -> Result<(), HermesError> {
         workload.validate()?;
+        self.config.validate()?;
+        match self.kind {
+            SystemKind::FlexGen | SystemKind::DejaVu if !workload.model.is_opt_family() => {
+                Err(HermesError::ModelNotSupported {
+                    system: self.kind.name(),
+                })
+            }
+            SystemKind::Hermes(_) => check_dimm_capacity(workload, &self.config),
+            SystemKind::TensorRtLlm { num_gpus: 0 } => Err(HermesError::InvalidConfig(
+                "num_gpus must be at least 1".to_string(),
+            )),
+            SystemKind::Accelerate
+            | SystemKind::FlexGen
+            | SystemKind::DejaVu
+            | SystemKind::TensorRtLlm { .. } => Ok(()),
+        }
+    }
+
+    /// Validate `workload` with [`Engine::validate`] and plan a run for it:
+    /// the static metadata plus the [`StepCostModel`] that prices decode
+    /// steps for any batch composition.
+    ///
+    /// # Errors
+    ///
+    /// Exactly the errors of [`Engine::validate`].
+    pub fn plan(&self, workload: &Workload) -> Result<PlannedRun, HermesError> {
+        self.validate(workload)?;
         let config = &self.config;
-        config.validate()?;
         let planned = match self.kind {
             SystemKind::Accelerate => accelerate_plan(workload, config),
-            SystemKind::FlexGen | SystemKind::DejaVu if !workload.model.is_opt_family() => {
-                return Err(HermesError::ModelNotSupported {
-                    system: self.kind.name(),
-                });
-            }
             SystemKind::FlexGen => flexgen_plan(workload, config),
             SystemKind::DejaVu => dejavu_plan(workload, config),
-            SystemKind::Hermes(variant) => hermes_plan(workload, config, variant)?,
-            SystemKind::TensorRtLlm { num_gpus: 0 } => {
-                return Err(HermesError::InvalidConfig(
-                    "num_gpus must be at least 1".to_string(),
-                ));
-            }
+            SystemKind::Hermes(variant) => hermes_plan(workload, config, variant),
             SystemKind::TensorRtLlm { num_gpus } => tensorrt_plan(workload, num_gpus),
         };
         let spec = SessionSpec {

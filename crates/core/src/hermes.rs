@@ -408,28 +408,24 @@ impl StepCostModel for BaseCostModel {
 
 /// GPU bytes available for hot-neuron weights after the dense weights
 /// (projections, embeddings) that must stay resident.
-fn gpu_hot_budget(config: &SystemConfig, cfg: &ModelConfig) -> u64 {
+pub(crate) fn gpu_hot_budget(config: &SystemConfig, cfg: &ModelConfig) -> u64 {
     let dense = cfg.memory_footprint().dense_resident_bytes();
     config.gpu.usable_weight_bytes().saturating_sub(dense)
 }
 
-/// Plan a Hermes-family run: check that the model fits on the DIMMs, then
-/// plan the sparse engine or Hermes-base.
+/// Check that a Hermes-family run fits on the DIMMs: every weight parameter
+/// is stored there (Section IV-C2) and so is the KV cache; the GPU only
+/// holds *copies* of hot neurons plus the dense weights.
 ///
 /// # Errors
 ///
-/// [`HermesError::InsufficientMemory`] when the model does not fit in the
-/// combined DIMM capacity of the configuration.
-pub(crate) fn hermes_plan(
+/// [`HermesError::InsufficientMemory`] when the model and the workload's
+/// KV cache do not fit in the combined DIMM capacity of the configuration.
+pub(crate) fn check_dimm_capacity(
     workload: &Workload,
     config: &SystemConfig,
-    variant: HermesVariant,
-) -> Result<Planned, HermesError> {
+) -> Result<(), HermesError> {
     let cfg = workload.model_config();
-    // Every weight parameter is stored on the DIMMs (Section IV-C2); the
-    // GPU only holds *copies* of hot neurons plus the dense weights, so
-    // the DIMM pool alone must be able to hold the model (plus the KV
-    // cache, which also lives on the DIMMs).
     let kv_bytes = cfg
         .memory_footprint()
         .kv_cache_bytes(workload.prompt_len + workload.gen_len, workload.batch);
@@ -441,10 +437,21 @@ pub(crate) fn hermes_plan(
             available,
         });
     }
+    Ok(())
+}
+
+/// Plan a Hermes-family run that [`check_dimm_capacity`] accepted: the
+/// sparse engine, or Hermes-base.
+pub(crate) fn hermes_plan(
+    workload: &Workload,
+    config: &SystemConfig,
+    variant: HermesVariant,
+) -> Planned {
+    let cfg = workload.model_config();
     if variant == HermesVariant::Base {
-        Ok(base_plan(config, cfg))
+        base_plan(config, cfg)
     } else {
-        Ok(sparse_plan(workload, config, variant, cfg))
+        sparse_plan(workload, config, variant, cfg)
     }
 }
 

@@ -229,6 +229,97 @@ mod tests {
         ));
     }
 
+    /// `Engine::validate` is `Ok` exactly when `Engine::plan` is, and
+    /// fails with the same error, for every system on a table of valid and
+    /// invalid workloads and configurations.
+    #[test]
+    fn validate_fails_exactly_when_plan_does() {
+        let mut kinds: Vec<SystemKind> = [
+            HermesVariant::Full,
+            HermesVariant::Host,
+            HermesVariant::Base,
+            HermesVariant::Random,
+            HermesVariant::Partition,
+            HermesVariant::TokenAdjustment,
+            HermesVariant::LayerAdjustment,
+            HermesVariant::Adjustment,
+        ]
+        .map(SystemKind::Hermes)
+        .to_vec();
+        kinds.extend([
+            SystemKind::Accelerate,
+            SystemKind::FlexGen,
+            SystemKind::DejaVu,
+            SystemKind::TensorRtLlm { num_gpus: 0 },
+            SystemKind::TensorRtLlm { num_gpus: 5 },
+        ]);
+        let config = SystemConfig::paper_default();
+        let with = |f: fn(&mut Workload)| {
+            let mut w = quick(ModelId::Opt13B);
+            f(&mut w);
+            w
+        };
+        let mut pcie_zero = config.clone();
+        pcie_zero.pcie.bandwidth = 0.0;
+        let mut pcie_nan = config.clone();
+        pcie_nan.pcie.bandwidth = f64::NAN;
+        let cases = [
+            ("valid", quick(ModelId::Opt13B), config.clone()),
+            ("batch 0", with(|w| w.batch = 0), config.clone()),
+            ("prompt 0", with(|w| w.prompt_len = 0), config.clone()),
+            ("gen 0", with(|w| w.gen_len = 0), config.clone()),
+            (
+                "past the context bound",
+                with(|w| w.prompt_len = crate::workload::MAX_CONTEXT_TOKENS),
+                config.clone(),
+            ),
+            (
+                "a batch overflowing u64",
+                with(|w| w.batch = 1 << 40),
+                config.clone(),
+            ),
+            (
+                "LLaMA2-70B on 2 DIMMs",
+                quick(ModelId::Llama2_70B),
+                config.clone().with_num_dimms(2),
+            ),
+            ("LLaMA2-7B", quick(ModelId::Llama2_7B), config.clone()),
+            ("PCIe bandwidth 0", quick(ModelId::Opt13B), pcie_zero),
+            ("PCIe bandwidth NaN", quick(ModelId::Opt13B), pcie_nan),
+        ];
+        let mut outcomes = std::collections::BTreeSet::new();
+        for (case, workload, config) in &cases {
+            for kind in &kinds {
+                let engine = kind.engine(config);
+                let validated = engine.validate(workload);
+                let planned = engine.plan(workload).map(|_| ());
+                assert_eq!(validated, planned, "{} on {case}", kind.name());
+                if let (Err(v), Err(p)) = (&validated, &planned) {
+                    assert_eq!(v.to_string(), p.to_string());
+                }
+                outcomes.insert(match validated {
+                    Ok(()) => "ok",
+                    Err(HermesError::InvalidWorkload(_)) => "invalid workload",
+                    Err(HermesError::InvalidConfig(_)) => "invalid config",
+                    Err(HermesError::InsufficientMemory { .. }) => "insufficient memory",
+                    Err(HermesError::ModelNotSupported { .. }) => "model not supported",
+                    Err(HermesError::SessionState(_)) => "session state",
+                });
+            }
+        }
+        // The table reaches every outcome a plan can have.
+        assert_eq!(
+            outcomes.into_iter().collect::<Vec<_>>(),
+            [
+                "insufficient memory",
+                "invalid config",
+                "invalid workload",
+                "model not supported",
+                "ok"
+            ]
+        );
+    }
+
     #[test]
     fn overflowing_workloads_fail_closed() {
         // Unchecked, these byte and FLOP counts overflow u64: a debug build

@@ -90,7 +90,7 @@ pub fn simulate_reference(
     let engine = kind.engine(config);
     let mut plan = engine.plan(&sim.template)?;
     for bound in worst_case_bounds(&sim.template, &requests) {
-        engine.plan(&bound)?;
+        engine.validate(&bound)?;
     }
 
     let kv_bytes_per_request: Vec<u64> = requests

@@ -206,19 +206,20 @@ impl ReplicaSim {
         })
     }
 
-    /// Re-validate the engine plan and the paged pool against sampled
-    /// requests whose lengths may exceed the template's (the worst-case
-    /// bounds re-plan). The cluster driver passes the *global* request
-    /// set: any replica can receive any request through failover.
+    /// Re-validate the engine and the paged pool against sampled requests
+    /// whose lengths may exceed the template's: [`Engine::validate`] checks
+    /// the worst-case bounds without planning them. The cluster driver
+    /// passes the *global* request set: any replica can receive any request
+    /// through failover.
     ///
     /// # Errors
     ///
-    /// Engine planning errors for the worst-case bounds, and
+    /// [`Engine::validate`] errors for the worst-case bounds, and
     /// [`HermesError::InvalidConfig`] when a request could never fit the
     /// paged pool at full context.
     pub fn validate_requests(&self, requests: &[ServingRequest]) -> Result<(), HermesError> {
         for bound in worst_case_bounds(&self.sim.template, requests) {
-            self.engine.plan(&bound)?;
+            self.engine.validate(&bound)?;
         }
         self.kv.validate_requests(requests, &self.sim)
     }

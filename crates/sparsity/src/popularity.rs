@@ -80,57 +80,47 @@ impl NeuronPopularity {
     /// per-layer pseudo-random permutation (seeded, deterministic).
     pub fn generate(cfg: &ModelConfig, profile: &SparsityProfile, seed: u64) -> Self {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut layers = Vec::with_capacity(cfg.num_layers);
-        let mut prev_rank_orders: Option<[Vec<u32>; 2]> = None;
+        // Every layer scatters the same per-rank probabilities of a block.
+        let rank_probs = Block::ALL.map(|block| {
+            zipf_probabilities(
+                cfg.neurons_per_layer(block),
+                profile.density(block),
+                profile.hot_fraction,
+                profile.hot_mass,
+            )
+        });
+        let mut layers: Vec<[BlockPopularity; 2]> = Vec::with_capacity(cfg.num_layers);
         for _layer in 0..cfg.num_layers {
-            let mut blocks = Vec::with_capacity(2);
-            let mut rank_orders: Vec<Vec<u32>> = Vec::with_capacity(2);
-            for block in Block::ALL {
-                let n = cfg.neurons_per_layer(block);
-                let density = profile.density(block);
-                let rank_probs =
-                    zipf_probabilities(n, density, profile.hot_fraction, profile.hot_mass);
+            let prev = layers.last();
+            // `from_fn` visits the blocks in `Block::ALL` order, so the
+            // shuffles draw for attention before MLP.
+            let blocks = std::array::from_fn(|bi| {
+                let rank_probs = &rank_probs[bi];
+                let n = rank_probs.len();
                 // Scatter popularity ranks over neuron indices.
                 let mut order: Vec<u32> = (0..n as u32).collect();
                 order.shuffle(&mut rng);
                 let mut probs = vec![0f32; n];
+                let mut parents = vec![[0u32; 2]; n];
+                // Parents: the neurons holding the same and next popularity
+                // rank in the previous layer (the same block, so also `n`
+                // neurons), which yields the strong layer-wise correlation
+                // of Fig. 4b.
+                let prev_order = prev.map(|p: &[BlockPopularity; 2]| p[bi].rank_order.as_slice());
                 for (rank, &idx) in order.iter().enumerate() {
                     probs[idx as usize] = rank_probs[rank] as f32;
+                    parents[idx as usize] = match prev_order {
+                        Some(prev) => [prev[rank], prev[if rank + 1 == n { 0 } else { rank + 1 }]],
+                        None => [idx, idx],
+                    };
                 }
-                // Parents: the neurons holding the same and next popularity
-                // rank in the previous layer, which yields the strong
-                // layer-wise correlation of Fig. 4b.
-                let prev_order: Option<&Vec<u32>> =
-                    prev_rank_orders.as_ref().map(|o| match block {
-                        Block::Attention => &o[0],
-                        Block::Mlp => &o[1],
-                    });
-                let mut rank_of = vec![0usize; n];
-                for (rank, &idx) in order.iter().enumerate() {
-                    rank_of[idx as usize] = rank;
-                }
-                let parents: Vec<[u32; 2]> = (0..n)
-                    .map(|idx| match prev_order {
-                        Some(prev) => {
-                            let rank = rank_of[idx];
-                            let p0 = prev[rank % prev.len()];
-                            let p1 = prev[(rank + 1) % prev.len()];
-                            [p0, p1]
-                        }
-                        None => [idx as u32, idx as u32],
-                    })
-                    .collect();
-                rank_orders.push(order.clone());
-                blocks.push(BlockPopularity {
+                BlockPopularity {
                     probs,
                     rank_order: order,
                     parents,
-                });
-            }
-            let mlp = blocks.pop().expect("mlp block");
-            let attn = blocks.pop().expect("attention block");
-            prev_rank_orders = Some([rank_orders[0].clone(), rank_orders[1].clone()]);
-            layers.push([attn, mlp]);
+                }
+            });
+            layers.push(blocks);
         }
         NeuronPopularity { layers }
     }
