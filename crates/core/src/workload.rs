@@ -5,7 +5,7 @@
 use serde::{Deserialize, Serialize};
 
 use hermes_model::flops::model_flops_per_token;
-use hermes_model::{ModelConfig, ModelId};
+use hermes_model::{non_negative_finite, ModelConfig, ModelId};
 use hermes_sparsity::Dataset;
 
 use crate::cast::u64_from_usize;
@@ -416,10 +416,9 @@ impl ArrivalProcess {
                 Ok(())
             }
             ArrivalProcess::Trace { times } => {
-                if times.iter().any(|t| !t.is_finite() || *t < 0.0) {
-                    return Err(HermesError::InvalidWorkload(
-                        "trace arrival times must be non-negative and finite".into(),
-                    ));
+                for &t in times {
+                    non_negative_finite("trace arrival time", t)
+                        .map_err(HermesError::InvalidWorkload)?;
                 }
                 if times.windows(2).any(|w| w[0] > w[1]) {
                     return Err(HermesError::InvalidWorkload(

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use hermes_model::{positive_finite, unit_fraction};
+use hermes_model::{non_negative_finite, positive_finite, unit_fraction};
 
 /// A PCIe link between host memory and GPU memory.
 ///
@@ -52,13 +52,7 @@ impl PcieLink {
     pub fn validate(&self) -> Result<(), String> {
         positive_finite("pcie bandwidth", self.bandwidth)?;
         unit_fraction("pcie efficiency", self.efficiency)?;
-        if !(self.latency.is_finite() && self.latency >= 0.0) {
-            return Err(format!(
-                "pcie latency must be finite and non-negative, got {}",
-                self.latency
-            ));
-        }
-        Ok(())
+        non_negative_finite("pcie latency", self.latency)
     }
 
     /// Time (seconds) to transfer `bytes` in one DMA burst.

@@ -64,6 +64,23 @@ pub fn unit_fraction(name: &str, value: f64) -> Result<(), String> {
     }
 }
 
+/// Check a time — a latency, an arrival or an event time — for a finite,
+/// non-negative value. Zero (and −0.0) passes: an event may happen at the
+/// start of a run, and a link may have no setup latency.
+///
+/// # Errors
+///
+/// A message naming `name` when `value` is NaN, infinite or negative.
+pub fn non_negative_finite(name: &str, value: f64) -> Result<(), String> {
+    if value.is_finite() && value >= 0.0 {
+        Ok(())
+    } else {
+        Err(format!(
+            "{name} must be finite and non-negative, got {value}"
+        ))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,6 +95,12 @@ mod tests {
         assert!(unit_fraction("eff", 0.5).is_ok());
         for bad in [0.0, 1.5, -0.1, f64::NAN, f64::INFINITY] {
             assert!(unit_fraction("eff", bad).is_err(), "{bad}");
+        }
+        for ok in [0.0, -0.0, 1.0] {
+            assert!(non_negative_finite("t", ok).is_ok(), "{ok}");
+        }
+        for bad in [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(non_negative_finite("t", bad).is_err(), "{bad}");
         }
     }
 }

@@ -19,10 +19,11 @@
 //! cluster reproduces [`simulate`](crate::simulator::simulate) bitwise.
 
 use hermes_core::{ClusterReport, HermesError, ReplicaReport, SystemConfig, SystemKind};
+use hermes_model::non_negative_finite;
 
 use crate::replica::{CarriedRequest, ReplicaSim};
 use crate::request::{RequestRecord, ServingRequest};
-use crate::simulator::{request_ranks, ServingSimulation};
+use crate::simulator::{replica_scenario, request_ranks, ServingSimulation};
 
 /// How the cluster picks a replica for each arriving (or re-dispatched)
 /// request. All policies consider only *routable* replicas — drained and
@@ -73,8 +74,10 @@ pub struct ReplicaSpec {
     /// The box's scheduler: batching policy, admission caps, prefill,
     /// preemption and prefix-cache mode (plus the engine-planning
     /// template). The sampling fields — arrival, request count, seeds,
-    /// length/class/prompt specs and the scheduling policy — are
-    /// fleet-wide concerns and are overridden from the cluster scenario.
+    /// length/class/prompt specs — and the scheduling policy are
+    /// fleet-wide concerns: they are ignored here, and the replica takes
+    /// the cluster scenario's scheduling policy and offered rate. They can
+    /// be left at their defaults; a trace set here is never read.
     pub sim: ServingSimulation,
 }
 
@@ -171,7 +174,10 @@ impl ClusterSimulation {
     }
 
     /// A homogeneous fleet: `n` replicas of `kind` on `config`, each
-    /// scheduling under the scenario's own policy knobs.
+    /// scheduling under the scenario's own policy knobs. Each
+    /// [`ReplicaSpec::sim`] copies those knobs and leaves the sampling
+    /// fields at their defaults (they are ignored), so the fleet holds one
+    /// copy of the scenario's traces, in [`ClusterSimulation::scenario`].
     pub fn uniform(
         scenario: ServingSimulation,
         kind: SystemKind,
@@ -185,7 +191,7 @@ impl ClusterSimulation {
                     format!("replica-{i}"),
                     kind,
                     config.clone(),
-                    scenario.clone(),
+                    replica_scenario(&scenario, &scenario),
                 )
             })
             .collect();
@@ -273,11 +279,8 @@ impl ClusterSimulator {
                     sim.replicas.len()
                 )));
             }
-            if !(event.at().is_finite() && event.at() >= 0.0) {
-                return Err(HermesError::InvalidConfig(format!(
-                    "event {i} ({event:?}) must happen at a finite, non-negative time"
-                )));
-            }
+            non_negative_finite("its time", event.at())
+                .map_err(|e| HermesError::InvalidConfig(format!("event {i} ({event:?}): {e}")))?;
         }
         let scenario = &sim.scenario;
         let requests = scenario.sample_requests()?;
@@ -288,16 +291,9 @@ impl ClusterSimulator {
         let mut replicas = Vec::with_capacity(sim.replicas.len());
         for spec in &sim.replicas {
             // The replica schedules under its own policy knobs but reports
-            // against the fleet scenario's arrival spec (so a one-replica
-            // fleet reproduces `simulate` bitwise, offered-rate included).
-            let mut rsim = spec.sim.clone();
-            rsim.arrival = scenario.arrival.clone();
-            rsim.num_requests = scenario.num_requests;
-            rsim.arrival_seed = scenario.arrival_seed;
-            rsim.lengths = scenario.lengths.clone();
-            rsim.classes = scenario.classes.clone();
-            rsim.prompts = scenario.prompts.clone();
-            rsim.scheduling = scenario.scheduling;
+            // against the fleet scenario's offered rate (so a one-replica
+            // fleet reproduces `simulate` bitwise).
+            let rsim = replica_scenario(&spec.sim, scenario);
             let replica = ReplicaSim::new(spec.kind, &spec.config, rsim)?;
             replica.validate_requests(&requests)?;
             replicas.push(replica);

@@ -1,6 +1,9 @@
 //! Requests offered to the serving simulator and the per-request records it
 //! produces.
 
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -25,8 +28,10 @@ pub struct ServingRequest {
     pub class: RequestClass,
     /// Leading prompt token ids shared with other requests (empty for a
     /// unique prompt). Only this run is eligible for prefix-cache reuse;
-    /// the rest of the prompt is treated as distinct per request.
-    pub prefix: Vec<u64>,
+    /// the rest of the prompt is treated as distinct per request. Sampled
+    /// requests share one allocation per distinct run, so copying a
+    /// request copies a pointer.
+    pub prefix: Arc<[u64]>,
 }
 
 impl ServingRequest {
@@ -170,6 +175,9 @@ pub fn sample_request_lengths(
 /// still share their whole leading run with the group. [`PromptSpec::Trace`]
 /// prefixes are taken verbatim and must fit inside their prompts.
 ///
+/// Equal runs share one allocation: one per group and clamped length, one
+/// per distinct traced run, and one empty run for [`PromptSpec::Unique`].
+///
 /// # Errors
 ///
 /// Returns [`HermesError::InvalidWorkload`] when the spec fails
@@ -179,20 +187,24 @@ pub fn sample_request_prefixes(
     spec: &PromptSpec,
     lengths: &[RequestLength],
     seed: u64,
-) -> Result<Vec<Vec<u64>>, HermesError> {
+) -> Result<Vec<Arc<[u64]>>, HermesError> {
     spec.validate()?;
     match spec {
-        PromptSpec::Unique => Ok(vec![Vec::new(); lengths.len()]),
+        PromptSpec::Unique => Ok(vec![Arc::from([]); lengths.len()]),
         PromptSpec::SharedGroups { groups, prefix_len } => {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut interned: BTreeMap<(u64, usize), Arc<[u64]>> = BTreeMap::new();
             Ok(lengths
                 .iter()
                 .map(|length| {
                     let group = rng.gen_range(0..*groups) as u64;
                     let len = (*prefix_len).min(length.prompt_len);
-                    // Token ids unique to the group, so distinct groups
-                    // never alias in the radix tree.
-                    (0..len as u64).map(|p| (group << 32) | p).collect()
+                    let run = interned.entry((group, len)).or_insert_with(|| {
+                        // Token ids unique to the group, so distinct groups
+                        // never alias in the radix tree.
+                        (0..len as u64).map(|p| (group << 32) | p).collect()
+                    });
+                    Arc::clone(run)
                 })
                 .collect())
         }
@@ -213,7 +225,16 @@ pub fn sample_request_prefixes(
                     )));
                 }
             }
-            Ok(prefixes.clone())
+            let mut interned: BTreeMap<&[u64], Arc<[u64]>> = BTreeMap::new();
+            Ok(prefixes
+                .iter()
+                .map(|prefix| {
+                    let run = interned
+                        .entry(prefix.as_slice())
+                        .or_insert_with(|| Arc::from(prefix.as_slice()));
+                    Arc::clone(run)
+                })
+                .collect())
         }
     }
 }
@@ -428,6 +449,71 @@ mod tests {
         assert_eq!(requests[0].gen_len, 2);
         assert_eq!(requests[1].prompt_len, 32);
         assert_eq!(requests[1].arrival, 1.0);
+    }
+
+    /// Equal prefix runs share one allocation; distinct runs do not.
+    fn assert_shared_per_distinct_run(requests: &[ServingRequest]) {
+        for a in requests {
+            for b in requests {
+                assert_eq!(
+                    a.prefix == b.prefix,
+                    Arc::ptr_eq(&a.prefix, &b.prefix),
+                    "requests {} and {}",
+                    a.id,
+                    b.id
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sampled_prefixes_share_one_allocation_per_distinct_run() {
+        let template = Workload::paper_default(ModelId::Opt13B);
+        // Prompts of 4 and 16 tokens clamp the 8-token group prefixes to
+        // two lengths, so each group yields up to two distinct runs.
+        let lengths = LengthDistribution::Trace {
+            lengths: (0..64)
+                .map(|i| RequestLength {
+                    prompt_len: if i % 3 == 0 { 4 } else { 16 },
+                    gen_len: 1,
+                })
+                .collect(),
+        };
+        let sample = |prompts: &PromptSpec| {
+            ServingRequest::sample(
+                &template,
+                &[0.0; 64],
+                &lengths,
+                &PrioritySpec::Fixed,
+                prompts,
+                0,
+                5,
+            )
+            .unwrap()
+        };
+
+        let grouped = sample(&PromptSpec::SharedGroups {
+            groups: 3,
+            prefix_len: 8,
+        });
+        assert_shared_per_distinct_run(&grouped);
+        let distinct: std::collections::BTreeSet<&[u64]> =
+            grouped.iter().map(|r| &r.prefix[..]).collect();
+        assert_eq!(distinct.len(), 6, "3 groups × 2 clamped lengths");
+
+        // A trace repeating three runs, one of them empty, out of order.
+        let runs = [vec![], vec![1, 2, 3], vec![1, 2]];
+        let traced = sample(&PromptSpec::Trace {
+            prefixes: (0..64).map(|i| runs[(i * 7) % 3].clone()).collect(),
+        });
+        assert_shared_per_distinct_run(&traced);
+        for r in &traced {
+            assert_eq!(r.prefix[..], runs[(r.id * 7) % 3][..]);
+        }
+
+        let unique = sample(&PromptSpec::Unique);
+        assert!(unique.iter().all(|r| r.prefix.is_empty()));
+        assert_shared_per_distinct_run(&unique);
     }
 
     #[test]

@@ -193,6 +193,38 @@ impl ServingSimulation {
     }
 }
 
+/// The scenario one machine schedules under: `knobs`' template and
+/// per-machine knobs (batching, admission, prefill, preemption, prefix
+/// cache) with `fleet`'s scheduling policy and offered rate. The sampling
+/// fields (request count, seed, the length, class and prompt specs, and a
+/// traced arrival's times) are left at their defaults: a replica receives
+/// its requests already sampled, and its report reads only the arrival's
+/// offered rate, which a trace does not define. Copying no trace keeps a
+/// fleet at one copy of its requests however many machines it has.
+pub(crate) fn replica_scenario(
+    knobs: &ServingSimulation,
+    fleet: &ServingSimulation,
+) -> ServingSimulation {
+    ServingSimulation {
+        template: knobs.template.clone(),
+        arrival: match &fleet.arrival {
+            ArrivalProcess::Trace { .. } => ArrivalProcess::Trace { times: Vec::new() },
+            other => other.clone(),
+        },
+        num_requests: 0,
+        arrival_seed: knobs.template.seed,
+        policy: knobs.policy,
+        admission: knobs.admission,
+        lengths: LengthDistribution::Fixed,
+        prefill: knobs.prefill,
+        classes: PrioritySpec::Fixed,
+        scheduling: fleet.scheduling,
+        preemption: knobs.preemption,
+        prompts: PromptSpec::Unique,
+        prefix_cache: knobs.prefix_cache,
+    }
+}
+
 /// Everything one simulation produced: the aggregate report plus the
 /// per-request lifecycle records it was folded from.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -241,7 +273,7 @@ pub(crate) fn request_ranks(scheduling: SchedulingPolicy, requests: &[ServingReq
                     if r.prefix.is_empty() {
                         i as f64
                     } else {
-                        *leaders.entry(r.prefix.as_slice()).or_insert(i) as f64
+                        *leaders.entry(&r.prefix[..]).or_insert(i) as f64
                     }
                 })
                 .collect()
@@ -355,7 +387,7 @@ pub fn simulate(
 ) -> Result<ServingOutcome, HermesError> {
     sim.validate()?;
     let requests = sim.sample_requests()?;
-    let mut replica = ReplicaSim::new(kind, config, sim.clone())?;
+    let mut replica = ReplicaSim::new(kind, config, replica_scenario(sim, sim))?;
     replica.validate_requests(&requests)?;
     // Ranks are immutable per request (see `crate::queue`), so they are
     // computed once up front instead of per comparison.

@@ -25,7 +25,7 @@ fn request(id: usize, arrival: f64, prompt_len: usize, gen_len: usize) -> Servin
         prompt_len,
         gen_len,
         class: RequestClass::default(),
-        prefix: Vec::new(),
+        prefix: Vec::new().into(),
     }
 }
 

@@ -5,8 +5,9 @@
 use hermes::core::{ArrivalProcess, HermesError, SystemConfig, SystemKind, Workload};
 use hermes::model::ModelId;
 use hermes::serve::{
-    request_kv_bytes, simulate_cluster, AdmissionConfig, ClusterSimulation, PreemptionPolicy,
-    ReplicaEvent, ReplicaSpec, RoutingPolicy, ServingSimulation,
+    request_kv_bytes, simulate, simulate_cluster, AdmissionConfig, ClusterSimulation,
+    LengthDistribution, PreemptionPolicy, PrefixCacheMode, PrioritySpec, PromptSpec, ReplicaEvent,
+    ReplicaSpec, RequestClass, RequestLength, RoutingPolicy, SchedulingPolicy, ServingSimulation,
 };
 
 fn template() -> Workload {
@@ -223,4 +224,115 @@ fn cluster_validation_rejects_paged_without_preemption_upfront() {
     );
     let outcome = simulate_cluster(&cluster).unwrap();
     assert_eq!(outcome.report.completed, 4);
+}
+
+/// A scenario replayed from explicit traces, the way a benchmark feeds one:
+/// bursts of arrival times, mixed lengths, two priority tiers and prompts
+/// that repeat three 12-token prefixes (every fourth prompt is unique), on
+/// a tight paged pool with swap-out and an LRU prefix cache.
+fn traced_scenario() -> ServingSimulation {
+    let n = 48;
+    let times = (0..n).map(|i| 0.05 * (i / 4) as f64).collect();
+    let lengths = (0..n)
+        .map(|i| RequestLength {
+            prompt_len: 16 + 4 * (i % 3),
+            gen_len: 2 + i % 5,
+        })
+        .collect();
+    let classes = (0..n).map(|i| RequestClass::new((i % 2) as u8)).collect();
+    let prefixes = (0..n as u64)
+        .map(|i| match i % 4 {
+            0 => Vec::new(),
+            run => (0..12).map(|p| (run << 32) | p).collect(),
+        })
+        .collect();
+    ServingSimulation::new(template(), ArrivalProcess::Trace { times }, n)
+        .with_lengths(LengthDistribution::Trace { lengths })
+        .with_classes(PrioritySpec::Trace { classes })
+        .with_prompts(PromptSpec::Trace { prefixes })
+        .with_admission(
+            AdmissionConfig::unlimited()
+                .with_max_batch(8)
+                .with_kv_memory_bytes(request_kv_bytes(&template(), 24, 6) * 6)
+                .with_paged_kv(8),
+        )
+        .with_scheduling(SchedulingPolicy::Priority)
+        .with_preemption(PreemptionPolicy::SwapOut)
+        .with_prefix_cache(PrefixCacheMode::Lru)
+}
+
+/// A one-replica fleet fed explicit traces reproduces `simulate` bit for
+/// bit, report (offered rate included) and records alike. Replicas run on
+/// a scenario that carries none of the traces, so this holds only if no
+/// replica reads them. With a Poisson arrival in place of the trace, both
+/// report the spec's rate.
+#[test]
+fn one_replica_traced_fleet_reproduces_simulate_bitwise() {
+    let kind = SystemKind::hermes_base();
+    let config = SystemConfig::paper_default();
+    let traced = traced_scenario();
+    let poisson = ServingSimulation {
+        arrival: ArrivalProcess::Poisson { rate: 40.0 },
+        ..traced_scenario()
+    };
+    for sim in [traced, poisson] {
+        let single = simulate(kind, &config, &sim).unwrap();
+        let fleet = simulate_cluster(&ClusterSimulation::uniform(
+            sim.clone(),
+            kind,
+            &config,
+            1,
+            RoutingPolicy::PrefixAffinity,
+        ))
+        .unwrap();
+        let replica = &fleet.report.replicas[0].report;
+        assert_eq!(replica, &single.report, "{:?}", sim.arrival);
+        assert_eq!(
+            serde_json::to_string(replica).unwrap(),
+            serde_json::to_string(&single.report).unwrap()
+        );
+        assert_eq!(fleet.records, single.records);
+        assert_eq!(single.report.completed, 48);
+        // The repeated prefixes hit the cache, and the tight pool makes
+        // tier 0 evict tier 1.
+        let prefix = single.report.prefix.as_ref().expect("prefix cache report");
+        assert!(prefix.hits > 0, "{prefix:?}");
+        assert!(single.report.preemptions > 0);
+        match sim.arrival {
+            ArrivalProcess::Poisson { rate } => assert_eq!(single.report.offered_rps, rate),
+            // A trace defines no rate: the 47 gaps over the arrival span.
+            _ => assert_eq!(single.report.offered_rps, 47.0 / (0.05 * 11.0)),
+        }
+    }
+}
+
+/// `ClusterSimulation::uniform` gives each replica the scenario's
+/// per-machine knobs and none of its sampling traces: the fleet holds one
+/// copy of them, in its scenario.
+#[test]
+fn uniform_replicas_carry_no_sampling_trace() {
+    let scenario = traced_scenario();
+    let cluster = ClusterSimulation::uniform(
+        scenario.clone(),
+        SystemKind::hermes_base(),
+        &SystemConfig::paper_default(),
+        3,
+        RoutingPolicy::KvPressure,
+    );
+    assert_eq!(cluster.scenario, scenario);
+    for spec in &cluster.replicas {
+        let sim = &spec.sim;
+        assert_eq!(sim.arrival, ArrivalProcess::Trace { times: Vec::new() });
+        assert_eq!(sim.num_requests, 0);
+        assert_eq!(sim.lengths, LengthDistribution::Fixed);
+        assert_eq!(sim.classes, PrioritySpec::Fixed);
+        assert_eq!(sim.prompts, PromptSpec::Unique);
+        assert_eq!(sim.template, scenario.template);
+        assert_eq!(sim.policy, scenario.policy);
+        assert_eq!(sim.admission, scenario.admission);
+        assert_eq!(sim.prefill, scenario.prefill);
+        assert_eq!(sim.scheduling, scenario.scheduling);
+        assert_eq!(sim.preemption, scenario.preemption);
+        assert_eq!(sim.prefix_cache, scenario.prefix_cache);
+    }
 }

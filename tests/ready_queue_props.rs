@@ -45,7 +45,7 @@ fn request_of(idx: usize, tier: u8, deadline: Option<f64>, arrival: f64) -> Serv
         prompt_len: 16,
         gen_len: 4,
         class,
-        prefix: Vec::new(),
+        prefix: Vec::new().into(),
     }
 }
 

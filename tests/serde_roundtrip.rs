@@ -8,7 +8,9 @@ use hermes::core::{
     TokenEvent, Workload,
 };
 use hermes::model::ModelId;
-use hermes::serve::{simulate, ServingSimulation};
+use hermes::serve::{
+    simulate, LengthDistribution, PrioritySpec, PromptSpec, ServingRequest, ServingSimulation,
+};
 
 fn quick(model: ModelId) -> Workload {
     let mut w = Workload::paper_default(model);
@@ -103,6 +105,31 @@ fn serving_report_and_records_round_trip() {
     assert_eq!(records_back, outcome.records);
     // The whole outcome round-trips as one document too.
     assert_eq!(roundtrip(&outcome), outcome);
+}
+
+#[test]
+fn serving_requests_round_trip_with_shared_prefixes() {
+    let requests = ServingRequest::sample(
+        &quick(ModelId::Opt13B),
+        &[0.0, 0.5],
+        &LengthDistribution::Fixed,
+        &PrioritySpec::Fixed,
+        &PromptSpec::SharedGroups {
+            groups: 1,
+            prefix_len: 4,
+        },
+        0,
+        0,
+    )
+    .unwrap();
+    assert!(std::sync::Arc::ptr_eq(
+        &requests[0].prefix,
+        &requests[1].prefix
+    ));
+    assert_eq!(roundtrip(&requests), requests);
+    // The shared run is written out as a plain sequence of token ids.
+    let json = serde_json::to_string(&requests[1]).unwrap();
+    assert!(json.contains("\"prefix\":[0,1,2,3]"), "{json}");
 }
 
 #[test]
