@@ -217,14 +217,6 @@ pub struct ClusterOutcome {
     pub records: Vec<RequestRecord>,
 }
 
-/// One timeline point of the merged event/arrival sequence.
-enum Point {
-    /// Index into the sorted event list.
-    Event(usize),
-    /// Index into the sampled request list.
-    Arrival(usize),
-}
-
 /// The fleet driver: N resumable replicas, one shared virtual timeline.
 ///
 /// Requests and scripted events are merged into a single time-ordered
@@ -405,77 +397,73 @@ impl ClusterSimulator {
     /// arrival), and returns [`HermesError::InvalidConfig`] unless every
     /// sampled request completed exactly once.
     pub fn run(mut self) -> Result<ClusterOutcome, HermesError> {
-        // Merge events and arrivals into one time-ordered pass; at equal
-        // times events apply first (a request arriving the instant a
-        // replica fails must not be routed to it).
-        let mut points: Vec<(f64, Point)> =
-            Vec::with_capacity(self.events.len() + self.requests.len());
-        let mut ei = 0;
-        let mut ai = 0;
-        while ei < self.events.len() || ai < self.requests.len() {
-            let take_event = match (self.events.get(ei), self.requests.get(ai)) {
-                (Some(e), Some(r)) => e.at() <= r.arrival,
-                (Some(_), None) => true,
-                _ => false,
+        // Walk events and arrivals in one time-ordered pass, one cursor
+        // each.
+        let (mut next_event, mut next_arrival) = (0, 0);
+        loop {
+            let arrival = self.requests.get(next_arrival).map(|r| r.arrival);
+            // At equal times events apply first (a request arriving the
+            // instant a replica fails must not be routed to it).
+            let event = (self.events.get(next_event).copied())
+                .filter(|e| arrival.is_none_or(|a| e.at() <= a));
+            let Some(t) = event.map(|e| e.at()).or(arrival) else {
+                break;
             };
-            if take_event {
-                points.push((self.events[ei].at(), Point::Event(ei)));
-                ei += 1;
-            } else {
-                points.push((self.requests[ai].arrival, Point::Arrival(ai)));
-                ai += 1;
-            }
-        }
-        for (t, point) in points {
             // Every replica reaches this instant before the point applies:
             // a boundary at time `t` has then seen every earlier dispatch,
             // and nothing later.
             for replica in self.replicas.iter_mut() {
                 replica.advance_to(t)?;
             }
-            match point {
-                Point::Arrival(idx) => self.dispatch(idx)?,
-                Point::Event(idx) => match self.events[idx] {
-                    ReplicaEvent::Drain { replica, at } => {
-                        self.routable[replica] = false;
-                        let carried = self.replicas[replica].extract_pending();
-                        self.redispatch(carried, at)?;
-                    }
-                    ReplicaEvent::Fail { replica, at } => {
-                        self.routable[replica] = false;
-                        let carried = self.replicas[replica].extract_all();
-                        self.redispatch(carried, at)?;
-                    }
-                    ReplicaEvent::Recover { replica, at } => {
-                        self.routable[replica] = true;
-                        self.replicas[replica].restart_at(at);
-                    }
-                },
+            match event {
+                Some(event) => {
+                    next_event += 1;
+                    self.apply(event)?;
+                }
+                None => {
+                    self.dispatch(next_arrival)?;
+                    next_arrival += 1;
+                }
             }
         }
-        for replica in self.replicas.iter_mut() {
+        let mut records: Vec<RequestRecord> = Vec::with_capacity(self.requests.len());
+        let mut replica_reports: Vec<ReplicaReport> = Vec::with_capacity(self.replicas.len());
+        for (idx, (mut replica, label)) in self.replicas.into_iter().zip(self.labels).enumerate() {
             replica.run_to_completion()?;
-        }
-        let replica_reports: Vec<ReplicaReport> = self
-            .replicas
-            .iter()
-            .enumerate()
-            .map(|(idx, replica)| ReplicaReport {
-                label: self.labels[idx].clone(),
+            let outcome = replica.into_outcome();
+            records.extend(outcome.records);
+            replica_reports.push(ReplicaReport {
+                label,
                 routed: self.routed[idx],
                 redispatched: self.redispatched[idx],
-                report: replica.report(),
-            })
-            .collect();
+                report: outcome.report,
+            });
+        }
         let report = ClusterReport::from_replicas(self.routing.name().to_string(), replica_reports);
-        let mut records: Vec<RequestRecord> = self
-            .replicas
-            .iter()
-            .flat_map(|r| r.surviving_records())
-            .collect();
         records.sort_by_key(|r| r.id);
         check_each_request_once(&records, self.requests.len())?;
         Ok(ClusterOutcome { report, records })
+    }
+
+    /// Apply one scripted lifecycle event at its time.
+    fn apply(&mut self, event: ReplicaEvent) -> Result<(), HermesError> {
+        match event {
+            ReplicaEvent::Drain { replica, at } => {
+                self.routable[replica] = false;
+                let carried = self.replicas[replica].extract_pending();
+                self.redispatch(carried, at)
+            }
+            ReplicaEvent::Fail { replica, at } => {
+                self.routable[replica] = false;
+                let carried = self.replicas[replica].extract_all();
+                self.redispatch(carried, at)
+            }
+            ReplicaEvent::Recover { replica, at } => {
+                self.routable[replica] = true;
+                self.replicas[replica].restart_at(at);
+                Ok(())
+            }
+        }
     }
 }
 

@@ -1,18 +1,18 @@
-//! Paged KV-cache pool: fixed-size-block page tables per sequence.
+//! Paged KV-cache pool: fixed-size blocks counted per sequence.
 //!
 //! Under [`KvAccounting::Paged`] the serving
 //! simulator stops reserving each request's worst-case KV footprint at
 //! admission (the "static preallocation" anti-pattern) and instead tracks
 //! the blocks a sequence *actually holds*: `ceil(context / block_tokens)`
-//! pages, growing by one page whenever a decoded token crosses a block
-//! boundary. Freed pages go on a LIFO free list and are reused before new
-//! pages are minted, so the pool models real allocator behaviour — block
-//! identity, reuse, high-water marks — not just a byte counter.
+//! blocks, growing by one whenever a decoded token crosses a block
+//! boundary. Every report reads block counts, never block identities, so
+//! the pool keeps one held-block count per request slot plus the pool-wide
+//! used count and its high-water mark.
 //!
 //! Internal fragmentation is bounded by construction: a sequence wastes at
 //! most one partial block (its last), so the pool-wide waste fraction is at
 //! most `active_sequences * (block_tokens - 1)` tokens of capacity. Larger
-//! blocks mean fewer, cheaper page-table updates but more waste; the
+//! blocks mean fewer, cheaper growth steps but more waste; the
 //! simulator defaults to 16 tokens per block
 //! ([`DEFAULT_BLOCK_TOKENS`](crate::DEFAULT_BLOCK_TOKENS)), the common
 //! vLLM-style choice.
@@ -22,7 +22,7 @@
 
 #![deny(clippy::as_conversions)]
 
-use hermes_core::cast::{u64_from_usize, usize_from_u64};
+use hermes_core::cast::u64_from_usize;
 use hermes_core::HermesError;
 
 use crate::prefix::{PrefixCache, PrefixLease};
@@ -32,12 +32,11 @@ use crate::simulator::{validate_paged_capacity, ServingSimulation};
 use crate::tallies::{KvTallies, PrefixTallies};
 
 /// A paged KV-cache allocator over a bounded (or unbounded) pool of
-/// fixed-size blocks, with one page table per request slot.
+/// fixed-size blocks, counting the blocks each request slot holds.
 ///
-/// Block ids are abstract: the simulator never addresses their contents,
-/// but minting them through a free list keeps the allocator honest — a
-/// block is owned by at most one sequence at a time, and the proptests in
-/// `tests/kv_pool.rs` hold the pool to that invariant.
+/// The pool is conserved: `used_blocks` is always the slots' held blocks
+/// plus the blocks taken for the prefix cache, and the proptests in
+/// `tests/kv_pool.rs` hold it to that.
 #[derive(Debug, Clone)]
 pub struct KvPool {
     /// Tokens per block.
@@ -46,13 +45,9 @@ pub struct KvPool {
     block_bytes: u64,
     /// Pool capacity in blocks (`None` = unbounded).
     capacity_blocks: Option<u64>,
-    /// Page table per request slot: the block ids the slot currently holds.
-    tables: Vec<Vec<u64>>,
-    /// Released block ids available for reuse (LIFO).
-    free: Vec<u64>,
-    /// Next never-used block id to mint when the free list is empty.
-    next_block: u64,
-    /// Blocks currently held across all page tables.
+    /// Blocks each request slot currently holds.
+    held: Vec<u64>,
+    /// Blocks currently held: the slots' plus the prefix cache's.
     used_blocks: u64,
     /// High-water mark of `used_blocks`.
     peak_blocks: u64,
@@ -60,7 +55,7 @@ pub struct KvPool {
 
 impl KvPool {
     /// An empty pool of `capacity_blocks` blocks (`None` = unbounded) with
-    /// one (empty) page table per request slot.
+    /// `slots` request slots holding nothing.
     pub fn new(
         block_tokens: usize,
         block_bytes: u64,
@@ -72,21 +67,19 @@ impl KvPool {
             block_tokens,
             block_bytes,
             capacity_blocks,
-            tables: vec![Vec::new(); slots],
-            free: Vec::new(),
-            next_block: 0,
+            held: vec![0; slots],
             used_blocks: 0,
             peak_blocks: 0,
         }
     }
 
-    /// Grow the pool to cover `slots` request slots (new slots get empty
-    /// page tables; existing tables are untouched). Lets a resumable
-    /// replica accept injected requests over its lifetime instead of sizing
-    /// every table up front.
+    /// Grow the pool to cover `slots` request slots (new slots hold
+    /// nothing; existing ones are untouched). Lets a resumable replica
+    /// accept injected requests over its lifetime instead of sizing every
+    /// slot up front.
     pub fn ensure_slots(&mut self, slots: usize) {
-        if self.tables.len() < slots {
-            self.tables.resize_with(slots, Vec::new);
+        if self.held.len() < slots {
+            self.held.resize(slots, 0);
         }
     }
 
@@ -105,7 +98,7 @@ impl KvPool {
         self.capacity_blocks
     }
 
-    /// Blocks currently held across all page tables.
+    /// Blocks currently held, by the slots and the prefix cache.
     pub fn used_blocks(&self) -> u64 {
         self.used_blocks
     }
@@ -131,17 +124,16 @@ impl KvPool {
 
     /// Blocks currently held by request slot `idx`.
     pub fn held(&self, idx: usize) -> u64 {
-        u64_from_usize(self.tables[idx].len())
+        self.held[idx]
     }
 
-    /// Allocate `blocks` blocks to slot `idx`, reusing freed blocks first.
+    /// Allocate `blocks` more blocks to slot `idx`.
     ///
     /// The caller must have checked [`KvPool::fits`]; allocating past a
     /// bounded capacity is a scheduler bug.
     pub fn allocate(&mut self, idx: usize, blocks: u64) {
-        let mut table = std::mem::take(&mut self.tables[idx]);
-        self.take_blocks(blocks, &mut table);
-        self.tables[idx] = table;
+        self.take(blocks);
+        self.held[idx] += blocks;
     }
 
     /// Allocate one more block to slot `idx` (a decoded token crossed a
@@ -150,56 +142,27 @@ impl KvPool {
         self.allocate(idx, 1);
     }
 
-    /// Release every block slot `idx` holds back to the free list and
-    /// return how many were freed.
+    /// Release every block slot `idx` holds and return how many were
+    /// freed.
     pub fn release(&mut self, idx: usize) -> u64 {
-        let freed = u64_from_usize(self.tables[idx].len());
-        // Drain in reverse so re-allocation hands back the same ids in the
-        // same order (LIFO free list).
-        while let Some(block) = self.tables[idx].pop() {
-            self.free.push(block);
-        }
-        self.used_blocks -= freed;
+        let freed = std::mem::take(&mut self.held[idx]);
+        self.free(freed);
         freed
     }
 
-    /// Take ownership of `blocks` blocks outside any request slot and
-    /// return their ids.
-    ///
-    /// The prefix cache holds resident prefixes this way: the blocks count
-    /// against `used_blocks` (and the high-water mark) like any page-table
-    /// block, but belong to the cache rather than to a sequence. The caller
-    /// must have checked [`KvPool::fits`].
-    pub fn acquire_blocks(&mut self, blocks: u64) -> Vec<u64> {
-        let mut ids = Vec::with_capacity(usize_from_u64(blocks));
-        self.take_blocks(blocks, &mut ids);
-        ids
-    }
-
-    /// Move `blocks` blocks onto `into`, reusing freed blocks before
-    /// minting new ids.
-    fn take_blocks(&mut self, blocks: u64, into: &mut Vec<u64>) {
+    /// Take `blocks` blocks outside any request slot. The prefix cache
+    /// holds resident prefixes this way: the blocks count against
+    /// `used_blocks` (and the high-water mark) like a slot's, but belong to
+    /// the cache. The caller must have checked [`KvPool::fits`].
+    pub(crate) fn take(&mut self, blocks: u64) {
         debug_assert!(self.fits(blocks), "allocation past pool capacity");
-        for _ in 0..blocks {
-            let block = self.free.pop().unwrap_or_else(|| {
-                let minted = self.next_block;
-                self.next_block += 1;
-                minted
-            });
-            into.push(block);
-        }
         self.used_blocks += blocks;
         self.peak_blocks = self.peak_blocks.max(self.used_blocks);
     }
 
-    /// Return blocks previously taken with [`KvPool::acquire_blocks`] to
-    /// the free list.
-    pub fn surrender_blocks(&mut self, ids: &[u64]) {
-        self.used_blocks -= u64_from_usize(ids.len());
-        // Reverse for the same LIFO-stability reason as `release`.
-        for &block in ids.iter().rev() {
-            self.free.push(block);
-        }
+    /// Return `blocks` blocks taken with [`KvPool::take`].
+    pub(crate) fn free(&mut self, blocks: u64) {
+        self.used_blocks -= blocks;
     }
 }
 
@@ -249,8 +212,8 @@ pub(crate) struct UsageSamples {
 }
 
 impl KvBackend {
-    /// The empty backend `sim` asks for, with page tables for `slots`
-    /// requests: the replica's first, and its cold restart after a failure.
+    /// The empty backend `sim` asks for, with `slots` request slots: the
+    /// replica's first, and its cold restart after a failure.
     pub(crate) fn new(sim: &ServingSimulation, slots: usize) -> Self {
         let token_bytes = token_kv_bytes(&sim.template);
         let KvAccounting::Paged { block_tokens } = sim.admission.accounting else {
@@ -268,7 +231,7 @@ impl KvBackend {
         }
     }
 
-    /// Grow the page tables to cover `slots` requests.
+    /// Grow the pool to cover `slots` request slots.
     pub(crate) fn ensure_slots(&mut self, slots: usize) {
         if let KvBackend::Paged { pool, .. } = self {
             pool.ensure_slots(slots);
@@ -419,7 +382,7 @@ impl KvBackend {
             pool.allocate(idx, plan.own_blocks);
             return None;
         };
-        let claim = plan.lookup.map(|(len, matched)| {
+        let mut claim = plan.lookup.map(|(len, matched)| {
             let (lease, found) = cache.acquire(&prefix[..len]);
             debug_assert_eq!(found, matched, "plan and acquire must agree");
             (lease, len, matched)
@@ -427,12 +390,12 @@ impl KvBackend {
         let cap = pool.capacity_blocks().unwrap_or(u64::MAX);
         let shortfall = (pool.used_blocks() + plan.need).saturating_sub(cap);
         if shortfall > 0 {
-            pool.surrender_blocks(&cache.evict_for(shortfall));
+            pool.free(cache.evict_for(shortfall));
         }
         let insert_blocks = plan.need - plan.own_blocks;
-        if let Some((lease, len, matched)) = claim.filter(|_| insert_blocks > 0) {
-            let ids = pool.acquire_blocks(insert_blocks);
-            cache.insert(lease, &prefix[matched..len], ids);
+        if let Some((lease, len, matched)) = claim.as_mut().filter(|_| insert_blocks > 0) {
+            pool.take(insert_blocks);
+            cache.insert(lease, &prefix[*matched..*len]);
         }
         pool.allocate(idx, plan.own_blocks);
         claim.map(|(lease, _, matched)| (lease, matched))
@@ -463,7 +426,7 @@ impl KvBackend {
             };
             let cap = pool.capacity_blocks().unwrap_or(u64::MAX);
             let shortfall = (pool.used_blocks() + 1).saturating_sub(cap);
-            pool.surrender_blocks(&cache.evict_for(shortfall));
+            pool.free(cache.evict_for(shortfall));
             if !pool.fits(1) {
                 return false;
             }
@@ -569,10 +532,10 @@ mod tests {
         assert_eq!(pool.used_blocks(), 3);
         assert_eq!(pool.release(0), 3);
         assert_eq!(pool.used_blocks(), 0);
-        // The next allocation must come from the free list, not mint block
-        // ids 3..5.
+        // The next allocation reuses the freed capacity: the high-water
+        // mark stays at 3.
         pool.allocate(1, 2);
-        assert!(pool.tables[1].iter().all(|&b| b < 3));
+        assert_eq!(pool.held(1), 2);
         assert_eq!(pool.peak_blocks(), 3);
     }
 
@@ -590,16 +553,15 @@ mod tests {
     #[test]
     fn acquired_blocks_round_trip_through_the_free_list() {
         let mut pool = KvPool::new(4, 64, Some(4), 1);
-        let ids = pool.acquire_blocks(3);
-        assert_eq!(ids.len(), 3);
+        pool.take(3);
         assert_eq!(pool.used_blocks(), 3);
         assert!(pool.fits(1));
         assert!(!pool.fits(2));
-        pool.surrender_blocks(&ids);
+        pool.free(3);
         assert_eq!(pool.used_blocks(), 0);
-        // Surrendered blocks are reused before minting fresh ids.
+        // Freed cache blocks are capacity again for the slots.
         pool.allocate(0, 2);
-        assert!(pool.tables[0].iter().all(|&b| b < 3));
+        assert_eq!(pool.used_blocks(), 2);
         assert_eq!(pool.peak_blocks(), 3);
     }
 

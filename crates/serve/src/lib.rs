@@ -36,13 +36,13 @@
 //! default, `Reserve`, charges each request its worst-case
 //! `prompt_len + gen_len` KV footprint up front at admission. `Paged`
 //! (enable with [`AdmissionConfig::with_paged_kv`]) carves the KV budget
-//! into fixed-size blocks of `block_tokens` tokens managed by a [`KvPool`]:
-//! each sequence holds a per-sequence page table of blocks covering its
-//! *current* context plus one write slot — the token it is about to decode
-//! — and grows by one block at a time as decode crosses block boundaries,
-//! so memory that `Reserve` would hold idle for unfinished generations is
-//! free to admit more requests. Freed blocks return to a free list and are
-//! reused; the report's [`KvPoolReport`](hermes_core::KvPoolReport) section
+//! into fixed-size blocks of `block_tokens` tokens counted by a [`KvPool`]:
+//! each sequence holds the blocks covering its *current* context plus one
+//! write slot — the token it is about to decode — and grows by one block at
+//! a time as decode crosses block boundaries, so memory that `Reserve`
+//! would hold idle for unfinished generations is free to admit more
+//! requests. Freed blocks are capacity again at once, and only block counts
+//! reach the report: its [`KvPoolReport`](hermes_core::KvPoolReport) section
 //! tracks pool utilization (mean and peak) and internal fragmentation (the
 //! slack inside partially-filled tail blocks — bounded by one block per
 //! sequence, so small `block_tokens` waste less but grow more often). The

@@ -12,13 +12,16 @@
 //! [`PrefixCache`] is the structure both simulation loops share:
 //!
 //! - A **radix tree** over token ids. Each node owns an edge of tokens that
-//!   is a whole number of KV blocks, plus the block ids backing it (taken
-//!   from the same [`KvPool`](crate::KvPool) the sequences allocate from,
-//!   so cache residency and sequence growth compete for the same capacity).
+//!   is a whole number of KV blocks; its block count is the edge length
+//!   over `block_tokens`. The blocks are taken from the same
+//!   [`KvPool`](crate::KvPool) the sequences allocate from, so cache
+//!   residency and sequence growth compete for the same capacity.
 //! - **Leases** pin a root-to-node path while a request is running: every
 //!   node on the path carries a reference count, and a referenced node is
-//!   never evicted. Releasing the lease (request completion or eviction
-//!   preemption) unpins the path but leaves the nodes resident.
+//!   never evicted. A [`PrefixLease`] is an owned handle that
+//!   [`PrefixCache::release`] consumes, so a path is unpinned exactly once.
+//!   Releasing it (request completion or eviction preemption) unpins the
+//!   path but leaves the nodes resident.
 //! - **Eviction** reclaims unreferenced leaves only, least-popular first
 //!   (fewest hits, then least-recently used, then lowest node id — the same
 //!   popularity ordering `hermes-sparsity` uses for hot-neuron residency),
@@ -36,12 +39,16 @@ use std::collections::BTreeMap;
 
 use hermes_core::cast::u64_from_usize;
 
-/// A pinned root-to-node path in the cache; held while a request that
-/// matched (or inserted) cached content is in flight.
-pub(crate) type PrefixLease = usize;
+/// A pinned root-to-node path in the cache, held while a request that
+/// matched (or inserted) cached content is in flight. It names the deepest
+/// pinned node, whose arena id is stable while pinned: a split gives the
+/// tail the old id, and eviction takes only unreferenced nodes. Not
+/// `Clone`: [`PrefixCache::release`] consumes it.
+#[derive(Debug)]
+pub(crate) struct PrefixLease(usize);
 
-/// One radix-tree node: an edge of block-aligned tokens and the KV blocks
-/// backing it.
+/// One radix-tree node: an edge of block-aligned tokens, whose KV blocks
+/// number `tokens.len() / block_tokens`.
 #[derive(Debug, Clone)]
 struct Node {
     /// Arena index of the parent (`usize::MAX` for the root).
@@ -49,8 +56,6 @@ struct Node {
     /// Edge label: the tokens this node extends its parent's path by.
     /// Always a whole number of blocks; empty only for the root.
     tokens: Vec<u64>,
-    /// Pool block ids backing `tokens` (`tokens.len() / block_tokens` ids).
-    block_ids: Vec<u64>,
     /// Children keyed by the first token of their edge (a radix tree has at
     /// most one child per distinct next token). `BTreeMap` keeps iteration
     /// deterministic.
@@ -106,13 +111,7 @@ pub(crate) struct PrefixCache {
     nodes: Vec<Node>,
     /// Recycled arena slots.
     free_nodes: Vec<usize>,
-    /// Lease slab: lease id → deepest pinned node.
-    leases: Vec<Option<usize>>,
-    /// Recycled lease ids.
-    free_leases: Vec<usize>,
-    /// Blocks currently resident across all nodes.
-    resident_blocks: u64,
-    /// Tokens currently resident across all nodes.
+    /// Tokens currently resident across all nodes (whole blocks).
     resident_tokens: u64,
     stats: PrefixStats,
 }
@@ -125,7 +124,6 @@ impl PrefixCache {
             nodes: vec![Node {
                 parent: usize::MAX,
                 tokens: Vec::new(),
-                block_ids: Vec::new(),
                 children: BTreeMap::new(),
                 refs: 0,
                 hits: 0,
@@ -133,9 +131,6 @@ impl PrefixCache {
                 live: true,
             }],
             free_nodes: Vec::new(),
-            leases: Vec::new(),
-            free_leases: Vec::new(),
-            resident_blocks: 0,
             resident_tokens: 0,
             stats: PrefixStats::default(),
         }
@@ -149,7 +144,12 @@ impl PrefixCache {
 
     /// Blocks currently resident in the cache.
     pub(crate) fn resident_blocks(&self) -> u64 {
-        self.resident_blocks
+        self.resident_tokens / u64_from_usize(self.block_tokens)
+    }
+
+    /// KV blocks backing an edge of `tokens` tokens.
+    fn blocks(&self, tokens: &[u64]) -> u64 {
+        u64_from_usize(tokens.len() / self.block_tokens)
     }
 
     /// Tokens currently resident in the cache.
@@ -201,7 +201,7 @@ impl PrefixCache {
             .iter()
             .enumerate()
             .filter(|(id, n)| *id != 0 && n.live && n.refs == 0 && !on_path(*id))
-            .map(|(_, n)| u64_from_usize(n.block_ids.len()))
+            .map(|(_, n)| self.blocks(&n.tokens))
             .sum();
         PrefixPlan {
             matched: i,
@@ -253,17 +253,7 @@ impl PrefixCache {
             self.stats.hits += 1;
             self.stats.reused_tokens += i;
         }
-        let lease = match self.free_leases.pop() {
-            Some(id) => {
-                self.leases[id] = Some(cur);
-                id
-            }
-            None => {
-                self.leases.push(Some(cur));
-                self.leases.len() - 1
-            }
-        };
-        (lease, i)
+        (PrefixLease(cur), i)
     }
 
     /// Split `node`'s edge at block-aligned offset `at` (`0 < at < len`):
@@ -274,11 +264,9 @@ impl PrefixCache {
         debug_assert!(at.is_multiple_of(self.block_tokens));
         debug_assert!(at > 0 && at < self.nodes[node].tokens.len());
         let tail_tokens = self.nodes[node].tokens.split_off(at);
-        let tail_blocks = self.nodes[node].block_ids.split_off(at / self.block_tokens);
         let head = Node {
             parent: self.nodes[node].parent,
             tokens: std::mem::take(&mut self.nodes[node].tokens),
-            block_ids: std::mem::take(&mut self.nodes[node].block_ids),
             children: BTreeMap::from([(tail_tokens[0], node)]),
             // Every lease through `node` covers the full original edge, so
             // the head inherits the same pin count — and the same
@@ -299,34 +287,26 @@ impl PrefixCache {
         *slot = head_id;
         self.nodes[node].parent = head_id;
         self.nodes[node].tokens = tail_tokens;
-        self.nodes[node].block_ids = tail_blocks;
         head_id
     }
 
     /// Extend `lease`'s pinned path with a new node holding `suffix`
-    /// (block-aligned, non-empty) backed by `block_ids` taken from the
-    /// pool with [`KvPool::acquire_blocks`](crate::KvPool::acquire_blocks).
-    /// The lease moves to the new node. Callable only when the matching
-    /// [`PrefixPlan::can_insert`] was true.
-    pub(crate) fn insert(&mut self, lease: PrefixLease, suffix: &[u64], block_ids: Vec<u64>) {
+    /// (block-aligned, non-empty), whose blocks the caller has taken from
+    /// the pool. The lease moves to the new node. Callable only when the
+    /// matching [`PrefixPlan::can_insert`] was true.
+    pub(crate) fn insert(&mut self, lease: &mut PrefixLease, suffix: &[u64]) {
         debug_assert!(!suffix.is_empty());
-        debug_assert!(suffix.len() == block_ids.len() * self.block_tokens);
-        #[expect(
-            clippy::expect_used,
-            reason = "lease liveness is a caller contract; inserting on a released lease is a scheduler bug worth a loud crash"
-        )]
-        let parent = self.leases[lease].expect("insert on a released lease");
+        debug_assert!(suffix.len().is_multiple_of(self.block_tokens));
+        let parent = lease.0;
         debug_assert!(
             !self.nodes[parent].children.contains_key(&suffix[0]),
             "insert collides with an existing edge (can_insert was false)"
         );
-        self.resident_blocks += u64_from_usize(block_ids.len());
         self.resident_tokens += u64_from_usize(suffix.len());
         let now = u64_from_usize(self.stats.lookups);
         let node = self.alloc_node(Node {
             parent,
             tokens: suffix.to_vec(),
-            block_ids,
             children: BTreeMap::new(),
             // The lease repoints here, keeping the path pin balanced: the
             // ancestors were already pinned by `acquire`.
@@ -336,18 +316,13 @@ impl PrefixCache {
             live: true,
         });
         self.nodes[parent].children.insert(suffix[0], node);
-        self.leases[lease] = Some(node);
+        lease.0 = node;
         self.stats.insertions += 1;
     }
 
     /// Unpin `lease`'s path. The nodes stay resident until evicted.
     pub(crate) fn release(&mut self, lease: PrefixLease) {
-        #[expect(
-            clippy::expect_used,
-            reason = "double release of a lease is a scheduler bug worth a loud crash"
-        )]
-        let mut node = self.leases[lease].take().expect("double release");
-        self.free_leases.push(lease);
+        let mut node = lease.0;
         loop {
             self.nodes[node].refs -= 1;
             if node == 0 {
@@ -359,10 +334,10 @@ impl PrefixCache {
 
     /// Evict least-popular unreferenced leaves (cascading upward) until at
     /// least `shortfall` blocks are freed or nothing evictable remains.
-    /// Returns the freed block ids for the caller to surrender to the pool.
-    pub(crate) fn evict_for(&mut self, shortfall: u64) -> Vec<u64> {
-        let mut freed = Vec::new();
-        while u64_from_usize(freed.len()) < shortfall {
+    /// Returns the freed block count for the caller to return to the pool.
+    pub(crate) fn evict_for(&mut self, shortfall: u64) -> u64 {
+        let mut freed = 0;
+        while freed < shortfall {
             let Some(victim) = self
                 .nodes
                 .iter()
@@ -376,12 +351,12 @@ impl PrefixCache {
             let parent = self.nodes[victim].parent;
             let first = self.nodes[victim].tokens[0];
             self.nodes[parent].children.remove(&first);
+            let blocks = self.blocks(&self.nodes[victim].tokens);
             let node = &mut self.nodes[victim];
             node.live = false;
-            self.resident_blocks -= u64_from_usize(node.block_ids.len());
             self.resident_tokens -= u64_from_usize(node.tokens.len());
-            self.stats.evicted_blocks += u64_from_usize(node.block_ids.len());
-            freed.append(&mut node.block_ids);
+            self.stats.evicted_blocks += blocks;
+            freed += blocks;
             node.tokens.clear();
             node.children.clear();
             self.free_nodes.push(victim);
@@ -416,9 +391,9 @@ mod tests {
     fn seeded() -> (PrefixCache, Vec<u64>) {
         let mut cache = PrefixCache::new(4);
         let tokens: Vec<u64> = (100..108).collect();
-        let (lease, matched) = cache.acquire(&tokens);
+        let (mut lease, matched) = cache.acquire(&tokens);
         assert_eq!(matched, 0);
-        cache.insert(lease, &tokens, vec![0, 1]);
+        cache.insert(&mut lease, &tokens);
         cache.release(lease);
         (cache, tokens)
     }
@@ -450,9 +425,9 @@ mod tests {
         let plan = cache.plan(&other);
         assert_eq!(plan.matched, 4);
         assert!(plan.can_insert);
-        let (lease, matched) = cache.acquire(&other);
+        let (mut lease, matched) = cache.acquire(&other);
         assert_eq!(matched, 4);
-        cache.insert(lease, &other[4..], vec![2]);
+        cache.insert(&mut lease, &other[4..]);
         assert_eq!(cache.resident_blocks(), 3);
         assert_eq!(cache.resident_tokens(), 12);
         cache.release(lease);
@@ -476,10 +451,9 @@ mod tests {
     fn referenced_nodes_are_never_evicted() {
         let (mut cache, tokens) = seeded();
         let (lease, _) = cache.acquire(&tokens);
-        assert!(cache.evict_for(2).is_empty());
+        assert_eq!(cache.evict_for(2), 0);
         cache.release(lease);
-        let freed = cache.evict_for(2);
-        assert_eq!(freed.len(), 2);
+        assert_eq!(cache.evict_for(2), 2);
         assert_eq!(cache.resident_blocks(), 0);
         assert_eq!(cache.plan(&tokens).matched, 0);
     }
@@ -490,8 +464,8 @@ mod tests {
         let hot: Vec<u64> = (0..4).collect();
         let cold: Vec<u64> = (10..14).collect();
         for t in [&hot, &cold] {
-            let (lease, _) = cache.acquire(t);
-            cache.insert(lease, t, vec![0]);
+            let (mut lease, _) = cache.acquire(t);
+            cache.insert(&mut lease, t);
             cache.release(lease);
         }
         // Touch the hot prefix twice more.
@@ -510,14 +484,13 @@ mod tests {
     fn eviction_cascades_to_unreferenced_parents() {
         let (mut cache, tokens) = seeded();
         let longer: Vec<u64> = tokens.iter().copied().chain(400..404).collect();
-        let (lease, matched) = cache.acquire(&longer);
+        let (mut lease, matched) = cache.acquire(&longer);
         assert_eq!(matched, 8);
-        cache.insert(lease, &longer[8..], vec![2]);
+        cache.insert(&mut lease, &longer[8..]);
         cache.release(lease);
         // Three blocks across a two-node chain; freeing all of them must
         // evict the leaf and then its parent.
-        let freed = cache.evict_for(3);
-        assert_eq!(freed.len(), 3);
+        assert_eq!(cache.evict_for(3), 3);
         assert_eq!(cache.resident_blocks(), 0);
         assert_eq!(cache.resident_tokens(), 0);
     }
@@ -532,8 +505,8 @@ mod tests {
         let (lease, matched) = cache.acquire(&shared);
         assert_eq!(matched, 4);
         cache.release(lease);
-        assert!(cache.evict_for(2).is_empty());
+        assert_eq!(cache.evict_for(2), 0);
         cache.release(long_lease);
-        assert_eq!(cache.evict_for(2).len(), 2);
+        assert_eq!(cache.evict_for(2), 2);
     }
 }

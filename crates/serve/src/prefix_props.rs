@@ -14,8 +14,8 @@
 //! - plan/acquire agree with the shadow on matched length and
 //!   insertability, and `plan` is side-effect-free;
 //! - resident block/token counters match the shadow exactly;
-//! - block ids are conserved: every id handed to `insert` is either still
-//!   resident or was returned by exactly one eviction, never both;
+//! - blocks are conserved: the blocks inserted equal the blocks resident
+//!   plus the blocks evicted, after every op;
 //! - leased (pinned) prefixes survive any eviction pressure;
 //! - the whole op sequence is deterministic.
 
@@ -23,7 +23,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use crate::prefix::PrefixCache;
+use crate::prefix::{PrefixCache, PrefixLease};
 
 /// One step of a random cache workload.
 #[derive(Debug, Clone)]
@@ -148,10 +148,8 @@ fn exercise(block_tokens: usize, ops: &[Op]) -> (u64, u64, usize, usize, usize, 
     let mut cache = PrefixCache::new(block_tokens);
     let mut shadow = Shadow::new(block_tokens);
     // Outstanding leases with the block-aligned prefix each one pinned.
-    let mut leases: Vec<(usize, Vec<u64>)> = Vec::new();
-    let mut resident_ids: BTreeSet<u64> = BTreeSet::new();
-    let mut freed_ids: BTreeSet<u64> = BTreeSet::new();
-    let mut next_id: u64 = 0;
+    let mut leases: Vec<(PrefixLease, Vec<u64>)> = Vec::new();
+    let (mut inserted, mut evicted) = (0u64, 0u64);
 
     for op in ops {
         match op {
@@ -163,17 +161,12 @@ fn exercise(block_tokens: usize, ops: &[Op]) -> (u64, u64, usize, usize, usize, 
                 // plan is side-effect-free: a second call answers the same.
                 assert_eq!(cache.plan(lookup).matched, plan.matched);
 
-                let (lease, matched) = cache.acquire(lookup);
+                let (mut lease, matched) = cache.acquire(lookup);
                 assert_eq!(matched, plan.matched, "plan and acquire must agree");
                 if plan.can_insert && matched < lookup.len() {
                     let suffix = &lookup[matched..];
-                    let blocks = suffix.len() / block_tokens;
-                    let ids: Vec<u64> = (next_id..next_id + blocks as u64).collect();
-                    next_id += blocks as u64;
-                    for &id in &ids {
-                        resident_ids.insert(id);
-                    }
-                    cache.insert(lease, suffix, ids);
+                    inserted += (suffix.len() / block_tokens) as u64;
+                    cache.insert(&mut lease, suffix);
                     shadow.insert(lookup);
                 }
                 if *keep {
@@ -191,13 +184,8 @@ fn exercise(block_tokens: usize, ops: &[Op]) -> (u64, u64, usize, usize, usize, 
             Op::Evict { shortfall } => {
                 let before = cache.resident_blocks();
                 let freed = cache.evict_for(*shortfall);
-                assert!(freed.len() as u64 <= before, "over-freed the cache");
-                for id in freed {
-                    // Conservation: each freed id was resident and is freed
-                    // at most once.
-                    assert!(resident_ids.remove(&id), "freed an unknown block {id}");
-                    assert!(freed_ids.insert(id), "block {id} freed twice");
-                }
+                assert!(freed <= before, "over-freed the cache");
+                evicted += freed;
                 shadow.resync(&cache);
                 // Pinned prefixes survive arbitrary eviction pressure.
                 for (_, pinned) in &leases {
@@ -220,10 +208,11 @@ fn exercise(block_tokens: usize, ops: &[Op]) -> (u64, u64, usize, usize, usize, 
             "cached tokens must be whole blocks"
         );
         assert_eq!(
-            cache.resident_blocks(),
-            resident_ids.len() as u64,
-            "block-id conservation"
+            inserted,
+            cache.resident_blocks() + evicted,
+            "block conservation: inserted = resident + evicted"
         );
+        assert_eq!(cache.stats().evicted_blocks, evicted, "evicted tally");
     }
     let stats = cache.stats();
     (

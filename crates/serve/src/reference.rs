@@ -13,15 +13,14 @@
 //! cargo feature; it is not part of the production build.
 //!
 //! Paged KV accounting is mirrored here with deliberately naive counters
-//! (per-request held-block tallies instead of the production
-//! [`KvPool`](crate::KvPool) free-list allocator): simulated outcomes
-//! depend only on block *counts*, so the oracle stays independent of the
-//! allocator implementation while still pinning every admission decision,
-//! growth eviction and swap charge bitwise. The prefix cache itself
-//! ([`PrefixCache`]) *is* shared with the production loop — its radix
-//! structure and eviction order are part of the semantics under test — but
-//! its blocks are charged against the naive counters here, with placeholder
-//! block ids (the simulation depends only on counts, never on identities).
+//! (per-request held-block tallies and a used/peak pair, kept apart from
+//! the production [`KvPool`](crate::KvPool)), so the oracle stays
+//! independent of the pool's implementation while still pinning every
+//! admission decision, growth eviction and swap charge bitwise. The prefix
+//! cache itself ([`PrefixCache`]) *is* shared with the production loop —
+//! its radix structure and eviction order are part of the semantics under
+//! test — and the block counts it inserts and evicts are charged against
+//! the naive counters here.
 
 #![expect(
     clippy::expect_used,
@@ -113,9 +112,9 @@ pub fn simulate_reference(
         validate_paged_capacity(bt, capacity_blocks, &requests, sim)?;
     }
     let blocks_for = |bt: usize, tokens: usize| tokens.div_ceil(bt) as u64;
-    // The production radix cache, charged against the naive counters with
-    // placeholder block ids: its structure and eviction order are the
-    // semantics under test, block identities never influence an outcome.
+    // The production radix cache, its inserted and evicted block counts
+    // charged against the naive counters: its structure and eviction order
+    // are the semantics under test.
     let mut cache: Option<PrefixCache> = match sim.prefix_cache {
         PrefixCacheMode::Disabled => None,
         PrefixCacheMode::Lru => Some(PrefixCache::new(
@@ -169,7 +168,7 @@ pub fn simulate_reference(
     // tokens actually recomputed (the reused-token complement).
     let mut covered: Vec<usize> = vec![0; requests.len()];
     let mut reused: Vec<usize> = vec![0; requests.len()];
-    let mut lease: Vec<Option<PrefixLease>> = vec![None; requests.len()];
+    let mut lease: Vec<Option<PrefixLease>> = requests.iter().map(|_| None).collect();
     let mut recomputed_prefill_tokens: usize = 0;
 
     // Shared eviction bookkeeping (admission scan and paged growth), the
@@ -294,16 +293,14 @@ pub fn simulate_reference(
                         }
                         let shortfall = (used_blocks + extra).saturating_sub(cap);
                         if shortfall > 0 {
-                            let freed = cache.as_mut().expect("cache mode").evict_for(shortfall);
-                            used_blocks -= freed.len() as u64;
+                            used_blocks -= cache.as_mut().expect("cache mode").evict_for(shortfall);
                         }
                         if do_insert {
                             used_blocks += insert_blocks;
                             peak_blocks = peak_blocks.max(used_blocks);
                             cache.as_mut().expect("cache mode").insert(
-                                lease[idx].expect("lease acquired above"),
+                                lease[idx].as_mut().expect("lease acquired above"),
                                 &request.prefix[cplan.matched..lookup_len],
-                                vec![0; insert_blocks as usize],
                             );
                         }
                         blocks_held[idx] += own;
@@ -613,8 +610,7 @@ pub fn simulate_reference(
                 // is preempted for a grower's block.
                 if let Some(cache) = cache.as_mut() {
                     let shortfall = (used_blocks + 1).saturating_sub(cap);
-                    let freed = cache.evict_for(shortfall);
-                    used_blocks -= freed.len() as u64;
+                    used_blocks -= cache.evict_for(shortfall);
                     if used_blocks < cap {
                         blocks_held[grower] += 1;
                         used_blocks += 1;
@@ -728,7 +724,7 @@ pub fn simulate_reference(
         sim,
         &plan.spec,
         &times,
-        &records,
+        &records.iter().collect::<Vec<_>>(),
         clock,
         completed,
         generated_tokens,

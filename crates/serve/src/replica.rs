@@ -57,6 +57,37 @@ pub enum BoundaryOutcome {
     Idle,
 }
 
+/// Everything a replica tracks about one injected request, indexed by
+/// injection order.
+struct RequestSlot {
+    /// The request, its rank, its decode progress and its record: what
+    /// travels with it when a drain or failure hands it back.
+    carried: CarriedRequest,
+    /// Worst-case KV bytes (`prompt_len + gen_len` tokens).
+    kv_bytes: u64,
+    /// Bytes a swapped-out victim holds on the swap tier, awaiting the
+    /// swap-in on resume (`None` while resident). Only SwapOut sets it.
+    swapped: Option<u64>,
+    /// Leading context run stored in cache blocks instead of own pages.
+    covered: usize,
+    /// Part of the covered run whose KV existed at admission (prefill
+    /// skipped).
+    reused: usize,
+    /// Pin on the request's cached path while it is in flight.
+    lease: Option<PrefixLease>,
+    /// Handed back to the router by a drain or failure: its record lives
+    /// on (and completes) on another replica, so this replica's report
+    /// excludes it.
+    extracted: bool,
+}
+
+impl RequestSlot {
+    /// Tokens computed so far: the prompt plus the tokens generated.
+    fn context(&self) -> usize {
+        self.carried.request.prompt_len + self.carried.generated
+    }
+}
+
 /// One simulated serving machine as a resumable state machine: the
 /// extracted per-boundary body of [`simulate`](crate::simulator::simulate),
 /// owning the ready queue, active set, KV backend and tallies.
@@ -79,36 +110,9 @@ pub struct ReplicaSim {
     /// Reservations, or the paged pool and its prefix cache.
     kv: KvBackend,
 
-    // ---- per-request state, appended by `inject` ----
-    requests: Vec<ServingRequest>,
-    /// Arrival time of every injected request, for the empirical-rate
-    /// fallback of the report.
-    times: Vec<f64>,
-    ranks: Vec<f64>,
-    records: Vec<RequestRecord>,
-    kv_bytes_per_request: Vec<u64>,
-    /// Tokens each request has generated so far; survives preemption, so a
-    /// resumed request re-prefills its progress (restart with recompute)
-    /// and only decodes the remainder. Updated lazily, when a sequence
-    /// *leaves* the active set.
-    generated: Vec<usize>,
-    /// Whether each request's first admission has been stamped
-    /// (re-admissions after a preemption keep the original queueing delay).
-    ever_admitted: Vec<bool>,
-    /// Bytes each swapped-out victim is holding on the swap tier, awaiting
-    /// the swap-in on resume (`None` while resident). Only SwapOut sets it.
-    swapped: Vec<Option<u64>>,
-    /// Leading context run stored in cache blocks instead of own pages.
-    covered: Vec<usize>,
-    /// Part of the covered run whose KV existed at admission (prefill
-    /// skipped).
-    reused: Vec<usize>,
-    /// Pin on the request's cached path while it is in flight.
-    lease: Vec<Option<PrefixLease>>,
-    /// Requests handed back to the router by a drain/fail event; their
-    /// records live on (and complete) on another replica, so they are
-    /// excluded from this replica's report.
-    extracted: Vec<bool>,
+    /// One slot per injected request, in injection order: a slot's index
+    /// is the ready queue's tie-break and the active set's key.
+    slots: Vec<RequestSlot>,
 
     // ---- loop state ----
     clock: f64,
@@ -171,18 +175,7 @@ impl ReplicaSim {
             engine,
             plan,
             kv,
-            requests: Vec::new(),
-            times: Vec::new(),
-            ranks: Vec::new(),
-            records: Vec::new(),
-            kv_bytes_per_request: Vec::new(),
-            generated: Vec::new(),
-            ever_admitted: Vec::new(),
-            swapped: Vec::new(),
-            covered: Vec::new(),
-            reused: Vec::new(),
-            lease: Vec::new(),
-            extracted: Vec::new(),
+            slots: Vec::new(),
             clock: 0.0,
             step: 0,
             next_arrival: 0,
@@ -241,7 +234,15 @@ impl ReplicaSim {
             preemptions: 0,
             reused_prefix_tokens: 0,
         };
-        self.inject_inner(request, rank, 0, false, record);
+        let arrival = request.arrival;
+        let carried = CarriedRequest {
+            request,
+            rank,
+            generated: 0,
+            ever_admitted: false,
+            record,
+        };
+        self.inject_carried(carried, arrival);
     }
 
     /// Re-dispatch a request extracted from another replica: its record
@@ -249,45 +250,28 @@ impl ReplicaSim {
     /// it, and the restart-with-recompute path re-prefills the progress.
     /// `arrival` is the re-dispatch time (the drain/fail event time).
     pub(crate) fn inject_carried(&mut self, mut carried: CarriedRequest, arrival: f64) {
-        carried.request.arrival = arrival;
-        self.inject_inner(
-            carried.request,
-            carried.rank,
-            carried.generated,
-            carried.ever_admitted,
-            carried.record,
-        );
-    }
-
-    fn inject_inner(
-        &mut self,
-        request: ServingRequest,
-        rank: f64,
-        generated: usize,
-        ever_admitted: bool,
-        record: RequestRecord,
-    ) {
         debug_assert!(
-            self.times.last().is_none_or(|&t| request.arrival >= t),
+            self.slots
+                .last()
+                .is_none_or(|s| arrival >= s.carried.request.arrival),
             "requests must be injected in arrival order"
         );
-        let idx = self.requests.len();
-        let kv = request_kv_bytes(&self.sim.template, request.prompt_len, request.gen_len);
-        self.times.push(request.arrival);
-        self.ranks.push(rank);
-        self.records.push(record);
-        self.kv_bytes_per_request.push(kv);
-        self.generated.push(generated);
-        self.ever_admitted.push(ever_admitted);
-        self.swapped.push(None);
-        self.covered.push(0);
-        self.reused.push(0);
-        self.lease.push(None);
-        self.extracted.push(false);
+        carried.request.arrival = arrival;
+        let request = &carried.request;
+        let kv_bytes = request_kv_bytes(&self.sim.template, request.prompt_len, request.gen_len);
+        let idx = self.slots.len();
         self.active.ensure_slots(idx + 1);
         self.kv.ensure_slots(idx + 1);
-        self.waiting_kv_bytes += kv;
-        self.requests.push(request);
+        self.waiting_kv_bytes += kv_bytes;
+        self.slots.push(RequestSlot {
+            carried,
+            kv_bytes,
+            swapped: None,
+            covered: 0,
+            reused: 0,
+            lease: None,
+            extracted: false,
+        });
     }
 
     /// The replica's virtual clock.
@@ -297,7 +281,7 @@ impl ReplicaSim {
 
     /// Requests injected and neither completed nor extracted away.
     pub fn outstanding(&self) -> usize {
-        self.requests.len() - self.extracted_count - self.completed
+        self.slots.len() - self.extracted_count - self.completed
     }
 
     /// Requests completed on this replica.
@@ -390,11 +374,11 @@ impl ReplicaSim {
 
     /// Pull every request that has arrived by now into the ready queue.
     fn pull_arrivals(&mut self) {
-        while self.next_arrival < self.requests.len()
-            && self.requests[self.next_arrival].arrival <= self.clock
-        {
-            self.ready
-                .push(self.ranks[self.next_arrival], self.next_arrival);
+        while let Some(slot) = self.slots.get(self.next_arrival) {
+            if slot.carried.request.arrival > self.clock {
+                break;
+            }
+            self.ready.push(slot.carried.rank, self.next_arrival);
             self.next_arrival += 1;
         }
     }
@@ -418,16 +402,16 @@ impl ReplicaSim {
         }
         while let Some(idx) = self.ready.peek() {
             let seats = self.active.len() + self.prefilling.len() + admitted.len();
-            let request = &self.requests[idx];
+            let slot = &self.slots[idx];
             let plan = self.kv.plan_admission(
-                &request.prefix,
-                request.prompt_len + self.generated[idx],
-                self.kv_bytes_per_request[idx],
-                self.swapped[idx].map(|_| self.covered[idx]),
+                &slot.carried.request.prefix,
+                slot.context(),
+                slot.kv_bytes,
+                slot.swapped.map(|_| slot.covered),
             );
             if self.kv.fits(&self.sim.admission, seats, &plan, 0) {
                 self.ready.pop();
-                self.waiting_kv_bytes -= self.kv_bytes_per_request[idx];
+                self.waiting_kv_bytes -= slot.kv_bytes;
                 self.charge(idx, &plan);
                 admitted.push(idx);
             } else if !self.preempt_for(idx, seats, &plan) {
@@ -439,17 +423,19 @@ impl ReplicaSim {
 
     /// Commit waiter `idx`'s planned admission and record its cache claim.
     fn charge(&mut self, idx: usize, plan: &AdmissionPlan) {
-        if let Some((lease, matched)) = self.kv.charge(idx, plan, &self.requests[idx].prefix) {
-            self.lease[idx] = Some(lease);
+        let slot = &mut self.slots[idx];
+        if let Some((lease, matched)) = self.kv.charge(idx, plan, &slot.carried.request.prefix) {
+            debug_assert!(slot.lease.is_none(), "request {idx} already holds a lease");
+            slot.lease = Some(lease);
             // Only the *matched* run skips prefill; an inserted run is
             // cache-resident but this request still computes it (into the
             // cache's blocks).
-            self.reused[idx] = matched;
-            if !self.ever_admitted[idx] {
-                self.records[idx].reused_prefix_tokens = matched;
+            slot.reused = matched;
+            if !slot.carried.ever_admitted {
+                slot.carried.record.reused_prefix_tokens = matched;
             }
         }
-        self.covered[idx] = plan.covered;
+        slot.covered = plan.covered;
     }
 
     /// Make room for blocked waiter `idx` under preemption: evict the
@@ -465,9 +451,9 @@ impl ReplicaSim {
         let (mut victims, mut freed) = (Vec::new(), 0);
         let feasible = self
             .active
-            .victims_outranking(self.ranks[idx])
+            .victims_outranking(self.slots[idx].carried.rank)
             .any(|victim| {
-                freed += self.kv.frees(victim, self.kv_bytes_per_request[victim]);
+                freed += self.kv.frees(victim, self.slots[victim].kv_bytes);
                 victims.push(victim);
                 self.kv
                     .fits(&self.sim.admission, seats - victims.len(), plan, freed)
@@ -485,7 +471,7 @@ impl ReplicaSim {
     /// page its written KV out to the swap tier, priced through the
     /// engine's swap-cost hook.
     fn evict_victim(&mut self, victim: usize) {
-        self.records[victim].preemptions += 1;
+        self.slots[victim].carried.record.preemptions += 1;
         let written_bytes = self.leave_batch(victim);
         if self.sim.preemption == PreemptionPolicy::SwapOut {
             // Only the victim's own pages travel to the swap tier; its
@@ -494,14 +480,15 @@ impl ReplicaSim {
             self.pay_swap(written_bytes);
             self.swap.swap_outs += 1;
             self.swap.swapped_out_bytes += written_bytes;
-            self.swapped[victim] = Some(written_bytes);
+            self.slots[victim].swapped = Some(written_bytes);
         } else {
             // Restart-with-recompute drops the victim's cache claim; its
             // re-admission consults the cache afresh.
             self.release_claim(victim);
         }
-        self.ready.push(self.ranks[victim], victim);
-        self.waiting_kv_bytes += self.kv_bytes_per_request[victim];
+        let slot = &self.slots[victim];
+        self.ready.push(slot.carried.rank, victim);
+        self.waiting_kv_bytes += slot.kv_bytes;
     }
 
     /// Swapped-out victims among this boundary's admissions resume by
@@ -511,7 +498,7 @@ impl ReplicaSim {
     /// admissions.
     fn resume_swapped(&mut self, mut admitted: Vec<usize>) -> Vec<usize> {
         admitted.retain(|&idx| {
-            let Some(bytes) = self.swapped[idx].take() else {
+            let Some(bytes) = self.slots[idx].swapped.take() else {
                 return true;
             };
             self.pay_swap(bytes);
@@ -539,8 +526,7 @@ impl ReplicaSim {
     /// and is never recomputed. A fully covered request prefills nothing
     /// and joins the decode batch at once.
     fn start_prefill(&mut self, admitted: Vec<usize>) {
-        let prefill_len =
-            |s: &Self, idx: usize| s.requests[idx].prompt_len + s.generated[idx] - s.reused[idx];
+        let prefill_len = |s: &Self, idx: usize| s.slots[idx].context() - s.slots[idx].reused;
         match self.sim.prefill {
             PrefillPolicy::StallTheWorld => {
                 // Prefill whole prompts now, one pass per effective prefill
@@ -637,14 +623,13 @@ impl ReplicaSim {
                 head, self.sim.admission.max_batch, self.sim.admission.kv_memory_bytes
             )));
         }
-        if self.next_arrival < self.requests.len() {
-            let arrival = self.requests[self.next_arrival].arrival;
-            if arrival <= horizon {
-                self.clock = self.clock.max(arrival);
-                return Ok(BoundaryOutcome::Jumped);
+        match self.slots.get(self.next_arrival) {
+            Some(slot) if slot.carried.request.arrival <= horizon => {
+                self.clock = self.clock.max(slot.carried.request.arrival);
+                Ok(BoundaryOutcome::Jumped)
             }
+            _ => Ok(BoundaryOutcome::Idle),
         }
-        Ok(BoundaryOutcome::Idle)
     }
 
     /// Paged growth: a sequence whose own pages no longer cover its
@@ -658,18 +643,21 @@ impl ReplicaSim {
     /// when none exists (it cannot demand capacity from equal- or
     /// better-ranked work). Then the pool's usage is sampled.
     fn grow(&mut self) {
-        let covered = &self.covered;
+        let slots = &self.slots;
         let growers = self.kv.growers(
             self.active
                 .contexts_by_rank(self.step)
-                .map(|(idx, context)| (idx, context + 1 - covered[idx])),
+                .map(|(idx, context)| (idx, context + 1 - slots[idx].covered)),
         );
         for grower in growers {
             // An earlier grower may have evicted this one.
             if !self.active.contains(grower) || self.kv.try_grow(grower) {
                 continue;
             }
-            let victim = self.active.victims_outranking(self.ranks[grower]).next();
+            let victim = self
+                .active
+                .victims_outranking(self.slots[grower].carried.rank)
+                .next();
             match victim {
                 Some(victim) => {
                     self.evict_victim(victim);
@@ -717,7 +705,7 @@ impl ReplicaSim {
         for i in 0..self.pending_first_token.len() {
             let idx = self.pending_first_token[i];
             if self.active.contains(idx) {
-                self.records[idx].first_token = self.clock;
+                self.slots[idx].carried.record.first_token = self.clock;
             }
         }
         self.pending_first_token.clear();
@@ -731,7 +719,7 @@ impl ReplicaSim {
     /// stops there instead of walking the whole set.
     fn harvest(&mut self) {
         while let Some(idx) = self.active.next_finished(self.step) {
-            self.records[idx].completed = self.clock;
+            self.slots[idx].carried.record.completed = self.clock;
             self.completed += 1;
             self.leave_batch(idx);
             self.release_claim(idx);
@@ -754,16 +742,17 @@ impl ReplicaSim {
     /// context (prompt plus generated tokens). It decodes from the next
     /// priced step, which stamps its first token if it has none yet.
     fn join_batch(&mut self, idx: usize) {
-        let request = &self.requests[idx];
-        self.active_covered_tokens += self.covered[idx] as u64;
+        let slot = &self.slots[idx];
+        let generated = slot.carried.generated;
+        self.active_covered_tokens += slot.covered as u64;
         self.active.join(
             idx,
-            request.prompt_len + self.generated[idx],
-            request.gen_len - self.generated[idx],
-            self.ranks[idx],
+            slot.context(),
+            slot.carried.request.gen_len - generated,
+            slot.carried.rank,
             self.step,
         );
-        if self.generated[idx] == 0 {
+        if generated == 0 {
             self.pending_first_token.push(idx);
         }
     }
@@ -773,28 +762,30 @@ impl ReplicaSim {
     /// which a swap-out moves.
     fn leave_batch(&mut self, idx: usize) -> u64 {
         let info = self.active.remove(idx);
-        self.generated[idx] += (self.step - info.join_step) as usize;
-        self.active_covered_tokens -= self.covered[idx] as u64;
-        let context = self.requests[idx].prompt_len + self.generated[idx];
-        let written = self.kv.written_bytes(idx, context);
-        self.kv.release(idx, self.kv_bytes_per_request[idx]);
+        let slot = &mut self.slots[idx];
+        slot.carried.generated += (self.step - info.join_step) as usize;
+        self.active_covered_tokens -= slot.covered as u64;
+        let written = self.kv.written_bytes(idx, slot.context());
+        self.kv.release(idx, slot.kv_bytes);
         written
     }
 
     /// Drop request `idx`'s cache claim: unpin its lease and forget its
     /// covered and reused runs.
     fn release_claim(&mut self, idx: usize) {
-        self.kv.release_lease(self.lease[idx].take());
-        self.covered[idx] = 0;
-        self.reused[idx] = 0;
+        let slot = &mut self.slots[idx];
+        self.kv.release_lease(slot.lease.take());
+        slot.covered = 0;
+        slot.reused = 0;
     }
 
     /// Stamp request `idx`'s first admission when its prefill work starts
     /// (re-admissions after a preemption keep the original queueing delay).
     fn stamp_admitted(&mut self, idx: usize) {
-        if !self.ever_admitted[idx] {
-            self.records[idx].admitted = self.clock;
-            self.ever_admitted[idx] = true;
+        let carried = &mut self.slots[idx].carried;
+        if !carried.ever_admitted {
+            carried.record.admitted = self.clock;
+            carried.ever_admitted = true;
         }
     }
 }
@@ -883,6 +874,26 @@ mod tests {
         replica
     }
 
+    /// Pool blocks are conserved: the pool's used count is the blocks the
+    /// request slots hold plus the cache's resident blocks.
+    fn assert_pool_conserved(replica: &ReplicaSim, context: &str) {
+        if let KvBackend::Paged { pool, cache } = &replica.kv {
+            let held: u64 = (0..replica.slots.len()).map(|idx| pool.held(idx)).sum();
+            let cached = cache.as_ref().map_or(0, |c| c.resident_blocks());
+            assert_eq!(pool.used_blocks(), held + cached, "{context}: pool blocks");
+        }
+    }
+
+    /// Step `replica` one boundary at a time until it idles or its clock
+    /// reaches `horizon`, checking block conservation after every boundary.
+    fn step_checked(replica: &mut ReplicaSim, horizon: f64, context: &str) {
+        while replica.clock < horizon
+            && replica.step_boundary(horizon).unwrap() != BoundaryOutcome::Idle
+        {
+            assert_pool_conserved(replica, context);
+        }
+    }
+
     /// The replica holds no KV for any request: only cache-resident blocks
     /// stay in the pool, no lease pins a path, and nothing is queued or
     /// covered.
@@ -896,7 +907,7 @@ mod tests {
             ),
         }
         assert!(
-            replica.lease.iter().all(Option::is_none),
+            replica.slots.iter().all(|s| s.lease.is_none()),
             "{context}: lease held"
         );
         assert_eq!(replica.waiting_kv_bytes, 0, "{context}");
@@ -904,8 +915,9 @@ mod tests {
     }
 
     /// A leaked release never changes a later admission of the same run,
-    /// so the differential oracle cannot see it: check the end state
-    /// directly, after a full run and after a mid-run failure.
+    /// so the differential oracle cannot see it: check block conservation
+    /// after every boundary, and the end state after a full run and after
+    /// a mid-run failure.
     #[test]
     fn drained_replica_holds_no_kv() {
         for backend in 0..3 {
@@ -916,15 +928,17 @@ mod tests {
                     let context = format!("backend {backend}, {preemption:?}, seed {seed}");
 
                     let mut replica = loaded_replica(&sim);
-                    replica.run_to_completion().unwrap();
+                    step_checked(&mut replica, f64::INFINITY, &context);
                     assert_eq!(replica.completed(), sim.num_requests, "{context}");
                     assert_holds_no_request_kv(&replica, &context);
-                    preempted += replica.records.iter().map(|r| r.preemptions).sum::<usize>();
+                    preempted += (replica.slots.iter())
+                        .map(|s| s.carried.record.preemptions)
+                        .sum::<usize>();
                     assert!(replica.extract_all().is_empty(), "{context}");
                     assert_holds_no_request_kv(&replica, &context);
 
                     let mut replica = loaded_replica(&sim);
-                    replica.advance_to(2.0).unwrap();
+                    step_checked(&mut replica, 2.0, &context);
                     let carried = replica.extract_all();
                     assert_eq!(
                         carried.len() + replica.completed(),
@@ -932,6 +946,7 @@ mod tests {
                         "{context}"
                     );
                     assert_holds_no_request_kv(&replica, &format!("{context}, after a failure"));
+                    assert_pool_conserved(&replica, &context);
                 }
                 assert!(
                     preempted > 0,

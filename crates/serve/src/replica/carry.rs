@@ -6,8 +6,6 @@
 //! boundary body in the parent module; the split keeps the hot loop and the
 //! failover machinery readable on their own.
 
-use hermes_core::ServingReport;
-
 use crate::kv::KvBackend;
 use crate::request::{RequestRecord, ServingRequest};
 use crate::simulator::ServingOutcome;
@@ -20,10 +18,16 @@ use super::ReplicaSim;
 /// the request itself, its global scheduling rank, the decode progress a
 /// restart-with-recompute re-prefills, and the lifecycle record whose
 /// original arrival/admission stamps must survive the move.
+#[derive(Clone)]
 pub(crate) struct CarriedRequest {
     pub request: ServingRequest,
     pub rank: f64,
+    /// Tokens generated so far. It survives preemption, so a resumed
+    /// request re-prefills its progress (restart with recompute) and only
+    /// decodes the remainder. Updated when the sequence leaves the batch.
     pub generated: usize,
+    /// Whether the first admission is stamped (re-admissions after a
+    /// preemption keep the original queueing delay).
     pub ever_admitted: bool,
     pub record: RequestRecord,
 }
@@ -38,41 +42,23 @@ impl ReplicaSim {
     pub(crate) fn extract_pending(&mut self) -> Vec<CarriedRequest> {
         let mut carried: Vec<CarriedRequest> = Vec::new();
         // The not-yet-arrived tail never entered the ready queue.
-        while self.next_arrival < self.requests.len() {
-            let idx = self.requests.len() - 1;
-            if idx < self.next_arrival {
-                break;
-            }
-            carried.push(self.carry_out(idx));
-            self.waiting_kv_bytes -= self.kv_bytes_per_request[idx];
-            self.requests.pop();
-            self.times.pop();
-            self.ranks.pop();
-            self.records.pop();
-            self.kv_bytes_per_request.pop();
-            self.generated.pop();
-            self.ever_admitted.pop();
-            self.swapped.pop();
-            self.covered.pop();
-            self.reused.pop();
-            self.lease.pop();
-            self.extracted.pop();
+        for slot in self.slots.drain(self.next_arrival..) {
+            self.waiting_kv_bytes -= slot.kv_bytes;
+            carried.push(slot.carried);
         }
         // Never-admitted waiters leave; preempted/swapped victims stay and
         // finish here.
         let mut keep: Vec<usize> = Vec::new();
         while let Some(idx) = self.ready.pop() {
-            if self.ever_admitted[idx] {
+            if self.slots[idx].carried.ever_admitted {
                 keep.push(idx);
             } else {
-                self.waiting_kv_bytes -= self.kv_bytes_per_request[idx];
-                self.extracted[idx] = true;
-                self.extracted_count += 1;
+                self.waiting_kv_bytes -= self.slots[idx].kv_bytes;
                 carried.push(self.carry_out(idx));
             }
         }
         for idx in keep {
-            self.ready.push(self.ranks[idx], idx);
+            self.ready.push(self.slots[idx].carried.rank, idx);
         }
         carried.sort_by_key(|c| c.record.id);
         carried
@@ -89,35 +75,29 @@ impl ReplicaSim {
         // Admitted waiters (evicted or swapped-out victims): their swap
         // bytes and cache claims die with the machine.
         while let Some(idx) = self.ready.pop() {
-            self.waiting_kv_bytes -= self.kv_bytes_per_request[idx];
-            self.swapped[idx] = None;
+            self.waiting_kv_bytes -= self.slots[idx].kv_bytes;
+            self.slots[idx].swapped = None;
             self.release_claim(idx);
-            self.extracted[idx] = true;
-            self.extracted_count += 1;
             carried.push(self.carry_out(idx));
         }
         // Prefilling sequences lose their chunk progress and their pages
         // (or their reservation, under reserve accounting).
         while let Some(seq) = self.prefilling.pop() {
             self.prefill_target_tokens -= seq.target;
-            self.kv.release(seq.idx, self.kv_bytes_per_request[seq.idx]);
-            self.records[seq.idx].preemptions += 1;
+            self.kv.release(seq.idx, self.slots[seq.idx].kv_bytes);
+            self.slots[seq.idx].carried.record.preemptions += 1;
             self.release_claim(seq.idx);
-            self.extracted[seq.idx] = true;
-            self.extracted_count += 1;
             carried.push(self.carry_out(seq.idx));
         }
         // Active sequences record their progress (the remainder decodes
         // elsewhere after a re-prefill) and release everything they hold.
-        let decoding: Vec<usize> = (0..self.requests.len())
+        let decoding: Vec<usize> = (0..self.slots.len())
             .filter(|&idx| self.active.contains(idx))
             .collect();
         for idx in decoding {
             self.leave_batch(idx);
-            self.records[idx].preemptions += 1;
+            self.slots[idx].carried.record.preemptions += 1;
             self.release_claim(idx);
-            self.extracted[idx] = true;
-            self.extracted_count += 1;
             carried.push(self.carry_out(idx));
         }
         self.pending_first_token.clear();
@@ -125,21 +105,16 @@ impl ReplicaSim {
         debug_assert_eq!(self.active_covered_tokens, 0);
         // The machine's memory restarts cold: fresh pool (the block
         // high-water mark restarts with it), fresh cache.
-        self.kv = KvBackend::new(&self.sim, self.requests.len());
+        self.kv = KvBackend::new(&self.sim, self.slots.len());
         carried.sort_by_key(|c| c.record.id);
         carried
     }
 
-    /// Package request `idx` for re-dispatch. The caller marks it
-    /// extracted (or pops it entirely, for the not-yet-arrived tail).
+    /// Mark request `idx` extracted and package it for re-dispatch.
     fn carry_out(&mut self, idx: usize) -> CarriedRequest {
-        CarriedRequest {
-            request: self.requests[idx].clone(),
-            rank: self.ranks[idx],
-            generated: self.generated[idx],
-            ever_admitted: self.ever_admitted[idx],
-            record: self.records[idx].clone(),
-        }
+        self.slots[idx].extracted = true;
+        self.extracted_count += 1;
+        self.slots[idx].carried.clone()
     }
 
     /// Restart a recovered replica's clock at `t` (it was dead in
@@ -148,24 +123,28 @@ impl ReplicaSim {
         self.clock = self.clock.max(t);
     }
 
-    /// Fold this replica's tallies and surviving records (requests
-    /// extracted away by drain/fail complete elsewhere and are excluded)
-    /// into its [`ServingReport`].
-    pub(crate) fn report(&self) -> ServingReport {
-        let filtered: Vec<RequestRecord>;
-        let records: &[RequestRecord] = if self.extracted_count == 0 {
-            &self.records
-        } else {
-            filtered = self.surviving_records();
-            &filtered
-        };
+    /// Finish the replica: its report, folded from its tallies and its
+    /// surviving records (requests extracted away by a drain or failure
+    /// complete elsewhere and are excluded), plus those records.
+    pub(crate) fn into_outcome(self) -> ServingOutcome {
+        let arrivals: Vec<f64> = self
+            .slots
+            .iter()
+            .map(|s| s.carried.request.arrival)
+            .collect();
+        let records: Vec<&RequestRecord> = self
+            .slots
+            .iter()
+            .filter(|s| !s.extracted)
+            .map(|s| &s.carried.record)
+            .collect();
         let (kv_tallies, prefix_tallies) =
             self.kv.tallies(self.usage, self.recomputed_prefill_tokens);
-        build_report(
+        let report = build_report(
             &self.sim,
             &self.plan.spec,
-            &self.times,
-            records,
+            &arrivals,
+            &records,
             self.clock,
             self.completed,
             self.generated_tokens,
@@ -175,27 +154,13 @@ impl ReplicaSim {
             kv_tallies,
             self.swap,
             prefix_tallies,
-        )
-    }
-
-    /// This replica's surviving records (extracted requests excluded), as
-    /// `(request id, record)` pairs for fleet-wide reassembly.
-    pub(crate) fn surviving_records(&self) -> Vec<RequestRecord> {
-        self.records
-            .iter()
-            .zip(&self.extracted)
-            .filter(|&(_, &gone)| !gone)
-            .map(|(r, _)| r.clone())
-            .collect()
-    }
-
-    /// Finish the single-replica drive: the aggregate report plus every
-    /// record, exactly as the monolithic `simulate()` returned them.
-    pub(crate) fn into_outcome(mut self) -> ServingOutcome {
-        let report = self.report();
-        ServingOutcome {
-            report,
-            records: std::mem::take(&mut self.records),
-        }
+        );
+        let records = self
+            .slots
+            .into_iter()
+            .filter(|s| !s.extracted)
+            .map(|s| s.carried.record)
+            .collect();
+        ServingOutcome { report, records }
     }
 }

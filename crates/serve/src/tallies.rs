@@ -119,7 +119,7 @@ pub(crate) fn build_report(
     sim: &ServingSimulation,
     spec: &SessionSpec,
     times: &[f64],
-    records: &[RequestRecord],
+    records: &[&RequestRecord],
     clock: f64,
     completed: usize,
     generated_tokens: usize,
@@ -130,17 +130,17 @@ pub(crate) fn build_report(
     swap: SwapTallies,
     prefix: Option<PrefixTallies>,
 ) -> ServingReport {
-    let queue_delays: Vec<f64> = records.iter().map(RequestRecord::queue_delay).collect();
-    let ttfts: Vec<f64> = records.iter().map(RequestRecord::ttft).collect();
+    let queue_delays: Vec<f64> = records.iter().map(|r| r.queue_delay()).collect();
+    let ttfts: Vec<f64> = records.iter().map(|r| r.ttft()).collect();
     // Single-token requests have no inter-token gap; their degenerate 0.0
     // "TPOT" would drag the percentiles toward zero, so they are excluded
     // from the TPOT sample set (but kept in TTFT/e2e).
     let tpots: Vec<f64> = records
         .iter()
         .filter(|r| r.gen_len > 1)
-        .map(RequestRecord::tpot)
+        .map(|r| r.tpot())
         .collect();
-    let e2es: Vec<f64> = records.iter().map(RequestRecord::e2e).collect();
+    let e2es: Vec<f64> = records.iter().map(|r| r.e2e()).collect();
     ServingReport {
         system: spec.system.clone(),
         policy: sim.policy.name().to_string(),
@@ -209,12 +209,12 @@ pub(crate) fn build_report(
             let ttft_hit: Vec<f64> = records
                 .iter()
                 .filter(|r| r.reused_prefix_tokens > 0)
-                .map(RequestRecord::ttft)
+                .map(|r| r.ttft())
                 .collect();
             let ttft_miss: Vec<f64> = records
                 .iter()
                 .filter(|r| r.reused_prefix_tokens == 0)
-                .map(RequestRecord::ttft)
+                .map(|r| r.ttft())
                 .collect();
             PrefixCacheReport {
                 lookups: t.stats.lookups,
@@ -239,7 +239,7 @@ pub(crate) fn build_report(
 
 /// Fold the per-request records into per-priority-tier reports, sorted by
 /// tier (most important first).
-fn fold_class_reports(records: &[RequestRecord]) -> Vec<ClassReport> {
+fn fold_class_reports(records: &[&RequestRecord]) -> Vec<ClassReport> {
     let mut tiers: Vec<u8> = records.iter().map(|r| r.class.priority).collect();
     tiers.sort_unstable();
     tiers.dedup();
@@ -248,6 +248,7 @@ fn fold_class_reports(records: &[RequestRecord]) -> Vec<ClassReport> {
         .map(|tier| {
             let members: Vec<&RequestRecord> = records
                 .iter()
+                .copied()
                 .filter(|r| r.class.priority == tier)
                 .collect();
             let queue_delays: Vec<f64> = members.iter().map(|r| r.queue_delay()).collect();
