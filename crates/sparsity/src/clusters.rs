@@ -90,11 +90,6 @@ impl ClusterProcess {
     pub fn neuron_multiplier(&self, neuron: usize) -> f64 {
         self.multiplier(self.cluster_of(neuron))
     }
-
-    /// Reset the process to its stationary mean (used on context switches).
-    pub fn reset(&mut self) {
-        self.state.iter_mut().for_each(|z| *z = 0.0);
-    }
 }
 
 /// Cluster processes for every (layer, block) of a model.
@@ -135,14 +130,6 @@ impl ModelClusterProcess {
         for layer in &mut self.layers {
             layer[0].step(rng);
             layer[1].step(rng);
-        }
-    }
-
-    /// Reset every process (context switch).
-    pub fn reset(&mut self) {
-        for layer in &mut self.layers {
-            layer[0].reset();
-            layer[1].reset();
         }
     }
 
@@ -233,20 +220,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_returns_to_unit_multiplier() {
-        let p = profile();
-        let mut cp = ClusterProcess::new(64, &p);
-        let mut rng = SmallRng::seed_from_u64(3);
-        cp.step(&mut rng);
-        cp.reset();
-        for c in 0..cp.num_clusters() {
-            let m = cp.multiplier(c);
-            // exp(-sigma^2/2) at state 0.
-            assert!((m - (-0.5 * p.cluster_volatility.powi(2)).exp()).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn model_process_covers_all_layers() {
         let p = profile();
         let mut mp = ModelClusterProcess::new(4, 64, 256, &p);
@@ -255,6 +228,5 @@ mod tests {
         mp.step(&mut rng);
         assert_eq!(mp.block(0, Block::Attention).num_neurons(), 64);
         assert_eq!(mp.block(3, Block::Mlp).num_neurons(), 256);
-        mp.reset();
     }
 }

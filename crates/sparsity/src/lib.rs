@@ -45,8 +45,6 @@ pub use bitset::Bitset;
 pub use clusters::{ClusterProcess, ModelClusterProcess};
 pub use popularity::NeuronPopularity;
 pub use profile::{Dataset, SparsityProfile};
-pub use stats::{
-    HotColdCoverage, LayerCorrelationStats, NeuronFrequencies, TokenSimilarityCurve, TraceStats,
-};
+pub use stats::{HotColdCoverage, LayerCorrelationStats, NeuronFrequencies, TokenSimilarityCurve};
 pub use summary::{BlockActivity, ClusterPopSums, StatisticalActivityModel, TokenActivity};
 pub use trace::{TokenActivations, TraceGenerator};

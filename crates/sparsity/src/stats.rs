@@ -258,55 +258,6 @@ impl HotColdCoverage {
     }
 }
 
-/// Convenience facade computing every statistic the figures need in one pass.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TraceStats {
-    /// Token-wise similarity curve (Fig. 4a).
-    pub similarity: TokenSimilarityCurve,
-    /// Layer-wise correlation averaged over all measurable layers (Fig. 4b).
-    pub layer_correlation: LayerCorrelationStats,
-    /// Hot/cold coverage at the profile's hot fraction.
-    pub coverage: HotColdCoverage,
-    /// Per-neuron frequencies.
-    pub frequencies: NeuronFrequencies,
-}
-
-impl TraceStats {
-    /// Compute statistics for a trace of the given model.
-    pub fn compute(
-        cfg: &ModelConfig,
-        popularity: &NeuronPopularity,
-        trace: &[TokenActivations],
-        hot_fraction: f64,
-        max_distance: usize,
-    ) -> Self {
-        let frequencies = NeuronFrequencies::measure(trace);
-        let similarity = TokenSimilarityCurve::measure(trace, max_distance);
-        // Average the correlation over the MLP blocks of all layer pairs.
-        let num_layers = frequencies.num_layers();
-        let mut cond = 0.0;
-        let mut base = 0.0;
-        let mut n = 0usize;
-        for layer in 1..num_layers {
-            let s = LayerCorrelationStats::measure(trace, popularity, layer, Block::Mlp);
-            cond += s.conditional_probability;
-            base += s.baseline_probability;
-            n += 1;
-        }
-        let layer_correlation = LayerCorrelationStats {
-            conditional_probability: if n > 0 { cond / n as f64 } else { 0.0 },
-            baseline_probability: if n > 0 { base / n as f64 } else { 0.0 },
-        };
-        let coverage = HotColdCoverage::measure(cfg, &frequencies, hot_fraction);
-        TraceStats {
-            similarity,
-            layer_correlation,
-            coverage,
-            frequencies,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -405,16 +356,6 @@ mod tests {
             "intensity ratio {}",
             cov.intensity_ratio
         );
-    }
-
-    #[test]
-    fn trace_stats_facade_is_consistent() {
-        let (cfg, gen, trace) = setup(48);
-        let profile = SparsityProfile::for_model(&cfg);
-        let stats = TraceStats::compute(&cfg, gen.popularity(), &trace, profile.hot_fraction, 10);
-        assert_eq!(stats.frequencies.tokens(), 48);
-        assert!(stats.layer_correlation.lift() > 1.0);
-        assert!(stats.coverage.hot_compute_share > stats.coverage.hot_param_share);
     }
 
     #[test]

@@ -275,11 +275,6 @@ impl StatisticalActivityModel {
     pub fn next_token(&mut self) -> TokenActivity {
         self.advance().clone()
     }
-
-    /// Reset the cluster state (context switch).
-    pub fn reset_context(&mut self) {
-        self.clusters.reset();
-    }
 }
 
 #[cfg(test)]
@@ -389,7 +384,6 @@ mod tests {
         let mut b = StatisticalActivityModel::new(&cfg, &profile, 11);
         assert_eq!(a.next_token(), b.next_token());
         assert_eq!(a.tokens_generated(), 1);
-        a.reset_context();
     }
 
     /// `expected_active` as one iterator fold over every cluster, as it was

@@ -122,13 +122,6 @@ impl TraceGenerator {
         self.tokens_generated
     }
 
-    /// Forget the previous token (models a context switch: token-wise
-    /// similarity vanishes, layer-wise correlation remains).
-    pub fn reset_context(&mut self) {
-        self.prev = None;
-        self.clusters.reset();
-    }
-
     /// Generate the activations of the next token.
     pub fn next_token(&mut self) -> TokenActivations {
         let num_layers = self.popularity.num_layers();
@@ -276,18 +269,6 @@ mod tests {
         assert_eq!(ta, tb);
         let mut c = generator(10);
         assert_ne!(ta, c.generate(5));
-    }
-
-    #[test]
-    fn reset_context_breaks_similarity_dependence() {
-        let mut gen = generator(4);
-        let t0 = gen.next_token();
-        gen.reset_context();
-        // After a reset, the next token is drawn from the stationary
-        // distribution; it should not be identical to the previous token.
-        let t1 = gen.next_token();
-        assert_ne!(t0, t1);
-        assert_eq!(gen.tokens_generated(), 2);
     }
 
     #[test]
