@@ -3,8 +3,9 @@
 //!
 //! [`ActiveSet`] is the data-structure heart of the boundary body: it keeps
 //! the batch composition, the preemption victim order and the completion
-//! events all incrementally indexed, so [`ReplicaSim::step_boundary`]
-//! (`super`) pays O(log n) per join/remove instead of rebuilding the batch
+//! events all incrementally indexed, so
+//! [`ReplicaSim::step_boundary`](super::ReplicaSim::step_boundary)
+//! pays O(log n) per join/remove instead of rebuilding the batch
 //! every step the way the sort-based reference scheduler does.
 
 use std::cmp::Reverse;

@@ -95,7 +95,8 @@ impl PrefillPolicy {
 /// a priority tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SchedulingPolicy {
-    /// First come, first served — arrival order, the policy of PR 3/4.
+    /// First come, first served: arrival order, with no regard to class or
+    /// deadline.
     Fcfs,
     /// Priority tiers first ([`RequestClass::priority`](hermes_core::RequestClass),
     /// 0 is most important), arrival order within a tier.
@@ -130,13 +131,13 @@ impl SchedulingPolicy {
 /// Whether the serving scheduler keeps completed prompts' prefix KV blocks
 /// resident for reuse by later requests declaring the same prefix.
 ///
-/// The cache operates over the paged KV pool (it owns block ranges), so
+/// The cache operates over the paged KV pool (it holds whole blocks), so
 /// enabling it requires [`KvAccounting::Paged`]; the simulator rejects it
 /// under reserve accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PrefixCacheMode {
-    /// No caching: every admission prefills its full prompt (the behaviour
-    /// of PR 3–7).
+    /// No caching: every admission prefills its full prompt, and no KV
+    /// outlives the request that computed it.
     Disabled,
     /// Radix-tree prefix cache with least-popular / least-recently-used
     /// eviction: cached blocks stay resident after their sequences complete
@@ -159,8 +160,8 @@ impl PrefixCacheMode {
 /// admitted under the KV-memory or batch caps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PreemptionPolicy {
-    /// Never evict: the queue head waits for capacity to free up naturally
-    /// (head-of-line blocking, the behaviour of PR 3/4).
+    /// Never evict: the queue head waits until running sequences finish
+    /// and free capacity (head-of-line blocking).
     None,
     /// Evict strictly lower-ranked active sequences (worst-ranked first)
     /// until the queue head fits, releasing their KV reservations and

@@ -3,16 +3,15 @@
 //! Random allocate/grow/release interleavings across many slots, checked
 //! after every operation against the allocator's core invariants:
 //!
-//! - **No double allocation** — a block id is owned by at most one page
-//!   table at a time; conservation (`used_blocks == Σ held`) can only hold
-//!   across reuse if no id ever serves two tables.
+//! - **No double allocation** — blocks freed by one slot and allocated to
+//!   another leave every slot's held count and the pool total exact.
 //! - **Alloc/free conservation** — `used_blocks` always equals the sum of
 //!   held blocks and the peak is a monotone high-water mark within any
 //!   bounded capacity.
 //! - **Bounded internal fragmentation** — a sequence holding the blocks
 //!   for a token context wastes less than one block: `held * block_tokens
 //!   - tokens < block_tokens`.
-//! - **Swap round-trip identity** — releasing a page table and immediately
+//! - **Swap round-trip identity** — releasing a slot's blocks and immediately
 //!   re-allocating the same block count (a swap-out followed by a swap-in)
 //!   restores the exact held/used counts.
 //!

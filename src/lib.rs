@@ -14,7 +14,7 @@
 //! * [`scheduler`] — cluster-granularity cold-neuron placement over the
 //!   DIMMs and window-based remapping (Algorithm 1).
 //! * [`ndp`] — the NDP-DIMM hardware model (DRAM timing, GEMV/activation
-//!   units, links, pools).
+//!   units, links).
 //! * [`gpu`] — consumer GPU, host CPU and PCIe cost models.
 //! * [`core`] — the end-to-end Hermes system and the baseline offloading
 //!   systems it is evaluated against, exposed through a step-wise
