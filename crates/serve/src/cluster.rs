@@ -112,7 +112,10 @@ pub enum ReplicaEvent {
     /// prefilling, decoding, swapped-out — is handed back and re-dispatched
     /// (restart with recompute; decode progress re-prefills elsewhere, swap
     /// tier and prefix cache contents are lost), and the machine's pool and
-    /// cache restart cold.
+    /// cache restart cold. Only residency restarts: the replica's report
+    /// keeps its cumulative counters (peak pool blocks, and the cache's
+    /// lookups, hits, reused tokens, insertions and evicted blocks), and
+    /// the cached blocks lost with the machine do not count as evicted.
     Fail { replica: usize, at: f64 },
     /// Make the replica routable again at time `at` (after a drain or
     /// fail); its clock restarts no earlier than `at`.

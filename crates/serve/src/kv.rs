@@ -212,9 +212,8 @@ pub(crate) struct UsageSamples {
 }
 
 impl KvBackend {
-    /// The empty backend `sim` asks for, with `slots` request slots: the
-    /// replica's first, and its cold restart after a failure.
-    pub(crate) fn new(sim: &ServingSimulation, slots: usize) -> Self {
+    /// The empty backend `sim` asks for.
+    pub(crate) fn new(sim: &ServingSimulation) -> Self {
         let token_bytes = token_kv_bytes(&sim.template);
         let KvAccounting::Paged { block_tokens } = sim.admission.accounting else {
             return KvBackend::Reserve {
@@ -225,7 +224,7 @@ impl KvBackend {
         let block_bytes = u64_from_usize(block_tokens) * token_bytes;
         let capacity = sim.admission.kv_memory_bytes.map(|b| b / block_bytes);
         KvBackend::Paged {
-            pool: KvPool::new(block_tokens, block_bytes, capacity, slots),
+            pool: KvPool::new(block_tokens, block_bytes, capacity, 0),
             cache: (sim.prefix_cache != PrefixCacheMode::Disabled)
                 .then(|| Box::new(PrefixCache::new(block_tokens))),
         }
@@ -467,6 +466,20 @@ impl KvBackend {
     pub(crate) fn release_lease(&mut self, lease: Option<PrefixLease>) {
         if let (KvBackend::Paged { cache: Some(c), .. }, Some(lease)) = (self, lease) {
             c.release(lease);
+        }
+    }
+
+    /// Restart the memory of a failed machine, whose requests have all
+    /// released their KV: the cache drops its resident prefixes. The
+    /// pool's high-water mark and the cache's stats are cumulative and
+    /// survive.
+    pub(crate) fn restart_cold(&mut self) {
+        if let KvBackend::Paged {
+            pool,
+            cache: Some(cache),
+        } = self
+        {
+            pool.free(cache.clear());
         }
     }
 

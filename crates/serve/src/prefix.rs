@@ -364,6 +364,19 @@ impl PrefixCache {
         freed
     }
 
+    /// Drop every resident prefix, as a failed machine loses its memory,
+    /// and return the blocks dropped. The stats survive: dropped blocks do
+    /// not count as evicted. No lease may be outstanding.
+    pub(crate) fn clear(&mut self) -> u64 {
+        debug_assert_eq!(self.nodes[0].refs, 0, "clear with a lease outstanding");
+        let dropped = self.resident_blocks();
+        *self = PrefixCache {
+            stats: self.stats,
+            ..PrefixCache::new(self.block_tokens)
+        };
+        dropped
+    }
+
     fn alloc_node(&mut self, node: Node) -> usize {
         match self.free_nodes.pop() {
             Some(id) => {

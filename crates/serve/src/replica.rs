@@ -169,7 +169,7 @@ impl ReplicaSim {
         sim.validate()?;
         let engine = kind.engine(config);
         let plan = engine.plan(&sim.template)?;
-        let kv = KvBackend::new(&sim, 0);
+        let kv = KvBackend::new(&sim);
         Ok(ReplicaSim {
             sim,
             engine,

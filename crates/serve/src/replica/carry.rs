@@ -6,7 +6,6 @@
 //! boundary body in the parent module; the split keeps the hot loop and the
 //! failover machinery readable on their own.
 
-use crate::kv::KvBackend;
 use crate::request::{RequestRecord, ServingRequest};
 use crate::simulator::ServingOutcome;
 use crate::tallies::build_report;
@@ -68,8 +67,8 @@ impl ReplicaSim {
     /// replica's memory: the ready queue (swap-tier contents are lost),
     /// the prefilling set (chunk progress is lost) and the active batch
     /// all hand their requests back for restart-with-recompute elsewhere;
-    /// the paged pool and the prefix cache restart cold. Returned requests
-    /// are sorted by global request id for deterministic re-dispatch.
+    /// the prefix cache restarts cold. Returned requests are sorted by
+    /// global request id for deterministic re-dispatch.
     pub(crate) fn extract_all(&mut self) -> Vec<CarriedRequest> {
         let mut carried = self.extract_pending();
         // Admitted waiters (evicted or swapped-out victims): their swap
@@ -103,9 +102,7 @@ impl ReplicaSim {
         self.pending_first_token.clear();
         self.chunks.clear();
         debug_assert_eq!(self.active_covered_tokens, 0);
-        // The machine's memory restarts cold: fresh pool (the block
-        // high-water mark restarts with it), fresh cache.
-        self.kv = KvBackend::new(&self.sim, self.slots.len());
+        self.kv.restart_cold();
         carried.sort_by_key(|c| c.record.id);
         carried
     }

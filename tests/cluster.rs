@@ -306,6 +306,39 @@ fn one_replica_traced_fleet_reproduces_simulate_bitwise() {
     }
 }
 
+/// A failure takes a machine's memory, not its history: a `Fail` after
+/// the last completion changes no report field except the failed
+/// replica's resident cache blocks and tokens, which restart cold.
+#[test]
+fn fail_after_the_last_completion_keeps_cumulative_counters() {
+    let fleet = |events| {
+        ClusterSimulation::uniform(
+            traced_scenario(),
+            SystemKind::hermes_base(),
+            &SystemConfig::paper_default(),
+            2,
+            RoutingPolicy::RoundRobin,
+        )
+        .with_events(events)
+    };
+    let calm = simulate_cluster(&fleet(Vec::new())).unwrap();
+    let failed = simulate_cluster(&fleet(vec![ReplicaEvent::Fail {
+        replica: 0,
+        at: 1e6,
+    }]))
+    .unwrap();
+    assert!(calm.report.makespan < 1e6);
+    let before = calm.report.replicas[0].report.prefix.as_ref().unwrap();
+    assert!(before.resident_blocks > 0 && before.hits > 0, "{before:?}");
+    let mut report = failed.report.clone();
+    let after = report.replicas[0].report.prefix.as_mut().unwrap();
+    assert_eq!((after.resident_blocks, after.resident_tokens), (0, 0));
+    after.resident_blocks = before.resident_blocks;
+    after.resident_tokens = before.resident_tokens;
+    assert_eq!(report, calm.report);
+    assert_eq!(failed.records, calm.records);
+}
+
 /// `ClusterSimulation::uniform` gives each replica the scenario's
 /// per-machine knobs and none of its sampling traces: the fleet holds one
 /// copy of them, in its scenario.
