@@ -429,7 +429,7 @@ impl ClusterSimulator {
                 }
             }
         }
-        let mut records: Vec<RequestRecord> = Vec::with_capacity(self.requests.len());
+        let mut records: Vec<RequestRecord> = Vec::new();
         let mut replica_reports: Vec<ReplicaReport> = Vec::with_capacity(self.replicas.len());
         for (idx, (mut replica, label)) in self.replicas.into_iter().zip(self.labels).enumerate() {
             replica.run_to_completion()?;
