@@ -61,8 +61,11 @@ pub enum BoundaryOutcome {
 /// injection order.
 struct RequestSlot {
     /// The request, its rank, its decode progress and its record: what
-    /// travels with it when a drain or failure hands it back.
-    carried: CarriedRequest,
+    /// travels with it when a drain or failure hands it back. Boxed, so
+    /// the slot vector, which grows by doubling over the replica's whole
+    /// life, holds 72-byte slots: its outgrown buffers stay small enough
+    /// for the heap to reuse.
+    carried: Box<CarriedRequest>,
     /// Worst-case KV bytes (`prompt_len + gen_len` tokens).
     kv_bytes: u64,
     /// Bytes a swapped-out victim holds on the swap tier, awaiting the
@@ -264,7 +267,7 @@ impl ReplicaSim {
         self.kv.ensure_slots(idx + 1);
         self.waiting_kv_bytes += kv_bytes;
         self.slots.push(RequestSlot {
-            carried,
+            carried: Box::new(carried),
             kv_bytes,
             swapped: None,
             covered: 0,

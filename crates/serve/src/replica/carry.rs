@@ -43,7 +43,7 @@ impl ReplicaSim {
         // The not-yet-arrived tail never entered the ready queue.
         for slot in self.slots.drain(self.next_arrival..) {
             self.waiting_kv_bytes -= slot.kv_bytes;
-            carried.push(slot.carried);
+            carried.push(*slot.carried);
         }
         // Never-admitted waiters leave; preempted/swapped victims stay and
         // finish here.
@@ -111,7 +111,7 @@ impl ReplicaSim {
     fn carry_out(&mut self, idx: usize) -> CarriedRequest {
         self.slots[idx].extracted = true;
         self.extracted_count += 1;
-        self.slots[idx].carried.clone()
+        (*self.slots[idx].carried).clone()
     }
 
     /// Restart a recovered replica's clock at `t` (it was dead in

@@ -198,7 +198,8 @@ impl PreemptionPolicy {
 
 /// Default tokens per KV block under paged accounting — the common
 /// vLLM-style page size: small enough that a sequence wastes little of its
-/// last partial block, large enough that page-table churn stays cheap.
+/// last partial block, large enough that a sequence grows only once every
+/// 16 decoded tokens.
 pub const DEFAULT_BLOCK_TOKENS: usize = 16;
 
 /// How admission charges a request against the KV-memory budget.
