@@ -949,7 +949,6 @@ mod tests {
                         "{context}"
                     );
                     assert_holds_no_request_kv(&replica, &format!("{context}, after a failure"));
-                    assert_pool_conserved(&replica, &context);
                 }
                 assert!(
                     preempted > 0,
