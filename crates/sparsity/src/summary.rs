@@ -187,7 +187,10 @@ fn powi_lanes(base: &mut [f64], power: &mut [f64], mut exp: u32) {
 }
 
 /// Cluster activity of every (layer, block) for one generated token.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The default holds no layers: a buffer that
+/// [`StatisticalActivityModel::advance_into`] shapes at its first use.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TokenActivity {
     layers: Vec<[BlockActivity; 2]>,
 }
@@ -205,6 +208,25 @@ impl TokenActivity {
     pub fn num_layers(&self) -> usize {
         self.layers.len()
     }
+
+    /// Overwrite every multiplier with the current one of `clusters`,
+    /// reshaping the buffers first if they hold another shape.
+    fn refresh(&mut self, clusters: &ModelClusterProcess) {
+        self.layers.resize_with(clusters.num_layers(), || {
+            Block::ALL.map(|_| BlockActivity {
+                multipliers: Vec::new(),
+            })
+        });
+        for (l, layer) in self.layers.iter_mut().enumerate() {
+            for (activity, block) in layer.iter_mut().zip(Block::ALL) {
+                let process = clusters.block(l, block);
+                activity.multipliers.clear();
+                activity
+                    .multipliers
+                    .extend((0..process.num_clusters()).map(|c| process.multiplier(c)));
+            }
+        }
+    }
 }
 
 /// Cluster-granularity activity generator: the fast path used by the
@@ -215,7 +237,7 @@ pub struct StatisticalActivityModel {
     rng: SmallRng,
     tokens_generated: usize,
     /// Activity of the latest token, refreshed in place by
-    /// [`advance`](Self::advance).
+    /// [`advance`](Self::advance); empty before the first.
     token: TokenActivity,
 }
 
@@ -228,20 +250,11 @@ impl StatisticalActivityModel {
             cfg.neurons_per_layer(Block::Mlp),
             profile,
         );
-        let token = TokenActivity {
-            layers: (0..clusters.num_layers())
-                .map(|l| {
-                    Block::ALL.map(|block| BlockActivity {
-                        multipliers: vec![0.0; clusters.block(l, block).num_clusters()],
-                    })
-                })
-                .collect(),
-        };
         StatisticalActivityModel {
             clusters,
             rng: SmallRng::seed_from_u64(seed ^ 0xac71_71fb_0001),
             tokens_generated: 0,
-            token,
+            token: TokenActivity::default(),
         }
     }
 
@@ -258,17 +271,20 @@ impl StatisticalActivityModel {
     /// Advance by one token and return its per-block activity multipliers,
     /// refreshed in place.
     pub fn advance(&mut self) -> &TokenActivity {
+        let mut token = std::mem::take(&mut self.token);
+        self.advance_into(&mut token);
+        self.token = token;
+        &self.token
+    }
+
+    /// Advance by one token and write its per-block activity multipliers
+    /// into `token`, reusing its buffers: the token
+    /// [`advance`](Self::advance) would return. A buffer of another shape,
+    /// such as [`TokenActivity::default`], is reshaped first.
+    pub fn advance_into(&mut self, token: &mut TokenActivity) {
         self.clusters.step(&mut self.rng);
         self.tokens_generated += 1;
-        for (l, layer) in self.token.layers.iter_mut().enumerate() {
-            for (activity, block) in layer.iter_mut().zip(Block::ALL) {
-                let process = self.clusters.block(l, block);
-                for (c, m) in activity.multipliers.iter_mut().enumerate() {
-                    *m = process.multiplier(c);
-                }
-            }
-        }
-        &self.token
+        token.refresh(&self.clusters);
     }
 
     /// Advance by one token and return a copy of its activity.
@@ -482,10 +498,18 @@ mod tests {
         let profile = SparsityProfile::for_model(&cfg);
         let mut model = StatisticalActivityModel::new(&cfg, &profile, 12);
         let mut copies = StatisticalActivityModel::new(&cfg, &profile, 12);
+        let mut into = StatisticalActivityModel::new(&cfg, &profile, 12);
+        // `advance_into` reshapes a buffer drawn for a deeper model, then
+        // reuses it.
+        let mut deeper = cfg.clone();
+        deeper.num_layers += 3;
+        let mut buffer = StatisticalActivityModel::new(&deeper, &profile, 12).next_token();
         for _ in 0..4 {
             let copy = copies.next_token();
             let token = model.advance().clone();
             assert_eq!(token, copy);
+            into.advance_into(&mut buffer);
+            assert_eq!(buffer, copy);
             for l in 0..cfg.num_layers {
                 for block in Block::ALL {
                     let process = model.clusters().block(l, block);
@@ -501,5 +525,6 @@ mod tests {
             }
         }
         assert_eq!(model.tokens_generated(), 4);
+        assert_eq!(into.tokens_generated(), 4);
     }
 }
