@@ -14,6 +14,7 @@ use hermes_sparsity::{
     ClusterPopSums, NeuronPopularity, SparsityProfile, StatisticalActivityModel,
 };
 
+use crate::activity::ActivityStream;
 use crate::engine::{BatchState, Planned, StepCostModel, StepOutcome};
 use crate::report::LatencyBreakdown;
 use crate::{SystemConfig, Workload};
@@ -187,7 +188,7 @@ struct DejaVuCostModel {
     cfg: ModelConfig,
     shape: LayerShape,
     kernel: KernelCostModel,
-    activity: StatisticalActivityModel,
+    activity: ActivityStream,
     /// Cluster sums of the full sparse set, for expected activated unions.
     full: Vec<[ClusterPopSums; 2]>,
     resident_fraction: f64,
@@ -308,7 +309,7 @@ pub(crate) fn dejavu_plan(workload: &Workload, config: &SystemConfig) -> Planned
         cfg,
         shape,
         kernel,
-        activity,
+        activity: ActivityStream::new(activity),
         full,
         resident_fraction,
         bandwidth,

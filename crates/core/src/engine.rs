@@ -260,6 +260,10 @@ pub trait StepCostModel {
 
     /// Price one decode step over the given batch composition and advance
     /// the model's internal per-token state.
+    ///
+    /// The sparse cost models start a helper thread at their first
+    /// non-empty step, when a spare core is free, and join it on drop (see
+    /// [`PlannedRun`]); an empty batch starts nothing.
     fn decode_cost(&mut self, batch: &BatchState) -> StepOutcome;
 
     /// Price one combined step: the given prefill chunks piggybacked on a
@@ -347,6 +351,11 @@ pub struct SessionSpec {
 
 /// A validated, planned run: the static metadata plus the dynamic-batch
 /// cost model that prices it, produced by [`Engine::plan`].
+///
+/// The cost model of a sparse system (every Hermes variant except
+/// Hermes-base, and Deja Vu) may start one helper thread at its first
+/// decode step, to draw the activity stream one step ahead on a spare
+/// core, and joins it on drop. The helper changes no priced bit.
 pub struct PlannedRun {
     /// Static metadata of the planned run.
     pub spec: SessionSpec,
@@ -427,6 +436,12 @@ impl Engine {
     /// Validate `workload` with [`Engine::validate`] and plan a run for it:
     /// the static metadata plus the [`StepCostModel`] that prices decode
     /// steps for any batch composition.
+    ///
+    /// Planning starts no thread. A sparse system's plan may start one
+    /// helper thread at its first decode step and joins it on drop (see
+    /// [`PlannedRun`]); at most `available_parallelism() − 1` helpers run
+    /// in a process, and a plan that finds none free draws inline, with
+    /// the same results.
     ///
     /// # Errors
     ///

@@ -11,6 +11,7 @@ use hermes_predictor::HermesPredictor;
 use hermes_scheduler::ColdPlacementPolicy;
 use hermes_sparsity::{NeuronPopularity, SparsityProfile, StatisticalActivityModel};
 
+use crate::activity::ActivityStream;
 use crate::engine::{BatchState, Planned, StepCostModel, StepOutcome};
 use crate::error::HermesError;
 pub use crate::planner::MappingPolicy;
@@ -125,7 +126,7 @@ struct SparseCostModel {
     variant: HermesVariant,
     predictor_time_per_token: f64,
     plan: NeuronPlan,
-    activity: StatisticalActivityModel,
+    activity: ActivityStream,
     host_cpu: HostCpu,
     pcie: PcieLink,
     hot_bytes: u64,
@@ -500,7 +501,7 @@ fn sparse_plan(
         variant,
         predictor_time_per_token,
         plan,
-        activity,
+        activity: ActivityStream::new(activity),
         host_cpu: config.host_cpu.clone(),
         pcie: config.pcie.clone(),
         hot_bytes,
@@ -708,7 +709,10 @@ mod tests {
     fn an_empty_batch_does_not_advance_decode_state() {
         // `chunked_step_cost` relies on this: a pure-prefill step prices no
         // decode work, so it must leave the activity stream and the
-        // remapping window where they were.
+        // remapping window where they were. Nor may validating, planning,
+        // prefilling or an empty batch start the stream: only the first
+        // priced decode step may start its producer thread.
+        let started = || crate::activity::STARTED.with(std::cell::Cell::get);
         let w = quick_workload(ModelId::Opt13B);
         let config = SystemConfig::paper_default();
         let empty = BatchState::new(vec![]);
@@ -717,12 +721,17 @@ mod tests {
             tokens: 16,
         }];
         for kind in [SystemKind::hermes(), SystemKind::DejaVu] {
-            let mk = || kind.engine(&config).plan(&w).unwrap();
-            let mut fresh = mk();
-            let mut primed = mk();
+            let engine = kind.engine(&config);
+            let before = started();
+            engine.validate(&w).unwrap();
+            let mut fresh = engine.plan(&w).unwrap();
+            let mut primed = engine.plan(&w).unwrap();
             let idle = primed.cost.decode_cost(&empty);
             assert_eq!(idle, StepOutcome::balanced(LatencyBreakdown::default()));
             primed.cost.chunked_step_cost(&chunks, &empty);
+            let mut session = engine.start(&w).unwrap();
+            session.prefill().unwrap();
+            assert_eq!(started(), before, "{kind:?} before a decode step");
             // Seven steps cross the five-step remapping window; `{:?}`
             // prints every float so that it reads back to the same bits.
             for step in 0..7 {
@@ -735,6 +744,9 @@ mod tests {
                     "{kind:?} step {step}"
                 );
             }
+            assert_eq!(started(), before + 2, "{kind:?} after two plans' steps");
+            session.step().unwrap();
+            assert_eq!(started(), before + 3, "{kind:?} after a session step");
         }
     }
 }

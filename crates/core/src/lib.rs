@@ -67,6 +67,7 @@
 // Library code routes failures through `HermesError`; tests may assert.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+mod activity;
 pub mod baselines;
 pub mod cast;
 pub mod config;
