@@ -14,9 +14,16 @@
 //! start, the stream draws inline. If the producer is lost mid-run, the
 //! stream replays the tokens it took from it on its own copy of the model
 //! and goes on inline. Every path yields the same tokens.
+//!
+//! Each side spins for a while before it sleeps on an empty channel. A
+//! stream waits for its next token at every step when drawing is the
+//! slower side, and a producer for a free buffer when pricing is; an idle
+//! core that sleeps at each of those waits must be woken again, which on a
+//! virtual machine goes through the host and makes a step's time depend on
+//! what else the host runs.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, RecvError, SyncSender, TryRecvError};
 use std::sync::OnceLock;
 use std::thread::JoinHandle;
 
@@ -25,6 +32,28 @@ use hermes_sparsity::{StatisticalActivityModel, TokenActivity};
 /// Token buffers a stream and its producer share: the token being priced
 /// and up to three drawn ahead of it.
 const RING: usize = 4;
+
+/// Checks a side makes, [`SPIN_PAUSES`] spin hints apart, for its next
+/// buffer before it sleeps: half a millisecond to two, as the CPU's spin
+/// hint is short or long, and longer than either side's work on a token.
+const SPINS: usize = 2048;
+const SPIN_PAUSES: usize = 16;
+
+/// Receive from `rx`, spinning for up to [`SPINS`] checks before sleeping.
+fn spin_recv<T>(rx: &Receiver<T>) -> Result<T, RecvError> {
+    for _ in 0..SPINS {
+        match rx.try_recv() {
+            Ok(value) => return Ok(value),
+            Err(TryRecvError::Disconnected) => return Err(RecvError),
+            Err(TryRecvError::Empty) => {
+                for _ in 0..SPIN_PAUSES {
+                    std::hint::spin_loop();
+                }
+            }
+        }
+    }
+    rx.recv()
+}
 
 /// The producer slots of this process: one per core beyond the first,
 /// counted at the first spawn.
@@ -175,7 +204,7 @@ impl Producer {
             .name("activity-stream".to_string())
             .spawn(move || {
                 for _ in 0..produce {
-                    let Ok(mut token) = empty_rx.recv() else {
+                    let Ok(mut token) = spin_recv(&empty_rx) else {
                         return;
                     };
                     model.advance_into(&mut token);
@@ -203,7 +232,7 @@ impl Producer {
     /// Take the next token into `current` and hand the last one back for
     /// reuse; `false` once the thread is gone.
     fn receive(&mut self) -> bool {
-        let Ok(next) = self.filled.recv() else {
+        let Ok(next) = spin_recv(&self.filled) else {
             return false;
         };
         let priced = std::mem::replace(&mut self.current, next);
