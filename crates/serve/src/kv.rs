@@ -6,8 +6,8 @@
 //! the blocks a sequence *actually holds*: `ceil(context / block_tokens)`
 //! blocks, growing by one whenever a decoded token crosses a block
 //! boundary. Every report reads block counts, never block identities, so
-//! the pool keeps one held-block count per request slot plus the pool-wide
-//! used count and its high-water mark.
+//! each request's slot in the replica counts the blocks it holds, and the
+//! pool keeps only the pool-wide used count and its high-water mark.
 //!
 //! Internal fragmentation is bounded by construction: a sequence wastes at
 //! most one partial block (its last), so the pool-wide waste fraction is at
@@ -31,137 +31,46 @@ use crate::scheduler::{token_kv_bytes, AdmissionConfig, KvAccounting, PrefixCach
 use crate::simulator::{validate_paged_capacity, ServingSimulation};
 use crate::tallies::{KvTallies, PrefixTallies};
 
-/// A paged KV-cache allocator over a bounded (or unbounded) pool of
-/// fixed-size blocks, counting the blocks each request slot holds.
-///
-/// The pool is conserved: `used_blocks` is always the slots' held blocks
-/// plus the blocks taken for the prefix cache, and the proptests in
-/// `tests/kv_pool.rs` hold it to that.
-#[derive(Debug, Clone)]
-pub struct KvPool {
+/// The paged pool's block counts: capacity, blocks in use and their
+/// high-water mark. Which request holds how many blocks lives in the
+/// replica's request slots; `used_blocks` is their own pages plus the
+/// blocks taken for the prefix cache.
+pub(crate) struct KvPool {
     /// Tokens per block.
     block_tokens: usize,
     /// Bytes per block.
     block_bytes: u64,
     /// Pool capacity in blocks (`None` = unbounded).
     capacity_blocks: Option<u64>,
-    /// Blocks each request slot currently holds.
-    held: Vec<u64>,
-    /// Blocks currently held: the slots' plus the prefix cache's.
+    /// Blocks currently held: the requests' own pages plus the cache's.
     used_blocks: u64,
     /// High-water mark of `used_blocks`.
     peak_blocks: u64,
 }
 
 impl KvPool {
-    /// An empty pool of `capacity_blocks` blocks (`None` = unbounded) with
-    /// `slots` request slots holding nothing.
-    pub fn new(
-        block_tokens: usize,
-        block_bytes: u64,
-        capacity_blocks: Option<u64>,
-        slots: usize,
-    ) -> Self {
-        assert!(block_tokens >= 1, "blocks must hold at least one token");
-        KvPool {
-            block_tokens,
-            block_bytes,
-            capacity_blocks,
-            held: vec![0; slots],
-            used_blocks: 0,
-            peak_blocks: 0,
-        }
-    }
-
-    /// Grow the pool to cover `slots` request slots (new slots hold
-    /// nothing; existing ones are untouched). Lets a resumable replica
-    /// accept injected requests over its lifetime instead of sizing every
-    /// slot up front.
-    pub fn ensure_slots(&mut self, slots: usize) {
-        if self.held.len() < slots {
-            self.held.resize(slots, 0);
-        }
-    }
-
-    /// Tokens per block.
-    pub fn block_tokens(&self) -> usize {
-        self.block_tokens
-    }
-
-    /// Bytes per block.
-    pub fn block_bytes(&self) -> u64 {
-        self.block_bytes
-    }
-
-    /// Pool capacity in blocks (`None` = unbounded).
-    pub fn capacity_blocks(&self) -> Option<u64> {
-        self.capacity_blocks
-    }
-
-    /// Blocks currently held, by the slots and the prefix cache.
-    pub fn used_blocks(&self) -> u64 {
-        self.used_blocks
-    }
-
-    /// High-water mark of held blocks.
-    pub fn peak_blocks(&self) -> u64 {
-        self.peak_blocks
-    }
-
     /// Blocks needed to hold a context of `tokens` tokens:
     /// `ceil(tokens / block_tokens)`.
-    pub fn blocks_for_tokens(&self, tokens: usize) -> u64 {
+    pub(crate) fn blocks_for_tokens(&self, tokens: usize) -> u64 {
         u64_from_usize(tokens.div_ceil(self.block_tokens))
     }
 
     /// Whether `extra` more blocks fit under the pool capacity.
-    pub fn fits(&self, extra: u64) -> bool {
-        match self.capacity_blocks {
-            Some(cap) => self.used_blocks + extra <= cap,
-            None => true,
-        }
+    fn fits(&self, extra: u64) -> bool {
+        self.capacity_blocks
+            .is_none_or(|cap| self.used_blocks + extra <= cap)
     }
 
-    /// Blocks currently held by request slot `idx`.
-    pub fn held(&self, idx: usize) -> u64 {
-        self.held[idx]
-    }
-
-    /// Allocate `blocks` more blocks to slot `idx`.
-    ///
-    /// The caller must have checked [`KvPool::fits`]; allocating past a
-    /// bounded capacity is a scheduler bug.
-    pub fn allocate(&mut self, idx: usize, blocks: u64) {
-        self.take(blocks);
-        self.held[idx] += blocks;
-    }
-
-    /// Allocate one more block to slot `idx` (a decoded token crossed a
-    /// block boundary).
-    pub fn grow(&mut self, idx: usize) {
-        self.allocate(idx, 1);
-    }
-
-    /// Release every block slot `idx` holds and return how many were
-    /// freed.
-    pub fn release(&mut self, idx: usize) -> u64 {
-        let freed = std::mem::take(&mut self.held[idx]);
-        self.free(freed);
-        freed
-    }
-
-    /// Take `blocks` blocks outside any request slot. The prefix cache
-    /// holds resident prefixes this way: the blocks count against
-    /// `used_blocks` (and the high-water mark) like a slot's, but belong to
-    /// the cache. The caller must have checked [`KvPool::fits`].
-    pub(crate) fn take(&mut self, blocks: u64) {
+    /// Take `blocks` blocks, for a request's own pages or for the cache.
+    /// The caller must have checked [`KvPool::fits`].
+    fn take(&mut self, blocks: u64) {
         debug_assert!(self.fits(blocks), "allocation past pool capacity");
         self.used_blocks += blocks;
         self.peak_blocks = self.peak_blocks.max(self.used_blocks);
     }
 
     /// Return `blocks` blocks taken with [`KvPool::take`].
-    pub(crate) fn free(&mut self, blocks: u64) {
+    fn free(&mut self, blocks: u64) {
         self.used_blocks -= blocks;
     }
 }
@@ -186,13 +95,14 @@ pub(crate) enum KvBackend {
     },
 }
 
-/// One waiter's admission, planned before anything is mutated. `need` is
-/// in the backend's unit: bytes under reserve, blocks under paged.
+/// One waiter's admission, planned before anything is mutated. Its counts
+/// are in the backend's unit: bytes under reserve, blocks under paged.
 pub(crate) struct AdmissionPlan {
-    /// The reservation, or own pages plus the blocks caching the prefix.
+    /// What the request holds once admitted: its reservation, or its own
+    /// pages (the context plus one write slot, minus the covered run).
+    pub(crate) held: u64,
+    /// `held` plus the blocks that will cache its prefix.
     need: u64,
-    /// Own pages: the context plus one write slot, minus the covered run.
-    own_blocks: u64,
     /// Unpinned cache blocks off the matched path, reclaimable first.
     reclaimable: u64,
     /// `(cacheable prefix length, resident part)` of the cache lookup;
@@ -222,18 +132,16 @@ impl KvBackend {
             };
         };
         let block_bytes = u64_from_usize(block_tokens) * token_bytes;
-        let capacity = sim.admission.kv_memory_bytes.map(|b| b / block_bytes);
         KvBackend::Paged {
-            pool: KvPool::new(block_tokens, block_bytes, capacity, 0),
+            pool: KvPool {
+                block_tokens,
+                block_bytes,
+                capacity_blocks: sim.admission.kv_memory_bytes.map(|b| b / block_bytes),
+                used_blocks: 0,
+                peak_blocks: 0,
+            },
             cache: (sim.prefix_cache != PrefixCacheMode::Disabled)
                 .then(|| Box::new(PrefixCache::new(block_tokens))),
-        }
-    }
-
-    /// Grow the pool to cover `slots` request slots.
-    pub(crate) fn ensure_slots(&mut self, slots: usize) {
-        if let KvBackend::Paged { pool, .. } = self {
-            pool.ensure_slots(slots);
         }
     }
 
@@ -247,7 +155,7 @@ impl KvBackend {
         let KvBackend::Paged { pool, .. } = self else {
             return Ok(());
         };
-        validate_paged_capacity(pool.block_tokens(), pool.capacity_blocks(), requests, sim)
+        validate_paged_capacity(pool.block_tokens, pool.capacity_blocks, requests, sim)
     }
 
     /// Bytes held by resident work: pool blocks (cached prefixes
@@ -255,7 +163,7 @@ impl KvBackend {
     pub(crate) fn held_bytes(&self) -> u64 {
         match self {
             KvBackend::Reserve { held_bytes, .. } => *held_bytes,
-            KvBackend::Paged { pool, .. } => pool.used_blocks() * pool.block_bytes(),
+            KvBackend::Paged { pool, .. } => pool.used_blocks * pool.block_bytes,
         }
     }
 
@@ -295,8 +203,8 @@ impl KvBackend {
         resumed_covered: Option<usize>,
     ) -> AdmissionPlan {
         let mut plan = AdmissionPlan {
+            held: reserved,
             need: reserved,
-            own_blocks: 0,
             reclaimable: 0,
             lookup: None,
             covered: resumed_covered.unwrap_or(0),
@@ -315,20 +223,21 @@ impl KvBackend {
                 plan.lookup = Some((len, found.matched));
                 plan.covered = found.matched;
                 if found.can_insert && found.matched < len {
-                    insert_blocks = u64_from_usize((len - found.matched) / pool.block_tokens());
+                    insert_blocks = u64_from_usize((len - found.matched) / pool.block_tokens);
                     plan.covered = len;
                 }
             }
         }
-        plan.own_blocks = pool.blocks_for_tokens(context + 1 - plan.covered);
-        plan.need = plan.own_blocks + insert_blocks;
+        plan.held = pool.blocks_for_tokens(context + 1 - plan.covered);
+        plan.need = plan.held + insert_blocks;
         plan
     }
 
     /// Whether a planned admission fits with `seats` sequences seated once
-    /// preemption victims release `freed` units. Unpinned cache blocks
-    /// count as capacity: they are evicted before an admission is declared
-    /// infeasible.
+    /// preemption victims release `freed` units (what they held). Unpinned
+    /// cache blocks count as capacity: they are evicted before an admission
+    /// is declared infeasible. A victim's covered run is conservatively
+    /// unreclaimable: another in-flight lease may pin the same nodes.
     pub(crate) fn fits(
         &self,
         admission: &AdmissionConfig,
@@ -341,32 +250,20 @@ impl KvBackend {
                 admission.admits(seats, held_bytes - freed, plan.need)
             }
             KvBackend::Paged { pool, .. } => {
-                let cap = pool.capacity_blocks().unwrap_or(u64::MAX);
+                let cap = pool.capacity_blocks.unwrap_or(u64::MAX);
                 admission.admits(seats, 0, 0)
-                    && pool.used_blocks() + plan.need
+                    && pool.used_blocks + plan.need
                         <= cap.saturating_add(plan.reclaimable).saturating_add(freed)
             }
         }
     }
 
-    /// The units preempting active request `idx` frees for
-    /// [`KvBackend::fits`]: its `reserved` bytes, or its own pages. Its
-    /// covered run is conservatively unreclaimable — another in-flight
-    /// lease may pin the same nodes.
-    pub(crate) fn frees(&self, idx: usize, reserved: u64) -> u64 {
-        match self {
-            KvBackend::Reserve { .. } => reserved,
-            KvBackend::Paged { pool, .. } => pool.held(idx),
-        }
-    }
-
-    /// Commit a planned admission of request `idx`: take its reservation,
-    /// or pin its cached prefix, reclaim cache blocks for any shortfall,
-    /// cache its unmatched prefix and allocate its own pages. Returns the
-    /// lease and matched run when the cache was consulted.
+    /// Commit a planned admission: take its reservation, or pin its cached
+    /// prefix, reclaim cache blocks for any shortfall, cache its unmatched
+    /// prefix and take its own pages. The request then holds `plan.held`.
+    /// Returns the lease and matched run when the cache was consulted.
     pub(crate) fn charge(
         &mut self,
-        idx: usize,
         plan: &AdmissionPlan,
         prefix: &[u64],
     ) -> Option<(PrefixLease, usize)> {
@@ -378,7 +275,7 @@ impl KvBackend {
             KvBackend::Paged { pool, cache } => (pool, cache),
         };
         let Some(cache) = cache else {
-            pool.allocate(idx, plan.own_blocks);
+            pool.take(plan.held);
             return None;
         };
         let mut claim = plan.lookup.map(|(len, matched)| {
@@ -386,36 +283,40 @@ impl KvBackend {
             debug_assert_eq!(found, matched, "plan and acquire must agree");
             (lease, len, matched)
         });
-        let cap = pool.capacity_blocks().unwrap_or(u64::MAX);
-        let shortfall = (pool.used_blocks() + plan.need).saturating_sub(cap);
+        let cap = pool.capacity_blocks.unwrap_or(u64::MAX);
+        let shortfall = (pool.used_blocks + plan.need).saturating_sub(cap);
         if shortfall > 0 {
             pool.free(cache.evict_for(shortfall));
         }
-        let insert_blocks = plan.need - plan.own_blocks;
+        let insert_blocks = plan.need - plan.held;
         if let Some((lease, len, matched)) = claim.as_mut().filter(|_| insert_blocks > 0) {
             pool.take(insert_blocks);
             cache.insert(lease, &prefix[*matched..*len]);
         }
-        pool.allocate(idx, plan.own_blocks);
+        pool.take(plan.held);
         claim.map(|(lease, _, matched)| (lease, matched))
     }
 
-    /// The requests among `(request, tokens)` pairs whose own pages hold
-    /// fewer blocks than `tokens` need. Reservations never grow.
-    pub(crate) fn growers(&self, contexts: impl Iterator<Item = (usize, usize)>) -> Vec<usize> {
+    /// The requests among `(request, held, tokens)` triples whose own
+    /// pages (`held`) are fewer blocks than `tokens` need. Reservations
+    /// never grow.
+    pub(crate) fn growers(
+        &self,
+        contexts: impl Iterator<Item = (usize, u64, usize)>,
+    ) -> Vec<usize> {
         match self {
             KvBackend::Reserve { .. } => Vec::new(),
             KvBackend::Paged { pool, .. } => contexts
-                .filter(|&(idx, tokens)| pool.held(idx) < pool.blocks_for_tokens(tokens))
-                .map(|(idx, _)| idx)
+                .filter(|&(_, held, tokens)| held < pool.blocks_for_tokens(tokens))
+                .map(|(idx, ..)| idx)
                 .collect(),
         }
     }
 
-    /// Give request `idx` one more block, reclaiming unpinned cache blocks
-    /// when the pool is full. `false` when it stays full: the caller must
-    /// preempt.
-    pub(crate) fn try_grow(&mut self, idx: usize) -> bool {
+    /// Take one more block for a growing request, reclaiming unpinned
+    /// cache blocks when the pool is full. `false` when it stays full: the
+    /// caller must preempt.
+    pub(crate) fn try_grow(&mut self) -> bool {
         let KvBackend::Paged { pool, cache } = self else {
             return true;
         };
@@ -423,41 +324,39 @@ impl KvBackend {
             let Some(cache) = cache else {
                 return false;
             };
-            let cap = pool.capacity_blocks().unwrap_or(u64::MAX);
-            let shortfall = (pool.used_blocks() + 1).saturating_sub(cap);
+            let cap = pool.capacity_blocks.unwrap_or(u64::MAX);
+            let shortfall = (pool.used_blocks + 1).saturating_sub(cap);
             pool.free(cache.evict_for(shortfall));
             if !pool.fits(1) {
                 return false;
             }
         }
-        pool.grow(idx);
+        pool.take(1);
         true
     }
 
-    /// Give request `idx` the block a preemption just freed.
-    pub(crate) fn grow(&mut self, idx: usize) {
+    /// Take the block a preemption just freed for a growing request.
+    pub(crate) fn grow(&mut self) {
         if let KvBackend::Paged { pool, .. } = self {
-            pool.grow(idx);
+            pool.take(1);
         }
     }
 
-    /// The KV bytes request `idx` has written with `context` tokens
-    /// computed, which a swap-out moves: its pages, or the context's part
-    /// of its reservation.
-    pub(crate) fn written_bytes(&self, idx: usize, context: usize) -> u64 {
+    /// The KV bytes a request holding `held` units has written with
+    /// `context` tokens computed, which a swap-out moves: its pages, or
+    /// the context's part of its reservation.
+    pub(crate) fn written_bytes(&self, held: u64, context: usize) -> u64 {
         match self {
             KvBackend::Reserve { token_bytes, .. } => u64_from_usize(context) * token_bytes,
-            KvBackend::Paged { pool, .. } => pool.held(idx) * pool.block_bytes(),
+            KvBackend::Paged { pool, .. } => held * pool.block_bytes,
         }
     }
 
-    /// Release request `idx`'s own pages, or its `reserved` bytes.
-    pub(crate) fn release(&mut self, idx: usize, reserved: u64) {
+    /// Release what a request held: its own pages, or its reservation.
+    pub(crate) fn release(&mut self, held: u64) {
         match self {
-            KvBackend::Reserve { held_bytes, .. } => *held_bytes -= reserved,
-            KvBackend::Paged { pool, .. } => {
-                pool.release(idx);
-            }
+            KvBackend::Reserve { held_bytes, .. } => *held_bytes -= held,
+            KvBackend::Paged { pool, .. } => pool.free(held),
         }
     }
 
@@ -489,7 +388,7 @@ impl KvBackend {
     pub(crate) fn sample(&self, samples: &mut UsageSamples, stored_tokens: impl FnOnce() -> u64) {
         if let KvBackend::Paged { pool, cache } = self {
             samples.steps += 1;
-            samples.block_steps += pool.used_blocks();
+            samples.block_steps += pool.used_blocks;
             samples.used_token_steps +=
                 stored_tokens() + cache.as_ref().map_or(0, |c| c.resident_tokens());
         }
@@ -505,10 +404,10 @@ impl KvBackend {
             return (None, None);
         };
         let kv = KvTallies {
-            block_tokens: pool.block_tokens(),
-            block_bytes: pool.block_bytes(),
-            capacity_blocks: pool.capacity_blocks(),
-            peak_blocks: pool.peak_blocks(),
+            block_tokens: pool.block_tokens,
+            block_bytes: pool.block_bytes,
+            capacity_blocks: pool.capacity_blocks,
+            peak_blocks: pool.peak_blocks,
             block_steps: samples.block_steps,
             used_token_steps: samples.used_token_steps,
             steps: samples.steps,
@@ -524,12 +423,37 @@ impl KvBackend {
 }
 
 #[cfg(test)]
+impl KvPool {
+    pub(crate) fn used_blocks(&self) -> u64 {
+        self.used_blocks
+    }
+
+    pub(crate) fn peak_blocks(&self) -> u64 {
+        self.peak_blocks
+    }
+
+    pub(crate) fn capacity_blocks(&self) -> Option<u64> {
+        self.capacity_blocks
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
+    fn empty_pool(block_tokens: usize, capacity_blocks: Option<u64>) -> KvPool {
+        KvPool {
+            block_tokens,
+            block_bytes: u64_from_usize(block_tokens) * 64,
+            capacity_blocks,
+            used_blocks: 0,
+            peak_blocks: 0,
+        }
+    }
+
     #[test]
     fn block_math_is_ceiling_division() {
-        let pool = KvPool::new(16, 1024, None, 0);
+        let pool = empty_pool(16, None);
         assert_eq!(pool.blocks_for_tokens(0), 0);
         assert_eq!(pool.blocks_for_tokens(1), 1);
         assert_eq!(pool.blocks_for_tokens(16), 1);
@@ -538,53 +462,31 @@ mod tests {
     }
 
     #[test]
-    fn freed_blocks_are_reused_before_minting() {
-        let mut pool = KvPool::new(4, 64, Some(8), 2);
-        pool.allocate(0, 3);
-        assert_eq!(pool.held(0), 3);
-        assert_eq!(pool.used_blocks(), 3);
-        assert_eq!(pool.release(0), 3);
-        assert_eq!(pool.used_blocks(), 0);
-        // The next allocation reuses the freed capacity: the high-water
-        // mark stays at 3.
-        pool.allocate(1, 2);
-        assert_eq!(pool.held(1), 2);
-        assert_eq!(pool.peak_blocks(), 3);
-    }
-
-    #[test]
     fn capacity_gates_fits() {
-        let mut pool = KvPool::new(4, 64, Some(2), 1);
+        let mut pool = empty_pool(4, Some(2));
         assert!(pool.fits(2));
         assert!(!pool.fits(3));
-        pool.allocate(0, 2);
+        pool.take(2);
         assert!(!pool.fits(1));
-        let unbounded = KvPool::new(4, 64, None, 1);
-        assert!(unbounded.fits(u64::MAX / 2));
+        assert!(empty_pool(4, None).fits(u64::MAX / 2));
     }
 
+    /// Taken blocks count as used until freed, freed blocks are capacity
+    /// again at once, and the peak keeps the highest use.
     #[test]
-    fn acquired_blocks_round_trip_through_the_free_list() {
-        let mut pool = KvPool::new(4, 64, Some(4), 1);
+    fn used_blocks_follow_take_and_free_under_a_high_water_peak() {
+        let mut pool = empty_pool(4, Some(4));
         pool.take(3);
-        assert_eq!(pool.used_blocks(), 3);
-        assert!(pool.fits(1));
-        assert!(!pool.fits(2));
+        assert_eq!((pool.used_blocks, pool.peak_blocks), (3, 3));
+        assert!(pool.fits(1) && !pool.fits(2));
         pool.free(3);
-        assert_eq!(pool.used_blocks(), 0);
-        // Freed cache blocks are capacity again for the slots.
-        pool.allocate(0, 2);
-        assert_eq!(pool.used_blocks(), 2);
-        assert_eq!(pool.peak_blocks(), 3);
-    }
-
-    #[test]
-    fn grow_adds_one_block() {
-        let mut pool = KvPool::new(2, 32, None, 1);
-        pool.allocate(0, 1);
-        pool.grow(0);
-        assert_eq!(pool.held(0), 2);
-        assert_eq!(pool.used_blocks(), 2);
-        assert_eq!(pool.peak_blocks(), 2);
+        assert_eq!((pool.used_blocks, pool.peak_blocks), (0, 3));
+        assert!(pool.fits(4));
+        pool.take(2);
+        pool.take(1);
+        assert_eq!((pool.used_blocks, pool.peak_blocks), (3, 3));
+        pool.take(1);
+        assert_eq!((pool.used_blocks, pool.peak_blocks), (4, 4));
+        assert!(!pool.fits(1));
     }
 }

@@ -36,11 +36,11 @@
 //! default, `Reserve`, charges each request its worst-case
 //! `prompt_len + gen_len` KV footprint up front at admission. `Paged`
 //! (enable with [`AdmissionConfig::with_paged_kv`]) carves the KV budget
-//! into fixed-size blocks of `block_tokens` tokens counted by a [`KvPool`]:
-//! each sequence holds the blocks covering its *current* context plus one
-//! write slot — the token it is about to decode — and grows by one block at
-//! a time as decode crosses block boundaries, so memory that `Reserve`
-//! would hold idle for unfinished generations is free to admit more
+//! into a pool of fixed-size blocks of `block_tokens` tokens, counted per
+//! request: each sequence holds the blocks covering its *current* context
+//! plus one write slot — the token it is about to decode — and grows by
+//! one block at a time as decode crosses block boundaries, so memory that
+//! `Reserve` would hold idle for unfinished generations admits more
 //! requests. Freed blocks are capacity again at once, and only block counts
 //! reach the report: its [`KvPoolReport`](hermes_core::KvPoolReport) section
 //! tracks pool utilization (mean and peak) and internal fragmentation (the
@@ -69,7 +69,7 @@
 //! accounting) adds KV reuse *across* requests: prompts declare a shared
 //! leading token run ([`PromptSpec`]: unique, sampled shared-prefix groups,
 //! or explicit per-request token traces), and the cache keeps the blocks
-//! of completed prefixes resident in the same [`KvPool`] the sequences
+//! of completed prefixes resident in the same block pool the sequences
 //! allocate from, organised as a radix tree whose nodes own block-aligned
 //! edges. An admission whose prefix matches cached content maps the
 //! matched blocks copy-free — charging prefill only for the unmatched
@@ -191,7 +191,7 @@
 
 pub mod arrival;
 pub mod cluster;
-pub mod kv;
+pub(crate) mod kv;
 pub(crate) mod prefix;
 #[cfg(test)]
 mod prefix_props;
@@ -209,7 +209,6 @@ pub use cluster::{
     simulate_cluster, ClusterOutcome, ClusterSimulation, ClusterSimulator, ReplicaEvent,
     ReplicaSpec, RoutingPolicy,
 };
-pub use kv::KvPool;
 pub use queue::{Rank, ReadyQueue};
 #[cfg(feature = "reference")]
 pub use reference::simulate_reference;

@@ -13,9 +13,9 @@
 //!
 //! - A **radix tree** over token ids. Each node owns an edge of tokens that
 //!   is a whole number of KV blocks; its block count is the edge length
-//!   over `block_tokens`. The blocks are taken from the same
-//!   [`KvPool`](crate::KvPool) the sequences allocate from, so cache
-//!   residency and sequence growth compete for the same capacity.
+//!   over `block_tokens`. The blocks are taken from the same paged pool
+//!   the sequences' own pages come from, so cache residency and sequence
+//!   growth compete for the same capacity.
 //! - **Leases** pin a root-to-node path while a request is running: every
 //!   node on the path carries a reference count, and a referenced node is
 //!   never evicted. A [`PrefixLease`] is an owned handle that
@@ -161,50 +161,56 @@ impl PrefixCache {
         self.stats
     }
 
+    /// Match `tokens` from the root, without mutating anything: the
+    /// deepest node whose whole edge matched, the tokens matched through
+    /// it, and the child whose edge matched only its first `m` tokens, if
+    /// the walk stopped inside an edge.
+    fn descend(&self, tokens: &[u64]) -> (usize, usize, Option<(usize, usize)>) {
+        let (mut node, mut i) = (0, 0);
+        while let Some(&child) = tokens.get(i).and_then(|t| self.nodes[node].children.get(t)) {
+            let m = common_len(&tokens[i..], &self.nodes[child].tokens);
+            if m < self.nodes[child].tokens.len() {
+                return (node, i, Some((child, m)));
+            }
+            node = child;
+            i += m;
+        }
+        (node, i, None)
+    }
+
     /// Walk the tree matching `tokens` (must be block-aligned in length),
     /// without mutating anything. Returns the match length, the blocks
     /// eviction could free without touching the matched path, and whether
     /// the remainder is insertable.
     pub(crate) fn plan(&self, tokens: &[u64]) -> PrefixPlan {
         debug_assert!(tokens.len().is_multiple_of(self.block_tokens));
-        let mut path = vec![0usize];
-        let mut cur = 0usize;
-        let mut i = 0usize;
+        let (mut node, mut matched, partial) = self.descend(tokens);
+        let mut path = Vec::new();
         let mut can_insert = true;
-        while i < tokens.len() {
-            let Some(&child) = self.nodes[cur].children.get(&tokens[i]) else {
-                break;
-            };
-            let edge = &self.nodes[child].tokens;
-            let m = common_len(&tokens[i..], edge);
-            if m == edge.len() {
-                path.push(child);
-                cur = child;
-                i += m;
-                continue;
-            }
-            // Partial edge match. Only the block-aligned head is usable;
-            // `acquire` would split there. The whole child is treated as
-            // on-path (not freeable) — conservative, since after the split
-            // the head would be pinned.
-            path.push(child);
-            let usable = self.cacheable(m);
-            i += usable;
+        if let Some((child, m)) = partial {
+            // Only the block-aligned head is usable; `acquire` would split
+            // there. The whole child is treated as on-path (not freeable):
+            // conservative, since after the split the head would be pinned.
             // A non-aligned divergence point means the remainder collides
             // with the (post-split) sibling edge and cannot be inserted.
+            let usable = self.cacheable(m);
+            path.push(child);
+            matched += usable;
             can_insert = usable == m;
-            break;
         }
-        let on_path = |id: usize| path.contains(&id);
+        while node != 0 {
+            path.push(node);
+            node = self.nodes[node].parent;
+        }
         let freeable_blocks = self
             .nodes
             .iter()
             .enumerate()
-            .filter(|(id, n)| *id != 0 && n.live && n.refs == 0 && !on_path(*id))
+            .filter(|(id, n)| *id != 0 && n.live && n.refs == 0 && !path.contains(id))
             .map(|(_, n)| self.blocks(&n.tokens))
             .sum();
         PrefixPlan {
-            matched: i,
+            matched,
             freeable_blocks,
             can_insert,
         }
@@ -218,24 +224,13 @@ impl PrefixCache {
         debug_assert!(tokens.len().is_multiple_of(self.block_tokens));
         self.stats.lookups += 1;
         let now = u64_from_usize(self.stats.lookups);
-        let mut cur = 0usize;
-        let mut i = 0usize;
-        while i < tokens.len() {
-            let Some(&child) = self.nodes[cur].children.get(&tokens[i]) else {
-                break;
-            };
-            let m = common_len(&tokens[i..], &self.nodes[child].tokens);
-            if m == self.nodes[child].tokens.len() {
-                cur = child;
-                i += m;
-                continue;
-            }
+        let (mut cur, mut i, partial) = self.descend(tokens);
+        if let Some((child, m)) = partial {
             let usable = self.cacheable(m);
             if usable > 0 {
                 cur = self.split(child, usable);
                 i += usable;
             }
-            break;
         }
         // Pin and credit the path bottom-up.
         let mut node = cur;

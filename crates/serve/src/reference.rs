@@ -12,19 +12,19 @@
 //! policy combination. This module is compiled only under the `reference`
 //! cargo feature; it is not part of the production build.
 //!
-//! Paged KV accounting is mirrored here with deliberately naive counters
-//! (per-request held-block tallies and a used/peak pair, kept apart from
-//! the production [`KvPool`](crate::KvPool)), so the oracle stays
-//! independent of the pool's implementation while still pinning every
-//! admission decision, growth eviction and swap charge bitwise. The prefix
+//! Paged KV accounting is mirrored here with plain counters: a held-block
+//! count per request and a used/peak pair. The production loop has the
+//! same design (a count in each request slot and a used/peak pool) in code
+//! of its own, so the two are compared, not shared: every admission
+//! decision, growth eviction and swap charge is pinned bitwise. The prefix
 //! cache itself ([`PrefixCache`]) *is* shared with the production loop —
 //! its radix structure and eviction order are part of the semantics under
 //! test — and the block counts it inserts and evicts are charged against
-//! the naive counters here.
+//! the counters here.
 
 #![expect(
     clippy::expect_used,
-    reason = "the oracle mirrors the production loop's structural-invariant expects; it is a test baseline, not production code"
+    reason = "the oracle crashes loudly on a broken structural invariant, as the production loop does; it is a test baseline, not production code"
 )]
 
 use hermes_core::{
@@ -96,8 +96,8 @@ pub fn simulate_reference(
         .iter()
         .map(|r| request_kv_bytes(&sim.template, r.prompt_len, r.gen_len))
         .collect();
-    // Naive paged-accounting state: per-request held-block counts and a
-    // used/peak tally, deliberately not sharing the production KvPool.
+    // Paged-accounting state: per-request held-block counts and a used/peak
+    // tally, in code of its own, apart from the production loop's.
     let token_bytes = token_kv_bytes(&sim.template);
     let paged = match sim.admission.accounting {
         KvAccounting::Paged { block_tokens } => Some(block_tokens),

@@ -24,7 +24,8 @@
 //!
 //! The KV state lives in one `KvBackend`: `Reserve` holds worst-case
 //! reservations; `Paged` holds a block pool, optionally shared with the
-//! radix prefix cache.
+//! radix prefix cache. Each request's slot holds the rest: its place in
+//! its life and the KV it holds, in the backend's unit.
 
 use hermes_core::{
     Engine, HermesError, LatencyBreakdown, PlannedRun, PrefillChunk, SystemConfig, SystemKind,
@@ -57,6 +58,27 @@ pub enum BoundaryOutcome {
     Idle,
 }
 
+/// Where one request is in its life on this replica.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum SlotState {
+    /// Not yet arrived, queued for admission, or preempted and re-queued
+    /// for a restart with recompute.
+    Waiting,
+    /// Preempted under SwapOut and re-queued: this many written KV bytes
+    /// wait on the swap tier for the swap-in on resume.
+    Swapped(u64),
+    /// Admitted under chunked prefill, its prompt still being processed.
+    Prefilling,
+    /// In the decode batch since global step `join_step`.
+    Decoding { join_step: u64 },
+    /// Completed here.
+    Done,
+    /// Handed back to the router by a drain or failure: its record lives
+    /// on (and completes) on another replica, so this replica's report
+    /// excludes it.
+    Extracted,
+}
+
 /// Everything a replica tracks about one injected request, indexed by
 /// injection order.
 struct RequestSlot {
@@ -68,9 +90,9 @@ struct RequestSlot {
     carried: Box<CarriedRequest>,
     /// Worst-case KV bytes (`prompt_len + gen_len` tokens).
     kv_bytes: u64,
-    /// Bytes a swapped-out victim holds on the swap tier, awaiting the
-    /// swap-in on resume (`None` while resident). Only SwapOut sets it.
-    swapped: Option<u64>,
+    /// KV held while admitted (prefilling or decoding), in the backend's
+    /// unit: its reserved bytes, or its own pages.
+    held: u64,
     /// Leading context run stored in cache blocks instead of own pages.
     covered: usize,
     /// Part of the covered run whose KV existed at admission (prefill
@@ -78,10 +100,7 @@ struct RequestSlot {
     reused: usize,
     /// Pin on the request's cached path while it is in flight.
     lease: Option<PrefixLease>,
-    /// Handed back to the router by a drain or failure: its record lives
-    /// on (and completes) on another replica, so this replica's report
-    /// excludes it.
-    extracted: bool,
+    state: SlotState,
 }
 
 impl RequestSlot {
@@ -114,7 +133,8 @@ pub struct ReplicaSim {
     kv: KvBackend,
 
     /// One slot per injected request, in injection order: a slot's index
-    /// is the ready queue's tie-break and the active set's key.
+    /// is the ready queue's tie-break and the active set's key. The only
+    /// structure that grows with every request the replica has seen.
     slots: Vec<RequestSlot>,
 
     // ---- loop state ----
@@ -183,7 +203,7 @@ impl ReplicaSim {
             step: 0,
             next_arrival: 0,
             ready: ReadyQueue::new(),
-            active: ActiveSet::new(0),
+            active: ActiveSet::default(),
             prefilling: Vec::new(),
             pending_first_token: Vec::new(),
             chunks: Vec::new(),
@@ -262,18 +282,15 @@ impl ReplicaSim {
         carried.request.arrival = arrival;
         let request = &carried.request;
         let kv_bytes = request_kv_bytes(&self.sim.template, request.prompt_len, request.gen_len);
-        let idx = self.slots.len();
-        self.active.ensure_slots(idx + 1);
-        self.kv.ensure_slots(idx + 1);
         self.waiting_kv_bytes += kv_bytes;
         self.slots.push(RequestSlot {
             carried: Box::new(carried),
             kv_bytes,
-            swapped: None,
+            held: 0,
             covered: 0,
             reused: 0,
             lease: None,
-            extracted: false,
+            state: SlotState::Waiting,
         });
     }
 
@@ -406,11 +423,16 @@ impl ReplicaSim {
         while let Some(idx) = self.ready.peek() {
             let seats = self.active.len() + self.prefilling.len() + admitted.len();
             let slot = &self.slots[idx];
+            let resumed_covered = match slot.state {
+                SlotState::Waiting => None,
+                SlotState::Swapped(_) => Some(slot.covered),
+                state => unreachable!("request {idx} queued while {state:?}"),
+            };
             let plan = self.kv.plan_admission(
                 &slot.carried.request.prefix,
                 slot.context(),
                 slot.kv_bytes,
-                slot.swapped.map(|_| slot.covered),
+                resumed_covered,
             );
             if self.kv.fits(&self.sim.admission, seats, &plan, 0) {
                 self.ready.pop();
@@ -427,7 +449,8 @@ impl ReplicaSim {
     /// Commit waiter `idx`'s planned admission and record its cache claim.
     fn charge(&mut self, idx: usize, plan: &AdmissionPlan) {
         let slot = &mut self.slots[idx];
-        if let Some((lease, matched)) = self.kv.charge(idx, plan, &slot.carried.request.prefix) {
+        slot.held = plan.held;
+        if let Some((lease, matched)) = self.kv.charge(plan, &slot.carried.request.prefix) {
             debug_assert!(slot.lease.is_none(), "request {idx} already holds a lease");
             slot.lease = Some(lease);
             // Only the *matched* run skips prefill; an inserted run is
@@ -456,7 +479,7 @@ impl ReplicaSim {
             .active
             .victims_outranking(self.slots[idx].carried.rank)
             .any(|victim| {
-                freed += self.kv.frees(victim, self.slots[victim].kv_bytes);
+                freed += self.slots[victim].held;
                 victims.push(victim);
                 self.kv
                     .fits(&self.sim.admission, seats - victims.len(), plan, freed)
@@ -483,11 +506,12 @@ impl ReplicaSim {
             self.pay_swap(written_bytes);
             self.swap.swap_outs += 1;
             self.swap.swapped_out_bytes += written_bytes;
-            self.slots[victim].swapped = Some(written_bytes);
+            self.slots[victim].state = SlotState::Swapped(written_bytes);
         } else {
             // Restart-with-recompute drops the victim's cache claim; its
             // re-admission consults the cache afresh.
             self.release_claim(victim);
+            self.slots[victim].state = SlotState::Waiting;
         }
         let slot = &self.slots[victim];
         self.ready.push(slot.carried.rank, victim);
@@ -500,15 +524,16 @@ impl ReplicaSim {
     /// swap-in leg is priced like the swap-out was. Returns the other
     /// admissions.
     fn resume_swapped(&mut self, mut admitted: Vec<usize>) -> Vec<usize> {
-        admitted.retain(|&idx| {
-            let Some(bytes) = self.slots[idx].swapped.take() else {
-                return true;
-            };
-            self.pay_swap(bytes);
-            self.swap.swap_ins += 1;
-            self.swap.swapped_in_bytes += bytes;
-            self.join_batch(idx);
-            false
+        admitted.retain(|&idx| match self.slots[idx].state {
+            SlotState::Waiting => true,
+            SlotState::Swapped(bytes) => {
+                self.pay_swap(bytes);
+                self.swap.swap_ins += 1;
+                self.swap.swapped_in_bytes += bytes;
+                self.join_batch(idx);
+                false
+            }
+            state => unreachable!("request {idx} admitted while {state:?}"),
         });
         admitted
     }
@@ -570,6 +595,7 @@ impl ReplicaSim {
                         self.join_batch(idx);
                     } else {
                         self.prefill_target_tokens += target;
+                        self.slots[idx].state = SlotState::Prefilling;
                         self.prefilling.push(PrefillingSequence {
                             idx,
                             target,
@@ -650,24 +676,23 @@ impl ReplicaSim {
         let growers = self.kv.growers(
             self.active
                 .contexts_by_rank(self.step)
-                .map(|(idx, context)| (idx, context + 1 - slots[idx].covered)),
+                .map(|(idx, context)| (idx, slots[idx].held, context + 1 - slots[idx].covered)),
         );
         for grower in growers {
             // An earlier grower may have evicted this one.
-            if !self.active.contains(grower) || self.kv.try_grow(grower) {
+            if !self.is_decoding(grower) {
                 continue;
             }
-            let victim = self
-                .active
-                .victims_outranking(self.slots[grower].carried.rank)
-                .next();
-            match victim {
-                Some(victim) => {
-                    self.evict_victim(victim);
-                    self.kv.grow(grower);
-                }
-                None => self.evict_victim(grower),
+            if !self.kv.try_grow() {
+                let rank = self.slots[grower].carried.rank;
+                let Some(victim) = self.active.victims_outranking(rank).next() else {
+                    self.evict_victim(grower);
+                    continue;
+                };
+                self.evict_victim(victim);
+                self.kv.grow();
             }
+            self.slots[grower].held += 1;
         }
         // The sequences store their active contexts before this step's
         // token, plus the full targets of chunk-prefilling sequences, whose
@@ -683,18 +708,14 @@ impl ReplicaSim {
     }
 
     /// One shared step over the current batch composition, with any
-    /// scheduled prefill chunks piggybacked on it. The chunk-free path
-    /// prices through `decode_cost` directly, so stall-the-world reproduces
-    /// the closed-loop costs bitwise. The composition comes straight off
-    /// the active set's group index — O(distinct context lengths), not
+    /// scheduled prefill chunks piggybacked on it. Without chunks the step
+    /// costs exactly `decode_cost`, so stall-the-world reproduces the
+    /// closed-loop costs bitwise. The composition comes straight off the
+    /// active set's group index — O(distinct context lengths), not
     /// O(batch).
     fn price_step(&mut self) {
         let batch = self.active.batch_state(self.step);
-        let outcome = if self.chunks.is_empty() {
-            self.plan.cost.decode_cost(&batch)
-        } else {
-            self.plan.cost.chunked_step_cost(&self.chunks, &batch)
-        };
+        let outcome = self.plan.cost.chunked_step_cost(&self.chunks, &batch);
         self.breakdown = self.breakdown.merged(&outcome.latency);
         self.imbalance_sum += outcome.imbalance_sum;
         self.imbalance_samples += outcome.imbalance_samples;
@@ -707,7 +728,7 @@ impl ReplicaSim {
         // simply dropped here (still unstamped) and re-queued on rejoin.
         for i in 0..self.pending_first_token.len() {
             let idx = self.pending_first_token[i];
-            if self.active.contains(idx) {
+            if self.is_decoding(idx) {
                 self.slots[idx].carried.record.first_token = self.clock;
             }
         }
@@ -726,6 +747,7 @@ impl ReplicaSim {
             self.completed += 1;
             self.leave_batch(idx);
             self.release_claim(idx);
+            self.slots[idx].state = SlotState::Done;
         }
         let mut i = 0;
         let mut touched = self.chunks.len().min(self.prefilling.len());
@@ -745,7 +767,7 @@ impl ReplicaSim {
     /// context (prompt plus generated tokens). It decodes from the next
     /// priced step, which stamps its first token if it has none yet.
     fn join_batch(&mut self, idx: usize) {
-        let slot = &self.slots[idx];
+        let slot = &mut self.slots[idx];
         let generated = slot.carried.generated;
         self.active_covered_tokens += slot.covered as u64;
         self.active.join(
@@ -755,22 +777,40 @@ impl ReplicaSim {
             slot.carried.rank,
             self.step,
         );
+        slot.state = SlotState::Decoding {
+            join_step: self.step,
+        };
         if generated == 0 {
             self.pending_first_token.push(idx);
         }
     }
 
-    /// Take active request `idx` out of the decode batch: record its
-    /// progress and release its own KV. Returns the bytes it had written,
-    /// which a swap-out moves.
+    /// Take decoding request `idx` out of the batch: record its progress
+    /// and release its own KV. Returns the bytes it had written, which a
+    /// swap-out moves. The caller sets the state it leaves for.
     fn leave_batch(&mut self, idx: usize) -> u64 {
-        let info = self.active.remove(idx);
         let slot = &mut self.slots[idx];
-        slot.carried.generated += (self.step - info.join_step) as usize;
+        let SlotState::Decoding { join_step } = slot.state else {
+            unreachable!("request {idx} left the batch while {:?}", slot.state);
+        };
+        let generated = slot.carried.generated;
+        self.active.leave(
+            idx,
+            slot.context(),
+            slot.carried.request.gen_len - generated,
+            slot.carried.rank,
+            join_step,
+        );
+        slot.carried.generated += (self.step - join_step) as usize;
         self.active_covered_tokens -= slot.covered as u64;
-        let written = self.kv.written_bytes(idx, slot.context());
-        self.kv.release(idx, slot.kv_bytes);
+        let written = self.kv.written_bytes(slot.held, slot.context());
+        self.kv.release(std::mem::take(&mut slot.held));
         written
+    }
+
+    /// Whether request `idx` is in the decode batch.
+    fn is_decoding(&self, idx: usize) -> bool {
+        matches!(self.slots[idx].state, SlotState::Decoding { .. })
     }
 
     /// Drop request `idx`'s cache claim: unpin its lease and forget its
@@ -877,13 +917,81 @@ mod tests {
         replica
     }
 
-    /// Pool blocks are conserved: the pool's used count is the blocks the
-    /// request slots hold plus the cache's resident blocks.
+    /// The KV accounting balances after a boundary. The backend's used
+    /// units are the slots' held units plus the cache's resident blocks,
+    /// and only admitted (prefilling or decoding) slots hold any. A paged
+    /// pool stays within its capacity, under a peak that is a high-water
+    /// mark, and each decoding sequence's own pages cover its uncovered
+    /// context with at most the next token's block beyond it. Each slot
+    /// state has the count its structure implies.
     fn assert_pool_conserved(replica: &ReplicaSim, context: &str) {
-        if let KvBackend::Paged { pool, cache } = &replica.kv {
-            let held: u64 = (0..replica.slots.len()).map(|idx| pool.held(idx)).sum();
-            let cached = cache.as_ref().map_or(0, |c| c.resident_blocks());
-            assert_eq!(pool.used_blocks(), held + cached, "{context}: pool blocks");
+        let count =
+            |f: fn(&SlotState) -> bool| replica.slots.iter().filter(|s| f(&s.state)).count();
+        assert_eq!(
+            count(|s| matches!(s, SlotState::Decoding { .. })),
+            replica.active.len(),
+            "{context}: decoding"
+        );
+        assert_eq!(
+            count(|s| *s == SlotState::Prefilling),
+            replica.prefilling.len(),
+            "{context}: prefilling"
+        );
+        assert_eq!(
+            count(|s| *s == SlotState::Done),
+            replica.completed,
+            "{context}: done"
+        );
+        assert_eq!(
+            count(|s| *s == SlotState::Extracted),
+            replica.extracted_count,
+            "{context}: extracted"
+        );
+        for (idx, slot) in replica.slots.iter().enumerate() {
+            let admitted = matches!(
+                slot.state,
+                SlotState::Prefilling | SlotState::Decoding { .. }
+            );
+            assert_eq!(
+                slot.held > 0,
+                admitted,
+                "{context}: request {idx} holds {} while {:?}",
+                slot.held,
+                slot.state
+            );
+        }
+        let held: u64 = replica.slots.iter().map(|s| s.held).sum();
+        let (pool, cache) = match &replica.kv {
+            KvBackend::Reserve { held_bytes, .. } => {
+                return assert_eq!(*held_bytes, held, "{context}: reserved bytes");
+            }
+            KvBackend::Paged { pool, cache } => (pool, cache),
+        };
+        let cached = cache.as_ref().map_or(0, |c| c.resident_blocks());
+        assert_eq!(pool.used_blocks(), held + cached, "{context}: pool blocks");
+        assert!(
+            pool.capacity_blocks()
+                .is_none_or(|cap| pool.used_blocks() <= cap),
+            "{context}: pool past capacity"
+        );
+        assert!(
+            pool.peak_blocks() >= pool.used_blocks(),
+            "{context}: peak below use"
+        );
+        for (idx, slot) in replica.slots.iter().enumerate() {
+            let SlotState::Decoding { join_step } = slot.state else {
+                continue;
+            };
+            let uncovered = slot.context() + (replica.step - join_step) as usize - slot.covered;
+            let (least, most) = (
+                pool.blocks_for_tokens(uncovered),
+                pool.blocks_for_tokens(uncovered + 1),
+            );
+            assert!(
+                least <= slot.held && slot.held <= most,
+                "{context}: request {idx} holds {} blocks for {uncovered} uncovered tokens",
+                slot.held
+            );
         }
     }
 
@@ -897,10 +1005,11 @@ mod tests {
         }
     }
 
-    /// The replica holds no KV for any request: only cache-resident blocks
-    /// stay in the pool, no lease pins a path, and nothing is queued or
-    /// covered.
+    /// The replica holds no KV for any request: its accounting still
+    /// balances, only cache-resident blocks stay in the pool, no lease pins
+    /// a path, and nothing is queued or covered.
     fn assert_holds_no_request_kv(replica: &ReplicaSim, context: &str) {
+        assert_pool_conserved(replica, context);
         match &replica.kv {
             KvBackend::Reserve { held_bytes, .. } => assert_eq!(*held_bytes, 0, "{context}"),
             KvBackend::Paged { pool, cache } => assert_eq!(
@@ -920,12 +1029,12 @@ mod tests {
     /// A leaked release never changes a later admission of the same run,
     /// so the differential oracle cannot see it: check block conservation
     /// after every boundary, and the end state after a full run and after
-    /// a mid-run failure.
+    /// a mid-run failure that catches a prompt mid-prefill.
     #[test]
     fn drained_replica_holds_no_kv() {
         for backend in 0..3 {
             for preemption in [PreemptionPolicy::EvictAndRefill, PreemptionPolicy::SwapOut] {
-                let mut preempted = 0;
+                let (mut preempted, mut failed_mid_prefill) = (0, 0);
                 for seed in 0..4 {
                     let sim = tight_scenario(backend, preemption, seed);
                     let context = format!("backend {backend}, {preemption:?}, seed {seed}");
@@ -942,6 +1051,12 @@ mod tests {
 
                     let mut replica = loaded_replica(&sim);
                     step_checked(&mut replica, 2.0, &context);
+                    while replica.prefilling.is_empty()
+                        && replica.step_boundary(f64::INFINITY).unwrap() != BoundaryOutcome::Idle
+                    {
+                        assert_pool_conserved(&replica, &context);
+                    }
+                    failed_mid_prefill += usize::from(!replica.prefilling.is_empty());
                     let carried = replica.extract_all();
                     assert_eq!(
                         carried.len() + replica.completed(),
@@ -953,6 +1068,10 @@ mod tests {
                 assert!(
                     preempted > 0,
                     "backend {backend}, {preemption:?}: never preempted"
+                );
+                assert!(
+                    failed_mid_prefill > 0,
+                    "backend {backend}, {preemption:?}: never failed mid-prefill"
                 );
             }
         }

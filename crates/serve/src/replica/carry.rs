@@ -10,7 +10,7 @@ use crate::request::{RequestRecord, ServingRequest};
 use crate::simulator::ServingOutcome;
 use crate::tallies::build_report;
 
-use super::ReplicaSim;
+use super::{ReplicaSim, SlotState};
 
 /// An in-flight request pulled back out of a drained or failed replica,
 /// carrying everything the router needs to dispatch it again elsewhere:
@@ -75,7 +75,6 @@ impl ReplicaSim {
         // bytes and cache claims die with the machine.
         while let Some(idx) = self.ready.pop() {
             self.waiting_kv_bytes -= self.slots[idx].kv_bytes;
-            self.slots[idx].swapped = None;
             self.release_claim(idx);
             carried.push(self.carry_out(idx));
         }
@@ -83,7 +82,8 @@ impl ReplicaSim {
         // (or their reservation, under reserve accounting).
         while let Some(seq) = self.prefilling.pop() {
             self.prefill_target_tokens -= seq.target;
-            self.kv.release(seq.idx, self.slots[seq.idx].kv_bytes);
+            self.kv
+                .release(std::mem::take(&mut self.slots[seq.idx].held));
             self.slots[seq.idx].carried.record.preemptions += 1;
             self.release_claim(seq.idx);
             carried.push(self.carry_out(seq.idx));
@@ -91,7 +91,7 @@ impl ReplicaSim {
         // Active sequences record their progress (the remainder decodes
         // elsewhere after a re-prefill) and release everything they hold.
         let decoding: Vec<usize> = (0..self.slots.len())
-            .filter(|&idx| self.active.contains(idx))
+            .filter(|&idx| self.is_decoding(idx))
             .collect();
         for idx in decoding {
             self.leave_batch(idx);
@@ -109,7 +109,7 @@ impl ReplicaSim {
 
     /// Mark request `idx` extracted and package it for re-dispatch.
     fn carry_out(&mut self, idx: usize) -> CarriedRequest {
-        self.slots[idx].extracted = true;
+        self.slots[idx].state = SlotState::Extracted;
         self.extracted_count += 1;
         (*self.slots[idx].carried).clone()
     }
@@ -132,7 +132,7 @@ impl ReplicaSim {
         let records: Vec<&RequestRecord> = self
             .slots
             .iter()
-            .filter(|s| !s.extracted)
+            .filter(|s| s.state != SlotState::Extracted)
             .map(|s| &s.carried.record)
             .collect();
         let (kv_tallies, prefix_tallies) =
@@ -155,7 +155,7 @@ impl ReplicaSim {
         let records = self
             .slots
             .into_iter()
-            .filter(|s| !s.extracted)
+            .filter(|s| s.state != SlotState::Extracted)
             .map(|s| s.carried.record)
             .collect();
         ServingOutcome { report, records }

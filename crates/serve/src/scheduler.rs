@@ -211,7 +211,7 @@ pub enum KvAccounting {
     /// of decode steps (the static-preallocation anti-pattern).
     #[default]
     Reserve,
-    /// Paged accounting over a [`KvPool`](crate::KvPool): a request is
+    /// Paged accounting over a pool of fixed-size blocks: a request is
     /// admitted when the blocks for its *current* context (prompt plus
     /// tokens generated so far) fit, and grows one block at a time as
     /// decoded tokens cross block boundaries. A sequence that runs out of

@@ -235,54 +235,31 @@ pub struct ServingOutcome {
     pub records: Vec<RequestRecord>,
 }
 
-/// The primary scheduling rank of a request under a policy (lower ranks are
-/// served first; ties always fall back to arrival order). Preemption
-/// compares primary ranks only, so it never evicts equal-ranked work: under
-/// priority scheduling never within a tier, under EDF never within an equal
-/// absolute deadline (EDF rank ignores the tier, so requests of one tier
-/// *can* evict each other when their deadlines differ), and under FCFS
-/// never at all.
-pub(crate) fn primary_rank(scheduling: SchedulingPolicy, request: &ServingRequest) -> f64 {
-    match scheduling {
-        SchedulingPolicy::Fcfs => 0.0,
-        SchedulingPolicy::Priority => f64::from(request.class.priority),
-        SchedulingPolicy::Edf => request.absolute_deadline().unwrap_or(f64::INFINITY),
-        // Affinity ranks depend on *other* requests' prefixes; they are
-        // assigned by `request_ranks`, which never delegates here.
-        SchedulingPolicy::PrefixAffinity => 0.0,
-    }
-}
-
-/// The scheduling rank of every request at once. Per-request policies
-/// delegate to [`primary_rank`]; [`SchedulingPolicy::PrefixAffinity`] ranks
-/// each request by the arrival index of the *first* request sharing its
-/// prefix, so same-prefix requests sit adjacently in the ready queue (the
+/// The scheduling rank of every request (lower ranks are served first;
+/// ties always fall back to arrival order). FCFS ranks every request
+/// alike, priority scheduling by tier, and EDF by absolute deadline.
+/// Preemption compares ranks only, so it never evicts equal-ranked work:
+/// under priority scheduling never within a tier, under EDF never within
+/// an equal absolute deadline (EDF rank ignores the tier, so requests of
+/// one tier *can* evict each other when their deadlines differ), and under
+/// FCFS never at all. [`SchedulingPolicy::PrefixAffinity`] ranks each
+/// request by the arrival index of the *first* request sharing its prefix,
+/// so same-prefix requests sit adjacently in the ready queue (the
 /// tie-break is arrival order) and are co-batched whenever capacity admits
 /// more than one — a warm prefix is then reused while its lease still pins
 /// it. Prefix-less requests keep their own arrival slot relative to the
 /// group leaders.
 pub(crate) fn request_ranks(scheduling: SchedulingPolicy, requests: &[ServingRequest]) -> Vec<f64> {
-    match scheduling {
-        SchedulingPolicy::PrefixAffinity => {
-            let mut leaders: std::collections::BTreeMap<&[u64], usize> =
-                std::collections::BTreeMap::new();
-            requests
-                .iter()
-                .enumerate()
-                .map(|(i, r)| {
-                    if r.prefix.is_empty() {
-                        i as f64
-                    } else {
-                        *leaders.entry(&r.prefix[..]).or_insert(i) as f64
-                    }
-                })
-                .collect()
-        }
-        _ => requests
-            .iter()
-            .map(|r| primary_rank(scheduling, r))
-            .collect(),
-    }
+    let mut leaders: std::collections::BTreeMap<&[u64], usize> = std::collections::BTreeMap::new();
+    (requests.iter().enumerate())
+        .map(|(i, r)| match scheduling {
+            SchedulingPolicy::Fcfs => 0.0,
+            SchedulingPolicy::Priority => f64::from(r.class.priority),
+            SchedulingPolicy::Edf => r.absolute_deadline().unwrap_or(f64::INFINITY),
+            SchedulingPolicy::PrefixAffinity if r.prefix.is_empty() => i as f64,
+            SchedulingPolicy::PrefixAffinity => *leaders.entry(&r.prefix[..]).or_insert(i) as f64,
+        })
+        .collect()
 }
 
 /// Reject a prefix cache under reserve accounting: cached prefixes live in
