@@ -451,6 +451,13 @@ mod tests {
         }
     }
 
+    fn pool_of(backend: &KvBackend) -> &KvPool {
+        match backend {
+            KvBackend::Paged { pool, .. } => pool,
+            KvBackend::Reserve { .. } => unreachable!("a paged backend"),
+        }
+    }
+
     #[test]
     fn block_math_is_ceiling_division() {
         let pool = empty_pool(16, None);
@@ -471,22 +478,57 @@ mod tests {
         assert!(empty_pool(4, None).fits(u64::MAX / 2));
     }
 
-    /// Taken blocks count as used until freed, freed blocks are capacity
-    /// again at once, and the peak keeps the highest use.
+    /// Freed blocks are capacity again at once: taking after a free reuses
+    /// them, and the high-water mark rises only past the old peak.
     #[test]
-    fn used_blocks_follow_take_and_free_under_a_high_water_peak() {
-        let mut pool = empty_pool(4, Some(4));
+    fn freed_blocks_are_reused_before_minting() {
+        let mut pool = empty_pool(4, Some(8));
         pool.take(3);
         assert_eq!((pool.used_blocks, pool.peak_blocks), (3, 3));
-        assert!(pool.fits(1) && !pool.fits(2));
         pool.free(3);
         assert_eq!((pool.used_blocks, pool.peak_blocks), (0, 3));
-        assert!(pool.fits(4));
         pool.take(2);
-        pool.take(1);
-        assert_eq!((pool.used_blocks, pool.peak_blocks), (3, 3));
-        pool.take(1);
+        assert_eq!((pool.used_blocks, pool.peak_blocks), (2, 3));
+        pool.take(2);
         assert_eq!((pool.used_blocks, pool.peak_blocks), (4, 4));
-        assert!(!pool.fits(1));
+    }
+
+    /// Blocks taken for the prefix cache count against the capacity until
+    /// freed, then serve a request's own pages.
+    #[test]
+    fn acquired_blocks_round_trip_through_the_free_list() {
+        let mut pool = empty_pool(4, Some(4));
+        pool.take(3);
+        assert!(pool.fits(1) && !pool.fits(2));
+        pool.free(3);
+        assert!(pool.fits(4));
+        let mut backend = KvBackend::Paged { pool, cache: None };
+        let plan = backend.plan_admission(&[], 7, 0, None);
+        assert_eq!(plan.held, 2, "7 tokens plus a write slot in 4-token blocks");
+        assert!(backend.charge(&plan, &[]).is_none());
+        assert_eq!(backend.held_bytes(), 2 * 4 * 64);
+        backend.release(plan.held);
+        assert_eq!(backend.held_bytes(), 0);
+        let pool = pool_of(&backend);
+        assert_eq!((pool.used_blocks, pool.peak_blocks), (0, 3));
+    }
+
+    /// Growth takes one block while the pool has room, and reports a full
+    /// pool instead of passing its capacity.
+    #[test]
+    fn grow_adds_one_block() {
+        let mut backend = KvBackend::Paged {
+            pool: empty_pool(2, Some(3)),
+            cache: None,
+        };
+        let plan = backend.plan_admission(&[], 1, 0, None);
+        backend.charge(&plan, &[]);
+        assert_eq!(pool_of(&backend).used_blocks, 1);
+        assert!(backend.try_grow());
+        assert_eq!(pool_of(&backend).used_blocks, 2);
+        backend.grow();
+        assert!(!backend.try_grow(), "the pool is full");
+        let pool = pool_of(&backend);
+        assert_eq!((pool.used_blocks, pool.peak_blocks), (3, 3));
     }
 }
