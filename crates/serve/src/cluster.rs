@@ -284,13 +284,17 @@ impl ClusterSimulator {
         // leader) wherever it is dispatched or re-dispatched.
         let ranks = request_ranks(scenario.scheduling, &requests);
         let mut replicas = Vec::with_capacity(sim.replicas.len());
-        for spec in &sim.replicas {
+        for (i, spec) in sim.replicas.iter().enumerate() {
             // The replica schedules under its own policy knobs but reports
             // against the fleet scenario's offered rate (so a one-replica
             // fleet reproduces `simulate` bitwise).
             let rsim = replica_scenario(&spec.sim, scenario);
             let replica = ReplicaSim::new(spec.kind, &spec.config, rsim)?;
-            replica.validate_requests(&requests)?;
+            // A machine like an earlier one passes the same validation.
+            let (earlier, key) = (&sim.replicas[..i], (spec.kind, &spec.config, &spec.sim));
+            if !earlier.iter().any(|s| (s.kind, &s.config, &s.sim) == key) {
+                replica.validate_requests(&requests)?;
+            }
             replicas.push(replica);
         }
         let mut events = sim.events.clone();
@@ -429,7 +433,7 @@ impl ClusterSimulator {
                 }
             }
         }
-        let mut records: Vec<RequestRecord> = Vec::new();
+        let mut records: Vec<RequestRecord> = Vec::with_capacity(self.requests.len());
         let mut replica_reports: Vec<ReplicaReport> = Vec::with_capacity(self.replicas.len());
         for (idx, (mut replica, label)) in self.replicas.into_iter().zip(self.labels).enumerate() {
             replica.run_to_completion()?;
@@ -443,7 +447,7 @@ impl ClusterSimulator {
             });
         }
         let report = ClusterReport::from_replicas(self.routing.name().to_string(), replica_reports);
-        records.sort_by_key(|r| r.id);
+        records.sort_unstable_by_key(|r| r.id);
         check_each_request_once(&records, self.requests.len())?;
         Ok(ClusterOutcome { report, records })
     }

@@ -422,18 +422,45 @@ impl KvBackend {
     }
 }
 
-#[cfg(test)]
-impl KvPool {
-    pub(crate) fn used_blocks(&self) -> u64 {
-        self.used_blocks
-    }
-
-    pub(crate) fn peak_blocks(&self) -> u64 {
-        self.peak_blocks
-    }
-
-    pub(crate) fn capacity_blocks(&self) -> Option<u64> {
-        self.capacity_blocks
+#[cfg(any(test, debug_assertions))]
+impl KvBackend {
+    /// Panic unless the backend balances against the requests it serves:
+    /// `held` units and `leases` prefix leases between them, and each
+    /// decoding sequence's `(request id, own pages, uncovered context)`.
+    /// Pool blocks are the requests' pages plus the cache's, within the
+    /// capacity and under a peak that is a high-water mark, and a decoding
+    /// sequence's pages cover its uncovered context with at most the next
+    /// token's block beyond it.
+    pub(crate) fn check_conserved(
+        &self,
+        held: u64,
+        leases: usize,
+        decoding: impl Iterator<Item = (usize, u64, usize)>,
+    ) {
+        let (pool, cache) = match self {
+            KvBackend::Reserve { held_bytes, .. } => {
+                assert_eq!(*held_bytes, held, "reserved bytes");
+                return assert_eq!(leases, 0, "prefix leases without a cache");
+            }
+            KvBackend::Paged { pool, cache } => (pool, cache),
+        };
+        let (cached, pinned) = cache
+            .as_ref()
+            .map_or((0, 0), |c| (c.resident_blocks(), c.leases()));
+        assert_eq!(pool.used_blocks, held + cached, "pool blocks");
+        assert_eq!(pinned, leases, "prefix leases");
+        assert!(pool.fits(0), "pool past capacity");
+        assert!(pool.peak_blocks >= pool.used_blocks, "peak below use");
+        for (id, pages, uncovered) in decoding {
+            let (least, most) = (
+                pool.blocks_for_tokens(uncovered),
+                pool.blocks_for_tokens(uncovered + 1),
+            );
+            assert!(
+                least <= pages && pages <= most,
+                "request {id} holds {pages} blocks for {uncovered} uncovered tokens"
+            );
+        }
     }
 }
 

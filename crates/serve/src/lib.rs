@@ -121,16 +121,17 @@
 //!
 //! # Performance
 //!
-//! The hot loop is event-driven. Waiting requests sit in a [`ReadyQueue`]
-//! — a binary heap over `(rank, arrival index)` (ranks are immutable per
+//! The hot loop is event-driven. Waiting requests sit in a [`ReadyQueue`] —
+//! a binary heap over `(rank, arrival index)` (ranks are immutable per
 //! request, so entries never decay) — and the decode batch is an indexed
 //! set that maintains its context-length composition, rank order and
 //! completion events incrementally, exploiting that every active sequence
 //! grows by exactly one token per step. A token boundary therefore costs
-//! O(admissions · log queue + distinct context lengths) instead of the
-//! full ready-queue re-sort plus active-set re-scan of a naive loop. The
-//! repository benchmark (`perfbench/` at the repo root) measures how fast
-//! it runs. The pre-rewrite sort-based loop is retained behind the
+//! O(admissions · log queue + distinct context lengths) instead of the full
+//! ready-queue re-sort plus active-set re-scan of a naive loop. A replica
+//! reuses a finished request's slot, so its memory follows the requests in
+//! flight, not those served. `perfbench/` at the repo root measures how
+//! fast it runs. The pre-rewrite sort-based loop is retained behind the
 //! `reference` cargo feature (`reference::simulate_reference`) as a
 //! differential-testing oracle, extended since with the paged-KV, swap-out
 //! and prefix-cache behaviour: the `simulator_equivalence` suite holds the
@@ -202,6 +203,7 @@ pub mod replica;
 pub mod request;
 pub mod scheduler;
 pub mod simulator;
+mod slab;
 pub mod tallies;
 
 pub use arrival::sample_arrival_times;

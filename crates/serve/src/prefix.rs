@@ -39,6 +39,8 @@ use std::collections::BTreeMap;
 
 use hermes_core::cast::u64_from_usize;
 
+use crate::slab::Slab;
+
 /// A pinned root-to-node path in the cache, held while a request that
 /// matched (or inserted) cached content is in flight. It names the deepest
 /// pinned node, whose arena id is stable while pinned: a split gives the
@@ -66,8 +68,6 @@ struct Node {
     hits: u64,
     /// Lookup serial of the most recent match through this node.
     last_use: u64,
-    /// Whether this arena slot is occupied (freed slots are recycled).
-    live: bool,
 }
 
 /// What a (side-effect-free) cache consultation would yield for a prefix:
@@ -107,10 +107,8 @@ pub(crate) struct PrefixStats {
 pub(crate) struct PrefixCache {
     /// Tokens per KV block; all cached lengths are multiples of this.
     block_tokens: usize,
-    /// Node arena; slot 0 is the root (empty edge, never evicted).
-    nodes: Vec<Node>,
-    /// Recycled arena slots.
-    free_nodes: Vec<usize>,
+    /// Node arena; entry 0 is the root (empty edge, never evicted).
+    nodes: Slab<Node>,
     /// Tokens currently resident across all nodes (whole blocks).
     resident_tokens: u64,
     stats: PrefixStats,
@@ -119,18 +117,18 @@ pub(crate) struct PrefixCache {
 impl PrefixCache {
     pub(crate) fn new(block_tokens: usize) -> Self {
         assert!(block_tokens >= 1, "blocks must hold at least one token");
+        let mut nodes = Slab::new();
+        nodes.insert(Node {
+            parent: usize::MAX,
+            tokens: Vec::new(),
+            children: BTreeMap::new(),
+            refs: 0,
+            hits: 0,
+            last_use: 0,
+        });
         PrefixCache {
             block_tokens,
-            nodes: vec![Node {
-                parent: usize::MAX,
-                tokens: Vec::new(),
-                children: BTreeMap::new(),
-                refs: 0,
-                hits: 0,
-                last_use: 0,
-                live: true,
-            }],
-            free_nodes: Vec::new(),
+            nodes,
             resident_tokens: 0,
             stats: PrefixStats::default(),
         }
@@ -205,8 +203,7 @@ impl PrefixCache {
         let freeable_blocks = self
             .nodes
             .iter()
-            .enumerate()
-            .filter(|(id, n)| *id != 0 && n.live && n.refs == 0 && !path.contains(id))
+            .filter(|&(id, n)| id != 0 && n.refs == 0 && !path.contains(&id))
             .map(|(_, n)| self.blocks(&n.tokens))
             .sum();
         PrefixPlan {
@@ -269,9 +266,8 @@ impl PrefixCache {
             refs: self.nodes[node].refs,
             hits: self.nodes[node].hits,
             last_use: self.nodes[node].last_use,
-            live: true,
         };
-        let head_id = self.alloc_node(head);
+        let head_id = self.nodes.insert(head);
         let parent = self.nodes[node].parent;
         let first = self.nodes[head_id].tokens[0];
         #[expect(
@@ -299,7 +295,7 @@ impl PrefixCache {
         );
         self.resident_tokens += u64_from_usize(suffix.len());
         let now = u64_from_usize(self.stats.lookups);
-        let node = self.alloc_node(Node {
+        let node = self.nodes.insert(Node {
             parent,
             tokens: suffix.to_vec(),
             children: BTreeMap::new(),
@@ -308,11 +304,16 @@ impl PrefixCache {
             refs: 1,
             hits: 1,
             last_use: now,
-            live: true,
         });
         self.nodes[parent].children.insert(suffix[0], node);
         lease.0 = node;
         self.stats.insertions += 1;
+    }
+
+    /// Leases outstanding: every lease pins the root.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn leases(&self) -> usize {
+        self.nodes[0].refs
     }
 
     /// Unpin `lease`'s path. The nodes stay resident until evicted.
@@ -336,25 +337,18 @@ impl PrefixCache {
             let Some(victim) = self
                 .nodes
                 .iter()
-                .enumerate()
-                .filter(|(id, n)| *id != 0 && n.live && n.refs == 0 && n.children.is_empty())
-                .min_by_key(|(id, n)| (n.hits, n.last_use, *id))
+                .filter(|&(id, n)| id != 0 && n.refs == 0 && n.children.is_empty())
+                .min_by_key(|&(id, n)| (n.hits, n.last_use, id))
                 .map(|(id, _)| id)
             else {
                 break;
             };
-            let parent = self.nodes[victim].parent;
-            let first = self.nodes[victim].tokens[0];
-            self.nodes[parent].children.remove(&first);
-            let blocks = self.blocks(&self.nodes[victim].tokens);
-            let node = &mut self.nodes[victim];
-            node.live = false;
+            let node = self.nodes.remove(victim);
+            self.nodes[node.parent].children.remove(&node.tokens[0]);
+            let blocks = self.blocks(&node.tokens);
             self.resident_tokens -= u64_from_usize(node.tokens.len());
             self.stats.evicted_blocks += blocks;
             freed += blocks;
-            node.tokens.clear();
-            node.children.clear();
-            self.free_nodes.push(victim);
         }
         freed
     }
@@ -370,19 +364,6 @@ impl PrefixCache {
             ..PrefixCache::new(self.block_tokens)
         };
         dropped
-    }
-
-    fn alloc_node(&mut self, node: Node) -> usize {
-        match self.free_nodes.pop() {
-            Some(id) => {
-                self.nodes[id] = node;
-                id
-            }
-            None => {
-                self.nodes.push(node);
-                self.nodes.len() - 1
-            }
-        }
     }
 }
 

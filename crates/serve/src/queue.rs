@@ -33,14 +33,15 @@ impl Ord for Rank {
     }
 }
 
-/// The admission queue: a min-heap over `(rank, arrival index)`.
+/// The admission queue: a min-heap over `(rank, arrival index)`, each
+/// entry carrying its request's slot, which never breaks a tie.
 ///
 /// Equal inputs drain in exactly the order the old sort-based scheduler
 /// produced — rank ascending, arrival index ascending within a rank — a
 /// property the `ready_queue` proptests pin against a sort-based model.
 #[derive(Debug, Default)]
 pub struct ReadyQueue {
-    heap: BinaryHeap<Reverse<(Rank, usize)>>,
+    heap: BinaryHeap<Reverse<(Rank, usize, usize)>>,
 }
 
 impl ReadyQueue {
@@ -51,17 +52,29 @@ impl ReadyQueue {
 
     /// Enqueue a request (a fresh arrival or a re-queued eviction victim).
     pub fn push(&mut self, rank: f64, idx: usize) {
-        self.heap.push(Reverse((Rank(rank), idx)));
+        self.push_slot(rank, idx, idx);
     }
 
-    /// The best-ranked waiting request, if any.
+    /// Enqueue the request with arrival index `idx` held in `slot`.
+    pub fn push_slot(&mut self, rank: f64, idx: usize, slot: usize) {
+        self.heap.push(Reverse((Rank(rank), idx, slot)));
+    }
+
+    /// The slot of the best-ranked waiting request, if any.
     pub fn peek(&self) -> Option<usize> {
-        self.heap.peek().map(|Reverse((_, idx))| *idx)
+        self.heap.peek().map(|Reverse((.., slot))| *slot)
     }
 
-    /// Remove and return the best-ranked waiting request.
+    /// Remove the best-ranked waiting request and return its slot.
     pub fn pop(&mut self) -> Option<usize> {
-        self.heap.pop().map(|Reverse((_, idx))| idx)
+        self.heap.pop().map(|Reverse((.., slot))| slot)
+    }
+
+    /// Every waiting request's `(rank, arrival index, slot)`, in no
+    /// particular order.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (f64, usize, usize)> + '_ {
+        (self.heap.iter()).map(|Reverse((rank, idx, slot))| (rank.0, *idx, *slot))
     }
 
     /// Number of waiting requests.

@@ -40,7 +40,7 @@ use crate::scheduler::{
 use crate::simulator::{
     request_ranks, validate_paged_capacity, worst_case_bounds, ServingOutcome, ServingSimulation,
 };
-use crate::tallies::{build_report, KvTallies, PrefixTallies, SwapTallies};
+use crate::tallies::{build_report, empirical_rps, KvTallies, PrefixTallies, SwapTallies};
 
 /// A sequence currently holding a batch slot and generating tokens.
 struct ActiveSequence {
@@ -85,7 +85,8 @@ pub fn simulate_reference(
 ) -> Result<ServingOutcome, HermesError> {
     sim.validate()?;
     let requests = sim.sample_requests()?;
-    let times: Vec<f64> = requests.iter().map(|r| r.arrival).collect();
+    let span = (requests.first().zip(requests.last()))
+        .map_or((0.0, 0.0), |(first, last)| (first.arrival, last.arrival));
     let engine = kind.engine(config);
     let mut plan = engine.plan(&sim.template)?;
     for bound in worst_case_bounds(&sim.template, &requests) {
@@ -123,21 +124,7 @@ pub fn simulate_reference(
     };
     let ranks: Vec<f64> = request_ranks(sim.scheduling, &requests);
 
-    let mut records: Vec<RequestRecord> = requests
-        .iter()
-        .map(|r| RequestRecord {
-            id: r.id,
-            arrival: r.arrival,
-            admitted: 0.0,
-            first_token: 0.0,
-            completed: 0.0,
-            prompt_len: r.prompt_len,
-            gen_len: r.gen_len,
-            class: r.class,
-            preemptions: 0,
-            reused_prefix_tokens: 0,
-        })
-        .collect();
+    let mut records: Vec<RequestRecord> = requests.iter().map(RequestRecord::unstamped).collect();
 
     let mut clock = 0.0f64;
     let mut next_arrival = 0usize;
@@ -723,8 +710,8 @@ pub fn simulate_reference(
     let report = build_report(
         sim,
         &plan.spec,
-        &times,
-        &records.iter().collect::<Vec<_>>(),
+        empirical_rps(requests.len(), span),
+        &records,
         clock,
         completed,
         generated_tokens,

@@ -24,8 +24,12 @@
 //!
 //! The KV state lives in one `KvBackend`: `Reserve` holds worst-case
 //! reservations; `Paged` holds a block pool, optionally shared with the
-//! radix prefix cache. Each request's slot holds the rest: its place in
-//! its life and the KV it holds, in the backend's unit.
+//! radix prefix cache. A request in flight holds the rest in a slot, which
+//! is freed when it completes or is extracted and reused by a later
+//! injection; a finished request leaves only its [`RequestRecord`]. Ties
+//! break on a request's arrival index here, never on its reused slot.
+
+use std::collections::VecDeque;
 
 use hermes_core::{
     Engine, HermesError, LatencyBreakdown, PlannedRun, PrefillChunk, SystemConfig, SystemKind,
@@ -37,10 +41,13 @@ use crate::queue::ReadyQueue;
 use crate::request::{RequestRecord, ServingRequest};
 use crate::scheduler::{request_kv_bytes, BatchingPolicy, PreemptionPolicy, PrefillPolicy};
 use crate::simulator::{worst_case_bounds, ServingSimulation};
+use crate::slab::Slab;
 use crate::tallies::SwapTallies;
 
 mod active;
 mod carry;
+#[cfg(any(test, debug_assertions))]
+mod invariants;
 
 use active::{ActiveSet, PrefillingSequence};
 pub(crate) use carry::CarriedRequest;
@@ -58,7 +65,7 @@ pub enum BoundaryOutcome {
     Idle,
 }
 
-/// Where one request is in its life on this replica.
+/// Where a request in flight is in its life on this replica.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum SlotState {
     /// Not yet arrived, queued for admission, or preempted and re-queued
@@ -71,23 +78,16 @@ enum SlotState {
     Prefilling,
     /// In the decode batch since global step `join_step`.
     Decoding { join_step: u64 },
-    /// Completed here.
-    Done,
-    /// Handed back to the router by a drain or failure: its record lives
-    /// on (and completes) on another replica, so this replica's report
-    /// excludes it.
-    Extracted,
 }
 
-/// Everything a replica tracks about one injected request, indexed by
-/// injection order.
+/// Everything a replica tracks about one request in flight, from its
+/// injection until it completes or is extracted.
 struct RequestSlot {
     /// The request, its rank, its decode progress and its record: what
-    /// travels with it when a drain or failure hands it back. Boxed, so
-    /// the slot vector, which grows by doubling over the replica's whole
-    /// life, holds 72-byte slots: its outgrown buffers stay small enough
-    /// for the heap to reuse.
-    carried: Box<CarriedRequest>,
+    /// travels with it when a drain or failure hands it back.
+    carried: CarriedRequest,
+    /// Arrival index here, its record's index: every order's tie-break.
+    seq: usize,
     /// Worst-case KV bytes (`prompt_len + gen_len` tokens).
     kv_bytes: u64,
     /// KV held while admitted (prefilling or decoding), in the backend's
@@ -132,17 +132,23 @@ pub struct ReplicaSim {
     /// Reservations, or the paged pool and its prefix cache.
     kv: KvBackend,
 
-    /// One slot per injected request, in injection order: a slot's index
-    /// is the ready queue's tie-break and the active set's key. The only
-    /// structure that grows with every request the replica has seen.
-    slots: Vec<RequestSlot>,
+    /// The requests in flight, in recycled slots.
+    slots: Slab<RequestSlot>,
+    /// One record per injected request, in injection order (a slot's
+    /// `seq`): all that a finished request leaves behind.
+    records: Vec<RequestRecord>,
+    /// Records of requests extracted away, to complete elsewhere.
+    extracted: Vec<usize>,
+    /// Count, first and last of the arrivals pulled into the ready queue.
+    arrivals: (usize, f64, f64),
 
     // ---- loop state ----
     clock: f64,
     /// Decode steps priced so far: the virtual event counter every
     /// [`ActiveSet`] invariant is keyed on.
     step: u64,
-    next_arrival: usize,
+    /// Slots of the requests not yet arrived, in injection order.
+    pending: VecDeque<usize>,
     ready: ReadyQueue,
     active: ActiveSet,
     prefilling: Vec<PrefillingSequence>,
@@ -169,8 +175,6 @@ pub struct ReplicaSim {
     recomputed_prefill_tokens: usize,
 
     // ---- router bookkeeping (no effect on the simulation itself) ----
-    /// Injected requests extracted away by drain/fail events.
-    extracted_count: usize,
     /// Worst-case KV bytes of requests injected but not yet admitted — the
     /// queued half of the KV-pressure routing signal.
     waiting_kv_bytes: u64,
@@ -198,10 +202,13 @@ impl ReplicaSim {
             engine,
             plan,
             kv,
-            slots: Vec::new(),
+            slots: Slab::new(),
+            records: Vec::new(),
+            extracted: Vec::new(),
+            arrivals: (0, f64::INFINITY, 0.0),
             clock: 0.0,
             step: 0,
-            next_arrival: 0,
+            pending: VecDeque::new(),
             ready: ReadyQueue::new(),
             active: ActiveSet::default(),
             prefilling: Vec::new(),
@@ -217,7 +224,6 @@ impl ReplicaSim {
             prefill_target_tokens: 0,
             active_covered_tokens: 0,
             recomputed_prefill_tokens: 0,
-            extracted_count: 0,
             waiting_kv_bytes: 0,
         })
     }
@@ -245,19 +251,7 @@ impl ReplicaSim {
     /// the replica's event loop pulls them into the ready queue as its
     /// clock passes their arrival times.
     pub fn inject(&mut self, request: ServingRequest, rank: f64) {
-        let record = RequestRecord {
-            id: request.id,
-            arrival: request.arrival,
-            admitted: 0.0,
-            first_token: 0.0,
-            completed: 0.0,
-            prompt_len: request.prompt_len,
-            gen_len: request.gen_len,
-            class: request.class,
-            preemptions: 0,
-            reused_prefix_tokens: 0,
-        };
-        let arrival = request.arrival;
+        let (arrival, record) = (request.arrival, RequestRecord::unstamped(&request));
         let carried = CarriedRequest {
             request,
             rank,
@@ -273,18 +267,14 @@ impl ReplicaSim {
     /// it, and the restart-with-recompute path re-prefills the progress.
     /// `arrival` is the re-dispatch time (the drain/fail event time).
     pub(crate) fn inject_carried(&mut self, mut carried: CarriedRequest, arrival: f64) {
-        debug_assert!(
-            self.slots
-                .last()
-                .is_none_or(|s| arrival >= s.carried.request.arrival),
-            "requests must be injected in arrival order"
-        );
         carried.request.arrival = arrival;
         let request = &carried.request;
         let kv_bytes = request_kv_bytes(&self.sim.template, request.prompt_len, request.gen_len);
         self.waiting_kv_bytes += kv_bytes;
-        self.slots.push(RequestSlot {
-            carried: Box::new(carried),
+        self.records.push(carried.record.clone()); // completion fills it in
+        let idx = self.slots.insert(RequestSlot {
+            carried,
+            seq: self.records.len() - 1,
             kv_bytes,
             held: 0,
             covered: 0,
@@ -292,6 +282,9 @@ impl ReplicaSim {
             lease: None,
             state: SlotState::Waiting,
         });
+        self.pending.push_back(idx);
+        #[cfg(any(test, debug_assertions))]
+        self.check_invariants();
     }
 
     /// The replica's virtual clock.
@@ -301,7 +294,7 @@ impl ReplicaSim {
 
     /// Requests injected and neither completed nor extracted away.
     pub fn outstanding(&self) -> usize {
-        self.slots.len() - self.extracted_count - self.completed
+        self.slots.len()
     }
 
     /// Requests completed on this replica.
@@ -383,23 +376,30 @@ impl ReplicaSim {
         let admitted = self.resume_swapped(admitted);
         self.start_prefill(admitted);
         self.schedule_chunks();
-        if self.active.is_empty() && self.chunks.is_empty() {
-            return self.idle(horizon);
-        }
-        self.grow();
-        self.price_step();
-        self.harvest();
-        Ok(BoundaryOutcome::Worked)
+        let outcome = if self.active.is_empty() && self.chunks.is_empty() {
+            self.idle(horizon)?
+        } else {
+            self.grow();
+            self.price_step();
+            self.harvest();
+            BoundaryOutcome::Worked
+        };
+        #[cfg(any(test, debug_assertions))]
+        self.check_invariants();
+        Ok(outcome)
     }
 
     /// Pull every request that has arrived by now into the ready queue.
     fn pull_arrivals(&mut self) {
-        while let Some(slot) = self.slots.get(self.next_arrival) {
+        while let Some(&idx) = self.pending.front() {
+            let slot = &self.slots[idx];
             if slot.carried.request.arrival > self.clock {
                 break;
             }
-            self.ready.push(slot.carried.rank, self.next_arrival);
-            self.next_arrival += 1;
+            self.pending.pop_front();
+            let t = slot.carried.request.arrival;
+            self.arrivals = (self.arrivals.0 + 1, self.arrivals.1.min(t), t);
+            self.ready.push_slot(slot.carried.rank, slot.seq, idx);
         }
     }
 
@@ -426,7 +426,7 @@ impl ReplicaSim {
             let resumed_covered = match slot.state {
                 SlotState::Waiting => None,
                 SlotState::Swapped(_) => Some(slot.covered),
-                state => unreachable!("request {idx} queued while {state:?}"),
+                state => unreachable!("request {} queued while {state:?}", slot.carried.request.id),
             };
             let plan = self.kv.plan_admission(
                 &slot.carried.request.prefix,
@@ -510,11 +510,13 @@ impl ReplicaSim {
         } else {
             // Restart-with-recompute drops the victim's cache claim; its
             // re-admission consults the cache afresh.
-            self.release_claim(victim);
-            self.slots[victim].state = SlotState::Waiting;
+            let slot = &mut self.slots[victim];
+            self.kv.release_lease(slot.lease.take());
+            (slot.covered, slot.reused) = (0, 0);
+            slot.state = SlotState::Waiting;
         }
         let slot = &self.slots[victim];
-        self.ready.push(slot.carried.rank, victim);
+        self.ready.push_slot(slot.carried.rank, slot.seq, victim);
         self.waiting_kv_bytes += slot.kv_bytes;
     }
 
@@ -533,7 +535,10 @@ impl ReplicaSim {
                 self.join_batch(idx);
                 false
             }
-            state => unreachable!("request {idx} admitted while {state:?}"),
+            state => unreachable!(
+                "request {} admitted while {state:?}",
+                self.slots[idx].carried.request.id
+            ),
         });
         admitted
     }
@@ -545,7 +550,6 @@ impl ReplicaSim {
         self.breakdown.communication += cost;
         self.swap.seconds += cost;
     }
-
     /// Hand the newly admitted requests to the prefill policy. A request
     /// resumed after a preemption re-prefills its prompt *plus* the tokens
     /// it already generated (restart with recompute), so its effective
@@ -649,12 +653,15 @@ impl ReplicaSim {
             // caps can never be satisfied.
             return Err(HermesError::InvalidConfig(format!(
                 "admission caps can never admit request {} (max_batch {:?}, kv budget {:?})",
-                head, self.sim.admission.max_batch, self.sim.admission.kv_memory_bytes
+                self.slots[head].carried.request.id,
+                self.sim.admission.max_batch,
+                self.sim.admission.kv_memory_bytes
             )));
         }
-        match self.slots.get(self.next_arrival) {
-            Some(slot) if slot.carried.request.arrival <= horizon => {
-                self.clock = self.clock.max(slot.carried.request.arrival);
+        let next = (self.pending.front()).map(|&idx| self.slots[idx].carried.request.arrival);
+        match next {
+            Some(arrival) if arrival <= horizon => {
+                self.clock = self.clock.max(arrival);
                 Ok(BoundaryOutcome::Jumped)
             }
             _ => Ok(BoundaryOutcome::Idle),
@@ -680,7 +687,7 @@ impl ReplicaSim {
         );
         for grower in growers {
             // An earlier grower may have evicted this one.
-            if !self.is_decoding(grower) {
+            if !matches!(self.slots[grower].state, SlotState::Decoding { .. }) {
                 continue;
             }
             if !self.kv.try_grow() {
@@ -728,26 +735,27 @@ impl ReplicaSim {
         // simply dropped here (still unstamped) and re-queued on rejoin.
         for i in 0..self.pending_first_token.len() {
             let idx = self.pending_first_token[i];
-            if self.is_decoding(idx) {
+            if matches!(self.slots[idx].state, SlotState::Decoding { .. }) {
                 self.slots[idx].carried.record.first_token = self.clock;
             }
         }
         self.pending_first_token.clear();
     }
 
-    /// Retire the sequences that generated their last token this step, then
-    /// seat the prompts that completed prefill in the decode batch for the
-    /// next boundary. Only the sequences that received a chunk this
-    /// boundary — the first `chunks.len()` entries, since chunks are handed
-    /// out FCFS from the front — can have newly completed, so the scan
-    /// stops there instead of walking the whole set.
+    /// Retire the sequences that generated their last token this step,
+    /// freeing their slots, then seat the prompts that completed prefill in
+    /// the decode batch for the next boundary. Only the sequences that
+    /// received a chunk this boundary — the first `chunks.len()` entries,
+    /// since chunks are handed out FCFS from the front — can have newly
+    /// completed, so the scan stops there instead of walking the whole set.
     fn harvest(&mut self) {
         while let Some(idx) = self.active.next_finished(self.step) {
-            self.slots[idx].carried.record.completed = self.clock;
             self.completed += 1;
             self.leave_batch(idx);
-            self.release_claim(idx);
-            self.slots[idx].state = SlotState::Done;
+            let mut slot = self.slots.remove(idx);
+            slot.carried.record.completed = self.clock;
+            self.kv.release_lease(slot.lease);
+            self.records[slot.seq] = slot.carried.record;
         }
         let mut i = 0;
         let mut touched = self.chunks.len().min(self.prefilling.len());
@@ -768,19 +776,12 @@ impl ReplicaSim {
     /// priced step, which stamps its first token if it has none yet.
     fn join_batch(&mut self, idx: usize) {
         let slot = &mut self.slots[idx];
-        let generated = slot.carried.generated;
         self.active_covered_tokens += slot.covered as u64;
-        self.active.join(
-            idx,
-            slot.context(),
-            slot.carried.request.gen_len - generated,
-            slot.carried.rank,
-            self.step,
-        );
+        self.active.join(idx, slot, self.step);
         slot.state = SlotState::Decoding {
             join_step: self.step,
         };
-        if generated == 0 {
+        if slot.carried.generated == 0 {
             self.pending_first_token.push(idx);
         }
     }
@@ -791,35 +792,17 @@ impl ReplicaSim {
     fn leave_batch(&mut self, idx: usize) -> u64 {
         let slot = &mut self.slots[idx];
         let SlotState::Decoding { join_step } = slot.state else {
-            unreachable!("request {idx} left the batch while {:?}", slot.state);
+            unreachable!(
+                "request {} left the batch while {:?}",
+                slot.carried.request.id, slot.state
+            );
         };
-        let generated = slot.carried.generated;
-        self.active.leave(
-            idx,
-            slot.context(),
-            slot.carried.request.gen_len - generated,
-            slot.carried.rank,
-            join_step,
-        );
+        self.active.leave(slot, join_step);
         slot.carried.generated += (self.step - join_step) as usize;
         self.active_covered_tokens -= slot.covered as u64;
         let written = self.kv.written_bytes(slot.held, slot.context());
         self.kv.release(std::mem::take(&mut slot.held));
         written
-    }
-
-    /// Whether request `idx` is in the decode batch.
-    fn is_decoding(&self, idx: usize) -> bool {
-        matches!(self.slots[idx].state, SlotState::Decoding { .. })
-    }
-
-    /// Drop request `idx`'s cache claim: unpin its lease and forget its
-    /// covered and reused runs.
-    fn release_claim(&mut self, idx: usize) {
-        let slot = &mut self.slots[idx];
-        self.kv.release_lease(slot.lease.take());
-        slot.covered = 0;
-        slot.reused = 0;
     }
 
     /// Stamp request `idx`'s first admission when its prefill work starts
@@ -917,119 +900,19 @@ mod tests {
         replica
     }
 
-    /// The KV accounting balances after a boundary. The backend's used
-    /// units are the slots' held units plus the cache's resident blocks,
-    /// and only admitted (prefilling or decoding) slots hold any. A paged
-    /// pool stays within its capacity, under a peak that is a high-water
-    /// mark, and each decoding sequence's own pages cover its uncovered
-    /// context with at most the next token's block beyond it. Each slot
-    /// state has the count its structure implies.
-    fn assert_pool_conserved(replica: &ReplicaSim, context: &str) {
-        let count =
-            |f: fn(&SlotState) -> bool| replica.slots.iter().filter(|s| f(&s.state)).count();
-        assert_eq!(
-            count(|s| matches!(s, SlotState::Decoding { .. })),
-            replica.active.len(),
-            "{context}: decoding"
-        );
-        assert_eq!(
-            count(|s| *s == SlotState::Prefilling),
-            replica.prefilling.len(),
-            "{context}: prefilling"
-        );
-        assert_eq!(
-            count(|s| *s == SlotState::Done),
-            replica.completed,
-            "{context}: done"
-        );
-        assert_eq!(
-            count(|s| *s == SlotState::Extracted),
-            replica.extracted_count,
-            "{context}: extracted"
-        );
-        for (idx, slot) in replica.slots.iter().enumerate() {
-            let admitted = matches!(
-                slot.state,
-                SlotState::Prefilling | SlotState::Decoding { .. }
-            );
-            assert_eq!(
-                slot.held > 0,
-                admitted,
-                "{context}: request {idx} holds {} while {:?}",
-                slot.held,
-                slot.state
-            );
-        }
-        let held: u64 = replica.slots.iter().map(|s| s.held).sum();
-        let (pool, cache) = match &replica.kv {
-            KvBackend::Reserve { held_bytes, .. } => {
-                return assert_eq!(*held_bytes, held, "{context}: reserved bytes");
-            }
-            KvBackend::Paged { pool, cache } => (pool, cache),
-        };
-        let cached = cache.as_ref().map_or(0, |c| c.resident_blocks());
-        assert_eq!(pool.used_blocks(), held + cached, "{context}: pool blocks");
-        assert!(
-            pool.capacity_blocks()
-                .is_none_or(|cap| pool.used_blocks() <= cap),
-            "{context}: pool past capacity"
-        );
-        assert!(
-            pool.peak_blocks() >= pool.used_blocks(),
-            "{context}: peak below use"
-        );
-        for (idx, slot) in replica.slots.iter().enumerate() {
-            let SlotState::Decoding { join_step } = slot.state else {
-                continue;
-            };
-            let uncovered = slot.context() + (replica.step - join_step) as usize - slot.covered;
-            let (least, most) = (
-                pool.blocks_for_tokens(uncovered),
-                pool.blocks_for_tokens(uncovered + 1),
-            );
-            assert!(
-                least <= slot.held && slot.held <= most,
-                "{context}: request {idx} holds {} blocks for {uncovered} uncovered tokens",
-                slot.held
-            );
-        }
-    }
-
-    /// Step `replica` one boundary at a time until it idles or its clock
-    /// reaches `horizon`, checking block conservation after every boundary.
-    fn step_checked(replica: &mut ReplicaSim, horizon: f64, context: &str) {
-        while replica.clock < horizon
-            && replica.step_boundary(horizon).unwrap() != BoundaryOutcome::Idle
-        {
-            assert_pool_conserved(replica, context);
-        }
-    }
-
-    /// The replica holds no KV for any request: its accounting still
-    /// balances, only cache-resident blocks stay in the pool, no lease pins
-    /// a path, and nothing is queued or covered.
+    /// The replica holds no KV for any request: no slot is in use and the
+    /// accounting balances, so only cache-resident blocks stay in the pool,
+    /// no lease pins a path, and nothing is queued or covered.
     fn assert_holds_no_request_kv(replica: &ReplicaSim, context: &str) {
-        assert_pool_conserved(replica, context);
-        match &replica.kv {
-            KvBackend::Reserve { held_bytes, .. } => assert_eq!(*held_bytes, 0, "{context}"),
-            KvBackend::Paged { pool, cache } => assert_eq!(
-                pool.used_blocks(),
-                cache.as_ref().map_or(0, |c| c.resident_blocks()),
-                "{context}: pool blocks beyond the cache's"
-            ),
-        }
-        assert!(
-            replica.slots.iter().all(|s| s.lease.is_none()),
-            "{context}: lease held"
-        );
-        assert_eq!(replica.waiting_kv_bytes, 0, "{context}");
-        assert_eq!(replica.active_covered_tokens, 0, "{context}");
+        assert_eq!(replica.outstanding(), 0, "{context}");
+        replica.check_invariants();
     }
 
     /// A leaked release never changes a later admission of the same run,
-    /// so the differential oracle cannot see it: check block conservation
-    /// after every boundary, and the end state after a full run and after
-    /// a mid-run failure that catches a prompt mid-prefill.
+    /// so the differential oracle cannot see it: step tight scenarios one
+    /// boundary at a time (each boundary checks the invariants, block
+    /// conservation among them), and check the end state after a full run
+    /// and after a mid-run failure that catches a prompt mid-prefill.
     #[test]
     fn drained_replica_holds_no_kv() {
         for backend in 0..3 {
@@ -1040,21 +923,18 @@ mod tests {
                     let context = format!("backend {backend}, {preemption:?}, seed {seed}");
 
                     let mut replica = loaded_replica(&sim);
-                    step_checked(&mut replica, f64::INFINITY, &context);
+                    replica.run_to_completion().unwrap();
                     assert_eq!(replica.completed(), sim.num_requests, "{context}");
                     assert_holds_no_request_kv(&replica, &context);
-                    preempted += (replica.slots.iter())
-                        .map(|s| s.carried.record.preemptions)
-                        .sum::<usize>();
+                    preempted += replica.records.iter().map(|r| r.preemptions).sum::<usize>();
                     assert!(replica.extract_all().is_empty(), "{context}");
                     assert_holds_no_request_kv(&replica, &context);
 
                     let mut replica = loaded_replica(&sim);
-                    step_checked(&mut replica, 2.0, &context);
+                    replica.advance_to(2.0).unwrap();
                     while replica.prefilling.is_empty()
                         && replica.step_boundary(f64::INFINITY).unwrap() != BoundaryOutcome::Idle
                     {
-                        assert_pool_conserved(&replica, &context);
                     }
                     failed_mid_prefill += usize::from(!replica.prefilling.is_empty());
                     let carried = replica.extract_all();
@@ -1075,5 +955,50 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Slots are recycled: a replica fed 20,000 requests as a fleet feeds
+    /// one (each injected at its arrival) never holds more slots than
+    /// twice the most it had in flight, ends holding none, and hands back
+    /// every record, in id order. A batch cap queues the bursts, so the
+    /// checker sees queued requests in reused slots.
+    #[test]
+    fn slots_scale_with_requests_in_flight_not_requests_served() {
+        let n = 20_000;
+        let mut template = Workload::paper_default(ModelId::Opt13B);
+        template.prompt_len = 16;
+        template.gen_len = 4;
+        let sim = ServingSimulation::new(template, ArrivalProcess::Poisson { rate: 100.0 }, n)
+            .with_admission(
+                AdmissionConfig::unlimited()
+                    .with_max_batch(24)
+                    .with_paged_kv(16),
+            )
+            .with_prompts(PromptSpec::SharedGroups {
+                groups: 4,
+                prefix_len: 16,
+            })
+            .with_prefix_cache(PrefixCacheMode::Lru);
+        let mut replica = ReplicaSim::new(
+            SystemKind::hermes_base(),
+            &SystemConfig::paper_default(),
+            sim.clone(),
+        )
+        .unwrap();
+        let mut peak = 0;
+        for request in sim.sample_requests().unwrap() {
+            replica.advance_to(request.arrival).unwrap();
+            replica.inject(request, 0.0);
+            peak = peak.max(replica.outstanding());
+        }
+        replica.run_to_completion().unwrap();
+        assert!((10..100).contains(&peak), "{peak} in flight at most");
+        let slab = replica.slots.high_water();
+        assert!(slab <= 2 * peak, "{slab} slots for {peak} in flight");
+        assert_eq!(replica.outstanding(), 0);
+        let ids: Vec<usize> = (replica.into_outcome().records.iter())
+            .map(|r| r.id)
+            .collect();
+        assert_eq!(ids, (0..n).collect::<Vec<_>>());
     }
 }

@@ -8,11 +8,12 @@
 //! pays O(log n) per join/leave instead of rebuilding the batch
 //! every step the way the sort-based reference scheduler does.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::ops::Bound;
 
 use hermes_core::BatchState;
 
+use super::RequestSlot;
 use crate::queue::Rank;
 
 /// The decode batch as indexed incremental state: O(log n) join/leave and
@@ -23,24 +24,26 @@ use crate::queue::Rank;
 /// sequence grows by exactly one token per decode step, so its context at
 /// global step `s` is `shift + s`, where `shift = context_at_join -
 /// join_step`. The whole batch composition thus advances for free as the
-/// step counter ticks. The set holds indexes only; what a sequence joined
-/// with lives in its request slot, which hands the same values back to
-/// [`ActiveSet::leave`]. Three indexes:
+/// step counter ticks. The set holds slot indexes only; what a sequence
+/// joined with lives in its slot, which hands the same values back to
+/// [`ActiveSet::leave`]. Ties break on arrival indexes, not slots. Three
+/// indexes:
 /// - `groups` counts sequences per shift, so the batch composition for
 ///   [`BatchState::from_groups`] falls out of an in-order walk without
 ///   touching individual sequences;
 /// - `by_rank` orders active sequences by scheduling rank, with their
 ///   shifts, for worst-ranked-first victim selection under preemption and
 ///   the rank-order growth walk;
-/// - `finish` orders them by completion step, then request index.
+/// - `finish` orders them by completion step, then arrival index.
 #[derive(Default)]
 pub(super) struct ActiveSet {
     /// Sequences per context shift.
     groups: BTreeMap<i64, usize>,
-    /// Active sequences ordered by (rank, request index), to their shifts.
-    by_rank: BTreeMap<(Rank, usize), i64>,
-    /// Completion events: (finish step, request index).
-    finish: BTreeSet<(u64, usize)>,
+    /// Active sequences ordered by (rank, arrival index), to their shifts
+    /// and slots.
+    by_rank: BTreeMap<(Rank, usize), (i64, usize)>,
+    /// Completion events: (finish step, arrival index) to the slot.
+    finish: BTreeMap<(u64, usize), usize>,
 }
 
 impl ActiveSet {
@@ -52,47 +55,34 @@ impl ActiveSet {
         self.by_rank.is_empty()
     }
 
-    /// Join the decode batch at global step `step` with `context` tokens of
-    /// context and `remaining` tokens still to generate.
-    pub(super) fn join(
-        &mut self,
-        idx: usize,
-        context: usize,
-        remaining: usize,
-        rank: f64,
-        step: u64,
-    ) {
-        debug_assert!(
-            remaining > 0,
-            "request {idx} joined with nothing to generate"
-        );
-        let shift = context as i64 - step as i64;
-        *self.groups.entry(shift).or_insert(0) += 1;
-        let fresh = self.by_rank.insert((Rank(rank), idx), shift).is_none();
-        debug_assert!(fresh, "request {idx} already active");
-        self.finish.insert((step + remaining as u64, idx));
+    /// The shift and finish step of `slot`'s request seated at `join_step`.
+    fn keys(slot: &RequestSlot, join_step: u64) -> (i64, u64) {
+        let remaining = slot.carried.request.gen_len - slot.carried.generated;
+        let shift = slot.context() as i64 - join_step as i64;
+        (shift, join_step + remaining as u64)
     }
 
-    /// Leave the decode batch (eviction or completion). Takes the values
-    /// the sequence joined with at global step `join_step`.
-    pub(super) fn leave(
-        &mut self,
-        idx: usize,
-        context: usize,
-        remaining: usize,
-        rank: f64,
-        join_step: u64,
-    ) {
-        let shift = context as i64 - join_step as i64;
+    /// Seat the request in slot `idx` in the decode batch at global step
+    /// `step`, with its computed context and its remaining tokens.
+    pub(super) fn join(&mut self, idx: usize, slot: &RequestSlot, step: u64) {
+        let (shift, finish) = Self::keys(slot, step);
+        *self.groups.entry(shift).or_insert(0) += 1;
+        (self.by_rank).insert((Rank(slot.carried.rank), slot.seq), (shift, idx));
+        self.finish.insert((finish, slot.seq), idx);
+    }
+
+    /// Take `slot`'s request out of the batch (eviction or completion),
+    /// with the values it joined with at global step `join_step`.
+    pub(super) fn leave(&mut self, slot: &RequestSlot, join_step: u64) {
+        let (shift, finish) = Self::keys(slot, join_step);
         match self.groups.get_mut(&shift) {
             Some(count) if *count > 1 => *count -= 1,
             _ => {
                 self.groups.remove(&shift);
             }
         }
-        let was_active = self.by_rank.remove(&(Rank(rank), idx)) == Some(shift);
-        debug_assert!(was_active, "request {idx} left without joining");
-        self.finish.remove(&(join_step + remaining as u64, idx));
+        self.by_rank.remove(&(Rank(slot.carried.rank), slot.seq));
+        self.finish.remove(&(finish, slot.seq));
     }
 
     /// The current batch composition, assembled from the group index in
@@ -115,32 +105,58 @@ impl ActiveSet {
             .sum()
     }
 
-    /// Every active sequence with its context at global step `step`, in
-    /// scheduling-rank order (best first).
+    /// Every active sequence's slot with its context at global step
+    /// `step`, in scheduling-rank order (best first).
     pub(super) fn contexts_by_rank(&self, step: u64) -> impl Iterator<Item = (usize, usize)> + '_ {
         self.by_rank
-            .iter()
-            .map(move |(&(_, idx), &shift)| (idx, (shift + step as i64) as usize))
+            .values()
+            .map(move |&(shift, idx)| (idx, (shift + step as i64) as usize))
     }
 
-    /// Active sequences strictly outranked by `rank`, worst-ranked first
-    /// (latest arrival first within a rank) — the victim candidate order of
-    /// `PreemptionPolicy::EvictAndRefill`.
+    /// The slots of the active sequences strictly outranked by `rank`,
+    /// worst-ranked first (latest arrival first within a rank) — the
+    /// victim candidate order of `PreemptionPolicy::EvictAndRefill`.
     pub(super) fn victims_outranking(&self, rank: f64) -> impl Iterator<Item = usize> + '_ {
         self.by_rank
             .range((Bound::Excluded((Rank(rank), usize::MAX)), Bound::Unbounded))
             .rev()
-            .map(|(&(_, idx), _)| idx)
+            .map(|(_, &(_, idx))| idx)
     }
 
-    /// The active sequence that generated its last token by global step
-    /// `step`, earliest finish first (lowest request index within a step).
-    /// It stays active until the caller makes it leave.
+    /// The slot of the active sequence that generated its last token by
+    /// global step `step`, earliest finish first (earliest arrival within a
+    /// step). It stays active until the caller makes it leave.
     pub(super) fn next_finished(&self, step: u64) -> Option<usize> {
         self.finish
-            .first()
-            .filter(|&&(finish_step, _)| finish_step <= step)
-            .map(|&(_, idx)| idx)
+            .first_key_value()
+            .filter(|&(&(finish_step, _), _)| finish_step <= step)
+            .map(|(_, &idx)| idx)
+    }
+}
+
+#[cfg(any(test, debug_assertions))]
+impl ActiveSet {
+    /// Panic unless the three indexes seat exactly the `(slot index, slot,
+    /// join step)` triples of `decoding`, each under the keys its values
+    /// imply.
+    pub(super) fn check_seats(&self, decoding: &[(usize, &RequestSlot, u64)]) {
+        let mut groups = BTreeMap::new();
+        for &(idx, slot, join_step) in decoding {
+            let (shift, finish) = Self::keys(slot, join_step);
+            *groups.entry(shift).or_insert(0) += 1;
+            let id = slot.carried.request.id;
+            assert!(
+                finish > join_step,
+                "request {id} decodes past its last token"
+            );
+            let seat = self.by_rank.get(&(Rank(slot.carried.rank), slot.seq));
+            assert_eq!(seat, Some(&(shift, idx)), "request {id} rank seat");
+            let event = self.finish.get(&(finish, slot.seq));
+            assert_eq!(event, Some(&idx), "request {id} finish event");
+        }
+        assert_eq!(groups, self.groups, "context groups");
+        assert_eq!(self.by_rank.len(), decoding.len(), "rank seats");
+        assert_eq!(self.finish.len(), decoding.len(), "finish events");
     }
 }
 
@@ -149,7 +165,7 @@ impl ActiveSet {
 /// until the prompt completes.
 #[derive(Clone, Copy)]
 pub(super) struct PrefillingSequence {
-    /// Index into the request/record vectors.
+    /// The request's slot.
     pub(super) idx: usize,
     /// Prefill tokens to process before the sequence may decode: the prompt,
     /// plus — after a preemption — the tokens already generated, which

@@ -8,16 +8,15 @@
 
 use crate::request::{RequestRecord, ServingRequest};
 use crate::simulator::ServingOutcome;
-use crate::tallies::build_report;
+use crate::tallies::{build_report, empirical_rps};
 
-use super::{ReplicaSim, SlotState};
+use super::ReplicaSim;
 
 /// An in-flight request pulled back out of a drained or failed replica,
 /// carrying everything the router needs to dispatch it again elsewhere:
 /// the request itself, its global scheduling rank, the decode progress a
 /// restart-with-recompute re-prefills, and the lifecycle record whose
 /// original arrival/admission stamps must survive the move.
-#[derive(Clone)]
 pub(crate) struct CarriedRequest {
     pub request: ServingRequest,
     pub rank: f64,
@@ -41,9 +40,9 @@ impl ReplicaSim {
     pub(crate) fn extract_pending(&mut self) -> Vec<CarriedRequest> {
         let mut carried: Vec<CarriedRequest> = Vec::new();
         // The not-yet-arrived tail never entered the ready queue.
-        for slot in self.slots.drain(self.next_arrival..) {
-            self.waiting_kv_bytes -= slot.kv_bytes;
-            carried.push(*slot.carried);
+        for idx in std::mem::take(&mut self.pending) {
+            self.waiting_kv_bytes -= self.slots[idx].kv_bytes;
+            carried.push(self.carry_out(idx));
         }
         // Never-admitted waiters leave; preempted/swapped victims stay and
         // finish here.
@@ -57,9 +56,12 @@ impl ReplicaSim {
             }
         }
         for idx in keep {
-            self.ready.push(self.slots[idx].carried.rank, idx);
+            let slot = &self.slots[idx];
+            self.ready.push_slot(slot.carried.rank, slot.seq, idx);
         }
         carried.sort_by_key(|c| c.record.id);
+        #[cfg(any(test, debug_assertions))]
+        self.check_invariants();
         carried
     }
 
@@ -75,43 +77,41 @@ impl ReplicaSim {
         // bytes and cache claims die with the machine.
         while let Some(idx) = self.ready.pop() {
             self.waiting_kv_bytes -= self.slots[idx].kv_bytes;
-            self.release_claim(idx);
             carried.push(self.carry_out(idx));
         }
         // Prefilling sequences lose their chunk progress and their pages
         // (or their reservation, under reserve accounting).
         while let Some(seq) = self.prefilling.pop() {
             self.prefill_target_tokens -= seq.target;
-            self.kv
-                .release(std::mem::take(&mut self.slots[seq.idx].held));
             self.slots[seq.idx].carried.record.preemptions += 1;
-            self.release_claim(seq.idx);
             carried.push(self.carry_out(seq.idx));
         }
         // Active sequences record their progress (the remainder decodes
         // elsewhere after a re-prefill) and release everything they hold.
-        let decoding: Vec<usize> = (0..self.slots.len())
-            .filter(|&idx| self.is_decoding(idx))
+        let decoding: Vec<usize> = (self.active.contexts_by_rank(self.step))
+            .map(|(idx, _)| idx)
             .collect();
         for idx in decoding {
             self.leave_batch(idx);
             self.slots[idx].carried.record.preemptions += 1;
-            self.release_claim(idx);
             carried.push(self.carry_out(idx));
         }
         self.pending_first_token.clear();
         self.chunks.clear();
-        debug_assert_eq!(self.active_covered_tokens, 0);
         self.kv.restart_cold();
         carried.sort_by_key(|c| c.record.id);
+        #[cfg(any(test, debug_assertions))]
+        self.check_invariants();
         carried
     }
 
-    /// Mark request `idx` extracted and package it for re-dispatch.
+    /// Free slot `idx`, release what it holds and hand its request over.
     fn carry_out(&mut self, idx: usize) -> CarriedRequest {
-        self.slots[idx].state = SlotState::Extracted;
-        self.extracted_count += 1;
-        (*self.slots[idx].carried).clone()
+        let slot = self.slots.remove(idx);
+        self.kv.release(slot.held);
+        self.kv.release_lease(slot.lease);
+        self.extracted.push(slot.seq);
+        slot.carried
     }
 
     /// Restart a recovered replica's clock at `t` (it was dead in
@@ -122,26 +122,22 @@ impl ReplicaSim {
 
     /// Finish the replica: its report, folded from its tallies and its
     /// surviving records (requests extracted away by a drain or failure
-    /// complete elsewhere and are excluded), plus those records.
-    pub(crate) fn into_outcome(self) -> ServingOutcome {
-        let arrivals: Vec<f64> = self
-            .slots
-            .iter()
-            .map(|s| s.carried.request.arrival)
-            .collect();
-        let records: Vec<&RequestRecord> = self
-            .slots
-            .iter()
-            .filter(|s| s.state != SlotState::Extracted)
-            .map(|s| &s.carried.record)
-            .collect();
+    /// complete elsewhere and are dropped), plus those records, in
+    /// injection order.
+    pub(crate) fn into_outcome(mut self) -> ServingOutcome {
+        self.extracted.sort_unstable();
+        let (extracted, mut seqs) = (&self.extracted, 0..);
+        (self.records).retain(|_| {
+            seqs.next()
+                .is_some_and(|s| extracted.binary_search(&s).is_err())
+        });
         let (kv_tallies, prefix_tallies) =
             self.kv.tallies(self.usage, self.recomputed_prefill_tokens);
         let report = build_report(
             &self.sim,
             &self.plan.spec,
-            &arrivals,
-            &records,
+            empirical_rps(self.arrivals.0, (self.arrivals.1, self.arrivals.2)),
+            &self.records,
             self.clock,
             self.completed,
             self.generated_tokens,
@@ -152,12 +148,9 @@ impl ReplicaSim {
             self.swap,
             prefix_tallies,
         );
-        let records = self
-            .slots
-            .into_iter()
-            .filter(|s| s.state != SlotState::Extracted)
-            .map(|s| s.carried.record)
-            .collect();
-        ServingOutcome { report, records }
+        ServingOutcome {
+            report,
+            records: self.records,
+        }
     }
 }

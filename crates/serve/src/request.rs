@@ -225,14 +225,16 @@ pub fn sample_request_prefixes(
                     )));
                 }
             }
-            let mut interned: BTreeMap<&[u64], Arc<[u64]>> = BTreeMap::new();
+            // Runs keyed by length and end tokens, told apart by content.
+            let mut interned: BTreeMap<_, Vec<Arc<[u64]>>> = BTreeMap::new();
             Ok(prefixes
                 .iter()
-                .map(|prefix| {
-                    let run = interned
-                        .entry(prefix.as_slice())
-                        .or_insert_with(|| Arc::from(prefix.as_slice()));
-                    Arc::clone(run)
+                .map(|p| {
+                    let runs = (interned.entry((p.len(), p.first(), p.last()))).or_default();
+                    match runs.iter().find(|run| ***run == **p) {
+                        Some(run) => Arc::clone(run),
+                        None => Arc::clone(runs.push_mut(Arc::from(p.as_slice()))),
+                    }
                 })
                 .collect())
         }
@@ -241,7 +243,7 @@ pub fn sample_request_prefixes(
 
 /// The lifecycle timestamps of one completed request (all in seconds of
 /// virtual time since simulation start).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RequestRecord {
     /// Request id (index in arrival order).
     pub id: usize,
@@ -269,6 +271,18 @@ pub struct RequestRecord {
 }
 
 impl RequestRecord {
+    /// `request`'s record before any stamp.
+    pub(crate) fn unstamped(request: &ServingRequest) -> Self {
+        RequestRecord {
+            id: request.id,
+            arrival: request.arrival,
+            prompt_len: request.prompt_len,
+            gen_len: request.gen_len,
+            class: request.class,
+            ..RequestRecord::default()
+        }
+    }
+
     /// Time spent waiting in the admission queue before the request's
     /// *first* admission (re-admissions after a preemption do not reset it).
     pub fn queue_delay(&self) -> f64 {

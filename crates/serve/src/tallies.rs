@@ -66,15 +66,13 @@ pub(crate) struct SwapTallies {
     pub seconds: f64,
 }
 
-/// The empirical offered rate of a sampled arrival trace: requests per
-/// second over the span from the first to the last arrival (0 when the span
-/// is empty, e.g. all-at-once).
-pub(crate) fn empirical_rps(times: &[f64]) -> f64 {
-    match (times.first(), times.last()) {
-        (Some(&first), Some(&last)) if last > first => {
-            f64_from_usize(times.len() - 1) / (last - first)
-        }
-        _ => 0.0,
+/// The empirical offered rate of `count` arrivals from `first` to `last`,
+/// in requests per second (0 for an empty span, e.g. all-at-once).
+pub(crate) fn empirical_rps(count: usize, (first, last): (f64, f64)) -> f64 {
+    if last > first {
+        f64_from_usize(count - 1) / (last - first)
+    } else {
+        0.0
     }
 }
 
@@ -118,8 +116,8 @@ pub fn ordered_mean(values: &[f64]) -> f64 {
 pub(crate) fn build_report(
     sim: &ServingSimulation,
     spec: &SessionSpec,
-    times: &[f64],
-    records: &[&RequestRecord],
+    empirical_rps: f64,
+    records: &[RequestRecord],
     clock: f64,
     completed: usize,
     generated_tokens: usize,
@@ -149,10 +147,7 @@ pub(crate) fn build_report(
         preemption_policy: sim.preemption.name().to_string(),
         num_requests: records.len(),
         completed,
-        offered_rps: sim
-            .arrival
-            .offered_rps()
-            .unwrap_or_else(|| empirical_rps(times)),
+        offered_rps: sim.arrival.offered_rps().unwrap_or(empirical_rps),
         makespan: clock,
         generated_tokens,
         breakdown,
@@ -239,7 +234,7 @@ pub(crate) fn build_report(
 
 /// Fold the per-request records into per-priority-tier reports, sorted by
 /// tier (most important first).
-fn fold_class_reports(records: &[&RequestRecord]) -> Vec<ClassReport> {
+fn fold_class_reports(records: &[RequestRecord]) -> Vec<ClassReport> {
     let mut tiers: Vec<u8> = records.iter().map(|r| r.class.priority).collect();
     tiers.sort_unstable();
     tiers.dedup();
@@ -248,7 +243,6 @@ fn fold_class_reports(records: &[&RequestRecord]) -> Vec<ClassReport> {
         .map(|tier| {
             let members: Vec<&RequestRecord> = records
                 .iter()
-                .copied()
                 .filter(|r| r.class.priority == tier)
                 .collect();
             let queue_delays: Vec<f64> = members.iter().map(|r| r.queue_delay()).collect();
@@ -304,8 +298,10 @@ mod tests {
 
     #[test]
     fn empirical_rps_spans_first_to_last() {
-        assert_eq!(empirical_rps(&[]), 0.0);
-        assert_eq!(empirical_rps(&[1.0]), 0.0);
-        assert!((empirical_rps(&[0.0, 1.0, 2.0]) - 1.0).abs() < 1e-12);
+        assert_eq!(empirical_rps(0, (0.0, 0.0)), 0.0);
+        assert_eq!(empirical_rps(1, (1.0, 1.0)), 0.0);
+        assert_eq!(empirical_rps(2, (2.0, 2.0)), 0.0);
+        assert!((empirical_rps(3, (0.0, 2.0)) - 1.0).abs() < 1e-12);
+        assert!((empirical_rps(4, (1.0, 5.0)) - 0.75).abs() < 1e-12);
     }
 }

@@ -226,6 +226,47 @@ fn cluster_validation_rejects_paged_without_preemption_upfront() {
     assert_eq!(outcome.report.completed, 4);
 }
 
+/// An admission error names the request that can never be admitted, not
+/// the replica slot that holds it: on a two-replica round-robin fleet
+/// under reserve KV with a budget of two 64/16 requests, request 3 (a
+/// 400-token prompt) is the second request the second replica receives.
+#[test]
+fn unadmittable_request_is_named_by_its_id() {
+    let mut template = template();
+    template.prompt_len = 64;
+    template.gen_len = 16;
+    let lengths = [64, 64, 64, 400]
+        .map(|prompt_len| RequestLength {
+            prompt_len,
+            gen_len: 16,
+        })
+        .to_vec();
+    let scenario = ServingSimulation::new(
+        template.clone(),
+        ArrivalProcess::Trace {
+            times: vec![0.0, 0.1, 0.2, 0.3],
+        },
+        4,
+    )
+    .with_lengths(LengthDistribution::Trace { lengths })
+    .with_admission(
+        AdmissionConfig::unlimited().with_kv_memory_bytes(request_kv_bytes(&template, 64, 16) * 2),
+    );
+    let cluster = ClusterSimulation::uniform(
+        scenario,
+        SystemKind::hermes_base(),
+        &SystemConfig::paper_default(),
+        2,
+        RoutingPolicy::RoundRobin,
+    );
+    let err = simulate_cluster(&cluster).unwrap_err();
+    assert!(
+        matches!(&err, HermesError::InvalidConfig(msg)
+            if msg.starts_with("admission caps can never admit request 3 ")),
+        "{err}"
+    );
+}
+
 /// A scenario replayed from explicit traces, the way a benchmark feeds one:
 /// bursts of arrival times, mixed lengths, two priority tiers and prompts
 /// that repeat three 12-token prefixes (every fourth prompt is unique), on
