@@ -1,5 +1,7 @@
 //! Sampling [`ArrivalProcess`] specs into concrete arrival-time traces.
 
+use std::borrow::Cow;
+
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -13,8 +15,8 @@ fn exponential_gap(rng: &mut ChaCha8Rng, rate: f64) -> f64 {
 }
 
 /// Sample `count` arrival times (seconds since simulation start, sorted)
-/// from an arrival spec. Fully deterministic: equal `(spec, count, seed)`
-/// always produce the identical trace.
+/// from an arrival spec, borrowing a trace. Fully deterministic: equal
+/// `(spec, count, seed)` always produce the identical trace.
 ///
 /// # Errors
 ///
@@ -25,11 +27,11 @@ pub fn sample_arrival_times(
     spec: &ArrivalProcess,
     count: usize,
     seed: u64,
-) -> Result<Vec<f64>, HermesError> {
+) -> Result<Cow<'_, [f64]>, HermesError> {
     spec.validate()?;
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     match spec {
-        ArrivalProcess::AllAtOnce => Ok(vec![0.0; count]),
+        ArrivalProcess::AllAtOnce => Ok(vec![0.0; count].into()),
         ArrivalProcess::Poisson { rate } => {
             let mut t = 0.0;
             Ok((0..count)
@@ -55,7 +57,7 @@ pub fn sample_arrival_times(
                     times.push(t);
                 }
             }
-            Ok(times)
+            Ok(times.into())
         }
         ArrivalProcess::Trace { times } => {
             if times.len() != count {
@@ -65,7 +67,7 @@ pub fn sample_arrival_times(
                     count
                 )));
             }
-            Ok(times.clone())
+            Ok(Cow::Borrowed(times))
         }
     }
 }

@@ -21,9 +21,10 @@
 use hermes_core::{ClusterReport, HermesError, ReplicaReport, SystemConfig, SystemKind};
 use hermes_model::non_negative_finite;
 
+use crate::queue::Rank;
 use crate::replica::{CarriedRequest, ReplicaSim};
 use crate::request::{RequestRecord, ServingRequest};
-use crate::simulator::{replica_scenario, request_ranks, ServingSimulation};
+use crate::simulator::{replica_scenario, request_extremes, request_ranks, ServingSimulation};
 
 /// How the cluster picks a replica for each arriving (or re-dispatched)
 /// request. All policies consider only *routable* replicas — drained and
@@ -283,18 +284,15 @@ impl ClusterSimulator {
         // so a request keeps its rank (e.g. its prefix-affinity group
         // leader) wherever it is dispatched or re-dispatched.
         let ranks = request_ranks(scenario.scheduling, &requests);
+        let extremes = request_extremes(&requests);
         let mut replicas = Vec::with_capacity(sim.replicas.len());
-        for (i, spec) in sim.replicas.iter().enumerate() {
+        for spec in &sim.replicas {
             // The replica schedules under its own policy knobs but reports
             // against the fleet scenario's offered rate (so a one-replica
             // fleet reproduces `simulate` bitwise).
             let rsim = replica_scenario(&spec.sim, scenario);
             let replica = ReplicaSim::new(spec.kind, &spec.config, rsim)?;
-            // A machine like an earlier one passes the same validation.
-            let (earlier, key) = (&sim.replicas[..i], (spec.kind, &spec.config, &spec.sim));
-            if !earlier.iter().any(|s| (s.kind, &s.config, &s.sim) == key) {
-                replica.validate_requests(&requests)?;
-            }
+            replica.validate_extremes(&requests, extremes)?;
             replicas.push(replica);
         }
         let mut events = sim.events.clone();
@@ -321,45 +319,30 @@ impl ClusterSimulator {
         let n = self.replicas.len();
         match self.routing {
             RoutingPolicy::RoundRobin => {
-                for offset in 0..n {
-                    let idx = (self.rr_next + offset) % n;
-                    if self.routable[idx] {
-                        self.rr_next = (idx + 1) % n;
-                        return Some(idx);
-                    }
-                }
-                None
+                let idx = (0..n)
+                    .map(|offset| (self.rr_next + offset) % n)
+                    .find(|&idx| self.routable[idx])?;
+                self.rr_next = (idx + 1) % n;
+                Some(idx)
             }
-            RoutingPolicy::LeastOutstanding => self.pick_min(|_, r| r.outstanding() as f64),
-            RoutingPolicy::KvPressure => self.pick_min(|_, r| r.kv_pressure()),
+            RoutingPolicy::LeastOutstanding => self.pick_min(|r| r.outstanding() as f64),
+            RoutingPolicy::KvPressure => self.pick_min(|r| r.kv_pressure()),
             RoutingPolicy::PrefixAffinity => {
                 // Longest resident prefix wins: minimize the *negated*
                 // match length.
-                self.pick_min(|_, r| -(r.prefix_match(&request.prefix) as f64))
+                self.pick_min(|r| -(r.prefix_match(&request.prefix) as f64))
             }
         }
     }
 
     /// The routable replica minimizing `score`, ties broken by fewest
     /// outstanding requests, then lowest index.
-    fn pick_min(&self, score: impl Fn(usize, &ReplicaSim) -> f64) -> Option<usize> {
-        let mut best: Option<(f64, usize, usize)> = None;
-        for (idx, replica) in self.replicas.iter().enumerate() {
-            if !self.routable[idx] {
-                continue;
-            }
-            let key = (score(idx, replica), replica.outstanding(), idx);
-            let better = match &best {
-                None => true,
-                Some((s, o, i)) => {
-                    (key.0.total_cmp(s).then(key.1.cmp(o)).then(key.2.cmp(i))).is_lt()
-                }
-            };
-            if better {
-                best = Some(key);
-            }
-        }
-        best.map(|(_, _, idx)| idx)
+    fn pick_min(&self, score: impl Fn(&ReplicaSim) -> f64) -> Option<usize> {
+        (self.replicas.iter().enumerate())
+            .filter(|&(idx, _)| self.routable[idx])
+            .map(|(idx, replica)| (Rank(score(replica)), replica.outstanding(), idx))
+            .min()
+            .map(|(_, _, idx)| idx)
     }
 
     /// Dispatch one first-time arrival.

@@ -28,7 +28,7 @@ use hermes_core::HermesError;
 use crate::prefix::{PrefixCache, PrefixLease};
 use crate::request::ServingRequest;
 use crate::scheduler::{token_kv_bytes, AdmissionConfig, KvAccounting, PrefixCacheMode};
-use crate::simulator::{validate_paged_capacity, ServingSimulation};
+use crate::simulator::{validate_paged_capacity, Extremes, ServingSimulation};
 use crate::tallies::{KvTallies, PrefixTallies};
 
 /// The paged pool's block counts: capacity, blocks in use and their
@@ -150,12 +150,14 @@ impl KvBackend {
     pub(crate) fn validate_requests(
         &self,
         requests: &[ServingRequest],
+        extremes: Extremes<'_>,
         sim: &ServingSimulation,
     ) -> Result<(), HermesError> {
         let KvBackend::Paged { pool, .. } = self else {
             return Ok(());
         };
-        validate_paged_capacity(pool.block_tokens, pool.capacity_blocks, requests, sim)
+        let (bt, cap) = (pool.block_tokens, pool.capacity_blocks);
+        validate_paged_capacity(bt, cap, requests, extremes, sim)
     }
 
     /// Bytes held by resident work: pool blocks (cached prefixes

@@ -50,13 +50,8 @@ impl ReadyQueue {
         Self::default()
     }
 
-    /// Enqueue a request (a fresh arrival or a re-queued eviction victim).
-    pub fn push(&mut self, rank: f64, idx: usize) {
-        self.push_slot(rank, idx, idx);
-    }
-
-    /// Enqueue the request with arrival index `idx` held in `slot`.
-    pub fn push_slot(&mut self, rank: f64, idx: usize, slot: usize) {
+    /// Enqueue an arrival or a re-queued victim: arrival index `idx`, in `slot`.
+    pub fn push(&mut self, rank: f64, idx: usize, slot: usize) {
         self.heap.push(Reverse((Rank(rank), idx, slot)));
     }
 
@@ -95,31 +90,33 @@ mod tests {
     #[test]
     fn drains_by_rank_then_arrival_index() {
         let mut q = ReadyQueue::new();
-        q.push(2.0, 0);
-        q.push(0.0, 1);
-        q.push(2.0, 2);
-        q.push(1.0, 3);
-        assert_eq!(q.peek(), Some(1));
+        // Slots run against arrival order, so a tie broken on the slot
+        // would drain equal ranks backwards.
+        q.push(2.0, 0, 13);
+        q.push(0.0, 1, 12);
+        q.push(2.0, 2, 11);
+        q.push(1.0, 3, 10);
+        assert_eq!(q.peek(), Some(12));
         let mut order = Vec::new();
-        while let Some(idx) = q.pop() {
-            order.push(idx);
+        while let Some(slot) = q.pop() {
+            order.push(slot);
         }
-        assert_eq!(order, vec![1, 3, 0, 2]);
+        assert_eq!(order, vec![12, 10, 13, 11]);
     }
 
     #[test]
     fn equal_ranks_preserve_arrival_order_through_interleaved_pops() {
         let mut q = ReadyQueue::new();
-        q.push(1.0, 5);
-        q.push(1.0, 2);
-        assert_eq!(q.pop(), Some(2));
+        q.push(1.0, 5, 0);
+        q.push(1.0, 2, 1);
+        assert_eq!(q.pop(), Some(1));
         // A re-queued victim with a later index never overtakes an equal
-        // rank already waiting.
-        q.push(1.0, 7);
-        q.push(1.0, 3);
-        assert_eq!(q.pop(), Some(3));
-        assert_eq!(q.pop(), Some(5));
-        assert_eq!(q.pop(), Some(7));
+        // rank already waiting, whichever slot either holds.
+        q.push(1.0, 7, 1);
+        q.push(1.0, 3, 2);
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.pop(), Some(0));
+        assert_eq!(q.pop(), Some(1));
         assert!(q.is_empty());
         assert_eq!(q.len(), 0);
     }
@@ -127,8 +124,8 @@ mod tests {
     #[test]
     fn infinite_ranks_sort_after_every_finite_deadline() {
         let mut q = ReadyQueue::new();
-        q.push(f64::INFINITY, 0);
-        q.push(1e12, 1);
+        q.push(f64::INFINITY, 0, 0);
+        q.push(1e12, 1, 1);
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(0));
     }

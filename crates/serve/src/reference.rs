@@ -38,7 +38,8 @@ use crate::scheduler::{
     PrefillPolicy, PrefixCacheMode,
 };
 use crate::simulator::{
-    request_ranks, validate_paged_capacity, worst_case_bounds, ServingOutcome, ServingSimulation,
+    request_extremes, request_ranks, validate_paged_capacity, worst_case_bounds, ServingOutcome,
+    ServingSimulation,
 };
 use crate::tallies::{build_report, empirical_rps, KvTallies, PrefixTallies, SwapTallies};
 
@@ -89,7 +90,8 @@ pub fn simulate_reference(
         .map_or((0.0, 0.0), |(first, last)| (first.arrival, last.arrival));
     let engine = kind.engine(config);
     let mut plan = engine.plan(&sim.template)?;
-    for bound in worst_case_bounds(&sim.template, &requests) {
+    let extremes = request_extremes(&requests);
+    for bound in worst_case_bounds(&sim.template, extremes) {
         engine.validate(&bound)?;
     }
 
@@ -110,7 +112,7 @@ pub fn simulate_reference(
         None => None,
     };
     if let Some(bt) = paged {
-        validate_paged_capacity(bt, capacity_blocks, &requests, sim)?;
+        validate_paged_capacity(bt, capacity_blocks, &requests, extremes, sim)?;
     }
     let blocks_for = |bt: usize, tokens: usize| tokens.div_ceil(bt) as u64;
     // The production radix cache, its inserted and evicted block counts

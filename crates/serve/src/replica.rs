@@ -40,7 +40,7 @@ use crate::prefix::PrefixLease;
 use crate::queue::ReadyQueue;
 use crate::request::{RequestRecord, ServingRequest};
 use crate::scheduler::{request_kv_bytes, BatchingPolicy, PreemptionPolicy, PrefillPolicy};
-use crate::simulator::{worst_case_bounds, ServingSimulation};
+use crate::simulator::{request_extremes, worst_case_bounds, Extremes, ServingSimulation};
 use crate::slab::Slab;
 use crate::tallies::SwapTallies;
 
@@ -240,10 +240,19 @@ impl ReplicaSim {
     /// [`HermesError::InvalidConfig`] when a request could never fit the
     /// paged pool at full context.
     pub fn validate_requests(&self, requests: &[ServingRequest]) -> Result<(), HermesError> {
-        for bound in worst_case_bounds(&self.sim.template, requests) {
+        self.validate_extremes(requests, request_extremes(requests))
+    }
+
+    /// [`ReplicaSim::validate_requests`] against extremes a fleet finds once.
+    pub(crate) fn validate_extremes(
+        &self,
+        requests: &[ServingRequest],
+        extremes: Extremes<'_>,
+    ) -> Result<(), HermesError> {
+        for bound in worst_case_bounds(&self.sim.template, extremes) {
             self.engine.validate(&bound)?;
         }
-        self.kv.validate_requests(requests, &self.sim)
+        self.kv.validate_requests(requests, extremes, &self.sim)
     }
 
     /// Hand the replica a request with its (globally computed) scheduling
@@ -267,6 +276,8 @@ impl ReplicaSim {
     /// it, and the restart-with-recompute path re-prefills the progress.
     /// `arrival` is the re-dispatch time (the drain/fail event time).
     pub(crate) fn inject_carried(&mut self, mut carried: CarriedRequest, arrival: f64) {
+        #[cfg(any(test, debug_assertions))]
+        let waiting_before = self.waiting_kv_bytes;
         carried.request.arrival = arrival;
         let request = &carried.request;
         let kv_bytes = request_kv_bytes(&self.sim.template, request.prompt_len, request.gen_len);
@@ -284,7 +295,7 @@ impl ReplicaSim {
         });
         self.pending.push_back(idx);
         #[cfg(any(test, debug_assertions))]
-        self.check_invariants();
+        self.check_injected(idx, waiting_before);
     }
 
     /// The replica's virtual clock.
@@ -399,7 +410,7 @@ impl ReplicaSim {
             self.pending.pop_front();
             let t = slot.carried.request.arrival;
             self.arrivals = (self.arrivals.0 + 1, self.arrivals.1.min(t), t);
-            self.ready.push_slot(slot.carried.rank, slot.seq, idx);
+            self.ready.push(slot.carried.rank, slot.seq, idx);
         }
     }
 
@@ -516,7 +527,7 @@ impl ReplicaSim {
             slot.state = SlotState::Waiting;
         }
         let slot = &self.slots[victim];
-        self.ready.push_slot(slot.carried.rank, slot.seq, victim);
+        self.ready.push(slot.carried.rank, slot.seq, victim);
         self.waiting_kv_bytes += slot.kv_bytes;
     }
 

@@ -57,7 +57,7 @@ impl ReplicaSim {
         }
         for idx in keep {
             let slot = &self.slots[idx];
-            self.ready.push_slot(slot.carried.rank, slot.seq, idx);
+            self.ready.push(slot.carried.rank, slot.seq, idx);
         }
         carried.sort_by_key(|c| c.record.id);
         #[cfg(any(test, debug_assertions))]

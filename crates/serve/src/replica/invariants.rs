@@ -1,6 +1,7 @@
-//! The replica's bookkeeping invariants, checked after every injection,
-//! token boundary and extraction in test and debug builds. Release builds
-//! compile none of it.
+//! The replica's bookkeeping invariants, checked in full after every token
+//! boundary and extraction and, after every injection, as far as the
+//! injection changes them, in test and debug builds. Release builds compile
+//! none of it.
 
 use std::collections::BTreeSet;
 
@@ -164,6 +165,47 @@ impl ReplicaSim {
                 let context = slot.context() + (self.step - join_step) as usize;
                 (slot.carried.request.id, slot.held, context - slot.covered)
             }),
+        );
+    }
+
+    /// Panic unless the injection that put a request in slot `idx` kept
+    /// what [`ReplicaSim::check_invariants`] checks, as far as an injection
+    /// changes it: the slot waits unclaimed at the back of the pending
+    /// arrivals, no earlier than the arrival before it, under the newest
+    /// record, and the queued KV bytes rose from `waiting_before` by its
+    /// worst case. Constant time, so injecting a whole trace up front
+    /// stays linear.
+    pub(crate) fn check_injected(&self, idx: usize, waiting_before: u64) {
+        let slot = &self.slots[idx];
+        let id = slot.carried.request.id;
+        assert_eq!(self.pending.back(), Some(&idx), "request {id} not pending");
+        assert!(
+            slot.state == SlotState::Waiting
+                && (slot.held, slot.covered, slot.reused) == (0, 0, 0)
+                && slot.lease.is_none(),
+            "request {id} injected with a claim"
+        );
+        assert!(
+            slot.seq + 1 == self.records.len() && self.records[slot.seq].id == id,
+            "request {id} not under the newest record"
+        );
+        assert_eq!(
+            self.records.len(),
+            self.completed + self.extracted.len() + self.outstanding(),
+            "records against requests"
+        );
+        let previous = match self.pending.len() {
+            1 => self.arrivals.2,
+            n => self.slots[self.pending[n - 2]].carried.request.arrival,
+        };
+        assert!(
+            slot.carried.request.arrival >= previous,
+            "requests injected out of arrival order"
+        );
+        assert_eq!(
+            self.waiting_kv_bytes,
+            waiting_before + slot.kv_bytes,
+            "waiting KV bytes"
         );
     }
 }

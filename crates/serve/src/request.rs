@@ -1,6 +1,7 @@
 //! Requests offered to the serving simulator and the per-request records it
 //! produces.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -61,18 +62,16 @@ impl ServingRequest {
         let prefixes = sample_request_prefixes(prompts, &lengths, prefix_seed)?;
         Ok(arrival_times
             .iter()
-            .zip(lengths.into_iter().zip(classes.into_iter().zip(prefixes)))
+            .zip(lengths.iter().zip(classes.iter().zip(prefixes)))
             .enumerate()
-            .map(
-                |(id, (&arrival, (length, (class, prefix))))| ServingRequest {
-                    id,
-                    arrival,
-                    prompt_len: length.prompt_len,
-                    gen_len: length.gen_len,
-                    class,
-                    prefix,
-                },
-            )
+            .map(|(id, (&arrival, (len, (&class, prefix))))| ServingRequest {
+                id,
+                arrival,
+                prompt_len: len.prompt_len,
+                gen_len: len.gen_len,
+                class,
+                prefix,
+            })
             .collect())
     }
 
@@ -83,8 +82,8 @@ impl ServingRequest {
     }
 }
 
-/// Assign `count` request classes from a [`PrioritySpec`]. Fully
-/// deterministic — no seeded draws, the spec pins every class.
+/// Assign `count` request classes from a [`PrioritySpec`], borrowing a
+/// trace. Fully deterministic — no seeded draws, the spec pins every class.
 ///
 /// # Errors
 ///
@@ -94,10 +93,10 @@ impl ServingRequest {
 pub fn assign_request_classes(
     spec: &PrioritySpec,
     count: usize,
-) -> Result<Vec<RequestClass>, HermesError> {
+) -> Result<Cow<'_, [RequestClass]>, HermesError> {
     spec.validate()?;
     match spec {
-        PrioritySpec::Fixed => Ok(vec![RequestClass::default(); count]),
+        PrioritySpec::Fixed => Ok(vec![RequestClass::default(); count].into()),
         PrioritySpec::Cycle { classes } => {
             Ok((0..count).map(|i| classes[i % classes.len()]).collect())
         }
@@ -109,26 +108,26 @@ pub fn assign_request_classes(
                     count
                 )));
             }
-            Ok(classes.clone())
+            Ok(Cow::Borrowed(classes))
         }
     }
 }
 
-/// Sample `count` per-request lengths from a [`LengthDistribution`]. Fully
-/// deterministic: equal `(spec, template, count, seed)` always produce the
-/// identical lengths.
+/// Sample `count` per-request lengths from a [`LengthDistribution`],
+/// borrowing a trace. Fully deterministic: equal `(spec, template, count,
+/// seed)` always produce the identical lengths.
 ///
 /// # Errors
 ///
 /// Returns [`HermesError::InvalidWorkload`] when the spec fails
 /// [`LengthDistribution::validate`] or a [`LengthDistribution::Trace`]
 /// length count does not match `count`.
-pub fn sample_request_lengths(
-    spec: &LengthDistribution,
+pub fn sample_request_lengths<'a>(
+    spec: &'a LengthDistribution,
     template: &Workload,
     count: usize,
     seed: u64,
-) -> Result<Vec<RequestLength>, HermesError> {
+) -> Result<Cow<'a, [RequestLength]>, HermesError> {
     spec.validate()?;
     match spec {
         LengthDistribution::Fixed => Ok(vec![
@@ -137,7 +136,8 @@ pub fn sample_request_lengths(
                 gen_len: template.gen_len,
             };
             count
-        ]),
+        ]
+        .into()),
         LengthDistribution::Uniform {
             prompt_min,
             prompt_max,
@@ -160,7 +160,7 @@ pub fn sample_request_lengths(
                     count
                 )));
             }
-            Ok(lengths.clone())
+            Ok(Cow::Borrowed(lengths))
         }
     }
 }
@@ -225,16 +225,14 @@ pub fn sample_request_prefixes(
                     )));
                 }
             }
-            // Runs keyed by length and end tokens, told apart by content.
-            let mut interned: BTreeMap<_, Vec<Arc<[u64]>>> = BTreeMap::new();
+            let mut interned: BTreeMap<&[u64], Arc<[u64]>> = BTreeMap::new();
             Ok(prefixes
                 .iter()
-                .map(|p| {
-                    let runs = (interned.entry((p.len(), p.first(), p.last()))).or_default();
-                    match runs.iter().find(|run| ***run == **p) {
-                        Some(run) => Arc::clone(run),
-                        None => Arc::clone(runs.push_mut(Arc::from(p.as_slice()))),
-                    }
+                .map(|prefix| {
+                    let run = interned
+                        .entry(prefix.as_slice())
+                        .or_insert_with(|| Arc::from(prefix.as_slice()));
+                    Arc::clone(run)
                 })
                 .collect())
         }
@@ -243,7 +241,7 @@ pub fn sample_request_prefixes(
 
 /// The lifecycle timestamps of one completed request (all in seconds of
 /// virtual time since simulation start).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RequestRecord {
     /// Request id (index in arrival order).
     pub id: usize,
@@ -276,10 +274,14 @@ impl RequestRecord {
         RequestRecord {
             id: request.id,
             arrival: request.arrival,
+            admitted: 0.0,
+            first_token: 0.0,
+            completed: 0.0,
             prompt_len: request.prompt_len,
             gen_len: request.gen_len,
             class: request.class,
-            ..RequestRecord::default()
+            preemptions: 0,
+            reused_prefix_tokens: 0,
         }
     }
 

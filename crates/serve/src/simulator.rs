@@ -8,6 +8,8 @@
 //! core, so one machine's behaviour is identical whether it serves alone or
 //! inside a fleet.
 
+use std::cmp::max_by_key;
+
 use serde::{Deserialize, Serialize};
 
 use hermes_core::{
@@ -277,32 +279,30 @@ pub(crate) fn validate_prefix_cache(sim: &ServingSimulation) -> Result<(), Herme
     Ok(())
 }
 
-/// The worst-case workloads the sampled requests imply, for up-front engine
-/// re-validation: the request with the largest prompt and the one with the
-/// largest total context (engine memory and validity checks can depend on
-/// either), deduplicated, whenever the sampled lengths exceed the template's
-/// respective values. Empty when the template plan already covers every
-/// request. Both maxima fall out of one pass over the requests; ties keep
-/// the *last* maximum, matching `Iterator::max_by_key`.
-pub(crate) fn worst_case_bounds(template: &Workload, requests: &[ServingRequest]) -> Vec<Workload> {
-    let mut extremes: Option<(&ServingRequest, &ServingRequest)> = None;
+/// A request set's worst case: the request with the largest prompt and the
+/// one with the largest total context; `None` for no requests.
+pub(crate) type Extremes<'a> = Option<(&'a ServingRequest, &'a ServingRequest)>;
+
+/// `requests`' [`Extremes`] in one pass, ties keeping the *last* maximum
+/// (as `Iterator::max_by_key` does).
+pub(crate) fn request_extremes(requests: &[ServingRequest]) -> Extremes<'_> {
+    let mut extremes: Extremes<'_> = None;
     for r in requests {
-        extremes = Some(match extremes {
-            None => (r, r),
-            Some((max_prompt, max_total)) => (
-                if r.prompt_len >= max_prompt.prompt_len {
-                    r
-                } else {
-                    max_prompt
-                },
-                if r.prompt_len + r.gen_len >= max_total.prompt_len + max_total.gen_len {
-                    r
-                } else {
-                    max_total
-                },
-            ),
-        });
+        let (prompt, longest) = extremes.unwrap_or((r, r));
+        extremes = Some((
+            max_by_key(prompt, r, |r| r.prompt_len),
+            max_by_key(longest, r, |r| r.prompt_len + r.gen_len),
+        ));
     }
+    extremes
+}
+
+/// The worst-case workloads a request set's `extremes` imply, for up-front
+/// engine re-validation: the largest prompt and the largest total context
+/// (engine memory and validity checks can depend on either), deduplicated,
+/// whenever they exceed the template's respective values. Empty when the
+/// template plan already covers every request.
+pub(crate) fn worst_case_bounds(template: &Workload, extremes: Extremes<'_>) -> Vec<Workload> {
     let Some((max_prompt, max_total)) = extremes else {
         return Vec::new();
     };
@@ -318,11 +318,10 @@ pub(crate) fn worst_case_bounds(template: &Workload, requests: &[ServingRequest]
     }
     lengths
         .into_iter()
-        .map(|(prompt_len, gen_len)| {
-            let mut bound = template.clone();
-            bound.prompt_len = prompt_len;
-            bound.gen_len = gen_len;
-            bound
+        .map(|(prompt_len, gen_len)| Workload {
+            prompt_len,
+            gen_len,
+            ..template.clone()
         })
         .collect()
 }
@@ -394,18 +393,25 @@ pub(crate) fn validate_paged_preemption(sim: &ServingSimulation) -> Result<(), H
 }
 
 /// Reject any request whose full-context page count exceeds the pool: it
-/// could never run to completion and would preempt forever.
+/// could never run to completion and would preempt forever. Page counts
+/// grow with the context, so the longest of `requests`' `extremes` decides;
+/// only a rejection walks `requests`, to name the first that cannot fit.
 pub(crate) fn validate_paged_capacity(
     block_tokens: usize,
     capacity_blocks: Option<u64>,
     requests: &[ServingRequest],
+    extremes: Extremes<'_>,
     sim: &ServingSimulation,
 ) -> Result<(), HermesError> {
+    let pages = |r: &ServingRequest| (r.prompt_len + r.gen_len).div_ceil(block_tokens) as u64;
     let Some(cap) = capacity_blocks else {
         return Ok(());
     };
+    if extremes.is_none_or(|(_, longest)| pages(longest) <= cap) {
+        return Ok(());
+    }
     for (idx, r) in requests.iter().enumerate() {
-        let need = (r.prompt_len + r.gen_len).div_ceil(block_tokens) as u64;
+        let need = pages(r);
         if need > cap {
             return Err(HermesError::InvalidConfig(format!(
                 "request {idx} needs {need} KV blocks at full context but the paged pool \

@@ -39,7 +39,7 @@ fn request(id: usize, arrival: f64, prompt_len: usize, gen_len: usize) -> Servin
 fn worst_case_bounds_cover_larger_prompt_with_smaller_total() {
     let template = Workload::paper_default(ModelId::Opt13B); // 128 + 128
     let requests = vec![request(0, 0.0, 200, 8)];
-    let bounds = worst_case_bounds(&template, &requests);
+    let bounds = worst_case_bounds(&template, request_extremes(&requests));
     assert_eq!(bounds.len(), 1, "max-prompt request must be re-validated");
     assert_eq!(bounds[0].prompt_len, 200);
     assert_eq!(bounds[0].gen_len, 8);
@@ -55,7 +55,7 @@ fn worst_case_bounds_cover_both_extremes_and_dedupe() {
         request(1, 0.0, 100, 200),
         request(2, 0.0, 64, 64),
     ];
-    let mut pairs: Vec<(usize, usize)> = worst_case_bounds(&template, &requests)
+    let mut pairs: Vec<(usize, usize)> = worst_case_bounds(&template, request_extremes(&requests))
         .iter()
         .map(|b| (b.prompt_len, b.gen_len))
         .collect();
@@ -64,12 +64,36 @@ fn worst_case_bounds_cover_both_extremes_and_dedupe() {
 
     // One request embodying both extremes yields a single bound.
     let one = vec![request(0, 0.0, 300, 300)];
-    assert_eq!(worst_case_bounds(&template, &one).len(), 1);
+    assert_eq!(
+        worst_case_bounds(&template, request_extremes(&one)).len(),
+        1
+    );
 
     // Requests within the template need no re-validation at all.
     let covered = vec![request(0, 0.0, 64, 64), request(1, 0.0, 128, 128)];
-    assert!(worst_case_bounds(&template, &covered).is_empty());
-    assert!(worst_case_bounds(&template, &[]).is_empty());
+    assert!(worst_case_bounds(&template, request_extremes(&covered)).is_empty());
+    assert!(worst_case_bounds(&template, request_extremes(&[])).is_empty());
+}
+
+/// The longest request decides whether every request fits the paged pool,
+/// but the rejection names the first request that does not.
+#[test]
+fn paged_capacity_names_the_first_request_that_cannot_fit() {
+    let sim = ServingSimulation::new(template(), ArrivalProcess::AllAtOnce, 4);
+    let requests = [(32, 8), (64, 8), (16, 8), (256, 8)]
+        .iter()
+        .enumerate()
+        .map(|(id, &(prompt, gen))| request(id, 0.0, prompt, gen))
+        .collect::<Vec<_>>();
+    let extremes = request_extremes(&requests);
+    assert!(validate_paged_capacity(16, Some(17), &requests, extremes, &sim).is_ok());
+    assert!(validate_paged_capacity(16, None, &requests, extremes, &sim).is_ok());
+    match validate_paged_capacity(16, Some(3), &requests, extremes, &sim) {
+        Err(HermesError::InvalidConfig(msg)) => {
+            assert!(msg.starts_with("request 1 needs 5 KV blocks"), "{msg}");
+        }
+        other => panic!("expected InvalidConfig, got {other:?}"),
+    }
 }
 
 #[test]

@@ -49,6 +49,13 @@ fn request_of(idx: usize, tier: u8, deadline: Option<f64>, arrival: f64) -> Serv
     }
 }
 
+/// The slot holding request `idx` of `n`: slots run against arrival
+/// order, so a tie broken on the slot instead of the arrival index would
+/// drain equal ranks backwards.
+fn slot_of(idx: usize, n: usize) -> usize {
+    n - 1 - idx
+}
+
 fn scheduling_of(selector: usize) -> SchedulingPolicy {
     match selector {
         0 => SchedulingPolicy::Fcfs,
@@ -92,13 +99,13 @@ proptest! {
         let mut heap = ReadyQueue::new();
         let mut model: Vec<usize> = Vec::new();
         for (i, &rank) in ranks.iter().enumerate() {
-            heap.push(rank, i);
+            heap.push(rank, i, slot_of(i, n));
             model.push(i);
         }
         prop_assert_eq!(heap.len(), model.len());
         while let Some(expected) = model_pop(&mut model, &ranks) {
-            prop_assert_eq!(heap.peek(), Some(expected));
-            prop_assert_eq!(heap.pop(), Some(expected));
+            prop_assert_eq!(heap.peek(), Some(slot_of(expected, n)));
+            prop_assert_eq!(heap.pop(), Some(slot_of(expected, n)));
         }
         prop_assert!(heap.is_empty());
     }
@@ -127,6 +134,7 @@ proptest! {
             .map(|r| model_rank(scheduling, r))
             .collect();
 
+        let n = requests.len();
         let mut heap = ReadyQueue::new();
         let mut model: Vec<usize> = Vec::new();
         let mut next_arrival = 0usize;
@@ -136,15 +144,15 @@ proptest! {
         for op in ops {
             match op {
                 // A new arrival enters the queue.
-                0 if next_arrival < requests.len() => {
-                    heap.push(ranks[next_arrival], next_arrival);
+                0 if next_arrival < n => {
+                    heap.push(ranks[next_arrival], next_arrival, slot_of(next_arrival, n));
                     model.push(next_arrival);
                     next_arrival += 1;
                 }
                 // The scheduler admits the best-ranked waiter.
                 1 => {
                     let expected = model_pop(&mut model, &ranks);
-                    prop_assert_eq!(heap.pop(), expected);
+                    prop_assert_eq!(heap.pop(), expected.map(|idx| slot_of(idx, n)));
                     if let Some(idx) = expected {
                         admitted.push(idx);
                     }
@@ -153,7 +161,7 @@ proptest! {
                 // original (immutable) rank.
                 _ => {
                     if let Some(victim) = admitted.pop() {
-                        heap.push(ranks[victim], victim);
+                        heap.push(ranks[victim], victim, slot_of(victim, n));
                         model.push(victim);
                     }
                 }
@@ -161,7 +169,7 @@ proptest! {
         }
         // Drain what is left: full agreement to the end.
         while let Some(expected) = model_pop(&mut model, &ranks) {
-            prop_assert_eq!(heap.pop(), Some(expected));
+            prop_assert_eq!(heap.pop(), Some(slot_of(expected, n)));
         }
         prop_assert!(heap.is_empty());
     }
