@@ -8,8 +8,6 @@
 //! core, so one machine's behaviour is identical whether it serves alone or
 //! inside a fleet.
 
-use std::cmp::max_by_key;
-
 use serde::{Deserialize, Serialize};
 
 use hermes_core::{
@@ -283,18 +281,11 @@ pub(crate) fn validate_prefix_cache(sim: &ServingSimulation) -> Result<(), Herme
 /// one with the largest total context; `None` for no requests.
 pub(crate) type Extremes<'a> = Option<(&'a ServingRequest, &'a ServingRequest)>;
 
-/// `requests`' [`Extremes`] in one pass, ties keeping the *last* maximum
-/// (as `Iterator::max_by_key` does).
+/// `requests`' [`Extremes`], ties keeping the *last* maximum.
 pub(crate) fn request_extremes(requests: &[ServingRequest]) -> Extremes<'_> {
-    let mut extremes: Extremes<'_> = None;
-    for r in requests {
-        let (prompt, longest) = extremes.unwrap_or((r, r));
-        extremes = Some((
-            max_by_key(prompt, r, |r| r.prompt_len),
-            max_by_key(longest, r, |r| r.prompt_len + r.gen_len),
-        ));
-    }
-    extremes
+    let max_prompt = requests.iter().max_by_key(|r| r.prompt_len)?;
+    let longest = requests.iter().max_by_key(|r| r.prompt_len + r.gen_len)?;
+    Some((max_prompt, longest))
 }
 
 /// The worst-case workloads a request set's `extremes` imply, for up-front
