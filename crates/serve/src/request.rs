@@ -64,14 +64,16 @@ impl ServingRequest {
             .iter()
             .zip(lengths.iter().zip(classes.iter().zip(prefixes)))
             .enumerate()
-            .map(|(id, (&arrival, (len, (&class, prefix))))| ServingRequest {
-                id,
-                arrival,
-                prompt_len: len.prompt_len,
-                gen_len: len.gen_len,
-                class,
-                prefix,
-            })
+            .map(
+                |(id, (&arrival, (length, (&class, prefix))))| ServingRequest {
+                    id,
+                    arrival,
+                    prompt_len: length.prompt_len,
+                    gen_len: length.gen_len,
+                    class,
+                    prefix,
+                },
+            )
             .collect())
     }
 
