@@ -1,5 +1,6 @@
-//! Golden report bytes: the closed-loop report of every engine and two
-//! full-Hermes serving runs, compared byte for byte with committed JSON.
+//! Golden report bytes: the closed-loop report of every engine, two
+//! full-Hermes serving runs and a paged, prefix-cached Hermes-base fleet,
+//! compared byte for byte with committed JSON.
 //!
 //! The other suites compare two paths through the same engine, or allow a
 //! relative tolerance, so a change that moves every engine's numbers at
@@ -17,7 +18,10 @@ use hermes::core::{
 };
 use hermes::model::ModelId;
 use hermes::serve::{
-    simulate, AdmissionConfig, LengthDistribution, PrefillPolicy, ServingSimulation,
+    request_kv_bytes, simulate, simulate_cluster, AdmissionConfig, ClusterSimulation,
+    LengthDistribution, PreemptionPolicy, PrefillPolicy, PrefixCacheMode, PrioritySpec, PromptSpec,
+    ReplicaEvent, RequestClass, RoutingPolicy, SchedulingPolicy, ServingSimulation,
+    DEFAULT_BLOCK_TOKENS,
 };
 
 /// Compare `fresh` with the committed file `tests/golden/<name>`.
@@ -121,4 +125,81 @@ fn long_horizon_serving_run_matches_golden() {
     let outcome = simulate(SystemKind::hermes(), &config, &sim).unwrap();
     let fresh = serde_json::to_string_pretty(&outcome).unwrap();
     assert_golden("serving_hermes_long.json", &fresh);
+}
+
+#[test]
+fn cached_fleet_report_matches_golden() {
+    // A scaled-down perfbench `fleet-paged`: four Hermes-base boxes with a
+    // paged pool of eight worst-case reservations each, an LRU prefix cache
+    // over 24 shared 48-token prefixes (72 blocks, against 40 per box),
+    // swap-out, two tiers under priority scheduling, KV-pressure routing
+    // and one failover. The other suites run the production loop against a
+    // reference that shares the prefix cache and the report fold, so only
+    // these bytes pin eviction order and the percentiles themselves.
+    let mut template = Workload::paper_default(ModelId::Opt13B);
+    template.prompt_len = 64;
+    template.gen_len = 16;
+    let kv_cap = request_kv_bytes(&template, 64, 16) * 8;
+    let tier = |priority, ttft_deadline| RequestClass {
+        priority,
+        ttft_deadline,
+    };
+    let scenario = ServingSimulation::new(
+        template,
+        ArrivalProcess::Bursty {
+            rate: 40.0,
+            burst: 8,
+        },
+        320,
+    )
+    .with_classes(PrioritySpec::Cycle {
+        classes: vec![
+            tier(1, None),
+            tier(0, Some(0.5)),
+            tier(1, None),
+            tier(1, None),
+        ],
+    })
+    .with_prompts(PromptSpec::SharedGroups {
+        groups: 24,
+        prefix_len: 48,
+    })
+    .with_admission(
+        AdmissionConfig::unlimited()
+            .with_max_batch(16)
+            .with_kv_memory_bytes(kv_cap)
+            .with_paged_kv(DEFAULT_BLOCK_TOKENS),
+    )
+    .with_scheduling(SchedulingPolicy::Priority)
+    .with_preemption(PreemptionPolicy::SwapOut)
+    .with_prefix_cache(PrefixCacheMode::Lru);
+    let sim = ClusterSimulation::uniform(
+        scenario,
+        SystemKind::hermes_base(),
+        &SystemConfig::paper_default(),
+        4,
+        RoutingPolicy::KvPressure,
+    )
+    .with_events(vec![
+        ReplicaEvent::Fail {
+            replica: 1,
+            at: 3.0,
+        },
+        ReplicaEvent::Recover {
+            replica: 1,
+            at: 5.0,
+        },
+    ]);
+    let report = simulate_cluster(&sim).unwrap().report;
+    let replicas = || report.replicas.iter().map(|r| &r.report);
+    let evicted: u64 = replicas()
+        .filter_map(|r| r.prefix.as_ref())
+        .map(|p| p.evicted_blocks)
+        .sum();
+    let preempted: usize = replicas().map(|r| r.preemptions).sum();
+    assert!(evicted > 0, "the cache never evicted");
+    assert!(preempted > 0, "no request was preempted");
+    assert!(report.redispatches > 0, "the failover handed nothing back");
+    let fresh = serde_json::to_string_pretty(&report).unwrap();
+    assert_golden("cached_fleet.json", &fresh);
 }
