@@ -89,14 +89,22 @@ pub struct TokenLatencyStats {
     pub tpot_p99: f64,
 }
 
-/// Sort samples ascending and return a nearest-rank percentile accessor
-/// (shared by every percentile folder in this module).
-fn sorted_with_percentile(samples: &[f64]) -> (Vec<f64>, impl Fn(&[f64], f64) -> f64) {
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let percentile =
-        |sorted: &[f64], p: f64| -> f64 { sorted[nearest_rank_index(p, sorted.len())] };
-    (sorted, percentile)
+/// The nearest-rank `(p50, p95, p99, max)` of non-empty `samples`, found
+/// by selection instead of a full sort (shared by every percentile folder
+/// in this module). Each selection runs on the samples at or below the rank
+/// selected before it, which hold the lower ranks, and the max is the
+/// largest sample above the p99. For finite samples without −0.0 the values
+/// are a sorted copy's, bit for bit.
+fn select_percentiles(samples: &[f64]) -> (f64, f64, f64, f64) {
+    let rank = |p| nearest_rank_index(p, samples.len());
+    let mut scratch = samples.to_vec();
+    let (_, &mut p99, above) = scratch.select_nth_unstable_by(rank(99.0), f64::total_cmp);
+    let max = above.iter().copied().fold(p99, f64::max);
+    let (_, &mut p95, _) =
+        scratch[..=rank(99.0)].select_nth_unstable_by(rank(95.0), f64::total_cmp);
+    let (_, &mut p50, _) =
+        scratch[..=rank(95.0)].select_nth_unstable_by(rank(50.0), f64::total_cmp);
+    (p50, p95, p99, max)
 }
 
 impl TokenLatencyStats {
@@ -111,13 +119,13 @@ impl TokenLatencyStats {
                 ..Default::default()
             };
         }
-        let (sorted, percentile) = sorted_with_percentile(latencies);
+        let (tpot_p50, tpot_p95, tpot_p99, _) = select_percentiles(latencies);
         TokenLatencyStats {
             ttft: prefill_seconds + latencies[0],
             tpot_mean: latencies.iter().sum::<f64>() / f64_from_usize(latencies.len()),
-            tpot_p50: percentile(&sorted, 50.0),
-            tpot_p95: percentile(&sorted, 95.0),
-            tpot_p99: percentile(&sorted, 99.0),
+            tpot_p50,
+            tpot_p95,
+            tpot_p99,
         }
     }
 }
@@ -175,13 +183,13 @@ impl DistributionStats {
         if samples.is_empty() {
             return DistributionStats::default();
         }
-        let (sorted, percentile) = sorted_with_percentile(samples);
+        let (p50, p95, p99, max) = select_percentiles(samples);
         DistributionStats {
             mean: samples.iter().sum::<f64>() / f64_from_usize(samples.len()),
-            p50: percentile(&sorted, 50.0),
-            p95: percentile(&sorted, 95.0),
-            p99: percentile(&sorted, 99.0),
-            max: sorted[sorted.len() - 1],
+            p50,
+            p95,
+            p99,
+            max,
         }
     }
 

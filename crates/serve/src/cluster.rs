@@ -242,7 +242,8 @@ pub struct ClusterSimulator {
     routed: Vec<usize>,
     /// Of those, requests that arrived via drain/fail re-dispatch.
     redispatched: Vec<usize>,
-    /// The sampled requests, ordered by arrival.
+    /// The sampled requests, ordered by arrival; [`ClusterSimulator::run`]
+    /// moves each out at dispatch.
     requests: Vec<ServingRequest>,
     /// Fleet-wide scheduling ranks, parallel to `requests`.
     ranks: Vec<f64>,
@@ -345,10 +346,8 @@ impl ClusterSimulator {
             .map(|(_, _, idx)| idx)
     }
 
-    /// Dispatch one first-time arrival.
-    fn dispatch(&mut self, arrival_idx: usize) -> Result<(), HermesError> {
-        let request = self.requests[arrival_idx].clone();
-        let rank = self.ranks[arrival_idx];
+    /// Dispatch one first-time arrival with its fleet-wide rank.
+    fn dispatch(&mut self, request: ServingRequest, rank: f64) -> Result<(), HermesError> {
         let Some(target) = self.route(&request) else {
             return Err(HermesError::InvalidConfig(format!(
                 "no routable replica for request {} at t={}: every replica is drained or failed",
@@ -387,11 +386,16 @@ impl ClusterSimulator {
     /// arrival), and returns [`HermesError::InvalidConfig`] unless every
     /// sampled request completed exactly once.
     pub fn run(mut self) -> Result<ClusterOutcome, HermesError> {
-        // Walk events and arrivals in one time-ordered pass, one cursor
-        // each.
-        let (mut next_event, mut next_arrival) = (0, 0);
+        // Walk events and arrivals in one time-ordered pass: a cursor over
+        // the events, and the trace, whose requests move out to their
+        // replicas with their ranks.
+        let num_requests = self.requests.len();
+        let mut arrivals = (std::mem::take(&mut self.requests).into_iter())
+            .zip(std::mem::take(&mut self.ranks))
+            .peekable();
+        let mut next_event = 0;
         loop {
-            let arrival = self.requests.get(next_arrival).map(|r| r.arrival);
+            let arrival = arrivals.peek().map(|(r, _)| r.arrival);
             // At equal times events apply first (a request arriving the
             // instant a replica fails must not be routed to it).
             let event = (self.events.get(next_event).copied())
@@ -411,12 +415,16 @@ impl ClusterSimulator {
                     self.apply(event)?;
                 }
                 None => {
-                    self.dispatch(next_arrival)?;
-                    next_arrival += 1;
+                    if let Some((request, rank)) = arrivals.next() {
+                        self.dispatch(request, rank)?;
+                    }
                 }
             }
         }
-        let mut records: Vec<RequestRecord> = Vec::with_capacity(self.requests.len());
+        // Every request is out: free the trace's buffers before the
+        // replicas drain and fold their records.
+        drop(arrivals);
+        let mut records: Vec<RequestRecord> = Vec::with_capacity(num_requests);
         let mut replica_reports: Vec<ReplicaReport> = Vec::with_capacity(self.replicas.len());
         for (idx, (mut replica, label)) in self.replicas.into_iter().zip(self.labels).enumerate() {
             replica.run_to_completion()?;
@@ -431,7 +439,7 @@ impl ClusterSimulator {
         }
         let report = ClusterReport::from_replicas(self.routing.name().to_string(), replica_reports);
         records.sort_unstable_by_key(|r| r.id);
-        check_each_request_once(&records, self.requests.len())?;
+        check_each_request_once(&records, num_requests)?;
         Ok(ClusterOutcome { report, records })
     }
 

@@ -446,9 +446,10 @@ impl KvBackend {
             }
             KvBackend::Paged { pool, cache } => (pool, cache),
         };
-        let (cached, pinned) = cache
-            .as_ref()
-            .map_or((0, 0), |c| (c.resident_blocks(), c.leases()));
+        let (cached, pinned) = cache.as_ref().map_or((0, 0), |c| {
+            c.check_index();
+            (c.resident_blocks(), c.leases())
+        });
         assert_eq!(pool.used_blocks, held + cached, "pool blocks");
         assert_eq!(pinned, leases, "prefix leases");
         assert!(pool.fits(0), "pool past capacity");

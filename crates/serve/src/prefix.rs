@@ -26,7 +26,13 @@
 //!   (fewest hits, then least-recently used, then lowest node id — the same
 //!   popularity ordering `hermes-sparsity` uses for hot-neuron residency),
 //!   cascading upward as parents become unreferenced leaves. The cache
-//!   returns blocks only under capacity pressure, never eagerly.
+//!   returns blocks only under capacity pressure, never eagerly. The
+//!   unreferenced leaves sit in an ordered index keyed that way, so each
+//!   victim is popped from its front rather than found by a scan.
+//! - **Planning** costs O(path): the cache keeps the block count of its
+//!   unreferenced nodes, updated where a node's reference count crosses
+//!   zero, and [`PrefixCache::plan`] subtracts the matched path's share
+//!   instead of walking every node.
 //!
 //! All lengths the cache traffics in are block-aligned: a prompt's
 //! *cacheable* prefix is its declared shared prefix rounded down to a whole
@@ -35,7 +41,7 @@
 
 #![deny(clippy::as_conversions)]
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use hermes_core::cast::u64_from_usize;
 
@@ -111,6 +117,14 @@ pub(crate) struct PrefixCache {
     nodes: Slab<Node>,
     /// Tokens currently resident across all nodes (whole blocks).
     resident_tokens: u64,
+    /// Blocks of the non-root nodes no lease pins: what eviction could
+    /// reclaim if nothing were matched.
+    unpinned_blocks: u64,
+    /// The unpinned non-root leaves, keyed in eviction order: fewest
+    /// hits, then least recently used, then lowest node id. A node's key
+    /// changes only in `acquire`, which pins it first, so no entry goes
+    /// stale.
+    evictable: BTreeSet<(u64, u64, usize)>,
     stats: PrefixStats,
 }
 
@@ -130,6 +144,8 @@ impl PrefixCache {
             block_tokens,
             nodes,
             resident_tokens: 0,
+            unpinned_blocks: 0,
+            evictable: BTreeSet::new(),
             stats: PrefixStats::default(),
         }
     }
@@ -148,6 +164,21 @@ impl PrefixCache {
     /// KV blocks backing an edge of `tokens` tokens.
     fn blocks(&self, tokens: &[u64]) -> u64 {
         u64_from_usize(tokens.len() / self.block_tokens)
+    }
+
+    /// Node `id`'s blocks if no lease pins it, else 0.
+    fn unpinned(&self, id: usize) -> u64 {
+        let n = &self.nodes[id];
+        if n.refs == 0 {
+            self.blocks(&n.tokens)
+        } else {
+            0
+        }
+    }
+
+    /// Node `id`'s place in the eviction order.
+    fn evict_key(&self, id: usize) -> (u64, u64, usize) {
+        (self.nodes[id].hits, self.nodes[id].last_use, id)
     }
 
     /// Tokens currently resident in the cache.
@@ -179,11 +210,11 @@ impl PrefixCache {
     /// Walk the tree matching `tokens` (must be block-aligned in length),
     /// without mutating anything. Returns the match length, the blocks
     /// eviction could free without touching the matched path, and whether
-    /// the remainder is insertable.
+    /// the remainder is insertable. Costs O(path), not O(nodes).
     pub(crate) fn plan(&self, tokens: &[u64]) -> PrefixPlan {
         debug_assert!(tokens.len().is_multiple_of(self.block_tokens));
         let (mut node, mut matched, partial) = self.descend(tokens);
-        let mut path = Vec::new();
+        let mut on_path = 0;
         let mut can_insert = true;
         if let Some((child, m)) = partial {
             // Only the block-aligned head is usable; `acquire` would split
@@ -192,20 +223,15 @@ impl PrefixCache {
             // A non-aligned divergence point means the remainder collides
             // with the (post-split) sibling edge and cannot be inserted.
             let usable = self.cacheable(m);
-            path.push(child);
+            on_path += self.unpinned(child);
             matched += usable;
             can_insert = usable == m;
         }
         while node != 0 {
-            path.push(node);
+            on_path += self.unpinned(node);
             node = self.nodes[node].parent;
         }
-        let freeable_blocks = self
-            .nodes
-            .iter()
-            .filter(|&(id, n)| id != 0 && n.refs == 0 && !path.contains(&id))
-            .map(|(_, n)| self.blocks(&n.tokens))
-            .sum();
+        let freeable_blocks = self.unpinned_blocks - on_path;
         PrefixPlan {
             matched,
             freeable_blocks,
@@ -229,9 +255,16 @@ impl PrefixCache {
                 i += usable;
             }
         }
-        // Pin and credit the path bottom-up.
+        // Pin and credit the path bottom-up. A node this pins leaves the
+        // unpinned count, and the eviction index under its old key.
         let mut node = cur;
         loop {
+            if node != 0 && self.nodes[node].refs == 0 {
+                self.unpinned_blocks -= self.blocks(&self.nodes[node].tokens);
+                if self.nodes[node].children.is_empty() {
+                    self.evictable.remove(&self.evict_key(node));
+                }
+            }
             let n = &mut self.nodes[node];
             n.refs += 1;
             n.hits += 1;
@@ -251,7 +284,9 @@ impl PrefixCache {
     /// Split `node`'s edge at block-aligned offset `at` (`0 < at < len`):
     /// a new head node takes the first `at` tokens and `node` keeps the
     /// tail, so existing leases pinned at `node` stay valid. Returns the
-    /// head's arena index.
+    /// head's arena index. The halves share one pin count, so the unpinned
+    /// count is unchanged, and the tail keeps `node`'s id and key, so an
+    /// indexed leaf stays indexed; the head is not a leaf.
     fn split(&mut self, node: usize, at: usize) -> usize {
         debug_assert!(at.is_multiple_of(self.block_tokens));
         debug_assert!(at > 0 && at < self.nodes[node].tokens.len());
@@ -316,13 +351,36 @@ impl PrefixCache {
         self.nodes[0].refs
     }
 
-    /// Unpin `lease`'s path. The nodes stay resident until evicted.
+    /// Panic unless the resident token count, the unpinned block count and
+    /// the eviction index match a walk over every node.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn check_index(&self) {
+        let live = || self.nodes.iter().filter(|&(id, _)| id != 0);
+        let unpinned = || live().filter(|(_, n)| n.refs == 0);
+        let resident: u64 = live().map(|(_, n)| u64_from_usize(n.tokens.len())).sum();
+        assert_eq!(self.resident_tokens, resident, "resident tokens");
+        let blocks: u64 = unpinned().map(|(_, n)| self.blocks(&n.tokens)).sum();
+        assert_eq!(self.unpinned_blocks, blocks, "unpinned blocks");
+        let leaves: BTreeSet<_> = (unpinned().filter(|(_, n)| n.children.is_empty()))
+            .map(|(id, _)| self.evict_key(id))
+            .collect();
+        assert_eq!(self.evictable, leaves, "eviction index");
+    }
+
+    /// Unpin `lease`'s path. The nodes stay resident until evicted; a leaf
+    /// whose last pin this drops joins the eviction index.
     pub(crate) fn release(&mut self, lease: PrefixLease) {
         let mut node = lease.0;
         loop {
             self.nodes[node].refs -= 1;
             if node == 0 {
                 break;
+            }
+            if self.nodes[node].refs == 0 {
+                self.unpinned_blocks += self.blocks(&self.nodes[node].tokens);
+                if self.nodes[node].children.is_empty() {
+                    self.evictable.insert(self.evict_key(node));
+                }
             }
             node = self.nodes[node].parent;
         }
@@ -334,19 +392,19 @@ impl PrefixCache {
     pub(crate) fn evict_for(&mut self, shortfall: u64) -> u64 {
         let mut freed = 0;
         while freed < shortfall {
-            let Some(victim) = self
-                .nodes
-                .iter()
-                .filter(|&(id, n)| id != 0 && n.refs == 0 && n.children.is_empty())
-                .min_by_key(|&(id, n)| (n.hits, n.last_use, id))
-                .map(|(id, _)| id)
-            else {
+            let Some((.., victim)) = self.evictable.pop_first() else {
                 break;
             };
             let node = self.nodes.remove(victim);
-            self.nodes[node.parent].children.remove(&node.tokens[0]);
+            let parent = &mut self.nodes[node.parent];
+            parent.children.remove(&node.tokens[0]);
+            // An unpinned parent that lost its last child is a leaf now.
+            if node.parent != 0 && parent.refs == 0 && parent.children.is_empty() {
+                self.evictable.insert(self.evict_key(node.parent));
+            }
             let blocks = self.blocks(&node.tokens);
             self.resident_tokens -= u64_from_usize(node.tokens.len());
+            self.unpinned_blocks -= blocks;
             self.stats.evicted_blocks += blocks;
             freed += blocks;
         }

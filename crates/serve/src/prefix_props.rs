@@ -213,6 +213,7 @@ fn exercise(block_tokens: usize, ops: &[Op]) -> (u64, u64, usize, usize, usize, 
             "block conservation: inserted = resident + evicted"
         );
         assert_eq!(cache.stats().evicted_blocks, evicted, "evicted tally");
+        cache.check_index();
     }
     let stats = cache.stats();
     (

@@ -35,11 +35,6 @@ impl<T> Slab<T> {
         self.free.push(idx);
         (self.entries[idx].take()).unwrap_or_else(|| unreachable!("entry {idx} freed twice"))
     }
-
-    /// The live entries with their indexes, in index order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, &T)> {
-        (self.entries.iter().enumerate()).filter_map(|(idx, e)| Some((idx, e.as_ref()?)))
-    }
 }
 
 impl<T> Index<usize> for Slab<T> {
@@ -61,6 +56,11 @@ impl<T> Slab<T> {
     /// The entry at `idx`, if it is live.
     pub(crate) fn get(&self, idx: usize) -> Option<&T> {
         self.entries.get(idx)?.as_ref()
+    }
+
+    /// The live entries with their indexes, in index order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, &T)> {
+        (self.entries.iter().enumerate()).filter_map(|(idx, e)| Some((idx, e.as_ref()?)))
     }
 
     /// Entries live and free: as many as were ever live at once.

@@ -16,6 +16,8 @@
 
 #![deny(clippy::as_conversions)]
 
+use std::collections::BTreeSet;
+
 use hermes_core::cast::{f64_from_u64, f64_from_usize, u64_from_usize};
 use hermes_core::{
     ClassReport, DistributionStats, KvPoolReport, LatencyBreakdown, PrefixCacheReport,
@@ -235,9 +237,7 @@ pub(crate) fn build_report(
 /// Fold the per-request records into per-priority-tier reports, sorted by
 /// tier (most important first).
 fn fold_class_reports(records: &[RequestRecord]) -> Vec<ClassReport> {
-    let mut tiers: Vec<u8> = records.iter().map(|r| r.class.priority).collect();
-    tiers.sort_unstable();
-    tiers.dedup();
+    let tiers: BTreeSet<u8> = records.iter().map(|r| r.class.priority).collect();
     tiers
         .into_iter()
         .map(|tier| {

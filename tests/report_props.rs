@@ -79,4 +79,36 @@ proptest! {
         prop_assert!((stats.tpot_mean - value).abs() < 1e-9);
         prop_assert!((stats.ttft - (prefill + value)).abs() < 1e-12);
     }
+
+    /// The selected percentiles and max are a full sort's, bit for bit,
+    /// over samples drawn from a few distinct values, so that ranks land
+    /// inside long runs of ties; the mean is the left fold in input order.
+    #[test]
+    fn selected_percentiles_match_a_full_sort(
+        palette in proptest::collection::vec(0.0..100.0f64, 1..6),
+        picks in proptest::collection::vec(0usize..1_000, 1..600),
+        prefill in 0.0..5.0f64,
+    ) {
+        let samples: Vec<f64> = picks.iter().map(|&i| palette[i % palette.len()]).collect();
+        let mut sorted = samples.clone();
+        sorted.sort_by(f64::total_cmp);
+        let nearest = |p: f64| {
+            let rank = (p / 100.0 * sorted.len() as f64).ceil() as usize;
+            sorted[rank.clamp(1, sorted.len()) - 1].to_bits()
+        };
+        let mean = samples.iter().fold(0.0, |acc, x| acc + x) / samples.len() as f64;
+
+        let stats = DistributionStats::from_samples(&samples);
+        prop_assert_eq!(stats.p50.to_bits(), nearest(50.0));
+        prop_assert_eq!(stats.p95.to_bits(), nearest(95.0));
+        prop_assert_eq!(stats.p99.to_bits(), nearest(99.0));
+        prop_assert_eq!(stats.max.to_bits(), nearest(100.0));
+        prop_assert_eq!(stats.mean.to_bits(), mean.to_bits());
+
+        let tokens = TokenLatencyStats::from_decode_latencies(prefill, &samples);
+        prop_assert_eq!(tokens.tpot_p50.to_bits(), nearest(50.0));
+        prop_assert_eq!(tokens.tpot_p95.to_bits(), nearest(95.0));
+        prop_assert_eq!(tokens.tpot_p99.to_bits(), nearest(99.0));
+        prop_assert_eq!(tokens.tpot_mean.to_bits(), mean.to_bits());
+    }
 }
