@@ -119,7 +119,7 @@ pub fn run_session(session: &mut Session) -> Result<InferenceReport, HermesError
 /// re-sorting the composition at every step, and schedulers that already
 /// maintain the groups incrementally can hand them over as-is through
 /// [`BatchState::from_groups`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BatchState {
     size: usize,
     groups: Vec<(usize, usize)>,
@@ -161,15 +161,29 @@ impl BatchState {
     /// guarantees. This is the allocation-light entry point for schedulers
     /// that maintain the composition incrementally.
     pub fn from_groups(groups: Vec<(usize, usize)>) -> Self {
+        let mut batch = BatchState { size: 0, groups };
+        batch.seal();
+        batch
+    }
+
+    /// Replace the composition with pre-grouped context lengths, under the
+    /// invariants of [`BatchState::from_groups`], reusing this batch's
+    /// buffer: a scheduler that prices a step at every token boundary
+    /// refills one batch instead of allocating one per step.
+    pub fn refill(&mut self, groups: impl IntoIterator<Item = (usize, usize)>) {
+        self.groups.clear();
+        self.groups.extend(groups);
+        self.seal();
+    }
+
+    /// Check the group invariants and count the sequences.
+    fn seal(&mut self) {
         debug_assert!(
-            groups.windows(2).all(|w| w[0].0 < w[1].0),
+            self.groups.windows(2).all(|w| w[0].0 < w[1].0),
             "groups must be sorted by strictly increasing context length"
         );
-        debug_assert!(groups.iter().all(|&(_, n)| n > 0), "empty group");
-        BatchState {
-            size: groups.iter().map(|&(_, n)| n).sum(),
-            groups,
-        }
+        debug_assert!(self.groups.iter().all(|&(_, n)| n > 0), "empty group");
+        self.size = self.groups.iter().map(|&(_, n)| n).sum();
     }
 
     /// Number of active sequences.
@@ -851,5 +865,18 @@ mod tests {
         assert_eq!(u.context_groups(), vec![(128, 3)]);
         assert!(BatchState::new(vec![]).is_empty());
         assert!(BatchState::new(vec![]).context_groups().is_empty());
+    }
+
+    /// A refilled batch is the batch `from_groups` builds from the same
+    /// groups, whatever it held before.
+    #[test]
+    fn refill_replaces_the_composition() {
+        let mut b = BatchState::new(vec![40, 32, 40]);
+        b.refill([(7, 2), (9, 1)]);
+        assert_eq!(b, BatchState::from_groups(vec![(7, 2), (9, 1)]));
+        assert_eq!(b.size(), 3);
+        b.refill([]);
+        assert_eq!(b, BatchState::default());
+        assert!(b.is_empty());
     }
 }

@@ -438,8 +438,7 @@ impl ClusterSimulator {
             });
         }
         let report = ClusterReport::from_replicas(self.routing.name().to_string(), replica_reports);
-        records.sort_unstable_by_key(|r| r.id);
-        check_each_request_once(&records, num_requests)?;
+        place_by_id(&mut records, num_requests)?;
         Ok(ClusterOutcome { report, records })
     }
 
@@ -463,6 +462,31 @@ impl ClusterSimulator {
             }
         }
     }
+}
+
+/// Put `records` in id order, checking that they are one record for each
+/// of the `requests` sampled requests. When their ids are exactly
+/// `0..requests` each record is swapped straight to its place: in place,
+/// in O(n), every swap settling one record for good. On anything else (a
+/// missing, repeated or unsampled id) they are sorted instead and
+/// [`check_each_request_once`] names the problem.
+fn place_by_id(records: &mut [RequestRecord], requests: usize) -> Result<(), HermesError> {
+    let placed = records.len() == requests
+        && (0..records.len()).all(|i| loop {
+            let id = records[i].id;
+            if id == i {
+                break true;
+            }
+            if id >= records.len() || records[id].id == id {
+                break false;
+            }
+            records.swap(i, id);
+        });
+    if placed {
+        return Ok(());
+    }
+    records.sort_unstable_by_key(|r| r.id);
+    check_each_request_once(records, requests)
 }
 
 /// Check that `records`, sorted by id, are one record for each of the
@@ -521,6 +545,44 @@ mod tests {
                 reused_prefix_tokens: 0,
             })
             .collect()
+    }
+
+    /// Records in any order come back in id order, and every anomaly fails
+    /// as the check after a sort fails, with the same words.
+    #[test]
+    fn records_are_placed_by_id() {
+        for ids in [
+            &[][..],
+            &[0],
+            &[2, 0, 1],
+            &[3, 1, 0, 2],
+            &[1, 0, 3, 2, 5, 4],
+        ] {
+            let mut placed = records(ids);
+            place_by_id(&mut placed, ids.len()).unwrap();
+            let order: Vec<usize> = placed.iter().map(|r| r.id).collect();
+            assert_eq!(order, (0..ids.len()).collect::<Vec<_>>(), "{ids:?}");
+        }
+        // A record's fields travel with its id.
+        let mut placed = records(&[2, 0, 1]);
+        placed[0].preemptions = 7;
+        place_by_id(&mut placed, 3).unwrap();
+        assert_eq!(placed[2].preemptions, 7);
+        for (ids, requests) in [
+            (&[2, 0][..], 3),
+            (&[1, 0, 1], 3),
+            (&[2, 2, 0], 3),
+            (&[0, 3, 1], 3),
+            (&[0, 1, 2, 3], 3),
+            (&[1, 0], 3),
+        ] {
+            let mut sorted = records(ids);
+            sorted.sort_unstable_by_key(|r| r.id);
+            let expected = check_each_request_once(&sorted, requests).unwrap_err();
+            let mut placed = records(ids);
+            let err = place_by_id(&mut placed, requests).unwrap_err();
+            assert_eq!(err, expected, "{ids:?}");
+        }
     }
 
     #[test]

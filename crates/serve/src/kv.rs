@@ -299,19 +299,13 @@ impl KvBackend {
         claim.map(|(lease, _, matched)| (lease, matched))
     }
 
-    /// The requests among `(request, held, tokens)` triples whose own
-    /// pages (`held`) are fewer blocks than `tokens` need. Reservations
-    /// never grow.
-    pub(crate) fn growers(
-        &self,
-        contexts: impl Iterator<Item = (usize, u64, usize)>,
-    ) -> Vec<usize> {
+    /// Tokens per block of a request's own pages, which grow one block at
+    /// a time; `None` under reserve accounting, whose reservations never
+    /// grow.
+    pub(crate) fn block_tokens(&self) -> Option<usize> {
         match self {
-            KvBackend::Reserve { .. } => Vec::new(),
-            KvBackend::Paged { pool, .. } => contexts
-                .filter(|&(_, held, tokens)| held < pool.blocks_for_tokens(tokens))
-                .map(|(idx, ..)| idx)
-                .collect(),
+            KvBackend::Reserve { .. } => None,
+            KvBackend::Paged { pool, .. } => Some(pool.block_tokens),
         }
     }
 

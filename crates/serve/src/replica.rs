@@ -32,7 +32,8 @@
 use std::collections::VecDeque;
 
 use hermes_core::{
-    Engine, HermesError, LatencyBreakdown, PlannedRun, PrefillChunk, SystemConfig, SystemKind,
+    BatchState, Engine, HermesError, LatencyBreakdown, PlannedRun, PrefillChunk, SystemConfig,
+    SystemKind,
 };
 
 use crate::kv::{AdmissionPlan, KvBackend, UsageSamples};
@@ -155,9 +156,12 @@ pub struct ReplicaSim {
     /// Joiners that have not yet generated their first token, to stamp
     /// `first_token` after the next priced step without walking the batch.
     pending_first_token: Vec<usize>,
-    /// This boundary's prefill chunks, reused across boundaries so the hot
-    /// path reuses one allocation.
+    /// This boundary's admissions, its prefill chunks and the batch it
+    /// prices: buffers reused across boundaries, so a boundary allocates
+    /// nothing.
+    admitted: Vec<usize>,
     chunks: Vec<PrefillChunk>,
+    batch: BatchState,
 
     // ---- tallies ----
     breakdown: LatencyBreakdown,
@@ -197,6 +201,7 @@ impl ReplicaSim {
         let engine = kind.engine(config);
         let plan = engine.plan(&sim.template)?;
         let kv = KvBackend::new(&sim);
+        let active = ActiveSet::new(kv.block_tokens());
         Ok(ReplicaSim {
             sim,
             engine,
@@ -210,10 +215,12 @@ impl ReplicaSim {
             step: 0,
             pending: VecDeque::new(),
             ready: ReadyQueue::new(),
-            active: ActiveSet::default(),
+            active,
             prefilling: Vec::new(),
             pending_first_token: Vec::new(),
+            admitted: Vec::new(),
             chunks: Vec::new(),
+            batch: BatchState::default(),
             breakdown: LatencyBreakdown::default(),
             imbalance_sum: 0.0,
             imbalance_samples: 0,
@@ -383,9 +390,11 @@ impl ReplicaSim {
     /// never admit the queue head into an idle system.
     pub fn step_boundary(&mut self, horizon: f64) -> Result<BoundaryOutcome, HermesError> {
         self.pull_arrivals();
-        let admitted = self.admit();
-        let admitted = self.resume_swapped(admitted);
-        self.start_prefill(admitted);
+        let mut admitted = std::mem::take(&mut self.admitted);
+        self.admit(&mut admitted);
+        self.resume_swapped(&mut admitted);
+        self.start_prefill(&mut admitted);
+        self.admitted = admitted;
         self.schedule_chunks();
         let outcome = if self.active.is_empty() && self.chunks.is_empty() {
             self.idle(horizon)?
@@ -421,15 +430,16 @@ impl ReplicaSim {
     /// this boundary's earlier admissions, so the caps see the whole
     /// provisional batch. When the best-ranked waiter does not fit and
     /// preemption is on, strictly lower-ranked active sequences are evicted
-    /// (worst-ranked first) until it does.
-    fn admit(&mut self) -> Vec<usize> {
-        let mut admitted: Vec<usize> = Vec::new();
+    /// (worst-ranked first) until it does. The admissions replace
+    /// `admitted`'s contents, in admission order.
+    fn admit(&mut self, admitted: &mut Vec<usize>) {
+        admitted.clear();
         let may_admit = match self.sim.policy {
             BatchingPolicy::Continuous => true,
             BatchingPolicy::Static => self.active.is_empty() && self.prefilling.is_empty(),
         };
         if !may_admit {
-            return admitted;
+            return;
         }
         while let Some(idx) = self.ready.peek() {
             let seats = self.active.len() + self.prefilling.len() + admitted.len();
@@ -454,7 +464,6 @@ impl ReplicaSim {
                 break;
             }
         }
-        admitted
     }
 
     /// Commit waiter `idx`'s planned admission and record its cache claim.
@@ -534,9 +543,9 @@ impl ReplicaSim {
     /// Swapped-out victims among this boundary's admissions resume by
     /// paging their KV back in — no recompute: they skip prefill and rejoin
     /// the decode batch right here, continuing where they stopped. The
-    /// swap-in leg is priced like the swap-out was. Returns the other
-    /// admissions.
-    fn resume_swapped(&mut self, mut admitted: Vec<usize>) -> Vec<usize> {
+    /// swap-in leg is priced like the swap-out was. `admitted` keeps the
+    /// other admissions.
+    fn resume_swapped(&mut self, admitted: &mut Vec<usize>) {
         admitted.retain(|&idx| match self.slots[idx].state {
             SlotState::Waiting => true,
             SlotState::Swapped(bytes) => {
@@ -551,7 +560,6 @@ impl ReplicaSim {
                 self.slots[idx].carried.request.id
             ),
         });
-        admitted
     }
 
     /// Charge one swap-tier transfer of `bytes` to the clock.
@@ -568,41 +576,51 @@ impl ReplicaSim {
     /// maps from the prefix cache, whose KV already existed at admission
     /// and is never recomputed. A fully covered request prefills nothing
     /// and joins the decode batch at once.
-    fn start_prefill(&mut self, admitted: Vec<usize>) {
+    fn start_prefill(&mut self, admitted: &mut [usize]) {
         let prefill_len = |s: &Self, idx: usize| s.slots[idx].context() - s.slots[idx].reused;
         match self.sim.prefill {
             PrefillPolicy::StallTheWorld => {
                 // Prefill whole prompts now, one pass per effective prefill
                 // length (requests sharing a length are prefilled together,
                 // so an all-at-once batch pays exactly the closed-loop
-                // prefill).
-                let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-                for &idx in &admitted {
-                    let p = prefill_len(self, idx);
-                    match groups.iter_mut().find(|(len, _)| *len == p) {
-                        Some((_, members)) => members.push(idx),
-                        None => groups.push((p, vec![idx])),
+                // prefill). The passes run in the order their lengths first
+                // appear among the admissions: group them in place, each
+                // request moving back to just after the last earlier one of
+                // its length, so admission order holds within a group.
+                for i in 1..admitted.len() {
+                    let len = prefill_len(self, admitted[i]);
+                    let last = admitted[..i]
+                        .iter()
+                        .rposition(|&idx| prefill_len(self, idx) == len);
+                    if let Some(last) = last {
+                        admitted[last + 1..=i].rotate_right(1);
                     }
                 }
-                for (len, members) in groups {
+                let mut start = 0;
+                while let Some(&first) = admitted.get(start) {
+                    let len = prefill_len(self, first);
+                    let members = (admitted[start..].iter())
+                        .take_while(|&&idx| prefill_len(self, idx) == len)
+                        .count();
                     // This group's prefill starts now, after every earlier
                     // group's pass has elapsed.
-                    for &idx in &members {
+                    for &idx in &admitted[start..start + members] {
                         self.stamp_admitted(idx);
                     }
-                    self.recomputed_prefill_tokens += len * members.len();
+                    self.recomputed_prefill_tokens += len * members;
                     if len > 0 {
-                        let cost = self.plan.cost.prefill_cost(len, members.len());
+                        let cost = self.plan.cost.prefill_cost(len, members);
                         self.breakdown.prefill += cost;
                         self.clock += cost;
                     }
+                    start += members;
                 }
-                for idx in admitted {
+                for &idx in admitted.iter() {
                     self.join_batch(idx);
                 }
             }
             PrefillPolicy::Chunked { .. } => {
-                for idx in admitted {
+                for &idx in admitted.iter() {
                     let target = prefill_len(self, idx);
                     self.recomputed_prefill_tokens += target;
                     if target == 0 {
@@ -689,18 +707,13 @@ impl ReplicaSim {
     /// evicts the worst strictly lower-ranked active victim — or itself,
     /// when none exists (it cannot demand capacity from equal- or
     /// better-ranked work). Then the pool's usage is sampled.
+    ///
+    /// The growers come off the active set's growth index, which names
+    /// each sequence at the step its pages run out, so a boundary where
+    /// none is due does no growth work. An evicted victim leaves the index
+    /// with the batch.
     fn grow(&mut self) {
-        let slots = &self.slots;
-        let growers = self.kv.growers(
-            self.active
-                .contexts_by_rank(self.step)
-                .map(|(idx, context)| (idx, slots[idx].held, context + 1 - slots[idx].covered)),
-        );
-        for grower in growers {
-            // An earlier grower may have evicted this one.
-            if !matches!(self.slots[grower].state, SlotState::Decoding { .. }) {
-                continue;
-            }
+        while let Some(grower) = self.active.next_grower(self.step) {
             if !self.kv.try_grow() {
                 let rank = self.slots[grower].carried.rank;
                 let Some(victim) = self.active.victims_outranking(rank).next() else {
@@ -710,7 +723,15 @@ impl ReplicaSim {
                 self.evict_victim(victim);
                 self.kv.grow();
             }
-            self.slots[grower].held += 1;
+            let slot = &mut self.slots[grower];
+            slot.held += 1;
+            let SlotState::Decoding { join_step } = slot.state else {
+                unreachable!(
+                    "request {} grew while {:?}",
+                    slot.carried.request.id, slot.state
+                );
+            };
+            self.active.index_growth(grower, slot, join_step);
         }
         // The sequences store their active contexts before this step's
         // token, plus the full targets of chunk-prefilling sequences, whose
@@ -730,10 +751,10 @@ impl ReplicaSim {
     /// costs exactly `decode_cost`, so stall-the-world reproduces the
     /// closed-loop costs bitwise. The composition comes straight off the
     /// active set's group index — O(distinct context lengths), not
-    /// O(batch).
+    /// O(batch) — into the replica's one batch buffer.
     fn price_step(&mut self) {
-        let batch = self.active.batch_state(self.step);
-        let outcome = self.plan.cost.chunked_step_cost(&self.chunks, &batch);
+        self.active.refill_batch(self.step, &mut self.batch);
+        let outcome = self.plan.cost.chunked_step_cost(&self.chunks, &self.batch);
         self.breakdown = self.breakdown.merged(&outcome.latency);
         self.imbalance_sum += outcome.imbalance_sum;
         self.imbalance_samples += outcome.imbalance_samples;

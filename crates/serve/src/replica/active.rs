@@ -2,8 +2,8 @@
 //! sequences still prefilling under chunked prefill.
 //!
 //! [`ActiveSet`] is the data-structure heart of the boundary body: it keeps
-//! the batch composition, the preemption victim order and the completion
-//! events all incrementally indexed, so
+//! the batch composition, the preemption victim order, the completion
+//! events and the paged growth events all incrementally indexed, so
 //! [`ReplicaSim::step_boundary`](super::ReplicaSim::step_boundary)
 //! pays O(log n) per join/leave instead of rebuilding the batch
 //! every step the way the sort-based reference scheduler does.
@@ -26,17 +26,21 @@ use crate::queue::Rank;
 /// join_step`. The whole batch composition thus advances for free as the
 /// step counter ticks. The set holds slot indexes only; what a sequence
 /// joined with lives in its slot, which hands the same values back to
-/// [`ActiveSet::leave`]. Ties break on arrival indexes, not slots. Three
+/// [`ActiveSet::leave`]. Ties break on arrival indexes, not slots. Four
 /// indexes:
 /// - `groups` counts sequences per shift, so the batch composition for
-///   [`BatchState::from_groups`] falls out of an in-order walk without
-///   touching individual sequences;
+///   [`BatchState::refill`] falls out of an in-order walk without touching
+///   individual sequences;
 /// - `by_rank` orders active sequences by scheduling rank, with their
-///   shifts, for worst-ranked-first victim selection under preemption and
-///   the rank-order growth walk;
-/// - `finish` orders them by completion step, then arrival index.
-#[derive(Default)]
+///   shifts, for worst-ranked-first victim selection under preemption;
+/// - `finish` orders them by completion step, then arrival index;
+/// - `due` orders the paged sequences that will outgrow their own pages
+///   before they finish by the step at which they need another block,
+///   then rank, then arrival index.
 pub(super) struct ActiveSet {
+    /// Tokens per paged KV block; `None` under reserve accounting, whose
+    /// reservations never grow.
+    block_tokens: Option<u64>,
     /// Sequences per context shift.
     groups: BTreeMap<i64, usize>,
     /// Active sequences ordered by (rank, arrival index), to their shifts
@@ -44,9 +48,23 @@ pub(super) struct ActiveSet {
     by_rank: BTreeMap<(Rank, usize), (i64, usize)>,
     /// Completion events: (finish step, arrival index) to the slot.
     finish: BTreeMap<(u64, usize), usize>,
+    /// Growth events: (due step, rank, arrival index) to the slot.
+    due: BTreeMap<(u64, Rank, usize), usize>,
 }
 
 impl ActiveSet {
+    /// An empty batch whose sequences own pages of `block_tokens` tokens,
+    /// or reservations when `None`.
+    pub(super) fn new(block_tokens: Option<usize>) -> Self {
+        ActiveSet {
+            block_tokens: block_tokens.map(|bt| bt as u64),
+            groups: BTreeMap::new(),
+            by_rank: BTreeMap::new(),
+            finish: BTreeMap::new(),
+            due: BTreeMap::new(),
+        }
+    }
+
     pub(super) fn len(&self) -> usize {
         self.by_rank.len()
     }
@@ -62,17 +80,41 @@ impl ActiveSet {
         (shift, join_step + remaining as u64)
     }
 
+    /// The growth event of `slot`'s request seated at `join_step` with its
+    /// current own pages: the step whose token its pages have no room for,
+    /// since they then hold exactly its uncovered context. `None` under
+    /// reserve accounting, or when it finishes first.
+    fn due_key(&self, slot: &RequestSlot, join_step: u64) -> Option<(u64, Rank, usize)> {
+        let block_tokens = self.block_tokens?;
+        let (_, finish) = Self::keys(slot, join_step);
+        let uncovered = (slot.context() - slot.covered) as u64;
+        let due = join_step + slot.held * block_tokens - uncovered;
+        (due < finish).then_some((due, Rank(slot.carried.rank), slot.seq))
+    }
+
     /// Seat the request in slot `idx` in the decode batch at global step
-    /// `step`, with its computed context and its remaining tokens.
+    /// `step`, with its computed context, its remaining tokens and its own
+    /// pages.
     pub(super) fn join(&mut self, idx: usize, slot: &RequestSlot, step: u64) {
         let (shift, finish) = Self::keys(slot, step);
         *self.groups.entry(shift).or_insert(0) += 1;
         (self.by_rank).insert((Rank(slot.carried.rank), slot.seq), (shift, idx));
         self.finish.insert((finish, slot.seq), idx);
+        self.index_growth(idx, slot, step);
+    }
+
+    /// Index the next growth of the request in slot `idx`, seated at
+    /// `join_step`, once it has joined or taken one more block.
+    pub(super) fn index_growth(&mut self, idx: usize, slot: &RequestSlot, join_step: u64) {
+        if let Some(key) = self.due_key(slot, join_step) {
+            self.due.insert(key, idx);
+        }
     }
 
     /// Take `slot`'s request out of the batch (eviction or completion),
-    /// with the values it joined with at global step `join_step`.
+    /// with the values it joined with at global step `join_step` and its
+    /// current own pages. A grower this step's growth took off the index
+    /// has no growth entry left.
     pub(super) fn leave(&mut self, slot: &RequestSlot, join_step: u64) {
         let (shift, finish) = Self::keys(slot, join_step);
         match self.groups.get_mut(&shift) {
@@ -83,17 +125,27 @@ impl ActiveSet {
         }
         self.by_rank.remove(&(Rank(slot.carried.rank), slot.seq));
         self.finish.remove(&(finish, slot.seq));
+        if let Some(key) = self.due_key(slot, join_step) {
+            self.due.remove(&key);
+        }
     }
 
-    /// The current batch composition, assembled from the group index in
-    /// O(distinct context lengths).
-    pub(super) fn batch_state(&self, step: u64) -> BatchState {
-        BatchState::from_groups(
+    /// Remove and return the slot of the best-ranked sequence whose growth
+    /// is due by global step `step`, which must take a block before this
+    /// step's token. [`ActiveSet::index_growth`] indexes its next growth.
+    pub(super) fn next_grower(&mut self, step: u64) -> Option<usize> {
+        let entry = self.due.first_entry().filter(|e| e.key().0 <= step)?;
+        Some(entry.remove())
+    }
+
+    /// Refill `batch` with the composition at global step `step`, from the
+    /// group index in O(distinct context lengths).
+    pub(super) fn refill_batch(&self, step: u64, batch: &mut BatchState) {
+        batch.refill(
             self.groups
                 .iter()
-                .map(|(&shift, &count)| ((shift + step as i64) as usize, count))
-                .collect(),
-        )
+                .map(|(&shift, &count)| ((shift + step as i64) as usize, count)),
+        );
     }
 
     /// Σ context tokens over the batch at global step `step`, in
@@ -105,12 +157,10 @@ impl ActiveSet {
             .sum()
     }
 
-    /// Every active sequence's slot with its context at global step
-    /// `step`, in scheduling-rank order (best first).
-    pub(super) fn contexts_by_rank(&self, step: u64) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.by_rank
-            .values()
-            .map(move |&(shift, idx)| (idx, (shift + step as i64) as usize))
+    /// Every active sequence's slot, in scheduling-rank order (best
+    /// first).
+    pub(super) fn slots_by_rank(&self) -> impl Iterator<Item = usize> + '_ {
+        self.by_rank.values().map(|&(_, idx)| idx)
     }
 
     /// The slots of the active sequences strictly outranked by `rank`,
@@ -136,27 +186,43 @@ impl ActiveSet {
 
 #[cfg(any(test, debug_assertions))]
 impl ActiveSet {
-    /// Panic unless the three indexes seat exactly the `(slot index, slot,
+    /// Panic unless the four indexes seat exactly the `(slot index, slot,
     /// join step)` triples of `decoding`, each under the keys its values
-    /// imply.
-    pub(super) fn check_seats(&self, decoding: &[(usize, &RequestSlot, u64)]) {
-        let mut groups = BTreeMap::new();
+    /// imply, at global step `step` (the next to price). A growth event is
+    /// recomputed from the sequence's context now, not from the one it
+    /// joined with.
+    pub(super) fn check_seats(&self, decoding: &[(usize, &RequestSlot, u64)], step: u64) {
+        let (mut groups, mut growths) = (BTreeMap::new(), 0);
         for &(idx, slot, join_step) in decoding {
             let (shift, finish) = Self::keys(slot, join_step);
             *groups.entry(shift).or_insert(0) += 1;
             let id = slot.carried.request.id;
-            assert!(
-                finish > join_step,
-                "request {id} decodes past its last token"
-            );
+            assert!(finish > step, "request {id} decodes past its last token");
             let seat = self.by_rank.get(&(Rank(slot.carried.rank), slot.seq));
             assert_eq!(seat, Some(&(shift, idx)), "request {id} rank seat");
             let event = self.finish.get(&(finish, slot.seq));
             assert_eq!(event, Some(&idx), "request {id} finish event");
+            if let Some(block_tokens) = self.block_tokens {
+                // Its pages take `room` more tokens, so the token of the
+                // step `room` steps on is the first that does not fit.
+                let context = slot.context() + (step - join_step) as usize;
+                let (capacity, uncovered) = (slot.held * block_tokens, context - slot.covered);
+                assert!(
+                    capacity >= uncovered as u64,
+                    "request {id}'s pages fall behind its context"
+                );
+                let due = step + (capacity - uncovered as u64);
+                if due < finish {
+                    growths += 1;
+                    let event = self.due.get(&(due, Rank(slot.carried.rank), slot.seq));
+                    assert_eq!(event, Some(&idx), "request {id} growth at step {due}");
+                }
+            }
         }
         assert_eq!(groups, self.groups, "context groups");
         assert_eq!(self.by_rank.len(), decoding.len(), "rank seats");
         assert_eq!(self.finish.len(), decoding.len(), "finish events");
+        assert_eq!(self.due.len(), growths, "growth events");
     }
 }
 

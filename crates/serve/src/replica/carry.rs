@@ -88,9 +88,7 @@ impl ReplicaSim {
         }
         // Active sequences record their progress (the remainder decodes
         // elsewhere after a re-prefill) and release everything they hold.
-        let decoding: Vec<usize> = (self.active.contexts_by_rank(self.step))
-            .map(|(idx, _)| idx)
-            .collect();
+        let decoding: Vec<usize> = self.active.slots_by_rank().collect();
         for idx in decoding {
             self.leave_batch(idx);
             self.slots[idx].carried.record.preemptions += 1;

@@ -13,6 +13,9 @@ impl ReplicaSim {
     ///   ready queue, the prefilling list and the active set, in a state
     ///   that place allows and keyed on its rank and arrival index (never
     ///   on its reused slot), and no free slot is named anywhere;
+    /// - the active set indexes each decoding sequence's context, rank,
+    ///   completion and, under paged KV, the step at which its own pages
+    ///   run out, recomputed from its context now;
     /// - the records are the completed, extracted and in-flight requests,
     ///   each once, the not-yet-arrived ones last and in arrival order;
     /// - the running sums (queued worst-case KV bytes, prefill targets,
@@ -66,7 +69,7 @@ impl ReplicaSim {
                 matches!(s, SlotState::Decoding { .. })
             });
         }
-        self.active.check_seats(&decoding);
+        self.active.check_seats(&decoding, self.step);
         for &idx in &self.pending_first_token {
             let slot = self.slots.get(idx);
             assert!(

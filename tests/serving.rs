@@ -8,9 +8,9 @@ use hermes::core::{
 };
 use hermes::model::ModelId;
 use hermes::serve::{
-    request_kv_bytes, simulate, AdmissionConfig, BatchingPolicy, LengthDistribution,
-    PreemptionPolicy, PrefillPolicy, PrefixCacheMode, PromptSpec, SchedulingPolicy,
-    ServingSimulation, DEFAULT_BLOCK_TOKENS,
+    request_kv_bytes, simulate, token_kv_bytes, AdmissionConfig, BatchingPolicy,
+    LengthDistribution, PreemptionPolicy, PrefillPolicy, PrefixCacheMode, PromptSpec,
+    RequestLength, SchedulingPolicy, ServingSimulation, DEFAULT_BLOCK_TOKENS,
 };
 
 fn quick(model: ModelId, batch: usize) -> Workload {
@@ -585,6 +585,78 @@ fn prefix_cache_halves_ttft_on_shared_prompt_load() {
     // And the split shows where it comes from: cache hitters beat the
     // missing leader.
     assert!(prefix.ttft_hit.p50 < prefix.ttft_miss.p50, "{prefix:?}");
+}
+
+/// Prompts that share a block-aligned head and then diverge leave the
+/// cache a head node over one child per branch. A pool too small to keep
+/// every branch evicts them all, and the head, unpinned and childless once
+/// its last child goes, must join the eviction index: in a debug build
+/// every boundary checks that index against a walk of the nodes, and a
+/// later request that needs the head's blocks too must be able to take
+/// them.
+///
+/// Three requests at time 0 cache the 8-token head `H` (2 blocks of 4
+/// tokens) and three 8-token branches (2 blocks each) in a pool of 12
+/// blocks. A request at 100 s without a shared prefix needs 10 pages, so
+/// 6 cached blocks go: exactly the three branches. One at 200 s needs 11,
+/// so the head goes too.
+#[test]
+fn evicting_every_branch_of_a_shared_head_makes_the_head_evictable() {
+    let mut template = quick(ModelId::Opt13B, 1);
+    template.prompt_len = 16;
+    template.gen_len = 1;
+    let block_tokens = 4;
+    let head: Vec<u64> = (0..8).collect();
+    let branch = |b: u64| -> Vec<u64> {
+        let mut prefix = head.clone();
+        prefix.extend((0..8).map(|t| 100 * (b + 1) + t));
+        prefix
+    };
+    let length = |prompt_len| RequestLength {
+        prompt_len,
+        gen_len: 1,
+    };
+    let sim = ServingSimulation::new(
+        template.clone(),
+        ArrivalProcess::Trace {
+            times: vec![0.0, 0.0, 0.0, 100.0, 200.0],
+        },
+        5,
+    )
+    .with_lengths(LengthDistribution::Trace {
+        lengths: vec![length(16), length(16), length(16), length(36), length(40)],
+    })
+    .with_prompts(PromptSpec::Trace {
+        prefixes: vec![branch(0), branch(1), branch(2), Vec::new(), Vec::new()],
+    })
+    .with_admission(
+        AdmissionConfig::unlimited()
+            .with_kv_memory_bytes(token_kv_bytes(&template) * block_tokens * 12)
+            .with_paged_kv(4),
+    )
+    .with_preemption(PreemptionPolicy::EvictAndRefill)
+    .with_prefix_cache(PrefixCacheMode::Lru);
+
+    let outcome = simulate(
+        SystemKind::hermes_base(),
+        &SystemConfig::paper_default(),
+        &sim,
+    )
+    .unwrap();
+    let records = &outcome.records;
+    assert!(
+        records[..3].iter().all(|r| r.completed < 100.0),
+        "the branches are unpinned before the pool fills: {records:?}"
+    );
+    assert!(records[3].completed < 200.0, "{records:?}");
+    assert!(records.iter().all(|r| r.preemptions == 0), "{records:?}");
+    let prefix = outcome.report.prefix.as_ref().expect("prefix cache report");
+    // Four nodes were made: the first request's run, then the second's
+    // branch and the head split off the first run, then the third branch.
+    assert_eq!(prefix.insertions, 3, "{prefix:?}");
+    assert_eq!(prefix.reused_prefill_tokens, 2 * 8, "{prefix:?}");
+    assert_eq!(prefix.evicted_blocks, 3 * 2 + 2, "{prefix:?}");
+    assert_eq!(prefix.resident_blocks, 0, "{prefix:?}");
 }
 
 /// Serving propagates engine validation: unsupported models and invalid
