@@ -15,8 +15,8 @@
 //! The driver is deterministic end to end: replicas advance in index order
 //! to each timeline point, ties between events and arrivals resolve events
 //! first, and re-dispatched requests are routed in request-id order — equal
-//! inputs produce bitwise-identical [`ClusterReport`]s, and a one-replica
-//! cluster reproduces [`simulate`](crate::simulator::simulate) bitwise.
+//! inputs produce bitwise-identical [`ClusterReport`]s, and
+//! [`simulate`](crate::simulator::simulate) runs a fleet of one replica.
 
 use hermes_core::{ClusterReport, HermesError, ReplicaReport, SystemConfig, SystemKind};
 use hermes_model::non_negative_finite;
@@ -226,9 +226,8 @@ pub struct ClusterOutcome {
 /// Requests and scripted events are merged into a single time-ordered
 /// sequence; at each point every replica is advanced to that time (in index
 /// order) before the point is applied, so a replica's boundary at time `t`
-/// always sees every request routed to it strictly before `t` — the
-/// property that makes a one-replica cluster reproduce
-/// [`simulate`](crate::simulator::simulate) bitwise.
+/// always sees every request routed to it strictly before `t`, and none
+/// later. [`simulate`](crate::simulator::simulate) runs it with one replica.
 pub struct ClusterSimulator {
     replicas: Vec<ReplicaSim>,
     labels: Vec<String>,
@@ -252,8 +251,8 @@ pub struct ClusterSimulator {
 }
 
 impl ClusterSimulator {
-    /// Sample the scenario and plan every replica, failing upfront on a
-    /// misconfigured fleet.
+    /// Validate every machine's knobs, then sample the scenario and plan
+    /// every replica, failing upfront on a misconfigured fleet.
     ///
     /// # Errors
     ///
@@ -279,6 +278,9 @@ impl ClusterSimulator {
             non_negative_finite("its time", event.at())
                 .map_err(|e| HermesError::InvalidConfig(format!("event {i} ({event:?}): {e}")))?;
         }
+        for spec in &sim.replicas {
+            spec.sim.validate()?;
+        }
         let scenario = &sim.scenario;
         let requests = scenario.sample_requests()?;
         // Ranks are fleet-wide: computed once over the whole sampled set,
@@ -289,8 +291,8 @@ impl ClusterSimulator {
         let mut replicas = Vec::with_capacity(sim.replicas.len());
         for spec in &sim.replicas {
             // The replica schedules under its own policy knobs but reports
-            // against the fleet scenario's offered rate (so a one-replica
-            // fleet reproduces `simulate` bitwise).
+            // against the fleet scenario's offered rate (a lone machine
+            // reports its scenario's rate).
             let rsim = replica_scenario(&spec.sim, scenario);
             let replica = ReplicaSim::new(spec.kind, &spec.config, rsim)?;
             replica.validate_extremes(&requests, extremes)?;
@@ -512,10 +514,9 @@ fn check_each_request_once(records: &[RequestRecord], requests: usize) -> Result
 /// fleet-wide workload, dispatch every request under the routing policy,
 /// apply the scripted replica events, and run every machine dry.
 ///
-/// Equal inputs produce bitwise-identical outcomes, and a one-replica
-/// cluster with no events reproduces
-/// [`simulate`](crate::simulator::simulate) bitwise (per-replica report and
-/// records alike).
+/// Equal inputs produce bitwise-identical outcomes.
+/// [`simulate`](crate::simulator::simulate) is a one-replica cluster with
+/// no events: its report is that replica's, and its records the fleet's.
 ///
 /// # Errors
 ///

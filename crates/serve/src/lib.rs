@@ -143,8 +143,8 @@
 //! over one machine's scheduling state: callers [`inject`](ReplicaSim::inject)
 //! requests, [`advance_to`](ReplicaSim::advance_to) a virtual time (the
 //! replica processes exactly the token boundaries due by then, jumping idle
-//! gaps without overshooting), and [`simulate`] is a thin single-replica
-//! driver over it. [`ClusterSimulation`] advances N replicas on one shared
+//! gaps without overshooting), and the fleet below is its one caller.
+//! [`ClusterSimulation`] advances N replicas on one shared
 //! clock: each [`ReplicaSpec`] is its own machine — system kind, hardware
 //! config and scheduler knobs, so a fleet can mix TensorRT GPU boxes with
 //! Hermes NDP boxes — requests are sampled once from a fleet-wide scenario
@@ -159,7 +159,8 @@
 //! [`ServingReport`](hermes_core::ServingReport)s plus merged fleet-wide
 //! latency distributions, routing counters, SLO attainment and a
 //! load-imbalance coefficient. The driver is deterministic end to end, and
-//! a one-replica cluster reproduces [`simulate`] bitwise.
+//! [`simulate`] runs a fleet of one replica: it injects each request when
+//! it arrives and returns that machine's report.
 //!
 //! # Example: Poisson load on Hermes
 //!

@@ -3,14 +3,13 @@
 //!
 //! [`ReplicaSim`] owns everything one machine needs between token
 //! boundaries — the ready queue, the active decode set, the KV backend and
-//! the running tallies — and exposes the loop of
-//! [`simulate`](crate::simulator::simulate) as resumable steps:
+//! the running tallies — and runs the serving loop as resumable steps:
 //! [`ReplicaSim::inject`] hands it a request, [`ReplicaSim::step_boundary`]
 //! runs exactly one token boundary, and [`ReplicaSim::advance_to`] drives
-//! boundaries until the virtual clock reaches a horizon. A single replica
-//! driven to completion reproduces the monolithic loop bitwise; N replicas
-//! advanced on one shared clock by the [`cluster`](crate::cluster) router
-//! are the multi-replica fleet.
+//! boundaries until the virtual clock reaches a horizon. A
+//! [`cluster`](crate::cluster) fleet advances N replicas on one shared
+//! clock and injects each request when it arrives;
+//! [`simulate`](crate::simulator::simulate) runs a fleet of one.
 //!
 //! A boundary runs these phases in order, one method each:
 //! 1. pull arrivals into the ready queue;
@@ -111,9 +110,8 @@ impl RequestSlot {
     }
 }
 
-/// One simulated serving machine as a resumable state machine: the
-/// extracted per-boundary body of [`simulate`](crate::simulator::simulate),
-/// owning the ready queue, active set, KV backend and tallies.
+/// One simulated serving machine as a resumable state machine, owning the
+/// ready queue, active set, KV backend and tallies.
 ///
 /// Requests enter through [`ReplicaSim::inject`] (in non-decreasing arrival
 /// order); the machine advances via [`ReplicaSim::step_boundary`] /
@@ -370,12 +368,7 @@ impl ReplicaSim {
     /// Propagates the unsatisfiable-admission error of
     /// [`ReplicaSim::step_boundary`].
     pub fn run_to_completion(&mut self) -> Result<(), HermesError> {
-        loop {
-            match self.step_boundary(f64::INFINITY)? {
-                BoundaryOutcome::Worked | BoundaryOutcome::Jumped => {}
-                BoundaryOutcome::Idle => return Ok(()),
-            }
-        }
+        self.advance_to(f64::INFINITY)
     }
 
     /// Run exactly one token boundary: the phases listed in the module
@@ -914,8 +907,9 @@ mod tests {
         }
     }
 
-    /// A Hermes-base replica with every request of `sim` injected, sampled
-    /// the way `simulate` samples them.
+    /// A Hermes-base replica with every request of `sim` injected up front,
+    /// as perfbench's traced replay loads one, sampled and ranked the way
+    /// the fleet samples and ranks them.
     fn loaded_replica(sim: &ServingSimulation) -> ReplicaSim {
         let requests = sim.sample_requests().unwrap();
         let mut replica = ReplicaSim::new(

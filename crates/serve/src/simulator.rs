@@ -1,12 +1,10 @@
 //! The discrete-event serving simulator: scenario description, validation,
-//! and the single-replica driver.
+//! and [`simulate`], which serves a scenario on one machine.
 //!
-//! The actual event loop lives in [`crate::replica`] as the resumable
-//! [`ReplicaSim`] state machine; [`simulate`] samples a scenario's arrivals
-//! and requests, injects them into one replica and drives it to completion.
-//! The multi-replica cluster driver in [`crate::cluster`] reuses the same
-//! core, so one machine's behaviour is identical whether it serves alone or
-//! inside a fleet.
+//! The event loop lives in [`crate::replica`] as the resumable
+//! [`ReplicaSim`](crate::replica::ReplicaSim) state machine, and only the
+//! fleet in [`crate::cluster`] runs it: [`simulate`] runs a fleet of one
+//! replica, so a single box takes the fleet's path.
 
 use serde::{Deserialize, Serialize};
 
@@ -16,7 +14,7 @@ use hermes_core::{
 };
 
 use crate::arrival::sample_arrival_times;
-use crate::replica::ReplicaSim;
+use crate::cluster::{ClusterSimulation, ClusterSimulator, RoutingPolicy};
 use crate::request::{RequestRecord, ServingRequest};
 use crate::scheduler::{
     AdmissionConfig, BatchingPolicy, KvAccounting, PreemptionPolicy, PrefillPolicy,
@@ -152,8 +150,9 @@ impl ServingSimulation {
     /// Validate the scenario's policy combination up front: admission caps,
     /// the prefill policy's internal consistency, bounded-paged-pool
     /// preemption and the cache-requires-paged constraint. Shared by every
-    /// entry point — [`simulate`], [`ReplicaSim::new`] and the cluster
-    /// driver — so a misconfigured replica fails with
+    /// entry point — [`ReplicaSim::new`](crate::replica::ReplicaSim::new)
+    /// and [`ClusterSimulator::new`], which [`simulate`] runs — so a
+    /// misconfigured replica fails with
     /// [`HermesError::InvalidConfig`] before any sampling or planning runs.
     ///
     /// # Errors
@@ -231,7 +230,7 @@ pub(crate) fn replica_scenario(
 pub struct ServingOutcome {
     /// Aggregate serving metrics.
     pub report: ServingReport,
-    /// Lifecycle timestamps of every request, in arrival order.
+    /// Lifecycle timestamps of every request, in request-id order.
     pub records: Vec<RequestRecord>,
 }
 
@@ -337,33 +336,34 @@ pub(crate) fn worst_case_bounds(template: &Workload, extremes: Extremes<'_>) -> 
 /// admission queue is drained, so queue delay includes waiting behind other
 /// groups prefilled at the same boundary.
 ///
-/// The loop itself lives in [`ReplicaSim`]: this driver samples the
-/// scenario, injects every request into one replica and runs it dry, so the
-/// single-replica and cluster paths share one machine model.
+/// The scenario runs as a fleet of one machine: [`ClusterSimulator`]
+/// samples it, injects each request into the replica when it arrives and
+/// runs the replica dry, and the outcome is that machine's report with
+/// the fleet's records.
 ///
 /// # Errors
 ///
 /// Propagates validation errors from the engine, the arrival spec, the
 /// length spec, the prefill policy and the admission caps, and returns
 /// [`HermesError::InvalidConfig`] when the caps are too small to ever admit
-/// a queued request.
+/// a queued request, or unless every request completed exactly once.
 pub fn simulate(
     kind: SystemKind,
     config: &SystemConfig,
     sim: &ServingSimulation,
 ) -> Result<ServingOutcome, HermesError> {
-    sim.validate()?;
-    let requests = sim.sample_requests()?;
-    let mut replica = ReplicaSim::new(kind, config, replica_scenario(sim, sim))?;
-    replica.validate_requests(&requests)?;
-    // Ranks are immutable per request (see `crate::queue`), so they are
-    // computed once up front instead of per comparison.
-    let ranks = request_ranks(sim.scheduling, &requests);
-    for (request, rank) in requests.into_iter().zip(ranks) {
-        replica.inject(request, rank);
-    }
-    replica.run_to_completion()?;
-    Ok(replica.into_outcome())
+    let fleet = ClusterSimulation::uniform(sim.clone(), kind, config, 1, RoutingPolicy::RoundRobin);
+    let simulator = ClusterSimulator::new(&fleet)?;
+    // The simulator holds the sampled requests: free the scenario's copy of
+    // any traces before the run.
+    drop(fleet);
+    let outcome = simulator.run()?;
+    let machine = (outcome.report.replicas.into_iter().next())
+        .ok_or_else(|| HermesError::InvalidConfig("a fleet of one reported no machine".into()))?;
+    Ok(ServingOutcome {
+        report: machine.report,
+        records: outcome.records,
+    })
 }
 
 /// Reject a bounded paged pool without a preemption policy: a sequence that

@@ -226,6 +226,34 @@ fn cluster_validation_rejects_paged_without_preemption_upfront() {
     assert_eq!(outcome.report.completed, 4);
 }
 
+/// A scenario wrong in its machine knobs and in its sampling at once fails
+/// on the knobs at both entry points: the fleet validates every machine
+/// before it samples, as the single-replica path always has.
+#[test]
+fn knob_errors_come_before_sampling_errors_at_both_entry_points() {
+    let bad = ServingSimulation::new(
+        template(),
+        ArrivalProcess::Trace {
+            times: vec![0.0, 0.5],
+        },
+        4,
+    )
+    .with_admission(
+        AdmissionConfig::unlimited()
+            .with_kv_memory_bytes(request_kv_bytes(&template(), 24, 6) * 4)
+            .with_paged_kv(8),
+    );
+    let (kind, config) = (SystemKind::hermes_base(), SystemConfig::paper_default());
+    let single = simulate(kind, &config, &bad).unwrap_err();
+    let fleet = ClusterSimulation::uniform(bad, kind, &config, 2, RoutingPolicy::RoundRobin);
+    let err = simulate_cluster(&fleet).unwrap_err();
+    assert_eq!(err, single);
+    assert!(
+        err.to_string().contains("requires a preemption policy"),
+        "{err}"
+    );
+}
+
 /// An admission error names the request that can never be admitted, not
 /// the replica slot that holds it: on a two-replica round-robin fleet
 /// under reserve KV with a budget of two 64/16 requests, request 3 (a
