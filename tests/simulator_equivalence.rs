@@ -1,5 +1,6 @@
 //! Differential tests of the heap-based simulator against the retained
-//! sort-based reference scheduler (`hermes_serve::reference`).
+//! sort-based reference scheduler (`hermes_serve::reference`), and a golden
+//! corpus of the fixed scenarios' outcomes.
 //!
 //! The PR that introduced the event-heap hot loop (indexed ready queue,
 //! incremental batch accounting, lazy finish events) must not change
@@ -8,6 +9,14 @@
 //! every clock stamp, every percentile, every preemption count. Each check
 //! asserts both structural equality and equality of the serialized JSON, so
 //! even a field the `PartialEq` impl might one day skip cannot drift.
+//!
+//! The oracle check cannot see a change that moves both loops alike, so
+//! each fixed scenario first compares `simulate`'s outcome on each system
+//! with its committed file under `tests/golden/equivalence/`
+//! (`serde_json::to_string_pretty` plus a newline), byte for byte, as
+//! `tests/golden_reports.rs` does. On a mismatch the test prints the fresh
+//! JSON. If the change in numbers is intended, review it and replace the
+//! file with that output.
 //!
 //! Coverage: {Fcfs, Priority, Edf, PrefixAffinity} × {None, EvictAndRefill,
 //! SwapOut} × {StallTheWorld, Chunked} × {AllAtOnce, Poisson, Bursty} ×
@@ -47,11 +56,16 @@ fn mixed_classes() -> PrioritySpec {
     }
 }
 
+/// The paper systems every scenario runs on.
+fn systems() -> [SystemKind; 2] {
+    [SystemKind::hermes(), SystemKind::hermes_base()]
+}
+
 /// Assert the production and reference schedulers produce bitwise-identical
 /// outcomes (or identical errors) for `sim` on every paper system.
 fn assert_equivalent(sim: &ServingSimulation) {
     let config = SystemConfig::paper_default();
-    for kind in [SystemKind::hermes(), SystemKind::hermes_base()] {
+    for kind in systems() {
         let fast = simulate(kind, &config, sim);
         let slow = simulate_reference(kind, &config, sim);
         match (fast, slow) {
@@ -77,6 +91,32 @@ fn assert_equivalent(sim: &ServingSimulation) {
     }
 }
 
+/// The corpus file of the fixed scenario `name` on `kind`.
+fn corpus_path(name: &str, kind: SystemKind) -> String {
+    let system = kind.name().to_lowercase();
+    format!(
+        "{}/tests/golden/equivalence/{name}.{system}.json",
+        env!("CARGO_MANIFEST_DIR")
+    )
+}
+
+/// Compare `simulate`'s outcome of the fixed scenario `name` on every paper
+/// system with its committed corpus file.
+fn assert_corpus(name: &str, sim: &ServingSimulation) {
+    let config = SystemConfig::paper_default();
+    for kind in systems() {
+        let outcome = simulate(kind, &config, sim)
+            .unwrap_or_else(|e| panic!("{name} failed on {kind:?}: {e}"));
+        let fresh = format!("{}\n", serde_json::to_string_pretty(&outcome).unwrap());
+        let path = corpus_path(name, kind);
+        let committed = std::fs::read_to_string(&path).unwrap_or_default();
+        assert!(
+            committed == fresh,
+            "{path} does not match the fresh outcome; fresh JSON:\n{fresh}"
+        );
+    }
+}
+
 /// KV budget that fits exactly `seats` worst-case requests of the uniform
 /// length range used below, so admission stays feasible but tight.
 fn tight_kv(seats: u64) -> AdmissionConfig {
@@ -92,275 +132,267 @@ fn uniform_lengths() -> LengthDistribution {
     }
 }
 
-#[test]
-fn fcfs_stall_the_world_all_at_once() {
-    let sim = ServingSimulation::new(template(), ArrivalProcess::AllAtOnce, 12);
-    assert_equivalent(&sim);
+/// The fixed scenarios, one table for both checks. Each entry becomes a
+/// test of its own name that compares `simulate`'s outcome on every system
+/// with its corpus files first, so a divergence names its file, and then
+/// with the oracle's.
+macro_rules! fixed_scenarios {
+    ($($name:ident => $sim:expr;)*) => {
+        /// Every fixed scenario's name, in table order.
+        const FIXED: &[&str] = &[$(stringify!($name)),*];
+
+        $(
+            #[test]
+            fn $name() {
+                let sim = $sim;
+                assert_corpus(stringify!($name), &sim);
+                assert_equivalent(&sim);
+            }
+        )*
+    };
 }
 
-#[test]
-fn fcfs_chunked_poisson_with_heterogeneous_lengths() {
-    let sim = ServingSimulation::new(template(), ArrivalProcess::Poisson { rate: 1.5 }, 16)
-        .with_arrival_seed(7)
-        .with_lengths(uniform_lengths())
-        .with_prefill(PrefillPolicy::Chunked {
-            chunk_tokens: 8,
-            budget: 16,
-        });
-    assert_equivalent(&sim);
-}
+fixed_scenarios! {
+    fcfs_stall_the_world_all_at_once =>
+        ServingSimulation::new(template(), ArrivalProcess::AllAtOnce, 12);
 
-#[test]
-fn priority_eviction_stall_the_world_bursty() {
-    let sim = ServingSimulation::new(
-        template(),
-        ArrivalProcess::Bursty {
-            rate: 2.0,
-            burst: 3,
-        },
-        14,
-    )
-    .with_arrival_seed(21)
-    .with_admission(tight_kv(2))
-    .with_classes(mixed_classes())
-    .with_scheduling(SchedulingPolicy::Priority)
-    .with_preemption(PreemptionPolicy::EvictAndRefill);
-    assert_equivalent(&sim);
-}
+    fcfs_chunked_poisson_with_heterogeneous_lengths =>
+        ServingSimulation::new(template(), ArrivalProcess::Poisson { rate: 1.5 }, 16)
+            .with_arrival_seed(7)
+            .with_lengths(uniform_lengths())
+            .with_prefill(PrefillPolicy::Chunked {
+                chunk_tokens: 8,
+                budget: 16,
+            });
 
-#[test]
-fn priority_eviction_chunked_poisson() {
-    let sim = ServingSimulation::new(template(), ArrivalProcess::Poisson { rate: 2.5 }, 14)
-        .with_arrival_seed(3)
+    priority_eviction_stall_the_world_bursty =>
+        ServingSimulation::new(
+            template(),
+            ArrivalProcess::Bursty {
+                rate: 2.0,
+                burst: 3,
+            },
+            14,
+        )
+        .with_arrival_seed(21)
         .with_admission(tight_kv(2))
         .with_classes(mixed_classes())
         .with_scheduling(SchedulingPolicy::Priority)
-        .with_preemption(PreemptionPolicy::EvictAndRefill)
-        .with_lengths(uniform_lengths())
-        .with_prefill(PrefillPolicy::Chunked {
-            chunk_tokens: 6,
-            budget: 12,
-        });
-    assert_equivalent(&sim);
-}
+        .with_preemption(PreemptionPolicy::EvictAndRefill);
 
-#[test]
-fn edf_eviction_chunked_bursty() {
-    let sim = ServingSimulation::new(
-        template(),
-        ArrivalProcess::Bursty {
-            rate: 1.8,
-            burst: 4,
-        },
-        14,
-    )
-    .with_arrival_seed(11)
-    .with_admission(tight_kv(3))
-    .with_classes(mixed_classes())
-    .with_scheduling(SchedulingPolicy::Edf)
-    .with_preemption(PreemptionPolicy::EvictAndRefill)
-    .with_prefill(PrefillPolicy::Chunked {
-        chunk_tokens: 8,
-        budget: 8,
-    });
-    assert_equivalent(&sim);
-}
+    priority_eviction_chunked_poisson =>
+        ServingSimulation::new(template(), ArrivalProcess::Poisson { rate: 2.5 }, 14)
+            .with_arrival_seed(3)
+            .with_admission(tight_kv(2))
+            .with_classes(mixed_classes())
+            .with_scheduling(SchedulingPolicy::Priority)
+            .with_preemption(PreemptionPolicy::EvictAndRefill)
+            .with_lengths(uniform_lengths())
+            .with_prefill(PrefillPolicy::Chunked {
+                chunk_tokens: 6,
+                budget: 12,
+            });
 
-#[test]
-fn edf_static_batching_poisson() {
-    let sim = ServingSimulation::new(template(), ArrivalProcess::Poisson { rate: 0.8 }, 10)
-        .with_arrival_seed(5)
-        .with_policy(BatchingPolicy::Static)
+    edf_eviction_chunked_bursty =>
+        ServingSimulation::new(
+            template(),
+            ArrivalProcess::Bursty {
+                rate: 1.8,
+                burst: 4,
+            },
+            14,
+        )
+        .with_arrival_seed(11)
+        .with_admission(tight_kv(3))
         .with_classes(mixed_classes())
-        .with_scheduling(SchedulingPolicy::Edf);
-    assert_equivalent(&sim);
-}
+        .with_scheduling(SchedulingPolicy::Edf)
+        .with_preemption(PreemptionPolicy::EvictAndRefill)
+        .with_prefill(PrefillPolicy::Chunked {
+            chunk_tokens: 8,
+            budget: 8,
+        });
 
-#[test]
-fn priority_swap_out_paged_bursty() {
-    let sim = ServingSimulation::new(
-        template(),
-        ArrivalProcess::Bursty {
-            rate: 2.0,
-            burst: 3,
-        },
-        14,
-    )
-    .with_arrival_seed(21)
-    .with_admission(tight_kv(2).with_paged_kv(16))
-    .with_classes(mixed_classes())
-    .with_scheduling(SchedulingPolicy::Priority)
-    .with_preemption(PreemptionPolicy::SwapOut);
-    assert_equivalent(&sim);
-}
+    edf_static_batching_poisson =>
+        ServingSimulation::new(template(), ArrivalProcess::Poisson { rate: 0.8 }, 10)
+            .with_arrival_seed(5)
+            .with_policy(BatchingPolicy::Static)
+            .with_classes(mixed_classes())
+            .with_scheduling(SchedulingPolicy::Edf);
 
-#[test]
-fn priority_swap_out_paged_chunked_poisson() {
-    let sim = ServingSimulation::new(template(), ArrivalProcess::Poisson { rate: 2.5 }, 14)
-        .with_arrival_seed(3)
-        .with_admission(tight_kv(2).with_paged_kv(8))
+    priority_swap_out_paged_bursty =>
+        ServingSimulation::new(
+            template(),
+            ArrivalProcess::Bursty {
+                rate: 2.0,
+                burst: 3,
+            },
+            14,
+        )
+        .with_arrival_seed(21)
+        .with_admission(tight_kv(2).with_paged_kv(16))
         .with_classes(mixed_classes())
         .with_scheduling(SchedulingPolicy::Priority)
-        .with_preemption(PreemptionPolicy::SwapOut)
-        .with_lengths(uniform_lengths())
-        .with_prefill(PrefillPolicy::Chunked {
-            chunk_tokens: 6,
-            budget: 12,
-        });
-    assert_equivalent(&sim);
-}
+        .with_preemption(PreemptionPolicy::SwapOut);
 
-#[test]
-fn swapped_victim_resuming_before_its_first_token_gets_it_stamped() {
+    priority_swap_out_paged_chunked_poisson =>
+        ServingSimulation::new(template(), ArrivalProcess::Poisson { rate: 2.5 }, 14)
+            .with_arrival_seed(3)
+            .with_admission(tight_kv(2).with_paged_kv(8))
+            .with_classes(mixed_classes())
+            .with_scheduling(SchedulingPolicy::Priority)
+            .with_preemption(PreemptionPolicy::SwapOut)
+            .with_lengths(uniform_lengths())
+            .with_prefill(PrefillPolicy::Chunked {
+                chunk_tokens: 6,
+                budget: 12,
+            });
+
     // One-token blocks under bursty overload: chunked-prefill finishers and
     // fresh joiners are swapped out before their first priced step, then
     // resume with nothing generated. Their first decoded token must still
     // be stamped, as the oracle stamps it.
-    let sim = ServingSimulation::new(
-        template(),
-        ArrivalProcess::Bursty {
-            rate: 2.0,
-            burst: 3,
-        },
-        14,
-    )
-    .with_arrival_seed(0)
-    .with_admission(tight_kv(3).with_paged_kv(1))
-    .with_classes(mixed_classes())
-    .with_lengths(uniform_lengths())
-    .with_scheduling(SchedulingPolicy::Priority)
-    .with_preemption(PreemptionPolicy::SwapOut)
-    .with_prefill(PrefillPolicy::Chunked {
-        chunk_tokens: 6,
-        budget: 12,
-    });
-    assert_equivalent(&sim);
-}
-
-#[test]
-fn edf_paged_eviction_chunked_bursty() {
-    let sim = ServingSimulation::new(
-        template(),
-        ArrivalProcess::Bursty {
-            rate: 1.8,
-            burst: 4,
-        },
-        14,
-    )
-    .with_arrival_seed(11)
-    .with_admission(tight_kv(3).with_paged_kv(4))
-    .with_classes(mixed_classes())
-    .with_scheduling(SchedulingPolicy::Edf)
-    .with_preemption(PreemptionPolicy::EvictAndRefill)
-    .with_prefill(PrefillPolicy::Chunked {
-        chunk_tokens: 8,
-        budget: 8,
-    });
-    assert_equivalent(&sim);
-}
-
-#[test]
-fn prefix_cache_shared_groups_poisson() {
-    let sim = ServingSimulation::new(template(), ArrivalProcess::Poisson { rate: 1.5 }, 16)
-        .with_arrival_seed(7)
-        .with_admission(AdmissionConfig::unlimited().with_paged_kv(8))
-        .with_prompts(PromptSpec::SharedGroups {
-            groups: 2,
-            prefix_len: 16,
-        })
-        .with_prefix_cache(PrefixCacheMode::Lru);
-    assert_equivalent(&sim);
-}
-
-#[test]
-fn prefix_cache_affinity_chunked_heterogeneous() {
-    let sim = ServingSimulation::new(template(), ArrivalProcess::Poisson { rate: 2.0 }, 16)
-        .with_arrival_seed(19)
-        .with_admission(AdmissionConfig::unlimited().with_paged_kv(4))
-        .with_lengths(uniform_lengths())
-        .with_prompts(PromptSpec::SharedGroups {
-            groups: 3,
-            prefix_len: 12,
-        })
-        .with_prefix_cache(PrefixCacheMode::Lru)
-        .with_scheduling(SchedulingPolicy::PrefixAffinity)
-        .with_prefill(PrefillPolicy::Chunked {
-            chunk_tokens: 8,
-            budget: 16,
-        });
-    assert_equivalent(&sim);
-}
-
-#[test]
-fn prefix_cache_tight_pool_swap_out_bursty() {
-    // A bounded paged pool under bursty overload: admission must evict
-    // cached prefixes and swap out victims while the cache keeps leases on
-    // the survivors — the hardest ordering to keep bitwise-aligned.
-    let sim = ServingSimulation::new(
-        template(),
-        ArrivalProcess::Bursty {
-            rate: 2.0,
-            burst: 3,
-        },
-        14,
-    )
-    .with_arrival_seed(21)
-    .with_admission(tight_kv(2).with_paged_kv(16))
-    .with_classes(mixed_classes())
-    .with_prompts(PromptSpec::SharedGroups {
-        groups: 2,
-        prefix_len: 16,
-    })
-    .with_prefix_cache(PrefixCacheMode::Lru)
-    .with_scheduling(SchedulingPolicy::Priority)
-    .with_preemption(PreemptionPolicy::SwapOut);
-    assert_equivalent(&sim);
-}
-
-#[test]
-fn prefix_cache_tight_pool_evict_and_refill_chunked() {
-    let sim = ServingSimulation::new(template(), ArrivalProcess::Poisson { rate: 2.5 }, 14)
-        .with_arrival_seed(3)
-        .with_admission(tight_kv(2).with_paged_kv(8))
+    swapped_victim_resuming_before_its_first_token_gets_it_stamped =>
+        ServingSimulation::new(
+            template(),
+            ArrivalProcess::Bursty {
+                rate: 2.0,
+                burst: 3,
+            },
+            14,
+        )
+        .with_arrival_seed(0)
+        .with_admission(tight_kv(3).with_paged_kv(1))
         .with_classes(mixed_classes())
         .with_lengths(uniform_lengths())
-        .with_prompts(PromptSpec::SharedGroups {
-            groups: 2,
-            prefix_len: 10,
-        })
-        .with_prefix_cache(PrefixCacheMode::Lru)
-        .with_scheduling(SchedulingPolicy::PrefixAffinity)
-        .with_preemption(PreemptionPolicy::EvictAndRefill)
+        .with_scheduling(SchedulingPolicy::Priority)
+        .with_preemption(PreemptionPolicy::SwapOut)
         .with_prefill(PrefillPolicy::Chunked {
             chunk_tokens: 6,
             budget: 12,
         });
-    assert_equivalent(&sim);
-}
 
-#[test]
-fn prefix_affinity_without_cache() {
-    // Prefix-affinity scheduling is legal without a cache (it only reorders
-    // the ready queue); both loops must rank identically.
-    let sim = ServingSimulation::new(template(), ArrivalProcess::Poisson { rate: 1.0 }, 12)
-        .with_arrival_seed(5)
+    edf_paged_eviction_chunked_bursty =>
+        ServingSimulation::new(
+            template(),
+            ArrivalProcess::Bursty {
+                rate: 1.8,
+                burst: 4,
+            },
+            14,
+        )
+        .with_arrival_seed(11)
+        .with_admission(tight_kv(3).with_paged_kv(4))
+        .with_classes(mixed_classes())
+        .with_scheduling(SchedulingPolicy::Edf)
+        .with_preemption(PreemptionPolicy::EvictAndRefill)
+        .with_prefill(PrefillPolicy::Chunked {
+            chunk_tokens: 8,
+            budget: 8,
+        });
+
+    prefix_cache_shared_groups_poisson =>
+        ServingSimulation::new(template(), ArrivalProcess::Poisson { rate: 1.5 }, 16)
+            .with_arrival_seed(7)
+            .with_admission(AdmissionConfig::unlimited().with_paged_kv(8))
+            .with_prompts(PromptSpec::SharedGroups {
+                groups: 2,
+                prefix_len: 16,
+            })
+            .with_prefix_cache(PrefixCacheMode::Lru);
+
+    prefix_cache_affinity_chunked_heterogeneous =>
+        ServingSimulation::new(template(), ArrivalProcess::Poisson { rate: 2.0 }, 16)
+            .with_arrival_seed(19)
+            .with_admission(AdmissionConfig::unlimited().with_paged_kv(4))
+            .with_lengths(uniform_lengths())
+            .with_prompts(PromptSpec::SharedGroups {
+                groups: 3,
+                prefix_len: 12,
+            })
+            .with_prefix_cache(PrefixCacheMode::Lru)
+            .with_scheduling(SchedulingPolicy::PrefixAffinity)
+            .with_prefill(PrefillPolicy::Chunked {
+                chunk_tokens: 8,
+                budget: 16,
+            });
+
+    // A bounded paged pool under bursty overload: admission must evict
+    // cached prefixes and swap out victims while the cache keeps leases on
+    // the survivors — the hardest ordering to keep bitwise-aligned.
+    prefix_cache_tight_pool_swap_out_bursty =>
+        ServingSimulation::new(
+            template(),
+            ArrivalProcess::Bursty {
+                rate: 2.0,
+                burst: 3,
+            },
+            14,
+        )
+        .with_arrival_seed(21)
+        .with_admission(tight_kv(2).with_paged_kv(16))
+        .with_classes(mixed_classes())
         .with_prompts(PromptSpec::SharedGroups {
             groups: 2,
             prefix_len: 16,
         })
-        .with_scheduling(SchedulingPolicy::PrefixAffinity);
-    assert_equivalent(&sim);
+        .with_prefix_cache(PrefixCacheMode::Lru)
+        .with_scheduling(SchedulingPolicy::Priority)
+        .with_preemption(PreemptionPolicy::SwapOut);
+
+    prefix_cache_tight_pool_evict_and_refill_chunked =>
+        ServingSimulation::new(template(), ArrivalProcess::Poisson { rate: 2.5 }, 14)
+            .with_arrival_seed(3)
+            .with_admission(tight_kv(2).with_paged_kv(8))
+            .with_classes(mixed_classes())
+            .with_lengths(uniform_lengths())
+            .with_prompts(PromptSpec::SharedGroups {
+                groups: 2,
+                prefix_len: 10,
+            })
+            .with_prefix_cache(PrefixCacheMode::Lru)
+            .with_scheduling(SchedulingPolicy::PrefixAffinity)
+            .with_preemption(PreemptionPolicy::EvictAndRefill)
+            .with_prefill(PrefillPolicy::Chunked {
+                chunk_tokens: 6,
+                budget: 12,
+            });
+
+    // Prefix-affinity scheduling is legal without a cache (it only reorders
+    // the ready queue); both loops must rank identically.
+    prefix_affinity_without_cache =>
+        ServingSimulation::new(template(), ArrivalProcess::Poisson { rate: 1.0 }, 12)
+            .with_arrival_seed(5)
+            .with_prompts(PromptSpec::SharedGroups {
+                groups: 2,
+                prefix_len: 16,
+            })
+            .with_scheduling(SchedulingPolicy::PrefixAffinity);
+
+    max_batch_cap_with_priority_eviction =>
+        ServingSimulation::new(template(), ArrivalProcess::Poisson { rate: 3.0 }, 12)
+            .with_arrival_seed(13)
+            .with_admission(AdmissionConfig::unlimited().with_max_batch(3))
+            .with_classes(mixed_classes())
+            .with_scheduling(SchedulingPolicy::Priority)
+            .with_preemption(PreemptionPolicy::EvictAndRefill);
 }
 
+/// The corpus holds one file per fixed scenario and system, and nothing
+/// else: a renamed or deleted scenario leaves no stale file behind.
 #[test]
-fn max_batch_cap_with_priority_eviction() {
-    let sim = ServingSimulation::new(template(), ArrivalProcess::Poisson { rate: 3.0 }, 12)
-        .with_arrival_seed(13)
-        .with_admission(AdmissionConfig::unlimited().with_max_batch(3))
-        .with_classes(mixed_classes())
-        .with_scheduling(SchedulingPolicy::Priority)
-        .with_preemption(PreemptionPolicy::EvictAndRefill);
-    assert_equivalent(&sim);
+fn corpus_holds_exactly_the_fixed_scenarios() {
+    let mut expected: Vec<String> = FIXED
+        .iter()
+        .flat_map(|name| systems().map(|kind| corpus_path(name, kind)))
+        .collect();
+    expected.sort();
+    let dir = format!("{}/tests/golden/equivalence", env!("CARGO_MANIFEST_DIR"));
+    let mut committed: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path().display().to_string())
+        .collect();
+    committed.sort();
+    assert_eq!(committed, expected);
 }
 
 fn arrival_of(selector: usize, rate: f64) -> ArrivalProcess {
