@@ -132,6 +132,44 @@ fn uniform_lengths() -> LengthDistribution {
     }
 }
 
+/// Trace prefixes for `n` requests: three of every four share an 8-token
+/// head, two blocks of the 4-token pages they run with, then take one of
+/// three 8-token branches in turn, so the cache's radix tree splits at a
+/// block boundary; every fourth request shares nothing.
+fn branching_prefixes(n: u64) -> PromptSpec {
+    PromptSpec::Trace {
+        prefixes: (0..n)
+            .map(|i| match i % 4 {
+                3 => Vec::new(),
+                branch => (0..8)
+                    .chain((0..8).map(|t| 100 * (branch + 1) + t))
+                    .collect(),
+            })
+            .collect(),
+    }
+}
+
+/// Branching trace prefixes in a paged pool that fits one worst-case
+/// request: the cache evicts cached blocks to admit work while victims
+/// swap out.
+fn branching_prefixes_under_eviction() -> ServingSimulation {
+    ServingSimulation::new(
+        template(),
+        ArrivalProcess::Bursty {
+            rate: 2.0,
+            burst: 3,
+        },
+        14,
+    )
+    .with_arrival_seed(5)
+    .with_admission(tight_kv(1).with_paged_kv(4))
+    .with_classes(mixed_classes())
+    .with_prompts(branching_prefixes(14))
+    .with_prefix_cache(PrefixCacheMode::Lru)
+    .with_scheduling(SchedulingPolicy::Priority)
+    .with_preemption(PreemptionPolicy::SwapOut)
+}
+
 /// The fixed scenarios, one table for both checks. Each entry becomes a
 /// test of its own name that compares `simulate`'s outcome on every system
 /// with its corpus files first, so a divergence names its file, and then
@@ -375,6 +413,8 @@ fixed_scenarios! {
             .with_classes(mixed_classes())
             .with_scheduling(SchedulingPolicy::Priority)
             .with_preemption(PreemptionPolicy::EvictAndRefill);
+
+    branching_trace_prefixes_under_eviction_pressure => branching_prefixes_under_eviction();
 }
 
 /// The corpus holds one file per fixed scenario and system, and nothing
@@ -393,6 +433,18 @@ fn corpus_holds_exactly_the_fixed_scenarios() {
         .collect();
     committed.sort();
     assert_eq!(committed, expected);
+}
+
+/// The branching scenario runs under real pressure: on every system the
+/// cache evicts blocks (its corpus files pin how many).
+#[test]
+fn branching_prefixes_evict_cached_blocks() {
+    let config = SystemConfig::paper_default();
+    for kind in systems() {
+        let outcome = simulate(kind, &config, &branching_prefixes_under_eviction()).unwrap();
+        let prefix = outcome.report.prefix.expect("prefix cache report");
+        assert!(prefix.evicted_blocks > 0, "{kind:?}: {prefix:?}");
+    }
 }
 
 fn arrival_of(selector: usize, rate: f64) -> ArrivalProcess {
