@@ -57,13 +57,6 @@ pub fn f64_from_u64(v: u64) -> f64 {
     v as f64
 }
 
-/// Exact for counts below 2^53 in magnitude.
-#[inline]
-#[must_use]
-pub fn f64_from_u32(v: u32) -> f64 {
-    f64::from(v)
-}
-
 /// The nearest-rank percentile index into a sorted slice of `len` samples:
 /// `ceil(p/100 · len)`, clamped to `1..=len`, minus one. The float→index
 /// conversion is exact: the ceiled rank is a small non-negative integer
@@ -101,7 +94,6 @@ mod tests {
     fn f64_conversions_exact_below_2_53() {
         assert_eq!(f64_from_u64((1 << 53) - 1), 9_007_199_254_740_991.0);
         assert_eq!(f64_from_usize(12_345), 12_345.0);
-        assert_eq!(f64_from_u32(u32::MAX), 4_294_967_295.0);
     }
 
     #[test]

@@ -118,7 +118,7 @@ pub fn run_session(session: &mut Session) -> Result<InferenceReport, HermesError
 /// kernel). Grouping once at construction keeps a hot serving loop from
 /// re-sorting the composition at every step, and schedulers that already
 /// maintain the groups incrementally can hand them over as-is through
-/// [`BatchState::from_groups`].
+/// [`BatchState::refill`].
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BatchState {
     size: usize,
@@ -155,21 +155,14 @@ impl BatchState {
         }
     }
 
-    /// A batch from pre-grouped context lengths: `(context_len, count)`
-    /// pairs that must be sorted by strictly increasing context length with
-    /// every count non-zero — the invariant [`BatchState::context_groups`]
-    /// guarantees. This is the allocation-light entry point for schedulers
-    /// that maintain the composition incrementally.
-    pub fn from_groups(groups: Vec<(usize, usize)>) -> Self {
-        let mut batch = BatchState { size: 0, groups };
-        batch.seal();
-        batch
-    }
-
-    /// Replace the composition with pre-grouped context lengths, under the
-    /// invariants of [`BatchState::from_groups`], reusing this batch's
-    /// buffer: a scheduler that prices a step at every token boundary
-    /// refills one batch instead of allocating one per step.
+    /// Replace the composition with pre-grouped context lengths:
+    /// `(context_len, count)` pairs that must be sorted by strictly
+    /// increasing context length with every count non-zero — the invariant
+    /// [`BatchState::context_groups`] guarantees. This is the
+    /// allocation-light entry point for schedulers that maintain the
+    /// composition incrementally: it reuses this batch's buffer, so a
+    /// scheduler that prices a step at every token boundary refills one
+    /// batch instead of allocating one per step.
     pub fn refill(&mut self, groups: impl IntoIterator<Item = (usize, usize)>) {
         self.groups.clear();
         self.groups.extend(groups);
@@ -194,14 +187,6 @@ impl BatchState {
     /// Whether the batch has no active sequences.
     pub fn is_empty(&self) -> bool {
         self.size == 0
-    }
-
-    /// Context length of each active sequence, in ascending order.
-    pub fn context_lens(&self) -> Vec<usize> {
-        self.groups
-            .iter()
-            .flat_map(|&(len, n)| std::iter::repeat_n(len, n))
-            .collect()
     }
 
     /// Distinct context lengths with their multiplicities, sorted by
@@ -620,11 +605,6 @@ impl Session {
         self.t
     }
 
-    /// Whether every token of the workload has been generated.
-    pub fn is_done(&self) -> bool {
-        self.t >= self.spec.workload.gen_len
-    }
-
     /// Fold everything executed so far into an [`InferenceReport`].
     ///
     /// Calling this mid-run yields a partial report (the metrics of the
@@ -706,7 +686,6 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 3);
-        assert!(s.is_done());
         assert_eq!(s.phase(), SessionPhase::Done);
         assert_eq!(s.generated(), 3);
         assert!(s.step().unwrap().is_none());
@@ -735,7 +714,7 @@ mod tests {
         s.step().unwrap();
         let partial = s.report();
         assert!((partial.breakdown.fc - 0.5).abs() < 1e-12);
-        assert!(!s.is_done());
+        assert_eq!(s.phase(), SessionPhase::Decoding);
     }
 
     #[test]
@@ -752,7 +731,7 @@ mod tests {
                 StepOutcome::balanced(LatencyBreakdown {
                     // Encode the (uniform) context length into the latency so
                     // the assertion below can observe it.
-                    fc: batch.context_lens()[0] as f64,
+                    fc: batch.context_groups()[0].0 as f64,
                     ..Default::default()
                 })
             })),
@@ -867,13 +846,13 @@ mod tests {
         assert!(BatchState::new(vec![]).context_groups().is_empty());
     }
 
-    /// A refilled batch is the batch `from_groups` builds from the same
-    /// groups, whatever it held before.
+    /// A refilled batch is the batch `new` builds from the same context
+    /// lengths, whatever it held before.
     #[test]
     fn refill_replaces_the_composition() {
         let mut b = BatchState::new(vec![40, 32, 40]);
         b.refill([(7, 2), (9, 1)]);
-        assert_eq!(b, BatchState::from_groups(vec![(7, 2), (9, 1)]));
+        assert_eq!(b, BatchState::new(vec![7, 9, 7]));
         assert_eq!(b.size(), 3);
         b.refill([]);
         assert_eq!(b, BatchState::default());

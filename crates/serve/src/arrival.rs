@@ -23,7 +23,7 @@ fn exponential_gap(rng: &mut ChaCha8Rng, rate: f64) -> f64 {
 /// Returns [`HermesError::InvalidWorkload`] when the spec fails
 /// [`ArrivalProcess::validate`] or a [`ArrivalProcess::Trace`] length does
 /// not match `count`.
-pub fn sample_arrival_times(
+pub(crate) fn sample_arrival_times(
     spec: &ArrivalProcess,
     count: usize,
     seed: u64,

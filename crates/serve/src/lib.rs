@@ -121,7 +121,7 @@
 //!
 //! # Performance
 //!
-//! The hot loop is event-driven. Waiting requests sit in a [`ReadyQueue`] —
+//! The hot loop is event-driven. Waiting requests sit in a ready queue —
 //! a binary heap over `(rank, arrival index)` (ranks are immutable per
 //! request, so entries never decay) — and the decode batch is an indexed
 //! set that maintains its context-length composition, rank order and
@@ -131,11 +131,11 @@
 //! ready-queue re-sort plus active-set re-scan of a naive loop. A replica
 //! reuses a finished request's slot, so its memory follows the requests in
 //! flight, not those served. `perfbench/` at the repo root measures how
-//! fast it runs. The pre-rewrite sort-based loop is retained behind the
-//! `reference` cargo feature (`reference::simulate_reference`) as a
-//! differential-testing oracle, extended since with the paged-KV, swap-out
-//! and prefix-cache behaviour: the `simulator_equivalence` suite holds the
-//! two to bitwise-identical outcomes across every policy combination.
+//! fast it runs. The pre-rewrite sort-based loop is kept as test code, an
+//! oracle extended since with paged KV, swap-out and the prefix cache: the
+//! unit tests in `simulator_equivalence` hold the two to bitwise-identical
+//! outcomes across every policy combination and pin the outcomes of its
+//! fixed scenarios in a golden corpus.
 //!
 //! # Cluster serving
 //!
@@ -191,35 +191,32 @@
 // Library code routes failures through `HermesError`; tests may assert.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-pub mod arrival;
+mod arrival;
 pub mod cluster;
 pub(crate) mod kv;
 pub(crate) mod prefix;
 #[cfg(test)]
 mod prefix_props;
-pub mod queue;
-#[cfg(feature = "reference")]
-pub mod reference;
+mod queue;
+#[cfg(test)]
+mod queue_props;
+#[cfg(test)]
+mod reference;
 pub mod replica;
 pub mod request;
 pub mod scheduler;
 pub mod simulator;
+#[cfg(test)]
+mod simulator_equivalence;
 mod slab;
 pub mod tallies;
 
-pub use arrival::sample_arrival_times;
 pub use cluster::{
     simulate_cluster, ClusterOutcome, ClusterSimulation, ClusterSimulator, ReplicaEvent,
     ReplicaSpec, RoutingPolicy,
 };
-pub use queue::{Rank, ReadyQueue};
-#[cfg(feature = "reference")]
-pub use reference::simulate_reference;
 pub use replica::{BoundaryOutcome, ReplicaSim};
-pub use request::{
-    assign_request_classes, sample_request_lengths, sample_request_prefixes, RequestRecord,
-    ServingRequest,
-};
+pub use request::{RequestRecord, ServingRequest};
 pub use scheduler::{
     request_kv_bytes, token_kv_bytes, AdmissionConfig, BatchingPolicy, KvAccounting,
     PreemptionPolicy, PrefillPolicy, PrefixCacheMode, SchedulingPolicy, DEFAULT_BLOCK_TOKENS,

@@ -38,7 +38,7 @@ impl Ord for Rank {
 ///
 /// Equal inputs drain in exactly the order the old sort-based scheduler
 /// produced — rank ascending, arrival index ascending within a rank — a
-/// property the `ready_queue` proptests pin against a sort-based model.
+/// property the `queue_props` proptests pin against a sort-based model.
 #[derive(Debug, Default)]
 pub struct ReadyQueue {
     heap: BinaryHeap<Reverse<(Rank, usize, usize)>>,
@@ -73,11 +73,13 @@ impl ReadyQueue {
     }
 
     /// Number of waiting requests.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.heap.len()
     }
 
     /// Whether no request is waiting.
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }

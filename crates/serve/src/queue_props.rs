@@ -6,8 +6,8 @@
 
 use proptest::prelude::*;
 
-use hermes::serve::{RequestClass, SchedulingPolicy};
-use hermes_serve::{ReadyQueue, ServingRequest};
+use crate::queue::ReadyQueue;
+use crate::{RequestClass, SchedulingPolicy, ServingRequest};
 
 /// The rank semantics under test, restated independently of the library:
 /// FCFS ranks everyone equally, priority ranks by tier, EDF by absolute

@@ -9,8 +9,8 @@
 //! replaces all of that with indexed priority queues and incremental group
 //! accounting, and the `simulator_equivalence` differential suite asserts
 //! the two produce bitwise-identical [`ServingOutcome`]s across every
-//! policy combination. This module is compiled only under the `reference`
-//! cargo feature; it is not part of the production build.
+//! policy combination. Like that suite, this module is compiled only under
+//! `cfg(test)`: it is test code of this crate, not part of its library.
 //!
 //! Paged KV accounting is mirrored here with plain counters: a held-block
 //! count per request and a used/peak pair. The production loop has the
@@ -21,11 +21,6 @@
 //! its radix structure and eviction order are part of the semantics under
 //! test — and the block counts it inserts and evicts are charged against
 //! the counters here.
-
-#![expect(
-    clippy::expect_used,
-    reason = "the oracle crashes loudly on a broken structural invariant, as the production loop does; it is a test baseline, not production code"
-)]
 
 use hermes_core::{
     BatchState, HermesError, LatencyBreakdown, PrefillChunk, SystemConfig, SystemKind,

@@ -31,8 +31,8 @@ use crate::queue::Rank;
 /// - `groups` counts sequences per shift, so the batch composition for
 ///   [`BatchState::refill`] falls out of an in-order walk without touching
 ///   individual sequences;
-/// - `by_rank` orders active sequences by scheduling rank, with their
-///   shifts, for worst-ranked-first victim selection under preemption;
+/// - `by_rank` orders active sequences by scheduling rank, for
+///   worst-ranked-first victim selection under preemption;
 /// - `finish` orders them by completion step, then arrival index;
 /// - `due` orders the paged sequences that will outgrow their own pages
 ///   before they finish by the step at which they need another block,
@@ -43,9 +43,8 @@ pub(super) struct ActiveSet {
     block_tokens: Option<u64>,
     /// Sequences per context shift.
     groups: BTreeMap<i64, usize>,
-    /// Active sequences ordered by (rank, arrival index), to their shifts
-    /// and slots.
-    by_rank: BTreeMap<(Rank, usize), (i64, usize)>,
+    /// Active sequences ordered by (rank, arrival index), to their slots.
+    by_rank: BTreeMap<(Rank, usize), usize>,
     /// Completion events: (finish step, arrival index) to the slot.
     finish: BTreeMap<(u64, usize), usize>,
     /// Growth events: (due step, rank, arrival index) to the slot.
@@ -98,7 +97,7 @@ impl ActiveSet {
     pub(super) fn join(&mut self, idx: usize, slot: &RequestSlot, step: u64) {
         let (shift, finish) = Self::keys(slot, step);
         *self.groups.entry(shift).or_insert(0) += 1;
-        (self.by_rank).insert((Rank(slot.carried.rank), slot.seq), (shift, idx));
+        (self.by_rank).insert((Rank(slot.carried.rank), slot.seq), idx);
         self.finish.insert((finish, slot.seq), idx);
         self.index_growth(idx, slot, step);
     }
@@ -160,7 +159,7 @@ impl ActiveSet {
     /// Every active sequence's slot, in scheduling-rank order (best
     /// first).
     pub(super) fn slots_by_rank(&self) -> impl Iterator<Item = usize> + '_ {
-        self.by_rank.values().map(|&(_, idx)| idx)
+        self.by_rank.values().copied()
     }
 
     /// The slots of the active sequences strictly outranked by `rank`,
@@ -170,7 +169,7 @@ impl ActiveSet {
         self.by_rank
             .range((Bound::Excluded((Rank(rank), usize::MAX)), Bound::Unbounded))
             .rev()
-            .map(|(_, &(_, idx))| idx)
+            .map(|(_, &idx)| idx)
     }
 
     /// The slot of the active sequence that generated its last token by
@@ -199,7 +198,7 @@ impl ActiveSet {
             let id = slot.carried.request.id;
             assert!(finish > step, "request {id} decodes past its last token");
             let seat = self.by_rank.get(&(Rank(slot.carried.rank), slot.seq));
-            assert_eq!(seat, Some(&(shift, idx)), "request {id} rank seat");
+            assert_eq!(seat, Some(&idx), "request {id} rank seat");
             let event = self.finish.get(&(finish, slot.seq));
             assert_eq!(event, Some(&idx), "request {id} finish event");
             if let Some(block_tokens) = self.block_tokens {

@@ -92,7 +92,7 @@ impl ServingRequest {
 /// Returns [`HermesError::InvalidWorkload`] when the spec fails
 /// [`PrioritySpec::validate`] or a [`PrioritySpec::Trace`] class count does
 /// not match `count`.
-pub fn assign_request_classes(
+pub(crate) fn assign_request_classes(
     spec: &PrioritySpec,
     count: usize,
 ) -> Result<Cow<'_, [RequestClass]>, HermesError> {
@@ -124,7 +124,7 @@ pub fn assign_request_classes(
 /// Returns [`HermesError::InvalidWorkload`] when the spec fails
 /// [`LengthDistribution::validate`] or a [`LengthDistribution::Trace`]
 /// length count does not match `count`.
-pub fn sample_request_lengths<'a>(
+pub(crate) fn sample_request_lengths<'a>(
     spec: &'a LengthDistribution,
     template: &Workload,
     count: usize,
@@ -185,7 +185,7 @@ pub fn sample_request_lengths<'a>(
 /// Returns [`HermesError::InvalidWorkload`] when the spec fails
 /// [`PromptSpec::validate`], a trace supplies a different number of prefixes
 /// than there are requests, or a traced prefix is longer than its prompt.
-pub fn sample_request_prefixes(
+pub(crate) fn sample_request_prefixes(
     spec: &PromptSpec,
     lengths: &[RequestLength],
     seed: u64,

@@ -1,22 +1,24 @@
 //! Differential tests of the heap-based simulator against the retained
-//! sort-based reference scheduler (`hermes_serve::reference`), and a golden
-//! corpus of the fixed scenarios' outcomes.
+//! sort-based reference scheduler ([`crate::reference`]), and a golden
+//! corpus of the fixed scenarios' outcomes. Both are unit tests, so the
+//! oracle compiles into this crate's test binary only.
 //!
-//! The PR that introduced the event-heap hot loop (indexed ready queue,
-//! incremental batch accounting, lazy finish events) must not change
-//! semantics at all: for every scenario the production [`simulate`] and the
-//! reference oracle must produce **bitwise-identical** [`ServingOutcome`]s —
-//! every clock stamp, every percentile, every preemption count. Each check
-//! asserts both structural equality and equality of the serialized JSON, so
-//! even a field the `PartialEq` impl might one day skip cannot drift.
+//! The event-heap hot loop (indexed ready queue, incremental batch
+//! accounting, lazy finish events) must not change semantics at all: for
+//! every scenario the production [`simulate`] and the reference oracle must
+//! produce **bitwise-identical** [`ServingOutcome`](crate::ServingOutcome)s
+//! — every clock stamp, every percentile, every preemption count. Each
+//! check asserts both structural equality and equality of the serialized
+//! JSON, so even a field the `PartialEq` impl might one day skip cannot
+//! drift.
 //!
 //! The oracle check cannot see a change that moves both loops alike, so
 //! each fixed scenario first compares `simulate`'s outcome on each system
-//! with its committed file under `tests/golden/equivalence/`
-//! (`serde_json::to_string_pretty` plus a newline), byte for byte, as
-//! `tests/golden_reports.rs` does. On a mismatch the test prints the fresh
-//! JSON. If the change in numbers is intended, review it and replace the
-//! file with that output.
+//! with its committed file under `crates/serve/tests/golden/equivalence/`
+//! (`serde_json::to_string_pretty` plus a newline), byte for byte, as the
+//! workspace's `tests/golden_reports.rs` does. On a mismatch the test
+//! prints the fresh JSON. If the change in numbers is intended, review it
+//! and replace the file with that output.
 //!
 //! Coverage: {Fcfs, Priority, Edf, PrefixAffinity} × {None, EvictAndRefill,
 //! SwapOut} × {StallTheWorld, Chunked} × {AllAtOnce, Poisson, Bursty} ×
@@ -26,13 +28,14 @@
 
 use proptest::prelude::*;
 
-use hermes::core::{
+use hermes_core::{
     ArrivalProcess, LengthDistribution, PrioritySpec, PromptSpec, RequestClass, SystemConfig,
     SystemKind, Workload,
 };
-use hermes::model::ModelId;
-use hermes_serve::reference::simulate_reference;
-use hermes_serve::{
+use hermes_model::ModelId;
+
+use crate::reference::simulate_reference;
+use crate::{
     request_kv_bytes, simulate, AdmissionConfig, BatchingPolicy, PreemptionPolicy, PrefillPolicy,
     PrefixCacheMode, SchedulingPolicy, ServingSimulation,
 };

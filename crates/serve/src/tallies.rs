@@ -2,17 +2,18 @@
 //! simulation loop's accumulators and the aggregate [`ServingReport`].
 //!
 //! Both simulator loops — the event-heap replica core behind
-//! [`simulate`](crate::simulator::simulate) and the feature-gated
-//! sort-based reference oracle — accumulate the same raw tallies and fold
-//! them through the crate-private `build_report`, so the two paths cannot
-//! drift in how metrics are derived from identical records.
+//! [`simulate`](crate::simulator::simulate) and the sort-based reference
+//! oracle that this crate's unit tests compare it with — accumulate the
+//! same raw tallies and fold them through the crate-private `build_report`,
+//! so the two paths cannot drift in how metrics are derived from identical
+//! records.
 //!
-//! The module also owns the **ordered float folds** ([`ordered_sum`],
-//! [`ordered_mean`]) that float accumulation in `hermes-serve` and
-//! `hermes-bench` must go through (enforced by `tests/ordered_float_folds.rs`):
-//! float addition is non-associative, so every accumulation must commit to
-//! one explicit order (left-to-right over the given slice) to keep reports
-//! byte-identical across runs and refactors.
+//! The module also owns the **ordered float fold** ([`ordered_sum`]) that
+//! float accumulation in `hermes-serve` and `hermes-bench` must go through
+//! (enforced by `tests/ordered_float_folds.rs`): float addition is
+//! non-associative, so every accumulation must commit to one explicit order
+//! (left-to-right over the given slice) to keep reports byte-identical
+//! across runs and refactors.
 
 #![deny(clippy::as_conversions)]
 
@@ -94,16 +95,6 @@ pub fn ordered_sum(values: &[f64]) -> f64 {
         acc += v;
     }
     acc
-}
-
-/// Mean of float samples via [`ordered_sum`]; 0.0 for an empty slice.
-#[must_use]
-pub fn ordered_mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        0.0
-    } else {
-        ordered_sum(values) / f64_from_usize(values.len())
-    }
 }
 
 /// Fold the simulation's raw tallies and per-request records into the
@@ -288,12 +279,6 @@ mod tests {
             ordered_sum(&values).to_bits(),
             values.iter().copied().fold(0.0_f64, |a, b| a + b).to_bits()
         );
-    }
-
-    #[test]
-    fn ordered_mean_handles_empty() {
-        assert_eq!(ordered_mean(&[]), 0.0);
-        assert_eq!(ordered_mean(&[2.0, 4.0]), 3.0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Float accumulation in `hermes-serve` and `hermes-bench` goes through the
-//! ordered folds in `hermes_serve::tallies` (`ordered_sum`, `ordered_mean`):
-//! float addition is not associative, so a fold free to change its order
-//! breaks bitwise-identical reports. Clippy has no lint for this.
+//! ordered fold `hermes_serve::tallies::ordered_sum`: float addition is not
+//! associative, so a fold free to change its order breaks bitwise-identical
+//! reports. Clippy has no lint for this.
 
 use std::fs;
 use std::path::Path;
