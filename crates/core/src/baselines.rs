@@ -23,6 +23,21 @@ use crate::{SystemConfig, Workload};
 /// (NVLink-class, bytes/s).
 const TENSORRT_INTERCONNECT_BANDWIDTH: f64 = 300.0e9;
 
+/// GPU compute time of one prefill pass over `batch` prompts of
+/// `prompt_len` tokens: a GEMM over every weight of the model, at the
+/// per-token FLOPs of the prompt's mid-point context. Every engine's
+/// prefill price includes it.
+pub(crate) fn prompt_gemm_time(
+    cfg: &ModelConfig,
+    kernel: &KernelCostModel,
+    prompt_len: usize,
+    batch: usize,
+) -> f64 {
+    let flops = hermes_model::flops::model_flops_per_token(cfg, prompt_len / 2)
+        * (prompt_len * batch) as u64;
+    kernel.gemm_time(cfg.total_param_bytes(), flops)
+}
+
 /// Cost model of a HuggingFace Accelerate run: weights that do not fit on
 /// the GPU are streamed from host memory layer by layer, synchronously, for
 /// every token.
@@ -42,27 +57,18 @@ impl StepCostModel for AccelerateCostModel {
 
     fn prefill_cost(&self, prompt_len: usize, batch: usize) -> f64 {
         // Prefill: stream the non-resident weights once and run the prompt.
-        let prompt_flops = hermes_model::flops::model_flops_per_token(&self.cfg, prompt_len / 2)
-            * (prompt_len * batch) as u64;
         self.streamed as f64 / self.bandwidth
-            + self
-                .kernel
-                .gemm_time(self.cfg.total_param_bytes(), prompt_flops)
+            + prompt_gemm_time(&self.cfg, &self.kernel, prompt_len, batch)
     }
 
-    fn decode_cost(&mut self, batch: &BatchState) -> StepOutcome {
-        if batch.is_empty() {
-            return StepOutcome::balanced(LatencyBreakdown::default());
-        }
+    fn price_decode(&mut self, batch: &BatchState) -> StepOutcome {
         let b = batch.size();
         let mut latency = LatencyBreakdown::default();
         // Synchronous per-layer weight loads.
         latency.communication +=
             self.streamed as f64 / self.bandwidth + self.cfg.num_layers as f64 * self.pcie_latency;
         // Dense compute for every layer.
-        let fc_bytes = self.shape.sparse_block_bytes(Block::Attention)
-            + self.shape.sparse_block_bytes(Block::Mlp)
-            + self.shape.projection_bytes();
+        let fc_bytes = self.shape.total_bytes();
         let fc_flops = 2 * fc_bytes / self.cfg.dtype_bytes;
         latency.fc +=
             self.cfg.num_layers as f64 * self.kernel.kernel_time(fc_bytes, fc_flops * b as u64);
@@ -120,23 +126,14 @@ impl StepCostModel for FlexGenCostModel {
     }
 
     fn prefill_cost(&self, prompt_len: usize, batch: usize) -> f64 {
-        let prompt_flops = hermes_model::flops::model_flops_per_token(&self.cfg, prompt_len / 2)
-            * (prompt_len * batch) as u64;
-        (self.streamed as f64 / self.bandwidth).max(
-            self.kernel
-                .gemm_time(self.cfg.total_param_bytes(), prompt_flops),
-        )
+        let stream = self.streamed as f64 / self.bandwidth;
+        stream.max(prompt_gemm_time(&self.cfg, &self.kernel, prompt_len, batch))
     }
 
-    fn decode_cost(&mut self, batch: &BatchState) -> StepOutcome {
-        if batch.is_empty() {
-            return StepOutcome::balanced(LatencyBreakdown::default());
-        }
+    fn price_decode(&mut self, batch: &BatchState) -> StepOutcome {
         let b = batch.size();
         let mut latency = LatencyBreakdown::default();
-        let fc_bytes = self.shape.sparse_block_bytes(Block::Attention)
-            + self.shape.sparse_block_bytes(Block::Mlp)
-            + self.shape.projection_bytes();
+        let fc_bytes = self.shape.total_bytes();
         let fc_flops = 2 * fc_bytes / self.cfg.dtype_bytes;
         let mut compute =
             self.cfg.num_layers as f64 * self.kernel.kernel_time(fc_bytes, fc_flops * b as u64);
@@ -205,18 +202,11 @@ impl StepCostModel for DejaVuCostModel {
     }
 
     fn prefill_cost(&self, prompt_len: usize, batch: usize) -> f64 {
-        let prompt_flops = hermes_model::flops::model_flops_per_token(&self.cfg, prompt_len / 2)
-            * (prompt_len * batch) as u64;
-        (self.prefill_streamed as f64 / self.bandwidth).max(
-            self.kernel
-                .gemm_time(self.cfg.total_param_bytes(), prompt_flops),
-        )
+        let stream = self.prefill_streamed as f64 / self.bandwidth;
+        stream.max(prompt_gemm_time(&self.cfg, &self.kernel, prompt_len, batch))
     }
 
-    fn decode_cost(&mut self, batch: &BatchState) -> StepOutcome {
-        if batch.is_empty() {
-            return StepOutcome::balanced(LatencyBreakdown::default());
-        }
+    fn price_decode(&mut self, batch: &BatchState) -> StepOutcome {
         let b = batch.size();
         let token = self.activity.advance();
         let mut latency = LatencyBreakdown {
@@ -337,22 +327,13 @@ impl StepCostModel for TensorRtCostModel {
     }
 
     fn prefill_cost(&self, prompt_len: usize, batch: usize) -> f64 {
-        let prompt_flops = hermes_model::flops::model_flops_per_token(&self.cfg, prompt_len / 2)
-            * (prompt_len * batch) as u64;
-        self.kernel
-            .gemm_time(self.cfg.total_param_bytes(), prompt_flops)
-            / self.effective_gpus
+        prompt_gemm_time(&self.cfg, &self.kernel, prompt_len, batch) / self.effective_gpus
     }
 
-    fn decode_cost(&mut self, batch: &BatchState) -> StepOutcome {
-        if batch.is_empty() {
-            return StepOutcome::balanced(LatencyBreakdown::default());
-        }
+    fn price_decode(&mut self, batch: &BatchState) -> StepOutcome {
         let b = batch.size();
         let mut latency = LatencyBreakdown::default();
-        let fc_bytes = self.shape.sparse_block_bytes(Block::Attention)
-            + self.shape.sparse_block_bytes(Block::Mlp)
-            + self.shape.projection_bytes();
+        let fc_bytes = self.shape.total_bytes();
         let fc_flops = 2 * fc_bytes / self.cfg.dtype_bytes;
         latency.fc += self.cfg.num_layers as f64
             * self.kernel.kernel_time(

@@ -34,6 +34,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::baselines::{accelerate_plan, dejavu_plan, flexgen_plan, tensorrt_plan};
+use crate::cast::f64_from_usize;
 use crate::error::HermesError;
 use crate::hermes::{check_dimm_capacity, hermes_plan};
 use crate::report::{InferenceReport, LatencyBreakdown, TokenLatencyStats};
@@ -226,6 +227,41 @@ impl StepOutcome {
     }
 }
 
+/// The running totals of a run's priced steps: the latency breakdown and
+/// the DIMM load-imbalance samples. [`Session`] and the serving replica in
+/// `hermes-serve` fold each [`StepOutcome`] into one with
+/// [`StepTally::add`], and their reports read [`StepTally::dimm_imbalance`].
+/// Prefill passes and swap transfers, which are priced apart from the
+/// steps, add to [`StepTally::breakdown`] directly.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct StepTally {
+    /// Latency breakdown summed over the run.
+    pub breakdown: LatencyBreakdown,
+    /// Sum of the imbalance samples of every step.
+    pub imbalance_sum: f64,
+    /// Number of imbalance samples of every step.
+    pub imbalance_samples: usize,
+}
+
+impl StepTally {
+    /// Fold one priced step into the totals.
+    pub fn add(&mut self, step: &StepOutcome) {
+        self.breakdown = self.breakdown.merged(&step.latency);
+        self.imbalance_sum += step.imbalance_sum;
+        self.imbalance_samples += step.imbalance_samples;
+    }
+
+    /// Average DIMM load imbalance over the samples so far, or 1.0
+    /// (balanced) when no step sampled one.
+    pub fn dimm_imbalance(&self) -> f64 {
+        if self.imbalance_samples > 0 {
+            self.imbalance_sum / f64_from_usize(self.imbalance_samples)
+        } else {
+            1.0
+        }
+    }
+}
+
 /// One chunk of prefill work co-scheduled with a decode step: `tokens`
 /// prompt tokens of a request whose full prompt is `prompt_len` tokens long.
 ///
@@ -248,10 +284,12 @@ pub struct PrefillChunk {
 ///
 /// A cost model is produced by [`Engine::plan`] and owns all the
 /// per-run simulation state (activation traces, hot/cold plan, window
-/// remapping counters, …): each [`StepCostModel::decode_cost`] call advances
-/// that state by one token and prices the step for whatever batch
-/// composition the caller is running — a fixed batch for the closed-loop
-/// sessions, a changing one under continuous batching.
+/// remapping counters, …): each [`StepCostModel::decode_cost`] call over a
+/// non-empty batch advances that state by one token and prices the step for
+/// whatever batch composition the caller is running — a fixed batch for the
+/// closed-loop sessions, a changing one under continuous batching. An
+/// engine implements [`StepCostModel::price_decode`] for that case; the
+/// empty batch is answered here, once for every engine.
 pub trait StepCostModel {
     /// Cost in seconds of the prompting phase for `batch` sequences of
     /// `prompt_len` tokens each, prefilled together.
@@ -260,10 +298,23 @@ pub trait StepCostModel {
     /// Price one decode step over the given batch composition and advance
     /// the model's internal per-token state.
     ///
-    /// The sparse cost models start a helper thread at their first
-    /// non-empty step, when a spare core is free, and join it on drop (see
-    /// [`PlannedRun`]); an empty batch starts nothing.
-    fn decode_cost(&mut self, batch: &BatchState) -> StepOutcome;
+    /// An empty batch is free: it prices nothing, advances no state and
+    /// starts no thread. Any other batch goes to
+    /// [`StepCostModel::price_decode`]. The sparse cost models start a
+    /// helper thread at their first non-empty step, when a spare core is
+    /// free, and join it on drop (see [`PlannedRun`]).
+    fn decode_cost(&mut self, batch: &BatchState) -> StepOutcome {
+        if batch.is_empty() {
+            StepOutcome::balanced(LatencyBreakdown::default())
+        } else {
+            self.price_decode(batch)
+        }
+    }
+
+    /// Price one decode step over a non-empty batch and advance the model's
+    /// per-token state: the engine's own half of
+    /// [`StepCostModel::decode_cost`], which is the one to call.
+    fn price_decode(&mut self, batch: &BatchState) -> StepOutcome;
 
     /// Price one combined step: the given prefill chunks piggybacked on a
     /// decode step over `batch` (chunked prefill — the serving scheduler
@@ -271,7 +322,7 @@ pub trait StepCostModel {
     /// of prefill work per token boundary instead of stalling the world).
     ///
     /// The default composes the two existing prices: the decode step is
-    /// [`StepCostModel::decode_cost`] (skipped for an empty batch, so a
+    /// [`StepCostModel::decode_cost`] (free for an empty batch, so a
     /// pure-prefill step does not advance decode state), and the chunks are
     /// grouped by parent prompt length — like stall-the-world's grouped
     /// prefill passes — with each group of `count` chunks totalling `tokens`
@@ -288,11 +339,7 @@ pub trait StepCostModel {
     /// tight budget can cost more total prefill than stalling.) Engines can
     /// override this to price fused prefill+decode kernels.
     fn chunked_step_cost(&mut self, prefill: &[PrefillChunk], batch: &BatchState) -> StepOutcome {
-        let mut outcome = if batch.is_empty() {
-            StepOutcome::balanced(LatencyBreakdown::default())
-        } else {
-            self.decode_cost(batch)
-        };
+        let mut outcome = self.decode_cost(batch);
         // (prompt_len, chunk count, summed chunk tokens) per group of
         // same-length chunks sharing this step's prefill pass.
         let mut groups: Vec<(usize, usize, usize)> = Vec::new();
@@ -488,16 +535,15 @@ impl Engine {
 ///
 /// The protocol is [`Session::prefill`] once, then [`Session::step`] until it
 /// returns `Ok(None)`; [`Session::report`] can be called at any point to
-/// fold what has been executed so far into an [`InferenceReport`].
+/// fold what has been executed so far into an [`InferenceReport`]. Each
+/// step folds into a [`StepTally`], as a serving replica's steps do.
 pub struct Session {
     spec: SessionSpec,
     cost: Box<dyn StepCostModel>,
     prefilled: bool,
     t: usize,
-    breakdown: LatencyBreakdown,
+    tally: StepTally,
     token_latencies: Vec<f64>,
-    imbalance_sum: f64,
-    imbalance_samples: usize,
 }
 
 impl Session {
@@ -508,18 +554,8 @@ impl Session {
             cost: plan.cost,
             prefilled: false,
             t: 0,
-            breakdown: LatencyBreakdown::default(),
+            tally: StepTally::default(),
             token_latencies: Vec::new(),
-            imbalance_sum: 0.0,
-            imbalance_samples: 0,
-        }
-    }
-
-    fn running_imbalance(&self) -> f64 {
-        if self.imbalance_samples > 0 {
-            self.imbalance_sum / self.imbalance_samples as f64
-        } else {
-            1.0
         }
     }
 
@@ -530,7 +566,7 @@ impl Session {
             latency,
             hot_neuron_bytes: self.spec.hot_neuron_bytes,
             hot_coverage: self.spec.hot_coverage,
-            dimm_imbalance: self.running_imbalance(),
+            dimm_imbalance: self.tally.dimm_imbalance(),
         }
     }
 
@@ -551,7 +587,7 @@ impl Session {
             prefill: self.spec.prefill_seconds,
             ..Default::default()
         };
-        self.breakdown.prefill += latency.prefill;
+        self.tally.breakdown.prefill += latency.prefill;
         Ok(self.event(Phase::Prefill, 0, latency))
     }
 
@@ -576,10 +612,8 @@ impl Session {
             self.spec.workload.prompt_len + self.t,
         );
         let outcome = self.cost.decode_cost(&batch);
-        self.breakdown = self.breakdown.merged(&outcome.latency);
+        self.tally.add(&outcome);
         self.token_latencies.push(outcome.latency.total());
-        self.imbalance_sum += outcome.imbalance_sum;
-        self.imbalance_samples += outcome.imbalance_samples;
         let index = self.t;
         self.t += 1;
         Ok(Some(self.event(Phase::Decode, index, outcome.latency)))
@@ -615,12 +649,12 @@ impl Session {
         InferenceReport {
             system: self.spec.system.clone(),
             workload: self.spec.workload.clone(),
-            breakdown: self.breakdown,
+            breakdown: self.tally.breakdown,
             gpu_weight_bytes: self.spec.gpu_weight_bytes,
             hot_neuron_bytes: self.spec.hot_neuron_bytes,
-            dimm_imbalance: self.running_imbalance(),
+            dimm_imbalance: self.tally.dimm_imbalance(),
             latency_stats: TokenLatencyStats::from_decode_latencies(
-                self.breakdown.prefill,
+                self.tally.breakdown.prefill,
                 &self.token_latencies,
             ),
         }
@@ -653,7 +687,7 @@ mod tests {
             2.0
         }
 
-        fn decode_cost(&mut self, batch: &BatchState) -> StepOutcome {
+        fn price_decode(&mut self, batch: &BatchState) -> StepOutcome {
             (self.0)(batch)
         }
     }

@@ -12,6 +12,7 @@ use hermes_scheduler::ColdPlacementPolicy;
 use hermes_sparsity::{NeuronPopularity, SparsityProfile, StatisticalActivityModel};
 
 use crate::activity::ActivityStream;
+use crate::baselines::prompt_gemm_time;
 use crate::engine::{BatchState, Planned, StepCostModel, StepOutcome};
 use crate::error::HermesError;
 pub use crate::planner::MappingPolicy;
@@ -104,14 +105,11 @@ fn offload_prefill_cost(
     prompt_len: usize,
     batch: usize,
 ) -> f64 {
-    let total = cfg.total_param_bytes();
-    let streamed =
-        total.saturating_sub(resident_bytes + cfg.memory_footprint().dense_resident_bytes());
-    let stream_time = pcie.transfer_time(streamed);
-    let tokens = (prompt_len * batch) as u64;
-    let flops = hermes_model::flops::model_flops_per_token(cfg, prompt_len / 2) * tokens;
-    let compute_time = kernel.gemm_time(total, flops);
-    stream_time.max(compute_time)
+    let streamed = cfg
+        .total_param_bytes()
+        .saturating_sub(resident_bytes + cfg.memory_footprint().dense_resident_bytes());
+    pcie.transfer_time(streamed)
+        .max(prompt_gemm_time(cfg, kernel, prompt_len, batch))
 }
 
 /// Cost model of the sparsity-aware Hermes / Hermes-host configurations: hot
@@ -169,10 +167,7 @@ impl StepCostModel for SparseCostModel {
         self.pcie.transfer_time(bytes)
     }
 
-    fn decode_cost(&mut self, batch: &BatchState) -> StepOutcome {
-        if batch.is_empty() {
-            return StepOutcome::balanced(LatencyBreakdown::default());
-        }
+    fn price_decode(&mut self, batch: &BatchState) -> StepOutcome {
         let b = batch.size();
         let quality = self.variant.tracking_quality();
         // The attention pass is layer-invariant (all layers share one
@@ -355,10 +350,7 @@ impl StepCostModel for BaseCostModel {
         self.pcie.transfer_time(bytes)
     }
 
-    fn decode_cost(&mut self, batch: &BatchState) -> StepOutcome {
-        if batch.is_empty() {
-            return StepOutcome::balanced(LatencyBreakdown::default());
-        }
+    fn price_decode(&mut self, batch: &BatchState) -> StepOutcome {
         let b = batch.size();
         let sync = self
             .pcie

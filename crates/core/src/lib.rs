@@ -82,7 +82,7 @@ pub mod workload;
 pub use config::SystemConfig;
 pub use engine::{
     run_session, BatchState, Engine, Phase, PlannedRun, PrefillChunk, Session, SessionPhase,
-    SessionSpec, StepCostModel, StepOutcome, TokenEvent,
+    SessionSpec, StepCostModel, StepOutcome, StepTally, TokenEvent,
 };
 pub use error::HermesError;
 pub use hermes::{HermesVariant, MappingPolicy};

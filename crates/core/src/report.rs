@@ -296,7 +296,7 @@ pub struct KvPoolReport {
 
 /// Swap-tier traffic of the swap-out preemption policy (present only when
 /// the policy is swap-out; all-zero when no preemption fired).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 #[must_use]
 pub struct SwapReport {
     /// Victim evictions that paged KV out to the swap tier.

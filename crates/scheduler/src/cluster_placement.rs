@@ -72,11 +72,11 @@ impl BlockColdPlacement {
                 // Greedy: assign each cluster (largest first) to the DIMM
                 // with the least expected load so far.
                 let mut order: Vec<usize> = (0..clusters).collect();
-                order.sort_by(|&a, &b| cold.popsum[b].partial_cmp(&cold.popsum[a]).unwrap());
+                order.sort_by(|&a, &b| cold.popsum[b].total_cmp(&cold.popsum[a]));
                 let mut dimm_load = vec![0.0f64; num_dimms];
                 for c in order {
                     let target = (0..num_dimms)
-                        .min_by(|&a, &b| dimm_load[a].partial_cmp(&dimm_load[b]).unwrap())
+                        .min_by(|&a, &b| dimm_load[a].total_cmp(&dimm_load[b]))
                         .expect("num_dimms > 0");
                     dimms[target].popsum[c] = cold.popsum[c];
                     dimms[target].count[c] = cold.count[c];
@@ -191,7 +191,7 @@ impl BlockColdPlacement {
         }));
         order.clear();
         order.extend(0..num_dimms);
-        order.sort_by(|&a, &b| loads[b].partial_cmp(&loads[a]).unwrap());
+        order.sort_by(|&a, &b| loads[b].total_cmp(&loads[a]));
         let mut moved_neurons = 0.0;
         for pair in 0..num_dimms / 2 {
             let heavy = order[pair];
@@ -218,7 +218,7 @@ impl BlockColdPlacement {
                 let Some((pick, _)) = candidates
                     .iter()
                     .enumerate()
-                    .max_by(|(_, a), (_, b)| a.0.partial_cmp(&b.0).unwrap().then(b.1.cmp(&a.1)))
+                    .max_by(|(_, a), (_, b)| a.0.total_cmp(&b.0).then(b.1.cmp(&a.1)))
                 else {
                     break;
                 };

@@ -391,15 +391,11 @@ impl KvBackend {
     }
 
     /// The report's pool and prefix-cache sections.
-    pub(crate) fn tallies(
-        &self,
-        samples: UsageSamples,
-        recomputed_prefill_tokens: usize,
-    ) -> (Option<KvTallies>, Option<PrefixTallies>) {
+    pub(crate) fn tallies(&self, samples: UsageSamples) -> Option<KvTallies> {
         let KvBackend::Paged { pool, cache } = self else {
-            return (None, None);
+            return None;
         };
-        let kv = KvTallies {
+        Some(KvTallies {
             block_tokens: pool.block_tokens,
             block_bytes: pool.block_bytes,
             capacity_blocks: pool.capacity_blocks,
@@ -407,14 +403,12 @@ impl KvBackend {
             block_steps: samples.block_steps,
             used_token_steps: samples.used_token_steps,
             steps: samples.steps,
-        };
-        let prefix = cache.as_ref().map(|cache| PrefixTallies {
-            stats: cache.stats(),
-            resident_blocks: cache.resident_blocks(),
-            resident_tokens: cache.resident_tokens(),
-            recomputed_prefill_tokens,
-        });
-        (Some(kv), prefix)
+            prefix: cache.as_ref().map(|cache| PrefixTallies {
+                stats: cache.stats(),
+                resident_blocks: cache.resident_blocks(),
+                resident_tokens: cache.resident_tokens(),
+            }),
+        })
     }
 }
 

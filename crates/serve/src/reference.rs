@@ -21,10 +21,16 @@
 //! its radix structure and eviction order are part of the semantics under
 //! test — and the block counts it inserts and evicts are charged against
 //! the counters here.
+//!
+//! So is the report fold: the oracle fills the production loop's
+//! [`RunTallies`] and [`KvTallies`] and folds them with the same
+//! `build_report`, which derives every report metric (the DIMM-imbalance
+//! average included) for both loops, so only the corpus and the goldens can
+//! see a fault there. It sums each priced step into the tallies by hand,
+//! not with [`StepTally::add`](hermes_core::StepTally::add), so that fold is
+//! checked against it.
 
-use hermes_core::{
-    BatchState, HermesError, LatencyBreakdown, PrefillChunk, SystemConfig, SystemKind,
-};
+use hermes_core::{BatchState, HermesError, PrefillChunk, SystemConfig, SystemKind};
 
 use crate::prefix::{PrefixCache, PrefixLease};
 use crate::request::RequestRecord;
@@ -36,7 +42,7 @@ use crate::simulator::{
     request_extremes, request_ranks, validate_paged_capacity, worst_case_bounds, ServingOutcome,
     ServingSimulation,
 };
-use crate::tallies::{build_report, empirical_rps, KvTallies, PrefixTallies, SwapTallies};
+use crate::tallies::{build_report, empirical_rps, KvTallies, PrefixTallies, RunTallies};
 
 /// A sequence currently holding a batch slot and generating tokens.
 struct ActiveSequence {
@@ -131,13 +137,11 @@ pub fn simulate_reference(
     let mut active_kv_bytes = 0u64;
     let mut generated: Vec<usize> = vec![0; requests.len()];
     let mut ever_admitted: Vec<bool> = vec![false; requests.len()];
-    let mut breakdown = LatencyBreakdown::default();
-    let mut imbalance_sum = 0.0;
-    let mut imbalance_samples = 0usize;
-    let mut generated_tokens = 0usize;
-    let mut completed = 0usize;
+    // The tallies `build_report` folds, filled as the production loop fills
+    // them, except that each priced step is summed by hand below instead of
+    // by `StepTally::add`, so a fault in that fold shows as a divergence.
+    let mut run = RunTallies::default();
     let mut swapped: Vec<Option<u64>> = vec![None; requests.len()];
-    let mut swap = SwapTallies::default();
     let mut blocks_held: Vec<u64> = vec![0; requests.len()];
     let mut used_blocks = 0u64;
     let mut peak_blocks = 0u64;
@@ -148,12 +152,10 @@ pub fn simulate_reference(
     // Prefix-cache bookkeeping, mirroring the heap loop: the covered run
     // each request stores in cache blocks (capacity), the reused part of
     // it whose prefill is skipped (an inserter covers its inserted run but
-    // still computes it), the lease pinning the path, and the prefill
-    // tokens actually recomputed (the reused-token complement).
+    // still computes it), and the lease pinning the path.
     let mut covered: Vec<usize> = vec![0; requests.len()];
     let mut reused: Vec<usize> = vec![0; requests.len()];
     let mut lease: Vec<Option<PrefixLease>> = requests.iter().map(|_| None).collect();
-    let mut recomputed_prefill_tokens: usize = 0;
 
     // Shared eviction bookkeeping (admission scan and paged growth), the
     // sort-based mirror of the heap loop's `evict!`: same charge order, so
@@ -184,10 +186,10 @@ pub fn simulate_reference(
                 // stays resident, pinned by the lease it keeps.
                 let cost = plan.cost.swap_cost(held_bytes);
                 clock += cost;
-                breakdown.communication += cost;
-                swap.seconds += cost;
-                swap.swap_outs += 1;
-                swap.swapped_out_bytes += held_bytes;
+                run.steps.breakdown.communication += cost;
+                run.swap.seconds += cost;
+                run.swap.swap_outs += 1;
+                run.swap.swapped_out_bytes += held_bytes;
                 swapped[victim.idx] = Some(held_bytes);
             } else {
                 // Restart-with-recompute drops the victim's cache claim.
@@ -440,10 +442,10 @@ pub fn simulate_reference(
                 };
                 let cost = plan.cost.swap_cost(bytes);
                 clock += cost;
-                breakdown.communication += cost;
-                swap.seconds += cost;
-                swap.swap_ins += 1;
-                swap.swapped_in_bytes += bytes;
+                run.steps.breakdown.communication += cost;
+                run.swap.seconds += cost;
+                run.swap.swap_ins += 1;
+                run.swap.swapped_in_bytes += bytes;
                 let request = &requests[idx];
                 active.push(ActiveSequence {
                     idx,
@@ -474,10 +476,10 @@ pub fn simulate_reference(
                                 ever_admitted[idx] = true;
                             }
                         }
-                        recomputed_prefill_tokens += prefill_len * members.len();
+                        run.recomputed_prefill_tokens += prefill_len * members.len();
                         if prefill_len > 0 {
                             let cost = plan.cost.prefill_cost(prefill_len, members.len());
-                            breakdown.prefill += cost;
+                            run.steps.breakdown.prefill += cost;
                             clock += cost;
                         }
                     }
@@ -495,7 +497,7 @@ pub fn simulate_reference(
             PrefillPolicy::Chunked { .. } => {
                 for idx in admitted {
                     let target = requests[idx].prompt_len + generated[idx] - reused[idx];
-                    recomputed_prefill_tokens += target;
+                    run.recomputed_prefill_tokens += target;
                     if target == 0 {
                         // Fully covered: nothing to prefill, join the
                         // decode batch at this very boundary.
@@ -638,11 +640,11 @@ pub fn simulate_reference(
         } else {
             plan.cost.chunked_step_cost(&chunks, &batch)
         };
-        breakdown = breakdown.merged(&outcome.latency);
-        imbalance_sum += outcome.imbalance_sum;
-        imbalance_samples += outcome.imbalance_samples;
+        run.steps.breakdown = run.steps.breakdown.merged(&outcome.latency);
+        run.steps.imbalance_sum += outcome.imbalance_sum;
+        run.steps.imbalance_samples += outcome.imbalance_samples;
         clock += outcome.latency.total();
-        generated_tokens += active.len();
+        run.generated_tokens += active.len();
         for seq in &mut active {
             if generated[seq.idx] == 0 {
                 records[seq.idx].first_token = clock;
@@ -652,7 +654,7 @@ pub fn simulate_reference(
             generated[seq.idx] += 1;
             if seq.remaining == 0 {
                 records[seq.idx].completed = clock;
-                completed += 1;
+                run.completed += 1;
                 match paged {
                     Some(_) => {
                         used_blocks -= blocks_held[seq.idx];
@@ -697,12 +699,11 @@ pub fn simulate_reference(
         block_steps: kv_block_steps,
         used_token_steps: kv_used_token_steps,
         steps: kv_steps,
-    });
-    let prefix_tallies = cache.as_ref().map(|cache| PrefixTallies {
-        stats: cache.stats(),
-        resident_blocks: cache.resident_blocks(),
-        resident_tokens: cache.resident_tokens(),
-        recomputed_prefill_tokens,
+        prefix: cache.as_ref().map(|cache| PrefixTallies {
+            stats: cache.stats(),
+            resident_blocks: cache.resident_blocks(),
+            resident_tokens: cache.resident_tokens(),
+        }),
     });
     let report = build_report(
         sim,
@@ -710,14 +711,8 @@ pub fn simulate_reference(
         empirical_rps(requests.len(), span),
         &records,
         clock,
-        completed,
-        generated_tokens,
-        breakdown,
-        imbalance_sum,
-        imbalance_samples,
+        run,
         kv_tallies,
-        swap,
-        prefix_tallies,
     );
     Ok(ServingOutcome { report, records })
 }

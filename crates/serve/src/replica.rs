@@ -31,8 +31,7 @@
 use std::collections::VecDeque;
 
 use hermes_core::{
-    BatchState, Engine, HermesError, LatencyBreakdown, PlannedRun, PrefillChunk, SystemConfig,
-    SystemKind,
+    BatchState, Engine, HermesError, PlannedRun, PrefillChunk, SystemConfig, SystemKind,
 };
 
 use crate::kv::{AdmissionPlan, KvBackend, UsageSamples};
@@ -42,7 +41,7 @@ use crate::request::{RequestRecord, ServingRequest};
 use crate::scheduler::{request_kv_bytes, BatchingPolicy, PreemptionPolicy, PrefillPolicy};
 use crate::simulator::{request_extremes, worst_case_bounds, Extremes, ServingSimulation};
 use crate::slab::Slab;
-use crate::tallies::SwapTallies;
+use crate::tallies::RunTallies;
 
 mod active;
 mod carry;
@@ -162,19 +161,12 @@ pub struct ReplicaSim {
     batch: BatchState,
 
     // ---- tallies ----
-    breakdown: LatencyBreakdown,
-    imbalance_sum: f64,
-    imbalance_samples: usize,
-    generated_tokens: usize,
-    completed: usize,
-    swap: SwapTallies,
+    tallies: RunTallies,
     usage: UsageSamples,
     /// Running sum of the prefill targets of chunk-prefilling sequences.
     prefill_target_tokens: usize,
     /// Σ covered tokens over *active* (decoding) sequences.
     active_covered_tokens: u64,
-    /// Prefill tokens actually recomputed (charged to the cost model).
-    recomputed_prefill_tokens: usize,
 
     // ---- router bookkeeping (no effect on the simulation itself) ----
     /// Worst-case KV bytes of requests injected but not yet admitted — the
@@ -219,16 +211,10 @@ impl ReplicaSim {
             admitted: Vec::new(),
             chunks: Vec::new(),
             batch: BatchState::default(),
-            breakdown: LatencyBreakdown::default(),
-            imbalance_sum: 0.0,
-            imbalance_samples: 0,
-            generated_tokens: 0,
-            completed: 0,
-            swap: SwapTallies::default(),
+            tallies: RunTallies::default(),
             usage: UsageSamples::default(),
             prefill_target_tokens: 0,
             active_covered_tokens: 0,
-            recomputed_prefill_tokens: 0,
             waiting_kv_bytes: 0,
         })
     }
@@ -315,12 +301,12 @@ impl ReplicaSim {
 
     /// Requests completed on this replica.
     pub fn completed(&self) -> usize {
-        self.completed
+        self.tallies.completed
     }
 
     /// Tokens generated on this replica so far.
     pub fn generated_tokens(&self) -> usize {
-        self.generated_tokens
+        self.tallies.generated_tokens
     }
 
     /// The KV-pressure routing signal: bytes held by resident work (pool
@@ -517,8 +503,8 @@ impl ReplicaSim {
             // covered prefix stays resident in the cache, pinned by the
             // lease it keeps until completion.
             self.pay_swap(written_bytes);
-            self.swap.swap_outs += 1;
-            self.swap.swapped_out_bytes += written_bytes;
+            self.tallies.swap.swap_outs += 1;
+            self.tallies.swap.swapped_out_bytes += written_bytes;
             self.slots[victim].state = SlotState::Swapped(written_bytes);
         } else {
             // Restart-with-recompute drops the victim's cache claim; its
@@ -543,8 +529,8 @@ impl ReplicaSim {
             SlotState::Waiting => true,
             SlotState::Swapped(bytes) => {
                 self.pay_swap(bytes);
-                self.swap.swap_ins += 1;
-                self.swap.swapped_in_bytes += bytes;
+                self.tallies.swap.swap_ins += 1;
+                self.tallies.swap.swapped_in_bytes += bytes;
                 self.join_batch(idx);
                 false
             }
@@ -559,8 +545,8 @@ impl ReplicaSim {
     fn pay_swap(&mut self, bytes: u64) {
         let cost = self.plan.cost.swap_cost(bytes);
         self.clock += cost;
-        self.breakdown.communication += cost;
-        self.swap.seconds += cost;
+        self.tallies.steps.breakdown.communication += cost;
+        self.tallies.swap.seconds += cost;
     }
     /// Hand the newly admitted requests to the prefill policy. A request
     /// resumed after a preemption re-prefills its prompt *plus* the tokens
@@ -600,10 +586,10 @@ impl ReplicaSim {
                     for &idx in &admitted[start..start + members] {
                         self.stamp_admitted(idx);
                     }
-                    self.recomputed_prefill_tokens += len * members;
+                    self.tallies.recomputed_prefill_tokens += len * members;
                     if len > 0 {
                         let cost = self.plan.cost.prefill_cost(len, members);
-                        self.breakdown.prefill += cost;
+                        self.tallies.steps.breakdown.prefill += cost;
                         self.clock += cost;
                     }
                     start += members;
@@ -615,7 +601,7 @@ impl ReplicaSim {
             PrefillPolicy::Chunked { .. } => {
                 for &idx in admitted.iter() {
                     let target = prefill_len(self, idx);
-                    self.recomputed_prefill_tokens += target;
+                    self.tallies.recomputed_prefill_tokens += target;
                     if target == 0 {
                         self.stamp_admitted(idx);
                         self.join_batch(idx);
@@ -748,11 +734,9 @@ impl ReplicaSim {
     fn price_step(&mut self) {
         self.active.refill_batch(self.step, &mut self.batch);
         let outcome = self.plan.cost.chunked_step_cost(&self.chunks, &self.batch);
-        self.breakdown = self.breakdown.merged(&outcome.latency);
-        self.imbalance_sum += outcome.imbalance_sum;
-        self.imbalance_samples += outcome.imbalance_samples;
+        self.tallies.steps.add(&outcome);
         self.clock += outcome.latency.total();
-        self.generated_tokens += self.active.len();
+        self.tallies.generated_tokens += self.active.len();
         self.step += 1;
         // First tokens land before completions so a single-token request
         // gets `first_token == completed`, exactly as the per-sequence walk
@@ -775,7 +759,7 @@ impl ReplicaSim {
     /// completed, so the scan stops there instead of walking the whole set.
     fn harvest(&mut self) {
         while let Some(idx) = self.active.next_finished(self.step) {
-            self.completed += 1;
+            self.tallies.completed += 1;
             self.leave_batch(idx);
             let mut slot = self.slots.remove(idx);
             slot.carried.record.completed = self.clock;

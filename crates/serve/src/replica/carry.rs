@@ -129,22 +129,14 @@ impl ReplicaSim {
             seqs.next()
                 .is_some_and(|s| extracted.binary_search(&s).is_err())
         });
-        let (kv_tallies, prefix_tallies) =
-            self.kv.tallies(self.usage, self.recomputed_prefill_tokens);
         let report = build_report(
             &self.sim,
             &self.plan.spec,
             empirical_rps(self.arrivals.0, (self.arrivals.1, self.arrivals.2)),
             &self.records,
             self.clock,
-            self.completed,
-            self.generated_tokens,
-            self.breakdown,
-            self.imbalance_sum,
-            self.imbalance_samples,
-            kv_tallies,
-            self.swap,
-            prefix_tallies,
+            self.tallies,
+            self.kv.tallies(self.usage),
         );
         ServingOutcome {
             report,

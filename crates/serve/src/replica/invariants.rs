@@ -98,7 +98,7 @@ impl ReplicaSim {
         );
         assert_eq!(
             self.records.len(),
-            self.completed + self.extracted.len() + self.outstanding(),
+            self.completed() + self.extracted.len() + self.outstanding(),
             "records against requests"
         );
         for (_, slot) in self.slots.iter() {
@@ -194,7 +194,7 @@ impl ReplicaSim {
         );
         assert_eq!(
             self.records.len(),
-            self.completed + self.extracted.len() + self.outstanding(),
+            self.completed() + self.extracted.len() + self.outstanding(),
             "records against requests"
         );
         let previous = match self.pending.len() {

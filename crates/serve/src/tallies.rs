@@ -3,10 +3,13 @@
 //!
 //! Both simulator loops — the event-heap replica core behind
 //! [`simulate`](crate::simulator::simulate) and the sort-based reference
-//! oracle that this crate's unit tests compare it with — accumulate the
-//! same raw tallies and fold them through the crate-private `build_report`,
-//! so the two paths cannot drift in how metrics are derived from identical
-//! records.
+//! oracle that this crate's unit tests compare it with — fill the same
+//! crate-private tally structs (`RunTallies`, `KvTallies`, `PrefixTallies`)
+//! and fold them through the crate-private `build_report`, so the two paths
+//! cannot drift in how metrics are derived from identical records. They
+//! fill them independently: the replica folds each priced step with
+//! [`StepTally::add`], while the oracle sums a step's fields by hand, so a
+//! fault in that fold shows as a difference between the two.
 //!
 //! The module also owns the **ordered float fold** ([`ordered_sum`]) that
 //! float accumulation in `hermes-serve` and `hermes-bench` must go through
@@ -21,8 +24,8 @@ use std::collections::BTreeSet;
 
 use hermes_core::cast::{f64_from_u64, f64_from_usize, u64_from_usize};
 use hermes_core::{
-    ClassReport, DistributionStats, KvPoolReport, LatencyBreakdown, PrefixCacheReport,
-    ServingReport, SessionSpec, SwapReport,
+    ClassReport, DistributionStats, KvPoolReport, PrefixCacheReport, ServingReport, SessionSpec,
+    StepTally, SwapReport,
 };
 
 use crate::prefix::PrefixStats;
@@ -30,9 +33,24 @@ use crate::request::RequestRecord;
 use crate::scheduler::PreemptionPolicy;
 use crate::simulator::ServingSimulation;
 
+/// What one simulation loop accumulates for its report besides the records
+/// and the KV backend's tallies.
+#[derive(Default)]
+pub(crate) struct RunTallies {
+    /// Priced steps, plus the prefill passes and swap transfers charged
+    /// beside them.
+    pub steps: StepTally,
+    pub completed: usize,
+    pub generated_tokens: usize,
+    /// Swap-tier traffic (all zero when no preemption fired), reported
+    /// under swap-out preemption only.
+    pub swap: SwapReport,
+    /// Prefill tokens actually charged to the cost model.
+    pub recomputed_prefill_tokens: usize,
+}
+
 /// Raw paged-pool tallies one simulation loop accumulated, folded into the
-/// report's [`KvPoolReport`] by [`build_report`] — shared by the heap loop
-/// and the reference oracle so the derived statistics cannot drift.
+/// report's [`KvPoolReport`] by [`build_report`].
 pub(crate) struct KvTallies {
     pub block_tokens: usize,
     pub block_bytes: u64,
@@ -44,29 +62,16 @@ pub(crate) struct KvTallies {
     pub used_token_steps: u64,
     /// Priced steps sampled.
     pub steps: u64,
+    /// The pool's prefix cache, when it has one.
+    pub prefix: Option<PrefixTallies>,
 }
 
 /// Raw prefix-cache tallies one simulation loop accumulated, folded into
-/// the report's [`PrefixCacheReport`] by [`build_report`] — shared by the
-/// heap loop and the reference oracle so the derived statistics cannot
-/// drift.
+/// the report's [`PrefixCacheReport`] by [`build_report`].
 pub(crate) struct PrefixTallies {
     pub stats: PrefixStats,
     pub resident_blocks: u64,
     pub resident_tokens: u64,
-    /// Prefill tokens actually charged to the cost model.
-    pub recomputed_prefill_tokens: usize,
-}
-
-/// Raw swap-tier tallies one simulation loop accumulated (all zero when no
-/// preemption fired), folded into the report's [`SwapReport`].
-#[derive(Default, Clone, Copy)]
-pub(crate) struct SwapTallies {
-    pub swap_outs: usize,
-    pub swap_ins: usize,
-    pub swapped_out_bytes: u64,
-    pub swapped_in_bytes: u64,
-    pub seconds: f64,
 }
 
 /// The empirical offered rate of `count` arrivals from `first` to `last`,
@@ -102,24 +107,14 @@ pub fn ordered_sum(values: &[f64]) -> f64 {
 /// [`simulate`](crate::simulator::simulate) and the sort-based reference
 /// oracle, so the two paths cannot drift in how metrics are derived from
 /// identical records.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "one parameter per raw tally, shared by the heap loop and the reference oracle"
-)]
 pub(crate) fn build_report(
     sim: &ServingSimulation,
     spec: &SessionSpec,
     empirical_rps: f64,
     records: &[RequestRecord],
     clock: f64,
-    completed: usize,
-    generated_tokens: usize,
-    breakdown: LatencyBreakdown,
-    imbalance_sum: f64,
-    imbalance_samples: usize,
+    run: RunTallies,
     kv: Option<KvTallies>,
-    swap: SwapTallies,
-    prefix: Option<PrefixTallies>,
 ) -> ServingReport {
     let queue_delays: Vec<f64> = records.iter().map(|r| r.queue_delay()).collect();
     let ttfts: Vec<f64> = records.iter().map(|r| r.ttft()).collect();
@@ -139,23 +134,19 @@ pub(crate) fn build_report(
         scheduling: sim.scheduling.name().to_string(),
         preemption_policy: sim.preemption.name().to_string(),
         num_requests: records.len(),
-        completed,
+        completed: run.completed,
         offered_rps: sim.arrival.offered_rps().unwrap_or(empirical_rps),
         makespan: clock,
-        generated_tokens,
-        breakdown,
+        generated_tokens: run.generated_tokens,
+        breakdown: run.steps.breakdown,
         queue_delay: DistributionStats::from_samples(&queue_delays),
         ttft: DistributionStats::from_samples(&ttfts),
         tpot: DistributionStats::from_samples(&tpots),
         e2e: DistributionStats::from_samples(&e2es),
-        dimm_imbalance: if imbalance_samples > 0 {
-            imbalance_sum / f64_from_usize(imbalance_samples)
-        } else {
-            1.0
-        },
+        dimm_imbalance: run.steps.dimm_imbalance(),
         preemptions: records.iter().map(|r| r.preemptions).sum(),
         per_class: fold_class_reports(records),
-        kv: kv.map(|t| {
+        kv: kv.as_ref().map(|t| {
             let mean_blocks = if t.steps > 0 {
                 f64_from_u64(t.block_steps) / f64_from_u64(t.steps)
             } else {
@@ -186,14 +177,8 @@ pub(crate) fn build_report(
                 },
             }
         }),
-        swap: (sim.preemption == PreemptionPolicy::SwapOut).then_some(SwapReport {
-            swap_outs: swap.swap_outs,
-            swap_ins: swap.swap_ins,
-            swapped_out_bytes: swap.swapped_out_bytes,
-            swapped_in_bytes: swap.swapped_in_bytes,
-            seconds: swap.seconds,
-        }),
-        prefix: prefix.map(|t| {
+        swap: (sim.preemption == PreemptionPolicy::SwapOut).then_some(run.swap),
+        prefix: kv.and_then(|t| t.prefix).map(|t| {
             let ttft_hit: Vec<f64> = records
                 .iter()
                 .filter(|r| r.reused_prefix_tokens > 0)
@@ -213,7 +198,7 @@ pub(crate) fn build_report(
                     0.0
                 },
                 reused_prefill_tokens: t.stats.reused_tokens,
-                recomputed_prefill_tokens: t.recomputed_prefill_tokens,
+                recomputed_prefill_tokens: run.recomputed_prefill_tokens,
                 insertions: t.stats.insertions,
                 resident_blocks: t.resident_blocks,
                 resident_tokens: t.resident_tokens,

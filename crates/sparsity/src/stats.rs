@@ -220,7 +220,7 @@ impl HotColdCoverage {
                 }
             }
         }
-        entries.sort_by(|a, b| (b.0 * b.1).partial_cmp(&(a.0 * a.1)).unwrap());
+        entries.sort_by(|a, b| (b.0 * b.1).total_cmp(&(a.0 * a.1)));
         let hot_count = ((entries.len() as f64) * hot_fraction).round() as usize;
         let total_compute: f64 = entries.iter().map(|(f, fl, _)| f * fl).sum();
         let total_bytes: f64 = entries.iter().map(|(_, _, b)| *b).sum();
