@@ -13,18 +13,21 @@
 //! drift.
 //!
 //! The oracle check cannot see a change that moves both loops alike, so
-//! each fixed scenario first compares `simulate`'s outcome on each system
-//! with its committed file under `crates/serve/tests/golden/equivalence/`
-//! (`serde_json::to_string_pretty` plus a newline), byte for byte, as the
-//! workspace's `tests/golden_reports.rs` does. On a mismatch the test
-//! prints the fresh JSON. If the change in numbers is intended, review it
-//! and replace the file with that output.
+//! each fixed scenario and each random draw first compares `simulate`'s
+//! outcome on each system with its committed file under
+//! `crates/serve/tests/golden/equivalence/` (`serde_json::to_string_pretty`
+//! plus a newline; a rejected scenario pins its error's text as a JSON
+//! string), byte for byte, as the workspace's `tests/golden_reports.rs`
+//! does. On a mismatch the test prints the fresh JSON. If the change in
+//! numbers is intended, review it and replace the file with that output.
 //!
 //! Coverage: {Fcfs, Priority, Edf, PrefixAffinity} × {None, EvictAndRefill,
 //! SwapOut} × {StallTheWorld, Chunked} × {AllAtOnce, Poisson, Bursty} ×
 //! {Reserve, Paged} × {Unique, SharedGroups prompts} × {Disabled, Lru
 //! prefix cache} via the fixed scenarios below plus proptest-driven random
 //! configurations.
+
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use proptest::prelude::*;
 
@@ -94,7 +97,7 @@ fn assert_equivalent(sim: &ServingSimulation) {
     }
 }
 
-/// The corpus file of the fixed scenario `name` on `kind`.
+/// The corpus file of the scenario `name` on `kind`.
 fn corpus_path(name: &str, kind: SystemKind) -> String {
     let system = kind.name().to_lowercase();
     format!(
@@ -103,14 +106,17 @@ fn corpus_path(name: &str, kind: SystemKind) -> String {
     )
 }
 
-/// Compare `simulate`'s outcome of the fixed scenario `name` on every paper
-/// system with its committed corpus file.
+/// Compare `simulate`'s result of the scenario `name` on every paper system
+/// with its committed corpus file: the outcome, or the error's text as a
+/// JSON string when `simulate` rejects the scenario.
 fn assert_corpus(name: &str, sim: &ServingSimulation) {
     let config = SystemConfig::paper_default();
     for kind in systems() {
-        let outcome = simulate(kind, &config, sim)
-            .unwrap_or_else(|e| panic!("{name} failed on {kind:?}: {e}"));
-        let fresh = format!("{}\n", serde_json::to_string_pretty(&outcome).unwrap());
+        let fresh = match simulate(kind, &config, sim) {
+            Ok(outcome) => serde_json::to_string_pretty(&outcome),
+            Err(e) => serde_json::to_string_pretty(&e.to_string()),
+        };
+        let fresh = format!("{}\n", fresh.unwrap());
         let path = corpus_path(name, kind);
         let committed = std::fs::read_to_string(&path).unwrap_or_default();
         assert!(
@@ -420,13 +426,19 @@ fixed_scenarios! {
     branching_trace_prefixes_under_eviction_pressure => branching_prefixes_under_eviction();
 }
 
-/// The corpus holds one file per fixed scenario and system, and nothing
-/// else: a renamed or deleted scenario leaves no stale file behind.
+/// The corpus name of the property's `draw`th random scenario.
+fn random_case(draw: u32) -> String {
+    format!("random_{draw:02}")
+}
+
+/// The corpus holds one file per fixed scenario, random draw and system,
+/// and nothing else: a renamed or deleted scenario leaves no stale file
+/// behind.
 #[test]
 fn corpus_holds_exactly_the_fixed_scenarios() {
-    let mut expected: Vec<String> = FIXED
-        .iter()
-        .flat_map(|name| systems().map(|kind| corpus_path(name, kind)))
+    let names = (FIXED.iter().map(|name| name.to_string())).chain((0..DRAWS).map(random_case));
+    let mut expected: Vec<String> = names
+        .flat_map(|name| systems().map(|kind| corpus_path(&name, kind)))
         .collect();
     expected.sort();
     let dir = format!("{}/tests/golden/equivalence", env!("CARGO_MANIFEST_DIR"));
@@ -467,13 +479,19 @@ fn scheduling_of(selector: usize) -> SchedulingPolicy {
     }
 }
 
+/// Cases of the property below. The proptest stub seeds a property from
+/// its module path and name, so it draws the same scenarios on every run,
+/// and each draw's corpus files are named by its place in that sequence.
+const DRAWS: u32 = 32;
+
 proptest! {
     // Every case runs two full simulations per system; keep the budget
     // moderate.
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(DRAWS))]
 
-    /// Random scenarios across the whole policy grid: the heap-based and
-    /// sort-based schedulers must agree bitwise.
+    /// Random scenarios across the whole policy grid: each draw's outcome
+    /// on every system matches its corpus file, and the heap-based and
+    /// sort-based schedulers agree bitwise.
     #[test]
     fn heap_and_reference_schedulers_agree_bitwise(
         arrival_sel in 0usize..3,
@@ -523,7 +541,8 @@ proptest! {
         };
         if paged == 1 {
             // Bounded + paged + no preemption is rejected up front; both
-            // schedulers must reject it with the identical error.
+            // schedulers must reject it with the identical error, whose
+            // text the corpus pins.
             admission = admission.with_paged_kv(block_tokens);
         }
         sim = sim.with_admission(admission);
@@ -542,6 +561,9 @@ proptest! {
             // the case on a validation error.
             sim = sim.with_prefix_cache(PrefixCacheMode::Lru);
         }
+        // The cases run one after another, in draw order.
+        static DRAW: AtomicU32 = AtomicU32::new(0);
+        assert_corpus(&random_case(DRAW.fetch_add(1, Ordering::Relaxed)), &sim);
         assert_equivalent(&sim);
     }
 }
