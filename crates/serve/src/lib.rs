@@ -131,11 +131,9 @@
 //! ready-queue re-sort plus active-set re-scan of a naive loop. A replica
 //! reuses a finished request's slot, so its memory follows the requests in
 //! flight, not those served. `perfbench/` at the repo root measures how
-//! fast it runs. The pre-rewrite sort-based loop is kept as test code, an
-//! oracle extended since with paged KV, swap-out and the prefix cache: the
-//! unit tests in `simulator_equivalence` hold the two to bitwise-identical
-//! outcomes across every policy combination and pin the outcomes of its
-//! fixed scenarios in a golden corpus.
+//! fast it runs. The unit tests in `simulator_equivalence` pin the
+//! outcomes of fixed and randomly drawn scenarios across every policy
+//! combination in a golden corpus, byte for byte.
 //!
 //! # Cluster serving
 //!
@@ -200,8 +198,6 @@ mod prefix_props;
 mod queue;
 #[cfg(test)]
 mod queue_props;
-#[cfg(test)]
-mod reference;
 pub mod replica;
 pub mod request;
 pub mod scheduler;

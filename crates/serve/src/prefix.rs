@@ -108,7 +108,7 @@ pub(crate) struct PrefixStats {
     pub evicted_blocks: u64,
 }
 
-/// The radix prefix cache shared by the heap loop and the reference oracle.
+/// The radix prefix cache of a paged replica.
 #[derive(Debug, Clone)]
 pub(crate) struct PrefixCache {
     /// Tokens per KV block; all cached lengths are multiples of this.

@@ -36,9 +36,9 @@ impl Ord for Rank {
 /// The admission queue: a min-heap over `(rank, arrival index)`, each
 /// entry carrying its request's slot, which never breaks a tie.
 ///
-/// Equal inputs drain in exactly the order the old sort-based scheduler
-/// produced — rank ascending, arrival index ascending within a rank — a
-/// property the `queue_props` proptests pin against a sort-based model.
+/// Entries drain in exactly the order a full sort gives — rank ascending,
+/// arrival index ascending within a rank — a property the `queue_props`
+/// proptests pin against a sort-based model.
 #[derive(Debug, Default)]
 pub struct ReadyQueue {
     heap: BinaryHeap<Reverse<(Rank, usize, usize)>>,

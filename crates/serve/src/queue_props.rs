@@ -23,8 +23,8 @@ fn model_rank(scheduling: SchedulingPolicy, request: &ServingRequest) -> f64 {
     }
 }
 
-/// The sort-based model the old scheduler implemented: re-sort the whole
-/// queue by (rank, arrival index) and serve the head.
+/// The sort-based model: re-sort the whole queue by (rank, arrival index)
+/// and serve the head.
 fn model_pop(queue: &mut Vec<usize>, ranks: &[f64]) -> Option<usize> {
     queue.sort_by(|&a, &b| ranks[a].total_cmp(&ranks[b]).then(a.cmp(&b)));
     if queue.is_empty() {

@@ -919,10 +919,11 @@ mod tests {
     }
 
     /// A leaked release never changes a later admission of the same run,
-    /// so the differential oracle cannot see it: step tight scenarios one
-    /// boundary at a time (each boundary checks the invariants, block
-    /// conservation among them), and check the end state after a full run
-    /// and after a mid-run failure that catches a prompt mid-prefill.
+    /// so no report bit, and no corpus file, shows it: step tight
+    /// scenarios one boundary at a time (each boundary checks the
+    /// invariants, block conservation among them), and check the end state
+    /// after a full run and after a mid-run failure that catches a prompt
+    /// mid-prefill.
     #[test]
     fn drained_replica_holds_no_kv() {
         for backend in 0..3 {

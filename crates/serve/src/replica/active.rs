@@ -6,7 +6,7 @@
 //! events and the paged growth events all incrementally indexed, so
 //! [`ReplicaSim::step_boundary`](super::ReplicaSim::step_boundary)
 //! pays O(log n) per join/leave instead of rebuilding the batch
-//! every step the way the sort-based reference scheduler does.
+//! every step.
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -17,8 +17,8 @@ use super::RequestSlot;
 use crate::queue::Rank;
 
 /// The decode batch as indexed incremental state: O(log n) join/leave and
-/// O(distinct context lengths) per-step snapshots, replacing the per-step
-/// linear rebuild of the sort-based scheduler.
+/// O(distinct context lengths) per-step snapshots, replacing a per-step
+/// linear rebuild of the batch.
 ///
 /// A sequence's *current* context length is never stored: every active
 /// sequence grows by exactly one token per decode step, so its context at

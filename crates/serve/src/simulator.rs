@@ -168,7 +168,7 @@ impl ServingSimulation {
     /// Sample the scenario's requests: arrival times, then per-request
     /// lengths, classes and shared prefixes. Every entry point samples
     /// through here, so one scenario yields the same requests whether it
-    /// runs alone, in a fleet or through the reference oracle.
+    /// runs alone or in a fleet.
     ///
     /// # Errors
     ///

@@ -1,15 +1,11 @@
 //! Raw per-run tallies and the report folder: the bridge between a
-//! simulation loop's accumulators and the aggregate [`ServingReport`].
+//! replica's accumulators and the aggregate [`ServingReport`].
 //!
-//! Both simulator loops — the event-heap replica core behind
-//! [`simulate`](crate::simulator::simulate) and the sort-based reference
-//! oracle that this crate's unit tests compare it with — fill the same
-//! crate-private tally structs (`RunTallies`, `KvTallies`, `PrefixTallies`)
-//! and fold them through the crate-private `build_report`, so the two paths
-//! cannot drift in how metrics are derived from identical records. They
-//! fill them independently: the replica folds each priced step with
-//! [`StepTally::add`], while the oracle sums a step's fields by hand, so a
-//! fault in that fold shows as a difference between the two.
+//! The replica core behind [`simulate`](crate::simulator::simulate) and
+//! every fleet fills the crate-private tally structs (`RunTallies`,
+//! `KvTallies`, `PrefixTallies`) as it runs, folding each priced step with
+//! [`StepTally::add`], and the crate-private `build_report` derives every
+//! report metric from them and the records, in one place.
 //!
 //! The module also owns the **ordered float fold** ([`ordered_sum`]) that
 //! float accumulation in `hermes-serve` and `hermes-bench` must go through
@@ -102,11 +98,8 @@ pub fn ordered_sum(values: &[f64]) -> f64 {
     acc
 }
 
-/// Fold the simulation's raw tallies and per-request records into the
-/// aggregate [`ServingReport`]. Shared by
-/// [`simulate`](crate::simulator::simulate) and the sort-based reference
-/// oracle, so the two paths cannot drift in how metrics are derived from
-/// identical records.
+/// Fold a replica's raw tallies and per-request records into the aggregate
+/// [`ServingReport`]: the one place each report metric is derived.
 pub(crate) fn build_report(
     sim: &ServingSimulation,
     spec: &SessionSpec,
