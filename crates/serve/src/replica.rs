@@ -765,6 +765,8 @@ impl ReplicaSim {
             slot.carried.record.completed = self.clock;
             self.kv.release_lease(slot.lease);
             self.records[slot.seq] = slot.carried.record;
+            #[cfg(any(test, debug_assertions))]
+            self.check_completed(slot.seq);
         }
         let mut i = 0;
         let mut touched = self.chunks.len().min(self.prefilling.len());
@@ -921,9 +923,9 @@ mod tests {
     /// A leaked release never changes a later admission of the same run,
     /// so no report bit, and no corpus file, shows it: step tight
     /// scenarios one boundary at a time (each boundary checks the
-    /// invariants, block conservation among them), and check the end state
-    /// after a full run and after a mid-run failure that catches a prompt
-    /// mid-prefill.
+    /// invariants, block conservation among them, and each completion its
+    /// record's stamp order), and check the end state after a full run and
+    /// after a mid-run failure that catches a prompt mid-prefill.
     #[test]
     fn drained_replica_holds_no_kv() {
         for backend in 0..3 {

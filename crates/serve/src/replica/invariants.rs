@@ -1,7 +1,7 @@
 //! The replica's bookkeeping invariants, checked in full after every token
 //! boundary and extraction and, after every injection, as far as the
-//! injection changes them, in test and debug builds. Release builds compile
-//! none of it.
+//! injection changes them, plus the stamp order of every completed record,
+//! in test and debug builds. Release builds compile none of it.
 
 use std::collections::BTreeSet;
 
@@ -209,6 +209,24 @@ impl ReplicaSim {
             self.waiting_kv_bytes,
             waiting_before + slot.kv_bytes,
             "waiting KV bytes"
+        );
+    }
+
+    /// Panic unless the record the replica just completed, its `seq`th,
+    /// was stamped in lifecycle order: arrival, admission, first token,
+    /// completion, each no earlier than the one before. Constant time.
+    pub(crate) fn check_completed(&self, seq: usize) {
+        let record = &self.records[seq];
+        let stamps = [
+            record.arrival,
+            record.admitted,
+            record.first_token,
+            record.completed,
+        ];
+        assert!(
+            stamps.is_sorted(),
+            "request {} completed with its stamps out of order: {record:?}",
+            record.id
         );
     }
 }
