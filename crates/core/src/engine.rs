@@ -18,18 +18,15 @@
 //!   drive both the closed-loop fixed-batch sessions below and the open-loop
 //!   continuous-batching simulator in `hermes-serve`, where the batch
 //!   composition changes at every token boundary.
-//! * [`Session`] — explicit per-request state: [`Session::prefill`] runs the
-//!   prompting phase, each [`Session::step`] generates one token, and
-//!   [`Session::report`] folds everything executed so far into an
+//! * [`Session`] — an iterator over one run's [`TokenEvent`]s: the prompting
+//!   phase first, then one event per generated token, each priced as it is
+//!   drawn; [`Session::report`] folds the events drawn so far into an
 //!   [`InferenceReport`].
-//! * [`TokenEvent`] — emitted by every `prefill`/`step` call, carrying the
-//!   per-token latency breakdown (predictor, FC, attention, migration, …)
-//!   and the current hot-set / DIMM-balance state.
+//! * [`TokenEvent`] — the per-token latency breakdown (predictor, FC,
+//!   attention, migration, …) and the current hot-set / DIMM-balance state.
 //!
-//! [`run_session`] is the one-shot driver: it drives a session to completion
-//! and returns the folded report, which is exactly what
-//! [`try_run_system`](crate::try_run_system) does under the hood. Step-wise
-//! and one-shot execution therefore agree by construction.
+//! [`try_run_system`](crate::try_run_system) drains a session and returns
+//! its report, so step-wise and one-shot execution agree by construction.
 
 use serde::{Deserialize, Serialize};
 
@@ -43,21 +40,10 @@ use crate::{SystemConfig, SystemKind, Workload};
 /// Which phase of a run a [`TokenEvent`] belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Phase {
-    /// The prompting phase ([`Session::prefill`]).
+    /// The prompting phase: a [`Session`]'s first event.
     Prefill,
-    /// One decode step ([`Session::step`]).
+    /// One decode step: every later event of a [`Session`].
     Decode,
-}
-
-/// Where a [`Session`] stands in its prefill → decode → done lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SessionPhase {
-    /// Freshly started: [`Session::prefill`] has not run yet.
-    Created,
-    /// Prefilled and generating tokens ([`Session::step`]).
-    Decoding,
-    /// Every token of the workload has been generated.
-    Done,
 }
 
 /// One event of a [`Session`]'s stream: the prefill event followed by one
@@ -86,24 +72,6 @@ impl TokenEvent {
     pub fn latency_seconds(&self) -> f64 {
         self.latency.total()
     }
-}
-
-/// Drive a session to completion and return the folded report.
-///
-/// Works on a fresh session (runs prefill itself) and on a partially driven
-/// one (resumes stepping where the caller left off), branching on
-/// [`Session::phase`] rather than probing `prefill()`.
-///
-/// # Errors
-///
-/// Propagates any [`HermesError`] raised by the session protocol (none for
-/// a freshly started session).
-pub fn run_session(session: &mut Session) -> Result<InferenceReport, HermesError> {
-    if session.phase() == SessionPhase::Created {
-        session.prefill()?;
-    }
-    while session.step()?.is_some() {}
-    Ok(session.report())
 }
 
 /// The composition of the decode batch at one step: the context length
@@ -368,13 +336,10 @@ pub trait StepCostModel {
     ///
     /// Used by the serving scheduler's swap-out preemption: a victim's held
     /// KV pages move to the swap tier when it is preempted and move back
-    /// when it resumes, each leg priced by this hook. The default charges a
-    /// transfer over the reference PCIe link; engines whose KV path has its
-    /// own bandwidth terms (offloading baselines, the DIMM interconnect)
-    /// override it with those.
-    fn swap_cost(&self, bytes: u64) -> f64 {
-        hermes_gpu::PcieLink::default().transfer_time(bytes)
-    }
+    /// when it resumes, each leg priced by this hook. Every engine prices
+    /// it with its own KV path's terms (the offloading baselines' PCIe
+    /// link, the DIMM interconnect), so there is no default.
+    fn swap_cost(&self, bytes: u64) -> f64;
 }
 
 /// Static per-run metadata captured when the run is planned.
@@ -529,20 +494,23 @@ impl Engine {
     }
 }
 
-/// Explicit per-request state of an inference run, opened by
-/// [`Engine::start`]: a [`PlannedRun`] driven at the planned workload's
-/// fixed batch size, with every sequence at the same context length.
+/// One closed-loop inference run, opened by [`Engine::start`], as an
+/// iterator of its [`TokenEvent`]s: a [`PlannedRun`] driven at the planned
+/// workload's fixed batch size, with every sequence at the same context
+/// length.
 ///
-/// The protocol is [`Session::prefill`] once, then [`Session::step`] until it
-/// returns `Ok(None)`; [`Session::report`] can be called at any point to
-/// fold what has been executed so far into an [`InferenceReport`]. Each
-/// step folds into a [`StepTally`], as a serving replica's steps do.
+/// The first event is the prefill; each later one prices one decode step,
+/// until the workload's `gen_len` tokens are out and the session returns
+/// `None` for good. [`Session::report`] can be called at any point to fold
+/// the events drawn so far into an [`InferenceReport`]. Each step folds
+/// into a [`StepTally`], as a serving replica's steps do.
 pub struct Session {
     spec: SessionSpec,
     cost: Box<dyn StepCostModel>,
     prefilled: bool,
-    t: usize,
     tally: StepTally,
+    /// Latency of each decode step so far; its length is the next step's
+    /// index.
     token_latencies: Vec<f64>,
 }
 
@@ -553,7 +521,6 @@ impl Session {
             spec: plan.spec,
             cost: plan.cost,
             prefilled: false,
-            t: 0,
             tally: StepTally::default(),
             token_latencies: Vec::new(),
         }
@@ -570,81 +537,11 @@ impl Session {
         }
     }
 
-    /// Run the prompting phase and return its event.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HermesError::SessionState`] if the session was already
-    /// prefilled.
-    pub fn prefill(&mut self) -> Result<TokenEvent, HermesError> {
-        if self.prefilled {
-            return Err(HermesError::SessionState(
-                "prefill() may only run once per session".to_string(),
-            ));
-        }
-        self.prefilled = true;
-        let latency = LatencyBreakdown {
-            prefill: self.spec.prefill_seconds,
-            ..Default::default()
-        };
-        self.tally.breakdown.prefill += latency.prefill;
-        Ok(self.event(Phase::Prefill, 0, latency))
-    }
-
-    /// Generate the next token, or `Ok(None)` once the workload's `gen_len`
-    /// tokens have all been produced.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HermesError::SessionState`] if [`Session::prefill`] has not
-    /// run yet.
-    pub fn step(&mut self) -> Result<Option<TokenEvent>, HermesError> {
-        if !self.prefilled {
-            return Err(HermesError::SessionState(
-                "step() requires prefill() to run first".to_string(),
-            ));
-        }
-        if self.t >= self.spec.workload.gen_len {
-            return Ok(None);
-        }
-        let batch = BatchState::uniform(
-            self.spec.workload.batch,
-            self.spec.workload.prompt_len + self.t,
-        );
-        let outcome = self.cost.decode_cost(&batch);
-        self.tally.add(&outcome);
-        self.token_latencies.push(outcome.latency.total());
-        let index = self.t;
-        self.t += 1;
-        Ok(Some(self.event(Phase::Decode, index, outcome.latency)))
-    }
-
-    /// Where the session stands in its prefill → decode → done lifecycle.
-    ///
-    /// Drivers branch on this instead of probing `prefill()` and swallowing
-    /// its [`HermesError::SessionState`], so genuine protocol errors are
-    /// never masked.
-    pub fn phase(&self) -> SessionPhase {
-        if !self.prefilled {
-            SessionPhase::Created
-        } else if self.t >= self.spec.workload.gen_len {
-            SessionPhase::Done
-        } else {
-            SessionPhase::Decoding
-        }
-    }
-
-    /// Number of decode tokens generated so far.
-    pub fn generated(&self) -> usize {
-        self.t
-    }
-
-    /// Fold everything executed so far into an [`InferenceReport`].
+    /// Fold every event drawn so far into an [`InferenceReport`].
     ///
     /// Calling this mid-run yields a partial report (the metrics of the
-    /// tokens generated so far); after the session is driven to completion
-    /// it matches the one-shot report of
-    /// [`try_run_system`](crate::try_run_system) exactly.
+    /// tokens generated so far); once the session is drained it matches the
+    /// one-shot report of [`try_run_system`](crate::try_run_system) exactly.
     pub fn report(&self) -> InferenceReport {
         InferenceReport {
             system: self.spec.system.clone(),
@@ -660,6 +557,38 @@ impl Session {
         }
     }
 }
+
+impl Iterator for Session {
+    type Item = TokenEvent;
+
+    /// The prefill event first, then one priced decode step per call until
+    /// the workload's `gen_len` tokens are out.
+    fn next(&mut self) -> Option<TokenEvent> {
+        if !self.prefilled {
+            self.prefilled = true;
+            let latency = LatencyBreakdown {
+                prefill: self.spec.prefill_seconds,
+                ..Default::default()
+            };
+            self.tally.breakdown.prefill += latency.prefill;
+            return Some(self.event(Phase::Prefill, 0, latency));
+        }
+        let index = self.token_latencies.len();
+        if index >= self.spec.workload.gen_len {
+            return None;
+        }
+        let batch = BatchState::uniform(
+            self.spec.workload.batch,
+            self.spec.workload.prompt_len + index,
+        );
+        let outcome = self.cost.decode_cost(&batch);
+        self.tally.add(&outcome);
+        self.token_latencies.push(outcome.latency.total());
+        Some(self.event(Phase::Decode, index, outcome.latency))
+    }
+}
+
+impl std::iter::FusedIterator for Session {}
 
 #[cfg(test)]
 mod tests {
@@ -690,6 +619,10 @@ mod tests {
         fn price_decode(&mut self, batch: &BatchState) -> StepOutcome {
             (self.0)(batch)
         }
+
+        fn swap_cost(&self, bytes: u64) -> f64 {
+            hermes_gpu::PcieLink::default().transfer_time(bytes)
+        }
     }
 
     fn constant_session(gen_len: usize, per_token: f64) -> Session {
@@ -705,31 +638,28 @@ mod tests {
     }
 
     #[test]
-    fn protocol_is_enforced() {
+    fn events_come_prefill_first_then_one_per_token() {
         let mut s = constant_session(3, 0.1);
-        assert_eq!(s.phase(), SessionPhase::Created);
-        assert!(matches!(s.step(), Err(HermesError::SessionState(_))));
-        let first = s.prefill().unwrap();
-        assert_eq!(first.phase, Phase::Prefill);
-        assert_eq!(s.phase(), SessionPhase::Decoding);
-        assert!(matches!(s.prefill(), Err(HermesError::SessionState(_))));
-        let mut n = 0;
-        while let Some(ev) = s.step().unwrap() {
-            assert_eq!(ev.phase, Phase::Decode);
-            assert_eq!(ev.index, n);
-            n += 1;
-        }
-        assert_eq!(n, 3);
-        assert_eq!(s.phase(), SessionPhase::Done);
-        assert_eq!(s.generated(), 3);
-        assert!(s.step().unwrap().is_none());
+        let phases: Vec<(Phase, usize)> = s.by_ref().map(|e| (e.phase, e.index)).collect();
+        assert_eq!(
+            phases,
+            [
+                (Phase::Prefill, 0),
+                (Phase::Decode, 0),
+                (Phase::Decode, 1),
+                (Phase::Decode, 2)
+            ]
+        );
+        // A drained session stays drained and prices nothing more.
+        let drained = s.report();
+        assert_eq!(s.next(), None);
+        assert_eq!(s.report(), drained);
     }
 
     #[test]
     fn report_folds_events() {
         let mut s = constant_session(4, 0.5);
-        s.prefill().unwrap();
-        while s.step().unwrap().is_some() {}
+        s.by_ref().for_each(drop);
         let report = s.report();
         assert!((report.breakdown.prefill - 2.0).abs() < 1e-12);
         assert!((report.breakdown.fc - 2.0).abs() < 1e-12);
@@ -743,17 +673,15 @@ mod tests {
     #[test]
     fn partial_reports_cover_only_generated_tokens() {
         let mut s = constant_session(8, 0.25);
-        s.prefill().unwrap();
-        s.step().unwrap();
-        s.step().unwrap();
+        assert_eq!(s.by_ref().take(3).count(), 3);
         let partial = s.report();
         assert!((partial.breakdown.fc - 0.5).abs() < 1e-12);
-        assert_eq!(s.phase(), SessionPhase::Decoding);
+        assert_eq!(s.count(), 6);
     }
 
     #[test]
     fn steps_see_the_workload_batch_and_growing_context() {
-        let mut s = Session::from_plan(PlannedRun {
+        let s = Session::from_plan(PlannedRun {
             spec: {
                 let mut sp = spec(3);
                 sp.workload.batch = 4;
@@ -770,10 +698,7 @@ mod tests {
                 })
             })),
         });
-        s.prefill().unwrap();
-        let contexts: Vec<f64> = std::iter::from_fn(|| s.step().unwrap())
-            .map(|e| e.latency.fc)
-            .collect();
+        let contexts: Vec<f64> = s.skip(1).map(|e| e.latency.fc).collect();
         assert_eq!(contexts, vec![32.0, 33.0, 34.0]);
     }
 
@@ -788,11 +713,9 @@ mod tests {
                 imbalance_samples: 1,
             })),
         });
-        s.prefill().unwrap();
-        let e1 = s.step().unwrap().unwrap();
-        assert!((e1.dimm_imbalance - 2.0).abs() < 1e-12);
-        let e2 = s.step().unwrap().unwrap();
-        assert!((e2.dimm_imbalance - 3.0).abs() < 1e-12);
+        let events: Vec<TokenEvent> = s.by_ref().skip(1).collect();
+        assert!((events[0].dimm_imbalance - 2.0).abs() < 1e-12);
+        assert!((events[1].dimm_imbalance - 3.0).abs() < 1e-12);
         assert!((s.report().dimm_imbalance - 3.0).abs() < 1e-12);
     }
 

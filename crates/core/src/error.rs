@@ -2,8 +2,7 @@
 //!
 //! Every fallible public entry point of this crate — workload/config
 //! validation, [`Engine::plan`](crate::Engine::plan),
-//! [`Engine::start`](crate::Engine::start), the
-//! [`Session`](crate::Session) protocol and
+//! [`Engine::start`](crate::Engine::start) and
 //! [`try_run_system`](crate::try_run_system) — reports failures through
 //! [`HermesError`], so callers match on one enum instead of juggling
 //! stringly-typed validation errors and a separate "unsupported" type.
@@ -37,9 +36,6 @@ pub enum HermesError {
         /// Display name of the system that rejected the model.
         system: String,
     },
-    /// A [`Session`](crate::Session) was driven out of order, e.g. `step()`
-    /// before `prefill()` or `prefill()` twice.
-    SessionState(String),
 }
 
 impl fmt::Display for HermesError {
@@ -57,7 +53,6 @@ impl fmt::Display for HermesError {
             HermesError::ModelNotSupported { system } => {
                 write!(f, "{system} does not support this model family")
             }
-            HermesError::SessionState(msg) => write!(f, "session driven out of order: {msg}"),
         }
     }
 }
@@ -85,9 +80,6 @@ mod tests {
         assert!(HermesError::InvalidConfig("dimms".into())
             .to_string()
             .contains("dimms"));
-        assert!(HermesError::SessionState("step before prefill".into())
-            .to_string()
-            .contains("prefill"));
     }
 
     #[test]

@@ -540,7 +540,7 @@ fn base_plan(config: &SystemConfig, cfg: ModelConfig) -> Planned {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{try_run_system, InferenceReport, PrefillChunk, SystemKind};
+    use crate::{try_run_system, InferenceReport, Phase, PrefillChunk, SystemKind};
     use hermes_model::ModelId;
 
     fn quick_workload(model: ModelId) -> Workload {
@@ -722,7 +722,7 @@ mod tests {
             assert_eq!(idle, StepOutcome::balanced(LatencyBreakdown::default()));
             primed.cost.chunked_step_cost(&chunks, &empty);
             let mut session = engine.start(&w).unwrap();
-            session.prefill().unwrap();
+            assert_eq!(session.next().unwrap().phase, Phase::Prefill);
             assert_eq!(started(), before, "{kind:?} before a decode step");
             // Seven steps cross the five-step remapping window; `{:?}`
             // prints every float so that it reads back to the same bits.
@@ -737,7 +737,7 @@ mod tests {
                 );
             }
             assert_eq!(started(), before + 2, "{kind:?} after two plans' steps");
-            session.step().unwrap();
+            session.next().unwrap();
             assert_eq!(started(), before + 3, "{kind:?} after a session step");
         }
     }

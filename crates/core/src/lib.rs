@@ -26,16 +26,15 @@
 //!   an [`Engine`].
 //! * [`Engine::start`] validates a [`Workload`] and opens a [`Session`];
 //!   every failure is a [`HermesError`].
-//! * [`Session::prefill`] runs the prompting phase and each
-//!   [`Session::step`] generates one token, emitting a [`TokenEvent`] with
-//!   that token's latency breakdown and the current hot-set / DIMM-balance
-//!   state.
-//! * [`Session::report`] (or the [`run_session`] / [`try_run_system`]
-//!   drivers) folds the event stream into an [`InferenceReport`] carrying
-//!   the Fig. 12 latency breakdown plus serving-grade metrics: TTFT and
+//! * A [`Session`] is an iterator of [`TokenEvent`]s: the prompting phase
+//!   first, then one event per generated token, each carrying that token's
+//!   latency breakdown and the current hot-set / DIMM-balance state.
+//! * [`Session::report`] (or the one-shot [`try_run_system`] driver) folds
+//!   the events drawn so far into an [`InferenceReport`] carrying the
+//!   Fig. 12 latency breakdown plus serving-grade metrics: TTFT and
 //!   p50/p95/p99 per-token latency ([`TokenLatencyStats`]).
 //!
-//! # Example: start → prefill → step
+//! # Example: start, then one event per token
 //!
 //! ```
 //! use hermes_core::{Phase, SystemConfig, SystemKind, Workload};
@@ -46,11 +45,11 @@
 //! let engine = SystemKind::hermes().engine(&SystemConfig::paper_default());
 //!
 //! let mut session = engine.start(&workload)?;
-//! let first = session.prefill()?;
-//! assert_eq!(first.phase, Phase::Prefill);
-//! while let Some(event) = session.step()? {
+//! assert_eq!(session.next().map(|first| first.phase), Some(Phase::Prefill));
+//! for event in &mut session {
 //!     // Each event carries this token's latency breakdown and hot-set
 //!     // state; stream it, log it, or feed it to a scheduler.
+//!     assert_eq!(event.phase, Phase::Decode);
 //!     assert!(event.latency_seconds() > 0.0);
 //! }
 //!
@@ -61,8 +60,8 @@
 //! # Ok::<(), hermes_core::HermesError>(())
 //! ```
 //!
-//! The one-shot [`try_run_system`] driver does exactly the loop above, so
-//! step-wise and one-shot execution agree by construction.
+//! The one-shot [`try_run_system`] driver drains a session the same way,
+//! so step-wise and one-shot execution agree by construction.
 
 // Library code routes failures through `HermesError`; tests may assert.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -81,8 +80,8 @@ pub mod workload;
 
 pub use config::SystemConfig;
 pub use engine::{
-    run_session, BatchState, Engine, Phase, PlannedRun, PrefillChunk, Session, SessionPhase,
-    SessionSpec, StepCostModel, StepOutcome, StepTally, TokenEvent,
+    BatchState, Engine, Phase, PlannedRun, PrefillChunk, Session, SessionSpec, StepCostModel,
+    StepOutcome, StepTally, TokenEvent,
 };
 pub use error::HermesError;
 pub use hermes::{HermesVariant, MappingPolicy};

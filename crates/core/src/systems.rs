@@ -7,7 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::engine::{run_session, Engine};
+use crate::engine::Engine;
 use crate::error::HermesError;
 use crate::hermes::HermesVariant;
 use crate::report::InferenceReport;
@@ -100,7 +100,8 @@ pub fn try_run_system(
     // Validation happens in `Engine::plan`, the single entry point shared
     // with callers who drive sessions themselves.
     let mut session = kind.engine(config).start(workload)?;
-    run_session(&mut session)
+    session.by_ref().for_each(drop);
+    Ok(session.report())
 }
 
 #[cfg(test)]
@@ -303,7 +304,6 @@ mod tests {
                     Err(HermesError::InvalidConfig(_)) => "invalid config",
                     Err(HermesError::InsufficientMemory { .. }) => "insufficient memory",
                     Err(HermesError::ModelNotSupported { .. }) => "model not supported",
-                    Err(HermesError::SessionState(_)) => "session state",
                 });
             }
         }

@@ -14,6 +14,17 @@ fn exponential_gap(rng: &mut ChaCha8Rng, rate: f64) -> f64 {
     -(1.0 - rng.next_f64()).ln() / rate
 }
 
+/// Sampled times, unless their gaps summed past `f64`'s range. The times
+/// never decrease, so the last one is infinite if any is.
+fn finite_times(times: Vec<f64>) -> Result<Cow<'static, [f64]>, HermesError> {
+    match times.last() {
+        Some(last) if !last.is_finite() => Err(HermesError::InvalidWorkload(
+            "the arrival rate is so low that sampled arrival times overflow f64".into(),
+        )),
+        _ => Ok(times.into()),
+    }
+}
+
 /// Sample `count` arrival times (seconds since simulation start, sorted)
 /// from an arrival spec, borrowing a trace. Fully deterministic: equal
 /// `(spec, count, seed)` always produce the identical trace.
@@ -21,8 +32,8 @@ fn exponential_gap(rng: &mut ChaCha8Rng, rate: f64) -> f64 {
 /// # Errors
 ///
 /// Returns [`HermesError::InvalidWorkload`] when the spec fails
-/// [`ArrivalProcess::validate`] or a [`ArrivalProcess::Trace`] length does
-/// not match `count`.
+/// [`ArrivalProcess::validate`], a [`ArrivalProcess::Trace`] length does
+/// not match `count`, or a sampled time is not finite.
 pub(crate) fn sample_arrival_times(
     spec: &ArrivalProcess,
     count: usize,
@@ -34,12 +45,14 @@ pub(crate) fn sample_arrival_times(
         ArrivalProcess::AllAtOnce => Ok(vec![0.0; count].into()),
         ArrivalProcess::Poisson { rate } => {
             let mut t = 0.0;
-            Ok((0..count)
-                .map(|_| {
-                    t += exponential_gap(&mut rng, *rate);
-                    t
-                })
-                .collect())
+            finite_times(
+                (0..count)
+                    .map(|_| {
+                        t += exponential_gap(&mut rng, *rate);
+                        t
+                    })
+                    .collect(),
+            )
         }
         ArrivalProcess::Bursty { rate, burst } => {
             // Bursts of `burst` requests arrive together; burst epochs are a
@@ -57,7 +70,7 @@ pub(crate) fn sample_arrival_times(
                     times.push(t);
                 }
             }
-            Ok(times.into())
+            finite_times(times)
         }
         ArrivalProcess::Trace { times } => {
             if times.len() != count {

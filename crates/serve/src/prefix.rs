@@ -9,7 +9,7 @@
 //! unmatched suffix (the vLLM "automatic prefix caching" / SGLang RadixAttention
 //! idea).
 //!
-//! [`PrefixCache`] is the structure both simulation loops share:
+//! [`PrefixCache`] is the cache a replica's paged KV backend may hold:
 //!
 //! - A **radix tree** over token ids. Each node owns an edge of tokens that
 //!   is a whole number of KV blocks; its block count is the edge length

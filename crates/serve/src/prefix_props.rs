@@ -241,7 +241,8 @@ proptest! {
     }
 
     /// The same op sequence on two fresh caches produces identical
-    /// observable state — the determinism both simulation loops rely on.
+    /// observable state — the determinism the bitwise serving suites rely
+    /// on.
     #[test]
     fn cache_is_deterministic(
         block_tokens in 1usize..5,

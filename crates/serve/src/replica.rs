@@ -31,7 +31,7 @@
 use std::collections::VecDeque;
 
 use hermes_core::{
-    BatchState, Engine, HermesError, PlannedRun, PrefillChunk, SystemConfig, SystemKind,
+    BatchState, Engine, HermesError, PlannedRun, PrefillChunk, SystemConfig, SystemKind, Workload,
 };
 
 use crate::kv::{AdmissionPlan, KvBackend, UsageSamples};
@@ -221,13 +221,16 @@ impl ReplicaSim {
 
     /// Re-validate the engine and the paged pool against sampled requests
     /// whose lengths may exceed the template's: [`Engine::validate`] checks
-    /// the worst-case bounds without planning them. The cluster driver
-    /// passes the *global* request set: any replica can receive any request
-    /// through failover.
+    /// the worst-case bounds without planning them, and
+    /// [`Workload::validate`] the largest prefill pass the batch cap
+    /// allows. The cluster driver passes the *global* request set: any
+    /// replica can receive any request through failover.
     ///
     /// # Errors
     ///
-    /// [`Engine::validate`] errors for the worst-case bounds, and
+    /// [`Engine::validate`] errors for the worst-case bounds,
+    /// [`HermesError::InvalidWorkload`] when the largest prefill pass
+    /// overflows its byte or FLOP counts, and
     /// [`HermesError::InvalidConfig`] when a request could never fit the
     /// paged pool at full context.
     pub fn validate_requests(&self, requests: &[ServingRequest]) -> Result<(), HermesError> {
@@ -242,6 +245,21 @@ impl ReplicaSim {
     ) -> Result<(), HermesError> {
         for bound in worst_case_bounds(&self.sim.template, extremes) {
             self.engine.validate(&bound)?;
+        }
+        if let Some((_, longest)) = extremes {
+            // The largest group one prefill pass prices: every seat the
+            // batch cap allows, each restarting with recompute at the
+            // longest context a request has before its last token. Only
+            // the workload's own checks apply: the engine's memory checks
+            // would refuse KV that the admission caps manage.
+            let seats = self.sim.admission.max_batch.unwrap_or(usize::MAX);
+            Workload {
+                batch: requests.len().min(seats),
+                prompt_len: (longest.prompt_len + longest.gen_len).saturating_sub(1),
+                gen_len: 1,
+                ..self.sim.template.clone()
+            }
+            .validate()?;
         }
         self.kv.validate_requests(requests, extremes, &self.sim)
     }

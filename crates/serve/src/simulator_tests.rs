@@ -416,6 +416,48 @@ fn oversized_sampled_lengths_fail_memory_validation() {
     }
 }
 
+#[test]
+fn arrival_times_past_f64_range_fail_closed() {
+    // Valid positive rates, but so low that the sampled exponential gaps
+    // sum to infinity within eight arrivals (or every gap is infinite).
+    // Unchecked, the run reports an infinite makespan and a negative
+    // infinite end-to-end latency.
+    for rate in [f64::MIN_POSITIVE, 5e-324] {
+        for arrival in [
+            ArrivalProcess::Poisson { rate },
+            ArrivalProcess::Bursty { rate, burst: 2 },
+        ] {
+            let sim = ServingSimulation::new(template(), arrival.clone(), 8);
+            assert!(
+                matches!(
+                    simulate(SystemKind::hermes_base(), &config(), &sim),
+                    Err(HermesError::InvalidWorkload(_))
+                ),
+                "{arrival:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_prefill_pass_overflowing_its_flop_count_fails_closed() {
+    // Each 2^18-token prompt is valid alone, but all 1,000 arrive together
+    // and share one prefill pass: unchecked, its FLOP count overflows u64,
+    // which panics in a debug build and wraps in a release one.
+    let mut long = Workload::paper_default(ModelId::Opt13B);
+    long.prompt_len = 1 << 18;
+    long.gen_len = 1;
+    let sim = ServingSimulation::new(long, ArrivalProcess::AllAtOnce, 1000);
+    assert!(matches!(
+        simulate(SystemKind::Accelerate, &config(), &sim),
+        Err(HermesError::InvalidWorkload(_))
+    ));
+    // A batch cap bounds the pass to the seats it allows.
+    let capped = sim.with_admission(AdmissionConfig::unlimited().with_max_batch(10));
+    let outcome = simulate(SystemKind::Accelerate, &config(), &capped).unwrap();
+    assert_eq!(outcome.report.completed, 1000);
+}
+
 /// KV budget that fits one template request but not two.
 fn one_seat_kv_cap() -> u64 {
     let per_request = request_kv_bytes(&template(), 32, 8);

@@ -12,11 +12,11 @@ fn main() -> Result<(), hermes_core::HermesError> {
     let config = SystemConfig::paper_default();
 
     // Bind the system to the hardware, open a session for the workload and
-    // drive it token by token; the report folds the per-token events.
+    // drain its events, one per token after the prefill; the report folds
+    // them.
     let engine = SystemKind::hermes().engine(&config);
     let mut session = engine.start(&workload)?;
-    session.prefill()?;
-    while session.step()?.is_some() {}
+    session.by_ref().for_each(drop);
     let report = session.report();
 
     println!("system:              {}", report.system);

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example streaming`
 
-use hermes_core::{SystemConfig, SystemKind, Workload};
+use hermes_core::{Phase, SystemConfig, SystemKind, Workload};
 use hermes_model::ModelId;
 
 fn main() -> Result<(), hermes_core::HermesError> {
@@ -15,28 +15,28 @@ fn main() -> Result<(), hermes_core::HermesError> {
     let engine = SystemKind::hermes().engine(&config);
     let mut session = engine.start(&workload)?;
 
-    let prefill = session.prefill()?;
-    let mut elapsed = prefill.latency_seconds();
-    println!(
-        "prefill      {:>9.1} ms   (hot set {:.2} GiB on GPU)",
-        elapsed * 1e3,
-        prefill.hot_neuron_bytes as f64 / (1u64 << 30) as f64
-    );
-
-    while let Some(event) = session.step()? {
+    let mut elapsed = 0.0;
+    for event in &mut session {
         elapsed += event.latency_seconds();
-        println!(
-            "token {:>3}   {:>9.2} ms   fc {:>6.2}  attn {:>6.2}  pred {:>5.3}  migr {:>5.3}   \
-             imbalance {:.3}   t={:.3} s",
-            event.index,
-            event.latency_seconds() * 1e3,
-            event.latency.fc * 1e3,
-            event.latency.attention * 1e3,
-            event.latency.predictor * 1e3,
-            event.latency.migration * 1e3,
-            event.dimm_imbalance,
-            elapsed
-        );
+        match event.phase {
+            Phase::Prefill => println!(
+                "prefill      {:>9.1} ms   (hot set {:.2} GiB on GPU)",
+                elapsed * 1e3,
+                event.hot_neuron_bytes as f64 / (1u64 << 30) as f64
+            ),
+            Phase::Decode => println!(
+                "token {:>3}   {:>9.2} ms   fc {:>6.2}  attn {:>6.2}  pred {:>5.3}  migr {:>5.3}   \
+                 imbalance {:.3}   t={:.3} s",
+                event.index,
+                event.latency_seconds() * 1e3,
+                event.latency.fc * 1e3,
+                event.latency.attention * 1e3,
+                event.latency.predictor * 1e3,
+                event.latency.migration * 1e3,
+                event.dimm_imbalance,
+                elapsed
+            ),
+        }
     }
 
     let report = session.report();

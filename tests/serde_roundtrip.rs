@@ -79,11 +79,7 @@ fn inference_report_round_trips() {
 fn token_events_round_trip() {
     let config = SystemConfig::paper_default();
     let engine = SystemKind::hermes().engine(&config);
-    let mut session = engine.start(&quick(ModelId::Opt13B)).unwrap();
-    let mut events = vec![session.prefill().unwrap()];
-    while let Some(event) = session.step().unwrap() {
-        events.push(event);
-    }
+    let events: Vec<TokenEvent> = engine.start(&quick(ModelId::Opt13B)).unwrap().collect();
     let back: Vec<TokenEvent> = roundtrip(&events);
     assert_eq!(back, events);
     assert_eq!(back[0].phase, Phase::Prefill);

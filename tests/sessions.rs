@@ -1,10 +1,10 @@
 //! Integration tests of the step-wise session API: step/run equivalence for
-//! every system, determinism of the event stream, the session protocol, and
-//! the unified error type on invalid inputs.
+//! every system, determinism of the event stream, partial draining, and the
+//! unified error type on invalid inputs.
 
 use hermes_core::{
-    run_session, try_run_system, HermesError, InferenceReport, Phase, SystemConfig, SystemKind,
-    TokenEvent, Workload,
+    try_run_system, HermesError, InferenceReport, Phase, SystemConfig, SystemKind, TokenEvent,
+    Workload,
 };
 use hermes_model::ModelId;
 
@@ -29,10 +29,7 @@ fn drive_manually(
 ) -> (Vec<TokenEvent>, InferenceReport) {
     let engine = kind.engine(config);
     let mut session = engine.start(w).unwrap();
-    let mut events = vec![session.prefill().unwrap()];
-    while let Some(event) = session.step().unwrap() {
-        events.push(event);
-    }
+    let events = session.by_ref().collect();
     (events, session.report())
 }
 
@@ -145,26 +142,24 @@ fn event_stream_shape_matches_workload() {
 }
 
 #[test]
-fn session_protocol_is_enforced() {
+fn a_session_drained_in_two_parts_reports_the_one_shot_run() {
     let config = SystemConfig::paper_default();
     let w = quick(ModelId::Opt13B, 1);
-    let engine = SystemKind::hermes().engine(&config);
-    let mut session = engine.start(&w).unwrap();
-    assert!(matches!(session.step(), Err(HermesError::SessionState(_))));
-    session.prefill().unwrap();
-    assert!(matches!(
-        session.prefill(),
-        Err(HermesError::SessionState(_))
-    ));
-    // run_session resumes a partially driven session and completes it.
-    session.step().unwrap();
-    let report = run_session(&mut session).unwrap();
-    let oneshot = try_run_system(SystemKind::hermes(), &w, &config).unwrap();
-    assert_close(
-        report.breakdown.total(),
-        oneshot.breakdown.total(),
-        "resumed total",
-    );
+    for kind in [SystemKind::hermes(), SystemKind::Accelerate] {
+        let mut session = kind.engine(&config).start(&w).unwrap();
+        // The prefill and two decode steps, then the rest in a loop.
+        assert_eq!(session.by_ref().take(3).count(), 3);
+        let mut rest = 0;
+        for event in &mut session {
+            assert_eq!(event.phase, Phase::Decode);
+            assert_eq!(event.index, rest + 2);
+            rest += 1;
+        }
+        assert_eq!(rest, w.gen_len - 2);
+        assert_eq!(session.next(), None);
+        let oneshot = try_run_system(kind, &w, &config).unwrap();
+        assert_eq!(session.report(), oneshot, "{}", kind.name());
+    }
 }
 
 #[test]
