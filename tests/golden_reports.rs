@@ -1,4 +1,4 @@
-//! Golden report bytes: the closed-loop report of every engine, two
+//! Golden report bytes: the closed-loop report of every engine, three
 //! full-Hermes serving runs and a paged, prefix-cached Hermes-base fleet,
 //! compared byte for byte with committed JSON.
 //!
@@ -20,7 +20,7 @@ use hermes::model::ModelId;
 use hermes::serve::{
     request_kv_bytes, simulate, simulate_cluster, AdmissionConfig, ClusterSimulation,
     LengthDistribution, PreemptionPolicy, PrefillPolicy, PrefixCacheMode, PrioritySpec, PromptSpec,
-    ReplicaEvent, RequestClass, RoutingPolicy, SchedulingPolicy, ServingSimulation,
+    ReplicaEvent, RequestClass, RequestRecord, RoutingPolicy, SchedulingPolicy, ServingSimulation,
     DEFAULT_BLOCK_TOKENS,
 };
 
@@ -125,6 +125,28 @@ fn long_horizon_serving_run_matches_golden() {
     let outcome = simulate(SystemKind::hermes(), &config, &sim).unwrap();
     let fresh = serde_json::to_string_pretty(&outcome).unwrap();
     assert_golden("serving_hermes_long.json", &fresh);
+}
+
+#[test]
+fn saturated_sparse_batch_matches_golden() {
+    // The shape of perfbench's `sparse-decode`: 256 requests at once fill a
+    // batch cap of 128 twice over, so each of 126 decode steps prices a
+    // union over 128 sequences, on a cold placement that 25 remapping
+    // windows age. The runs above never price a sparse batch of more than
+    // eight. Each wave's 128 records share their stamps, which the report's
+    // percentiles and makespan already hold, so only the report is pinned.
+    let mut template = Workload::paper_default(ModelId::Opt13B);
+    template.prompt_len = 64;
+    template.gen_len = 64;
+    let sim = ServingSimulation::new(template, ArrivalProcess::AllAtOnce, 256)
+        .with_admission(AdmissionConfig::unlimited().with_max_batch(128));
+    let outcome = simulate(SystemKind::hermes(), &SystemConfig::paper_default(), &sim).unwrap();
+    for wave in outcome.records.chunks(128) {
+        let stamps = |r: &RequestRecord| (r.admitted, r.first_token, r.completed);
+        assert!(wave.iter().all(|r| stamps(r) == stamps(&wave[0])));
+    }
+    let fresh = serde_json::to_string_pretty(&outcome.report).unwrap();
+    assert_golden("serving_hermes_saturated.json", &fresh);
 }
 
 #[test]
