@@ -115,10 +115,11 @@ impl BlockColdPlacement {
 
     /// Expected number of activated cold neurons per DIMM, for one sequence
     /// into `seq` and for the union over `batch` sequences into `union`
-    /// (one slot per DIMM), in one pass over the clusters each DIMM holds.
+    /// (one slot per DIMM).
     ///
-    /// Each slot is one sum over the DIMM's clusters in ascending order, so
-    /// it has the bits of [`BlockActivity::expected_active`] and
+    /// Each DIMM's slots are one [`BlockActivity::fold_clusters`] over the
+    /// clusters it holds, in ascending order, so they have the bits of
+    /// [`BlockActivity::expected_active`] and
     /// [`BlockActivity::expected_union`] over all of the DIMM's clusters.
     pub fn dimm_loads_into(
         &self,
@@ -129,15 +130,10 @@ impl BlockColdPlacement {
     ) {
         assert_eq!(seq.len(), self.num_dimms(), "one load slot per DIMM");
         assert_eq!(union.len(), self.num_dimms(), "one load slot per DIMM");
-        seq.fill(0.0);
-        union.fill(0.0);
-        let terms = self
-            .held
-            .iter()
-            .zip(&self.dimms)
-            .enumerate()
-            .flat_map(|(d, (held, sums))| held.iter().map(move |&c| (d, sums, c)));
-        activity.fold_into(terms, batch, seq, union);
+        let slots = seq.iter_mut().zip(union.iter_mut());
+        for (((s, u), held), sums) in slots.zip(&self.held).zip(&self.dimms) {
+            (*s, *u) = activity.fold_clusters(sums, held.iter().copied(), batch);
+        }
     }
 
     /// [`dimm_loads_into`](Self::dimm_loads_into) into fresh vectors.

@@ -6,7 +6,9 @@
 //! module provides a cluster-granularity model that produces exactly those
 //! counts, using the same popularity and cluster-multiplier processes as the
 //! full [`crate::TraceGenerator`]; a unit test checks the two paths agree on
-//! small models.
+//! small models. A cost model prices each token with one per-slot fold
+//! ([`BlockActivity::fold_clusters`]) over the hot set's clusters, and one
+//! per DIMM over the clusters that DIMM holds.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -62,12 +64,14 @@ impl ClusterPopSums {
     }
 }
 
-/// Clusters priced per pass of [`BlockActivity::fold_into`]: one pass covers
-/// a whole block at the paper's 64 clusters, and the buffers stay on the
-/// stack.
-const LANES: usize = 64;
+/// Clusters whose union powers [`BlockActivity::fold_clusters`] raises side
+/// by side.
+const CHUNK: usize = 8;
 
 /// Activity multipliers of one (layer, block) for the current token.
+///
+/// [`fold_clusters`](Self::fold_clusters) prices them against one slot's
+/// [`ClusterPopSums`]: the hot set, or the cold neurons of one DIMM.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BlockActivity {
     multipliers: Vec<f64>,
@@ -88,27 +92,13 @@ impl BlockActivity {
 
     /// [`expected_active`](Self::expected_active) and
     /// [`expected_union`](Self::expected_union) of `batch` sequences in one
-    /// pass over the clusters.
+    /// pass over every cluster.
     pub fn expected_active_union(&self, sums: &ClusterPopSums, batch: usize) -> (f64, f64) {
-        let clusters = self
-            .multipliers
-            .len()
-            .min(sums.popsum.len())
-            .min(sums.count.len());
-        let mut active = [0.0];
-        let mut union = [0.0];
-        self.fold_into(
-            (0..clusters).map(|c| (0, sums, c)),
-            batch,
-            &mut active,
-            &mut union,
-        );
-        (active[0], union[0])
+        self.fold_clusters(sums, 0..self.covered(sums), batch)
     }
 
-    /// Add the expected-active and expected-union terms of every
-    /// `(slot, sums, cluster)` of `terms` to `active[slot]` and
-    /// `union[slot]`, in iteration order.
+    /// The expected-active and expected-union sums of `batch` sequences
+    /// over `clusters` of `sums`, each adding its terms in the given order.
     ///
     /// Per cluster, with popularity mass `p`, neuron count `n` and
     /// multiplier `m`, the single-sequence term is `min(p·m, n)` and the
@@ -116,36 +106,48 @@ impl BlockActivity {
     /// `n = 0` adds exactly `+0.0` to both: `p·m/0` is ∞ or NaN, the `min`
     /// makes it 1, so the power is 0 and the term is `0·1`. A caller may
     /// therefore skip such clusters without changing a sum's bits.
-    pub fn fold_into<'a, I>(&self, terms: I, batch: usize, active: &mut [f64], union: &mut [f64])
+    ///
+    /// Both sums stay in registers. The powers are raised eight clusters at
+    /// a time on the stack, so neighbouring clusters pipeline instead of
+    /// each waiting on its own `powi` call.
+    pub fn fold_clusters<I>(&self, sums: &ClusterPopSums, clusters: I, batch: usize) -> (f64, f64)
     where
-        I: IntoIterator<Item = (usize, &'a ClusterPopSums, usize)>,
+        I: IntoIterator<Item = usize>,
     {
         assert!(batch >= 1, "batch must be at least 1");
         let exp = u32::try_from(batch).expect("a batch size fits in a powi exponent");
-        let mut terms = terms.into_iter();
-        let mut slot = [0; LANES];
-        let mut count = [0.0; LANES];
-        let mut base = [0.0; LANES];
-        let mut power = [0.0; LANES];
+        // Slices of one length, so that one bounds check covers all three.
+        let len = self.covered(sums);
+        let multipliers = &self.multipliers[..len];
+        let popsum = &sums.popsum[..len];
+        let counts = &sums.count[..len];
+        let mut clusters = clusters.into_iter();
+        let (mut active, mut union) = (0.0, 0.0);
         loop {
-            let mut len = 0;
-            for (s, sums, c) in terms.by_ref().take(LANES) {
-                let pm = sums.popsum[c] * self.multipliers[c];
-                let n = sums.count[c];
-                active[s] += pm.min(n);
-                slot[len] = s;
-                count[len] = n;
-                base[len] = 1.0 - (pm / n).min(1.0);
-                len += 1;
+            let mut count = [0.0; CHUNK];
+            let mut base = [0.0; CHUNK];
+            let mut filled = 0;
+            for ((n, b), c) in count.iter_mut().zip(&mut base).zip(clusters.by_ref()) {
+                let pm = popsum[c] * multipliers[c];
+                *n = counts[c];
+                active += pm.min(*n);
+                *b = 1.0 - (pm / *n).min(1.0);
+                filled += 1;
             }
-            powi_lanes(&mut base[..len], &mut power[..len], exp);
-            for i in 0..len {
-                union[slot[i]] += count[i] * (1.0 - power[i]);
+            if filled == 0 {
+                return (active, union);
             }
-            if len < LANES {
-                return;
+            let power = powi_chunk(base, exp);
+            for (&n, &p) in count[..filled].iter().zip(&power) {
+                union += n * (1.0 - p);
             }
         }
+    }
+
+    /// Number of clusters that both the multipliers and `sums` cover.
+    fn covered(&self, sums: &ClusterPopSums) -> usize {
+        let len = self.multipliers.len().min(sums.popsum.len());
+        len.min(sums.count.len())
     }
 
     /// Number of clusters.
@@ -159,28 +161,28 @@ impl BlockActivity {
     }
 }
 
-/// Set `power[i]` to `base[i].powi(exp)` for every lane, squaring `base` in
-/// place.
+/// `base[i].powi(exp)` for every lane.
 ///
 /// This is the square-and-multiply of `f64::powi` (compiler-builtins'
 /// `__powidf2`): the product starts at 1 and takes the base once for every
 /// set bit of `exp`, lowest bit first, with the base squared between bits.
 /// Each lane sees the same multiplications in the same order, so it gets
-/// the same bits as `powi`; running the lanes side by side lets independent
-/// clusters pipeline instead of each waiting on its own call.
-fn powi_lanes(base: &mut [f64], power: &mut [f64], mut exp: u32) {
-    power.fill(1.0);
+/// the same bits as `powi`. It is inlined into the callers' copies of the
+/// generic fold, where the lanes stay in registers.
+#[inline]
+fn powi_chunk(mut base: [f64; CHUNK], mut exp: u32) -> [f64; CHUNK] {
+    let mut power = [1.0; CHUNK];
     loop {
         if exp & 1 == 1 {
-            for (p, &b) in power.iter_mut().zip(base.iter()) {
+            for (p, b) in power.iter_mut().zip(base) {
                 *p *= b;
             }
         }
         exp >>= 1;
         if exp == 0 {
-            return;
+            return power;
         }
-        for b in base.iter_mut() {
+        for b in &mut base {
             *b *= *b;
         }
     }
@@ -478,15 +480,20 @@ mod tests {
         #[test]
         fn square_and_multiply_matches_powi(seed in 0u64..u64::MAX) {
             let mut rng = SmallRng::seed_from_u64(seed);
-            let mut bases = vec![0.0, 1.0, f64::MIN_POSITIVE, 1.0 - f64::EPSILON, 0.5];
-            bases.extend((0..59).map(|_| rng.gen_range(0.0..1.0)));
-            let mut base = vec![0.0; bases.len()];
-            let mut power = vec![0.0; bases.len()];
+            let edges = [0.0, 1.0, f64::MIN_POSITIVE, 1.0 - f64::EPSILON, 0.5];
+            // Seven full chunks, then the edges again in a partial chunk,
+            // padded with zeros as `fold_clusters` pads its last chunk.
+            let mut bases = edges.to_vec();
+            bases.extend((0..51).map(|_| rng.gen_range(0.0..1.0)));
+            bases.extend(edges);
             for exp in 1..=1024u32 {
-                base.copy_from_slice(&bases);
-                powi_lanes(&mut base, &mut power, exp);
-                for (&b, &p) in bases.iter().zip(&power) {
-                    prop_assert_eq!(p.to_bits(), b.powi(exp as i32).to_bits(), "{}^{}", b, exp);
+                for chunk in bases.chunks(CHUNK) {
+                    let mut base = [0.0; CHUNK];
+                    base[..chunk.len()].copy_from_slice(chunk);
+                    let power = powi_chunk(base, exp);
+                    for (&b, &p) in chunk.iter().zip(&power) {
+                        prop_assert_eq!(p.to_bits(), b.powi(exp as i32).to_bits(), "{}^{}", b, exp);
+                    }
                 }
             }
         }
