@@ -133,8 +133,9 @@ fn saturated_sparse_batch_matches_golden() {
     // batch cap of 128 twice over, so each of 126 decode steps prices a
     // union over 128 sequences, on a cold placement that 25 remapping
     // windows age. The runs above never price a sparse batch of more than
-    // eight. Each wave's 128 records share their stamps, which the report's
-    // percentiles and makespan already hold, so only the report is pinned.
+    // ten sequences. Each wave's 128 records share their stamps, which the
+    // report's percentiles and makespan already hold, so only the report is
+    // pinned.
     let mut template = Workload::paper_default(ModelId::Opt13B);
     template.prompt_len = 64;
     template.gen_len = 64;
